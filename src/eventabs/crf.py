@@ -5,12 +5,14 @@ f_k(t, y_{t-1}, y_t, x)) / Z(x)``. Observation features contribute
 ``value * 1[y_t = label]`` emission scores; transition indicator features
 ``1[y_{t-1} = l', y_t = l]`` carry the Markov dependency, with a
 distinguished begin-of-sequence row so transitions are defined at t = 1.
-All inference runs in log space.
+The feature catalog owns the weight layout (which label each observation
+weight scores, and where the transition block starts); this module only
+asks it to split a weight vector. All inference runs in log space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +22,6 @@ from .owlqn import OwlqnConfig, OwlqnResult, minimize
 from .xes import EventLog
 
 __all__ = [
-    "FeatureLayout",
     "LabeledPair",
     "CrfModel",
     "log_partition",
@@ -30,42 +31,6 @@ __all__ = [
     "nll_and_gradient",
     "train",
 ]
-
-
-@dataclass(frozen=True)
-class FeatureLayout:
-    """Index structure of a weight vector: observation features with their
-    target labels, then the (L+1) x L transition block (begin-of-sequence
-    row last)."""
-
-    n_labels: int
-    observation_labels: np.ndarray  # (F_obs,) label index per observation feature
-
-    @classmethod
-    def from_catalog(cls, catalog: FeatureCatalog) -> "FeatureLayout":
-        return cls(
-            n_labels=catalog.n_labels,
-            observation_labels=catalog.observation_label_indices(),
-        )
-
-    @property
-    def n_observation_features(self) -> int:
-        return len(self.observation_labels)
-
-    @property
-    def n_features(self) -> int:
-        return self.n_observation_features + (self.n_labels + 1) * self.n_labels
-
-    def split(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a flat weight vector into observation weights and the
-        (L+1, L) transition matrix."""
-        if weights.shape != (self.n_features,):
-            raise ValueError(
-                f"weight vector has shape {weights.shape}, expected ({self.n_features},)"
-            )
-        f_obs = self.n_observation_features
-        trans = weights[f_obs:].reshape(self.n_labels + 1, self.n_labels)
-        return weights[:f_obs], trans
 
 
 @dataclass(frozen=True)
@@ -80,12 +45,12 @@ class LabeledPair:
             raise ValueError("observation and label sequences differ in length")
 
 
-def _emissions(
-    obs: np.ndarray, w_obs: np.ndarray, obs_labels: np.ndarray, n_labels: int
-) -> np.ndarray:
-    w_matrix = np.zeros((len(w_obs), n_labels))
-    w_matrix[np.arange(len(w_obs)), obs_labels] = w_obs
-    return obs @ w_matrix
+def _emission_weights(catalog: FeatureCatalog, w_obs: np.ndarray) -> np.ndarray:
+    """(F_obs, L) matrix placing each observation weight in its label's
+    column, so emissions are ``observations @ matrix``."""
+    w_matrix = np.zeros((len(w_obs), catalog.n_labels))
+    w_matrix[np.arange(len(w_obs)), catalog.observation_labels] = w_obs
+    return w_matrix
 
 
 def _forward(emissions: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -134,16 +99,10 @@ class CrfModel:
     weights: np.ndarray
     l1_coefficient: float = 0.0
     training: OwlqnResult | None = None
-    _layout: FeatureLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
-        self._layout = FeatureLayout.from_catalog(self.catalog)
-        if self.weights.shape != (self.catalog.n_features,):
-            raise ValueError(
-                f"weight vector length {self.weights.shape} does not match "
-                f"catalog size {self.catalog.n_features}"
-            )
+        self.catalog.split(self.weights)  # checks the length against the layout
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
@@ -156,14 +115,9 @@ class CrfModel:
         return int(np.count_nonzero(self.weights))
 
     def potentials(self, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w_obs, trans = self._layout.split(self.weights)
-        emissions = _emissions(
-            np.asarray(observations, dtype=float),
-            w_obs,
-            self._layout.observation_labels,
-            self._layout.n_labels,
-        )
-        return emissions, trans
+        w_obs, trans = self.catalog.split(self.weights)
+        observations = np.asarray(observations, dtype=float)
+        return observations @ _emission_weights(self.catalog, w_obs), trans
 
 
 def log_partition(model: CrfModel, observations: np.ndarray) -> float:
@@ -254,16 +208,16 @@ class TrainingBatch:
     aggregated value and gradient are order-independent sums over pairs.
     """
 
-    def __init__(self, pairs: Sequence[LabeledPair], layout: FeatureLayout):
-        self.layout = layout
+    def __init__(self, pairs: Sequence[LabeledPair], catalog: FeatureCatalog):
+        self.catalog = catalog
         live = [p for p in pairs if len(p.labels) > 0]
         order = np.argsort([-len(p.labels) for p in live], kind="stable")
         live = [live[i] for i in order]
         self.n = len(live)
         if self.n == 0:
             return
-        f_obs = layout.n_observation_features
-        L = layout.n_labels
+        f_obs = catalog.n_observation_features
+        L = catalog.n_labels
         self.lengths = np.asarray([len(p.labels) for p in live])
         t_max = int(self.lengths.max())
         self.t_max = t_max
@@ -311,18 +265,15 @@ def _lse_cols(scores: np.ndarray) -> np.ndarray:
 def _batch_nll_and_gradient(
     weights: np.ndarray, batch: TrainingBatch
 ) -> tuple[float, np.ndarray]:
-    layout = batch.layout
+    catalog = batch.catalog
     if batch.n == 0:
-        return 0.0, np.zeros(layout.n_features)
-    L = layout.n_labels
+        return 0.0, np.zeros(catalog.n_features)
+    L = catalog.n_labels
     n, t_max = batch.n, batch.t_max
-    w_obs, trans = layout.split(np.asarray(weights, dtype=float))
+    w_obs, trans = catalog.split(np.asarray(weights, dtype=float))
     core = trans[:L]
 
-    # emission[n,t,j] = sum_k obs[n,t,k] w_k [label_k = j], as one matmul
-    w_matrix = np.zeros((layout.n_observation_features, L))
-    w_matrix[np.arange(layout.n_observation_features), layout.observation_labels] = w_obs
-    emissions = (batch.obs_flat @ w_matrix).reshape(n, t_max, L)
+    emissions = (batch.obs_flat @ _emission_weights(catalog, w_obs)).reshape(n, t_max, L)
 
     mask, labels, lengths, active = batch.mask, batch.labels, batch.lengths, batch.active
     alpha = np.full((n, t_max, L), -np.inf)
@@ -351,12 +302,11 @@ def _batch_nll_and_gradient(
     value = float(log_z.sum() - observed_emission.sum() - observed_trans_score)
 
     # observation gradient: expected minus observed counts via one matmul
-    grad = np.empty(layout.n_features)
+    f_obs = catalog.n_observation_features
+    grad = np.empty(catalog.n_features)
     diff = node - batch.observed_label_onehot
     counts = batch.obs_flat.T @ diff.reshape(-1, L)  # (F_obs, L)
-    grad[: layout.n_observation_features] = counts[
-        np.arange(layout.n_observation_features), layout.observation_labels
-    ]
+    grad[:f_obs] = counts[np.arange(f_obs), catalog.observation_labels]
 
     # transition gradient: expected edge counts from pair marginals
     edge = np.exp(
@@ -367,7 +317,7 @@ def _batch_nll_and_gradient(
     ) * batch.edge_mask[:, :, None, None]
     expected_core = edge.sum(axis=(0, 1))
     expected_bos = node[:, 0].sum(axis=0)
-    grad[layout.n_observation_features :] = np.concatenate([
+    grad[f_obs:] = np.concatenate([
         (expected_core - batch.observed_core).ravel(),
         expected_bos - batch.observed_bos,
     ])
@@ -377,7 +327,7 @@ def _batch_nll_and_gradient(
 def nll_and_gradient(
     weights: np.ndarray,
     pairs: Sequence[LabeledPair],
-    layout: FeatureLayout,
+    catalog: FeatureCatalog,
 ) -> tuple[float, np.ndarray]:
     """Negative conditional log-likelihood of the pairs and its gradient:
     expected minus observed feature counts. This is the smooth part of the
@@ -385,7 +335,7 @@ def nll_and_gradient(
     """
     if not pairs:
         raise ValueError("need at least one training pair")
-    return _batch_nll_and_gradient(weights, TrainingBatch(pairs, layout))
+    return _batch_nll_and_gradient(weights, TrainingBatch(pairs, catalog))
 
 
 def training_pairs(log: EventLog, catalog: FeatureCatalog) -> list[LabeledPair]:
@@ -407,9 +357,7 @@ def train(
 
     Deterministic: identical inputs produce identical weight vectors.
     """
-    pairs = training_pairs(annotated, catalog)
-    layout = FeatureLayout.from_catalog(catalog)
-    batch = TrainingBatch(pairs, layout)
+    batch = TrainingBatch(training_pairs(annotated, catalog), catalog)
     base = optimizer_config or OwlqnConfig()
     config = replace(base, l1_coefficient=l1_coefficient)
 
@@ -419,7 +367,7 @@ def train(
             objective_hook(value)
         return value, grad
 
-    weights, result = minimize(objective, layout.n_features, config)
+    weights, result = minimize(objective, catalog.n_features, config)
     return CrfModel(
         catalog=catalog,
         weights=weights,

@@ -13,10 +13,13 @@ real-valued observation features, each attached to one candidate label:
   time since the FIFO-matched previous lifecycle step ``c`` of the same
   activity.
 
-Missing data degrades to the neutral value 1/|labels|, never to zero, so
-per-family values always form a distribution over labels at each position.
-Label-transition indicator features are owned by the CRF layer; the
-catalog only fixes their index block after the observation features.
+Each family instance is evaluated once per trace as a (positions x labels)
+block; feature columns are gathered from these blocks by label. Except for
+the constant bias block, every block row is a distribution over labels:
+missing data degrades to the neutral row 1/|labels|, never to zero. The
+catalog owns the whole weight layout: the observation features, then the
+label-transition indicator block, and the split of a weight vector into
+the two.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ class FeatureDef:
     view: str = ""
     step: str = ""
 
+    @property
+    def instance(self) -> tuple[str, int, str, str, str]:
+        """The family instance this feature reads one label column of."""
+        return (self.family, self.n, self.org, self.view, self.step)
+
     def describe(self) -> str:
         if self.family == "bias":
             return f"bias[{self.label}]"
@@ -139,27 +147,27 @@ class FeatureDef:
 class LabelGmmBank:
     """Per-label mixtures over one scalar quantity, with empirical priors.
 
-    ``responsibilities(x)`` returns the posterior over labels at ``x``,
+    ``responsibilities(xs)`` returns, per value, the posterior over labels,
     proportional to prior times mixture density; labels without a fitted
-    mixture get zero mass, and if nothing carries mass the result is
-    uniform.
+    mixture get zero mass, and rows where nothing carries mass are uniform.
     """
 
     labels: tuple[str, ...]
     gmms: Mapping[str, Gmm]
     log_priors: Mapping[str, float]
 
-    def responsibilities(self, x: float) -> np.ndarray:
-        scores = np.full(len(self.labels), -np.inf)
+    def responsibilities(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        scores = np.full((len(xs), len(self.labels)), -np.inf)
         for i, label in enumerate(self.labels):
             gmm = self.gmms.get(label)
             if gmm is not None:
-                scores[i] = self.log_priors[label] + gmm_log_density(gmm, x)
-        top = scores.max()
-        if not np.isfinite(top):
-            return np.full(len(self.labels), 1.0 / len(self.labels))
-        weights = np.exp(scores - top)
-        return weights / weights.sum()
+                scores[:, i] = self.log_priors[label] + gmm_log_density(gmm, xs)
+        top = scores.max(axis=1, keepdims=True)
+        live = np.isfinite(top[:, 0])
+        weights = np.exp(scores - np.where(live[:, None], top, 0.0))
+        weights[~live] = 1.0
+        return weights / weights.sum(axis=1, keepdims=True)
 
     def to_dict(self) -> dict:
         return {
@@ -179,12 +187,17 @@ class LabelGmmBank:
 
 @dataclass
 class FeatureCatalog:
-    """The indexed observation feature set plus its fitted sub-models.
+    """The indexed feature set, its fitted sub-models, and the weight layout.
 
     Feature indices are dense and stable: observation features first (in
     definition order), then the (|labels|+1) x |labels| label-transition
     block, previous label varying slowest with the begin-of-sequence row
     last. Identical between training and prediction by construction.
+
+    ``lifecycle_steps`` is the lifecycle step set of the training log, which
+    fixes the step chain used for duration pairing; ``None`` (model files
+    that predate it) pairs by the steps of the duration banks plus those of
+    the evaluated trace.
     """
 
     labels: tuple[str, ...]
@@ -194,6 +207,7 @@ class FeatureCatalog:
     org_tables: dict[tuple[int, str], MultinoulliTable] = field(default_factory=dict)
     time_models: dict[str, LabelGmmBank] = field(default_factory=dict)
     duration_models: dict[tuple[str, str], LabelGmmBank] = field(default_factory=dict)
+    lifecycle_steps: tuple[str, ...] | None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -203,6 +217,11 @@ class FeatureCatalog:
         bad = [d for d in self.observation_features if d.label not in self.label_index]
         if bad:
             raise ValueError(f"feature attached to unknown label: {bad[0]}")
+        # label index of each observation feature's weight column
+        self.observation_labels = np.asarray(
+            [self.label_index[d.label] for d in self.observation_features],
+            dtype=np.intp,
+        )
 
     @property
     def n_labels(self) -> int:
@@ -220,16 +239,16 @@ class FeatureCatalog:
     def n_features(self) -> int:
         return self.n_observation_features + self.n_transition_features
 
-    def observation_label_indices(self) -> np.ndarray:
-        return np.asarray(
-            [self.label_index[d.label] for d in self.observation_features],
-            dtype=np.intp,
-        )
-
-    def transition_feature_index(self, prev: int, cur: int) -> int:
-        """Weight index of the transition indicator (previous, current);
-        ``prev == n_labels`` is the begin-of-sequence row."""
-        return self.n_observation_features + prev * self.n_labels + cur
+    def split(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split a flat weight vector into the observation weights and the
+        (L+1, L) transition matrix (begin-of-sequence row last)."""
+        if weights.shape != (self.n_features,):
+            raise ValueError(
+                f"weight vector length {weights.shape} does not match "
+                f"catalog size {self.n_features}"
+            )
+        f_obs = self.n_observation_features
+        return weights[:f_obs], weights[f_obs:].reshape(self.n_labels + 1, self.n_labels)
 
     def to_dict(self) -> dict:
         return {
@@ -246,6 +265,7 @@ class FeatureCatalog:
                 [list(key), bank.to_dict()]
                 for key, bank in sorted(self.duration_models.items())
             ],
+            "lifecycle_steps": self.lifecycle_steps,
             "notes": list(self.notes),
         }
 
@@ -272,6 +292,10 @@ class FeatureCatalog:
                 (key[0], key[1]): LabelGmmBank.from_dict(b)
                 for key, b in data["duration_models"]
             },
+            lifecycle_steps=(
+                None if data.get("lifecycle_steps") is None
+                else tuple(data["lifecycle_steps"])
+            ),
             notes=tuple(data["notes"]),
         )
 
@@ -354,7 +378,7 @@ def pair_lifecycle_steps(
     return matches
 
 
-# --- catalog construction ----------------------------------------------------
+# --- per-family extraction: shared by catalog construction and evaluation ------
 
 
 def _symbol(event: Event, key: str) -> str:
@@ -364,11 +388,36 @@ def _symbol(event: Event, key: str) -> str:
     return av.value  # type: ignore[return-value]
 
 
-def _ngram_context(symbols: Sequence[str], t: int, n: int) -> tuple[str, ...]:
-    context = []
-    for j in range(t - n + 1, t + 1):
-        context.append(symbols[j] if j >= 0 else BOT)
-    return tuple(context)
+def _ngram_contexts(trace: Trace, key: str, n: int) -> list[tuple[str, ...]]:
+    """The n-gram context ending at each event: the last ``n`` values of the
+    string attribute ``key``, BOT before the trace start and MISSING where
+    the attribute is absent."""
+    padded = [BOT] * (n - 1) + [_symbol(ev, key) for ev in trace.events]
+    return [tuple(padded[t : t + n]) for t in range(len(trace.events))]
+
+
+def _view_coordinates(trace: Trace, view: str) -> tuple[list[int], list[float]]:
+    """Indices of the timestamped events and their coordinates in ``view``."""
+    indices = [i for i, ev in enumerate(trace.events) if ev.timestamp is not None]
+    return indices, [view_coordinate(view, trace.events[i].timestamp) for i in indices]
+
+
+def _lifecycle_durations(
+    trace: Trace, steps: Iterable[str]
+) -> list[tuple[int, tuple[str, str], float]]:
+    """Matched lifecycle durations as (event index, (activity, predecessor
+    step), seconds since the matched predecessor), pairing by the chain of
+    ``steps``; pairs lacking a timestamp are left out."""
+    events = trace.events
+    return [
+        (i, (events[i].name, _lifecycle_step(events[j])),
+         (events[i].timestamp - events[j].timestamp).total_seconds())
+        for i, j in enumerate(pair_lifecycle_steps(trace, steps))
+        if j is not None and None not in (events[i].timestamp, events[j].timestamp)
+    ]  # type: ignore[misc]
+
+
+# --- catalog construction ----------------------------------------------------
 
 
 def _fit_bank(
@@ -376,6 +425,8 @@ def _fit_bank(
     labels: tuple[str, ...],
     k_max: int,
     seed: int,
+    name: str,
+    notes: list[str],
 ) -> LabelGmmBank:
     total = sum(len(v) for v in samples.values())
     gmms: dict[str, Gmm] = {}
@@ -386,6 +437,7 @@ def _fit_bank(
             continue
         gmms[label] = gmm_select_bic(xs, k_max, seed=seed + 1000 * offset)
         log_priors[label] = float(np.log(len(xs) / total))
+        notes.extend(f"{name}, label {label}: {w}" for w in gmms[label].warnings)
     return LabelGmmBank(labels=labels, gmms=gmms, log_priors=log_priors)
 
 
@@ -397,8 +449,9 @@ def build_catalog(
     """Fit the feature catalog on a fully annotated log.
 
     Only families whose required attributes occur in the log are included;
-    skipped families are recorded in the catalog notes. Raises
-    :class:`TrainingError` when any event lacks the label attribute.
+    skipped families and mixture-fit warnings are recorded in the catalog
+    notes. Raises :class:`TrainingError` when any event lacks the label
+    attribute.
     """
     offenders = [
         f"trace {trace.case_id!r} event {i}"
@@ -423,7 +476,9 @@ def build_catalog(
     has_org = {
         o: any(ev.org(o) is not None for ev in events) for o in ORG_KINDS
     }
-    has_lifecycle = any(ev.lifecycle is not None for ev in events)
+    lifecycle_steps = tuple(sorted({
+        s for ev in events if (s := _lifecycle_step(ev)) is not None
+    }))
 
     defs: list[FeatureDef] = [FeatureDef("bias", l) for l in labels]
     concept_tables: dict[int, MultinoulliTable] = {}
@@ -431,28 +486,26 @@ def build_catalog(
     time_models: dict[str, LabelGmmBank] = {}
     duration_models: dict[tuple[str, str], LabelGmmBank] = {}
 
-    def ngram_observations(key: str) -> dict[int, list[tuple[tuple[str, ...], str]]]:
-        per_n: dict[int, list[tuple[tuple[str, ...], str]]] = {
-            n: [] for n in sorted(config.ngram_sizes)
-        }
-        for trace in training.traces:
-            symbols = [_symbol(ev, key) for ev in trace.events]
-            for t, ev in enumerate(trace.events):
-                for n in per_n:
-                    per_n[n].append((_ngram_context(symbols, t, n), ev.label))  # type: ignore[arg-type]
-        return per_n
+    def ngram_table(key: str, n: int) -> MultinoulliTable:
+        observations = [
+            (context, ev.label)
+            for trace in training.traces
+            for context, ev in zip(_ngram_contexts(trace, key, n), trace.events)
+        ]
+        return multinoulli_fit(observations, config.smoothing_alpha, labels)  # type: ignore[arg-type]
 
+    ngram_sizes = sorted(set(config.ngram_sizes))
     if has_concept:
-        for n, obs in ngram_observations(CONCEPT_NAME).items():
-            concept_tables[n] = multinoulli_fit(obs, config.smoothing_alpha, labels)
+        for n in ngram_sizes:
+            concept_tables[n] = ngram_table(CONCEPT_NAME, n)
             defs.extend(FeatureDef("concept_ngram", l, n=n) for l in labels)
     else:
         notes.append("concept extension absent: concept_ngram features skipped")
 
     for o in ORG_KINDS:
         if has_org[o]:
-            for n, obs in ngram_observations(f"org:{o}").items():
-                org_tables[(n, o)] = multinoulli_fit(obs, config.smoothing_alpha, labels)
+            for n in ngram_sizes:
+                org_tables[(n, o)] = ngram_table(f"org:{o}", n)
                 defs.extend(FeatureDef("org_ngram", l, n=n, org=o) for l in labels)
         else:
             notes.append(f"org:{o} extension absent: org_ngram features skipped")
@@ -460,44 +513,36 @@ def build_catalog(
     if has_time:
         for view in config.time_views:
             samples: dict[str, list[float]] = {l: [] for l in labels}
-            for ev in events:
-                ts = ev.timestamp
-                if ts is not None:
-                    samples[ev.label].append(view_coordinate(view, ts))  # type: ignore[index]
+            for trace in training.traces:
+                for i, x in zip(*_view_coordinates(trace, view)):
+                    samples[trace.events[i].label].append(x)  # type: ignore[index]
             time_models[view] = _fit_bank(
                 samples,
                 labels,
                 config.gmm_max_components,
                 seed=config.gmm_seed + 7919 * TIME_VIEWS.index(view),
+                name=f"time_view {view}",
+                notes=notes,
             )
             defs.extend(FeatureDef("time_view", l, view=view) for l in labels)
     else:
         notes.append("time extension absent: time_view features skipped")
 
-    if has_lifecycle and has_time and has_concept:
-        observed_steps = {
-            s for ev in events if (s := _lifecycle_step(ev)) is not None
-        }
+    if lifecycle_steps and has_time and has_concept:
         duration_samples: dict[tuple[str, str], dict[str, list[float]]] = {}
         for trace in training.traces:
-            matches = pair_lifecycle_steps(trace, observed_steps)
-            for i, ev in enumerate(trace.events):
-                j = matches[i]
-                if j is None:
-                    continue
-                prev = trace.events[j]
-                if ev.timestamp is None or prev.timestamp is None:
-                    continue
-                key = (ev.name, _lifecycle_step(prev))
+            for i, key, seconds in _lifecycle_durations(trace, lifecycle_steps):
                 duration_samples.setdefault(key, {l: [] for l in labels})[
-                    ev.label
-                ].append((ev.timestamp - prev.timestamp).total_seconds())
+                    trace.events[i].label  # type: ignore[index]
+                ].append(seconds)
         for offset, key in enumerate(sorted(duration_samples)):
             duration_models[key] = _fit_bank(
                 duration_samples[key],
                 labels,
                 config.gmm_max_components,
                 seed=config.gmm_seed + 104_729 + 1009 * offset,
+                name=f"lifecycle_duration {key[0]} after {key[1]}",
+                notes=notes,
             )
         steps_with_models = tuple(sorted({step for _, step in duration_models}))
         for step in steps_with_models:
@@ -507,7 +552,7 @@ def build_catalog(
                 "lifecycle extension present but no step pairs matched: "
                 "lifecycle_duration features skipped"
             )
-    elif not has_lifecycle:
+    elif not lifecycle_steps:
         notes.append("lifecycle extension absent: lifecycle_duration features skipped")
 
     if diagnostics is not None:
@@ -521,6 +566,7 @@ def build_catalog(
         org_tables=org_tables,
         time_models=time_models,
         duration_models=duration_models,
+        lifecycle_steps=lifecycle_steps,
         notes=tuple(notes),
     )
 
@@ -535,99 +581,64 @@ def evaluate_observations(
 ) -> np.ndarray:
     """Evaluate every catalog observation feature at every trace position.
 
+    Each family instance yields one (positions, labels) block: ones for
+    bias, otherwise rows that are distributions over the catalog labels,
+    with the neutral row 1/|labels| where the family's data is missing. A
+    feature's column is the column of its label in its instance's block.
     Returns a float array of shape (len(trace.events), number of
-    observation features). Pure: repeated calls agree exactly. Positions
-    lacking the data a family needs receive the neutral value 1/|labels|.
+    observation features). Pure: repeated calls agree exactly.
     """
     events = trace.events
-    T = len(events)
-    L = catalog.n_labels
-    neutral = 1.0 / L
-    matrix = np.empty((T, catalog.n_observation_features), dtype=float)
-
-    concept_symbols = [_symbol(ev, CONCEPT_NAME) for ev in events]
-    org_symbols = {
-        o: [_symbol(ev, f"org:{o}") for ev in events]
-        for o in ORG_KINDS
-        if any(d.family == "org_ngram" and d.org == o for d in catalog.observation_features)
-    }
-    time_resp: dict[str, list[np.ndarray | None]] = {}
-    if catalog.time_models:
-        timestamps = [ev.timestamp for ev in events]
-        if diagnostics is not None:
-            for t, ts in enumerate(timestamps):
-                if ts is None:
-                    diagnostics.append(
-                        f"trace {trace.case_id!r} event {t}: no timestamp, "
-                        "neutral time_view values used"
-                    )
-        for view, bank in catalog.time_models.items():
-            time_resp[view] = [
-                None if ts is None
-                else bank.responsibilities(view_coordinate(view, ts))
-                for ts in timestamps
-            ]
-
-    duration_resp: list[dict[str, np.ndarray] | None] = [None] * T
-    if catalog.duration_models:
-        matches = pair_lifecycle_steps(
-            trace, {step for (_, step) in catalog.duration_models}
-            | {s for ev in events if (s := _lifecycle_step(ev)) is not None},
+    T, L = len(events), catalog.n_labels
+    if catalog.time_models and diagnostics is not None:
+        diagnostics.extend(
+            f"trace {trace.case_id!r} event {t}: no timestamp, "
+            "neutral time_view values used"
+            for t, ev in enumerate(events)
+            if ev.timestamp is None
         )
-        for i, ev in enumerate(events):
-            j = matches[i]
-            if j is None:
-                continue
-            prev = events[j]
-            if ev.timestamp is None or prev.timestamp is None:
-                continue
-            step = _lifecycle_step(prev)
-            bank = catalog.duration_models.get((ev.name, step))
-            if bank is None:
-                continue
-            dt = (ev.timestamp - prev.timestamp).total_seconds()
-            duration_resp[i] = {step: bank.responsibilities(dt)}
+    durations: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
+    if catalog.duration_models:
+        steps = catalog.lifecycle_steps
+        if steps is None:
+            steps = {s for _, s in catalog.duration_models} | {
+                s for ev in events if (s := _lifecycle_step(ev)) is not None
+            }
+        for i, bank_key, seconds in _lifecycle_durations(trace, steps):
+            if bank_key in catalog.duration_models:
+                indices, xs = durations.setdefault(bank_key, ([], []))
+                indices.append(i)
+                xs.append(seconds)
 
-    for k, d in enumerate(catalog.observation_features):
-        li = catalog.label_index[d.label]
-        if d.family == "bias":
-            matrix[:, k] = 1.0
-            continue
-        if d.family == "concept_ngram":
-            table = catalog.concept_tables[d.n]
-            for t in range(T):
-                if concept_symbols[t] == MISSING:
-                    matrix[t, k] = neutral
-                else:
-                    matrix[t, k] = table.probability(
-                        _ngram_context(concept_symbols, t, d.n), d.label
-                    )
-            continue
-        if d.family == "org_ngram":
-            table = catalog.org_tables[(d.n, d.org)]
-            symbols = org_symbols[d.org]
-            for t in range(T):
-                if symbols[t] == MISSING:
-                    matrix[t, k] = neutral
-                else:
-                    matrix[t, k] = table.probability(
-                        _ngram_context(symbols, t, d.n), d.label
-                    )
-            continue
-        if d.family == "time_view":
-            per_event = time_resp[d.view]
-            for t in range(T):
-                resp = per_event[t]
-                matrix[t, k] = neutral if resp is None else float(resp[li])
-            continue
-        # lifecycle_duration
-        for t in range(T):
-            resp_by_step = duration_resp[t]
-            if resp_by_step is None or d.step not in resp_by_step:
-                matrix[t, k] = neutral
+    slots: dict[tuple[str, int, str, str, str], int] = {}
+    columns = [
+        slots.setdefault(d.instance, len(slots)) * L + li
+        for d, li in zip(catalog.observation_features, catalog.observation_labels)
+    ]
+    blocks = np.full((T, len(slots), L), 1.0 / L)
+    for (family, n, org, view, step), block in zip(slots, blocks.transpose(1, 0, 2)):
+        if family == "bias":
+            block[:] = 1.0
+        elif family in ("concept_ngram", "org_ngram"):
+            if family == "concept_ngram":
+                key, table = CONCEPT_NAME, catalog.concept_tables[n]
             else:
-                matrix[t, k] = float(resp_by_step[d.step][li])
-    return matrix
+                key, table = f"org:{org}", catalog.org_tables[(n, org)]
+            rows: dict[tuple[str, ...], list[float]] = {}
+            for t, context in enumerate(_ngram_contexts(trace, key, n)):
+                if context[-1] != MISSING:
+                    if context not in rows:
+                        rows[context] = list(table.distribution(context).values())
+                    block[t] = rows[context]
+        elif family == "time_view":
+            indices, xs = _view_coordinates(trace, view)
+            block[indices] = catalog.time_models[view].responsibilities(xs)
+        else:  # lifecycle_duration
+            for bank_key, (indices, xs) in durations.items():
+                if bank_key[1] == step:
+                    bank = catalog.duration_models[bank_key]
+                    block[indices] = bank.responsibilities(xs)
+    return blocks.reshape(T, len(slots) * L)[:, columns]
 
 
 def label_indices(catalog: FeatureCatalog, trace: Trace) -> np.ndarray:

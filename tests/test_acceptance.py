@@ -134,7 +134,7 @@ def test_criterion_2_gradient_correctness():
         n_labels = int(rng.integers(2, 4))
         F = int(rng.integers(1, 8))
         model = random_model(rng, n_labels, F)
-        layout = crf.FeatureLayout.from_catalog(model.catalog)
+        layout = model.catalog
         assert layout.n_features <= 50
         pairs = []
         for _ in range(int(rng.integers(1, 4))):

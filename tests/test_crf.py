@@ -258,7 +258,7 @@ class TestGradient:
             L = int(rng.integers(2, 4))
             F = int(rng.integers(1, 6))
             model = random_model(rng, L, F)
-            layout = crf.FeatureLayout.from_catalog(model.catalog)
+            layout = model.catalog
             assert layout.n_features <= 50
             pairs = []
             for _ in range(int(rng.integers(1, 4))):
@@ -276,7 +276,7 @@ class TestGradient:
     def test_value_at_zero_weights(self):
         rng = np.random.default_rng(17)
         model = random_model(rng, 3, 4)
-        layout = crf.FeatureLayout.from_catalog(model.catalog)
+        layout = model.catalog
         pairs = [
             crf.LabeledPair(rng.normal(0, 1, (4, 4)), np.array([0, 1, 2, 0])),
             crf.LabeledPair(rng.normal(0, 1, (2, 4)), np.array([2, 2])),
@@ -287,7 +287,7 @@ class TestGradient:
     def test_duplicating_pairs_doubles(self):
         rng = np.random.default_rng(18)
         model = random_model(rng, 2, 3)
-        layout = crf.FeatureLayout.from_catalog(model.catalog)
+        layout = model.catalog
         pairs = [
             crf.LabeledPair(rng.normal(0, 1, (3, 3)), np.array([0, 1, 1])),
             crf.LabeledPair(rng.normal(0, 1, (5, 3)), np.array([1, 0, 0, 1, 0])),
@@ -301,7 +301,7 @@ class TestGradient:
     def test_batched_equals_sequential_sum(self):
         rng = np.random.default_rng(19)
         model = random_model(rng, 3, 5)
-        layout = crf.FeatureLayout.from_catalog(model.catalog)
+        layout = model.catalog
         pairs = []
         for _ in range(7):
             T = int(rng.integers(1, 8))

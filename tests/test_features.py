@@ -1,20 +1,25 @@
 """Catalog construction, observation evaluation, and lifecycle pairing."""
 
+import json
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventabs.features import (
     BOT,
     CatalogConfig,
     FeatureCatalog,
+    LabelGmmBank,
     TrainingError,
     build_catalog,
     evaluate_observations,
     pair_lifecycle_steps,
     view_coordinate,
 )
+from eventabs.stats import gmm_density
 from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
 
 from factories import BASE, make_event, make_log, sequence_trace
@@ -62,6 +67,22 @@ class TestAvailability:
         ]
         catalog = build_catalog(make_log([events]), CatalogConfig(ngram_sizes=(1,)))
         assert "org_ngram" in families(catalog)
+
+    def test_mixture_fit_warnings_reach_the_notes(self):
+        # label X always occurs at 08:00, so its day-view mixture is fitted
+        # on constant samples and its variance is clamped
+        log = make_log([
+            sequence_trace([("A", "X"), ("B", "Y")], start=BASE + timedelta(days=d),
+                           gap_seconds=600 + 60 * d)
+            for d in range(6)
+        ])
+        diagnostics: list[str] = []
+        catalog = build_catalog(
+            log, CatalogConfig(ngram_sizes=(1,), time_views=("day",)), diagnostics
+        )
+        warning = "time_view day, label X: variance clamped to floor"
+        assert catalog.notes.count(warning) == 1
+        assert warning in diagnostics
 
     def test_unannotated_event_rejected(self):
         log = make_log([[make_event("A", "X", BASE), make_event("B", None, BASE)]])
@@ -290,6 +311,124 @@ class TestLifecyclePairing:
         matrix = evaluate_observations(catalog, log.traces[0])
         sums = matrix[:, cols].sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-9)
+
+    def test_prediction_pairs_by_the_training_step_chain(self):
+        # In training, complete follows resume in the step chain, so the
+        # complete of a start/complete trace stays unmatched. A probe's
+        # complete must not pair with its suspend, which would score it
+        # with the (C, suspend) bank fitted on resume events.
+        def trace_events(rows, k):
+            return [
+                make_event("C", label, BASE + timedelta(seconds=(10 + k) * i), step)
+                for i, (step, label) in enumerate(rows)
+            ]
+
+        traces = []
+        for k in range(4):
+            traces.append(trace_events([("start", "X"), ("suspend", "X"), ("resume", "Y")], k))
+            traces.append(trace_events([("start", "X"), ("complete", "X")], k))
+        catalog = build_catalog(make_log(traces), CatalogConfig(ngram_sizes=(1,)))
+        assert set(catalog.duration_models) == {("C", "start"), ("C", "suspend")}
+        probe = self.trace([("C", "start"), ("C", "suspend"), ("C", "complete")])
+        stored = json.loads(json.dumps(catalog.to_dict()))
+        for reloaded in (catalog, FeatureCatalog.from_dict(stored)):
+            assert reloaded.lifecycle_steps == ("complete", "resume", "start", "suspend")
+            matrix = evaluate_observations(reloaded, probe)
+            cols = [
+                k for k, d in enumerate(reloaded.observation_features)
+                if d.family == "lifecycle_duration"
+            ]
+            assert len(cols) == 4
+            assert np.array_equal(matrix[2, cols], np.full(4, 0.5))
+
+    def test_model_files_without_the_step_set_keep_pairing(self):
+        # model files written before the training step set was stored pair
+        # by the steps of their banks plus those of the evaluated trace
+        events = []
+        for i in range(6):
+            start = BASE + timedelta(minutes=10 * i)
+            label = "X" if i % 2 else "Y"
+            events.append(make_event("A", label, start, "start"))
+            events.append(make_event("A", label, start + timedelta(seconds=5 + 3 * i), "complete"))
+        log = make_log([events])
+        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1,)))
+        data = catalog.to_dict()
+        del data["lifecycle_steps"]
+        legacy = FeatureCatalog.from_dict(data)
+        assert legacy.lifecycle_steps is None
+        assert np.array_equal(
+            evaluate_observations(legacy, log.traces[0]),
+            evaluate_observations(catalog, log.traces[0]),
+        )
+
+
+# A random event: concept name, label, seconds since the previous event,
+# lifecycle step and resource; None drops the attribute (for the gap, the
+# timestamp).
+_EVENTS = st.tuples(
+    st.sampled_from(["A", "B", None]),
+    st.sampled_from(["X", "Y", "Z"]),
+    st.one_of(st.none(), st.integers(1, 20_000)),
+    st.sampled_from(["start", "complete", None]),
+    st.sampled_from(["r1", "r2", None]),
+)
+
+
+def _random_log(rows):
+    traces, elapsed = [], 0
+    for trace_rows in rows:
+        events = []
+        for name, label, gap, step, resource in trace_rows:
+            elapsed += gap or 0
+            ts = BASE + timedelta(seconds=elapsed) if gap is not None else None
+            org = {"resource": resource} if resource is not None else None
+            events.append(make_event(name, label, ts, step, org))
+        traces.append(events)
+    return make_log(traces)
+
+
+class TestFamilyBlocks:
+    @given(st.lists(st.lists(_EVENTS, min_size=1, max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_every_family_instance_is_a_label_distribution(self, rows):
+        log = _random_log(rows)
+        catalog = build_catalog(
+            log,
+            CatalogConfig(ngram_sizes=(1, 2), time_views=("day", "week"), gmm_max_components=2),
+        )
+        instances: dict[tuple, list[int]] = {}
+        for k, d in enumerate(catalog.observation_features):
+            instances.setdefault(d.instance, []).append(k)
+        for trace in log.traces:
+            matrix = evaluate_observations(catalog, trace)
+            for instance, cols in instances.items():
+                block = matrix[:, cols]
+                assert len(cols) == catalog.n_labels
+                if instance[0] == "bias":
+                    assert np.all(block == 1.0)
+                else:
+                    assert np.all((block >= 0.0) & (block <= 1.0))
+                    assert np.allclose(block.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+        for bank in [*catalog.time_models.values(), *catalog.duration_models.values()]:
+            xs = np.array([
+                m + s * np.sqrt(v)
+                for g in bank.gmms.values()
+                for m, v in zip(g.means, g.variances)
+                for s in (0.0, 1.0)
+            ])
+            joint = np.stack([
+                np.exp(bank.log_priors[l]) * gmm_density(bank.gmms[l], xs)
+                if l in bank.gmms else np.zeros(len(xs))
+                for l in bank.labels
+            ], axis=1)
+            bayes = joint / joint.sum(axis=1, keepdims=True)
+            assert np.allclose(bank.responsibilities(xs), bayes, rtol=1e-9, atol=1e-12)
+
+    def test_bank_without_mixtures_gives_uniform_rows(self):
+        bank = LabelGmmBank(labels=("X", "Y", "Z"), gmms={}, log_priors={})
+        rows = bank.responsibilities([0.0, 3.5, -1e9])
+        assert np.array_equal(rows, np.full((3, 3), 1.0 / 3))
 
 
 class TestViewCoordinate:
