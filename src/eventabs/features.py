@@ -32,7 +32,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .stats import Gmm, MultinoulliTable, gmm_log_density, gmm_select_bic, multinoulli_fit
+from .stats import (
+    Gmm,
+    MultinoulliTable,
+    gmm_log_density,
+    gmm_select_bic_many,
+    multinoulli_fit,
+)
 from .xes import CONCEPT_NAME, Event, EventLog, Trace
 
 __all__ = [
@@ -420,25 +426,25 @@ def _lifecycle_durations(
 # --- catalog construction ----------------------------------------------------
 
 
-def _fit_bank(
+def _bank(
     samples: dict[str, list[float]],
     labels: tuple[str, ...],
-    k_max: int,
-    seed: int,
+    gmms: dict[str, Gmm],
     name: str,
     notes: list[str],
 ) -> LabelGmmBank:
+    """Assemble one bank from its fitted mixtures, one per label with
+    samples, and note the mixtures' warnings."""
     total = sum(len(v) for v in samples.values())
-    gmms: dict[str, Gmm] = {}
-    log_priors: dict[str, float] = {}
-    for offset, label in enumerate(sorted(samples)):
-        xs = samples[label]
-        if not xs:
-            continue
-        gmms[label] = gmm_select_bic(xs, k_max, seed=seed + 1000 * offset)
-        log_priors[label] = float(np.log(len(xs) / total))
-        notes.extend(f"{name}, label {label}: {w}" for w in gmms[label].warnings)
-    return LabelGmmBank(labels=labels, gmms=gmms, log_priors=log_priors)
+    for label, gmm in gmms.items():
+        notes.extend(f"{name}, label {label}: {w}" for w in gmm.warnings)
+    return LabelGmmBank(
+        labels=labels,
+        gmms=gmms,
+        log_priors={
+            label: float(np.log(len(samples[label]) / total)) for label in gmms
+        },
+    )
 
 
 def build_catalog(
@@ -483,14 +489,16 @@ def build_catalog(
     defs: list[FeatureDef] = [FeatureDef("bias", l) for l in labels]
     concept_tables: dict[int, MultinoulliTable] = {}
     org_tables: dict[tuple[int, str], MultinoulliTable] = {}
-    time_models: dict[str, LabelGmmBank] = {}
-    duration_models: dict[tuple[str, str], LabelGmmBank] = {}
 
     def ngram_table(key: str, n: int) -> MultinoulliTable:
+        # contexts ending in MISSING are never looked up (evaluation gives
+        # those positions the neutral row); the family's presence check
+        # guarantees at least one observation
         observations = [
             (context, ev.label)
             for trace in training.traces
             for context, ev in zip(_ngram_contexts(trace, key, n), trace.events)
+            if context[-1] != MISSING
         ]
         return multinoulli_fit(observations, config.smoothing_alpha, labels)  # type: ignore[arg-type]
 
@@ -510,50 +518,67 @@ def build_catalog(
         else:
             notes.append(f"org:{o} extension absent: org_ngram features skipped")
 
-    if has_time:
-        for view in config.time_views:
-            samples: dict[str, list[float]] = {l: [] for l in labels}
-            for trace in training.traces:
-                for i, x in zip(*_view_coordinates(trace, view)):
-                    samples[trace.events[i].label].append(x)  # type: ignore[index]
-            time_models[view] = _fit_bank(
-                samples,
-                labels,
-                config.gmm_max_components,
-                seed=config.gmm_seed + 7919 * TIME_VIEWS.index(view),
-                name=f"time_view {view}",
-                notes=notes,
-            )
-            defs.extend(FeatureDef("time_view", l, view=view) for l in labels)
-    else:
+    # (name, per-label samples, seed) of every mixture bank; all their
+    # mixtures are fitted in one packed EM run below
+    banks: list[tuple[str, dict[str, list[float]], int]] = []
+    views = config.time_views if has_time else ()
+    for view in views:
+        samples: dict[str, list[float]] = {l: [] for l in labels}
+        for trace in training.traces:
+            for i, x in zip(*_view_coordinates(trace, view)):
+                samples[trace.events[i].label].append(x)  # type: ignore[index]
+        banks.append((
+            f"time_view {view}", samples,
+            config.gmm_seed + 7919 * TIME_VIEWS.index(view),
+        ))
+        defs.extend(FeatureDef("time_view", l, view=view) for l in labels)
+    if not has_time:
         notes.append("time extension absent: time_view features skipped")
 
+    duration_samples: dict[tuple[str, str], dict[str, list[float]]] = {}
     if lifecycle_steps and has_time and has_concept:
-        duration_samples: dict[tuple[str, str], dict[str, list[float]]] = {}
         for trace in training.traces:
             for i, key, seconds in _lifecycle_durations(trace, lifecycle_steps):
                 duration_samples.setdefault(key, {l: [] for l in labels})[
                     trace.events[i].label  # type: ignore[index]
                 ].append(seconds)
-        for offset, key in enumerate(sorted(duration_samples)):
-            duration_models[key] = _fit_bank(
-                duration_samples[key],
-                labels,
-                config.gmm_max_components,
-                seed=config.gmm_seed + 104_729 + 1009 * offset,
-                name=f"lifecycle_duration {key[0]} after {key[1]}",
-                notes=notes,
-            )
-        steps_with_models = tuple(sorted({step for _, step in duration_models}))
-        for step in steps_with_models:
-            defs.extend(FeatureDef("lifecycle_duration", l, step=step) for l in labels)
-        if not duration_models:
-            notes.append(
-                "lifecycle extension present but no step pairs matched: "
-                "lifecycle_duration features skipped"
-            )
-    elif not lifecycle_steps:
+    duration_keys = sorted(duration_samples)
+    for offset, key in enumerate(duration_keys):
+        banks.append((
+            f"lifecycle_duration {key[0]} after {key[1]}", duration_samples[key],
+            config.gmm_seed + 104_729 + 1009 * offset,
+        ))
+    for step in sorted({step for _, step in duration_keys}):
+        defs.extend(FeatureDef("lifecycle_duration", l, step=step) for l in labels)
+
+    # (bank index, label, samples, seed) of every mixture, fitted together
+    label_sets = [
+        (b, label, samples[label], seed + 1000 * offset)
+        for b, (_, samples, seed) in enumerate(banks)
+        for offset, label in enumerate(sorted(samples))
+        if samples[label]
+    ]
+    gmms = gmm_select_bic_many(
+        [xs for _, _, xs, _ in label_sets], config.gmm_max_components,
+        [seed for _, _, _, seed in label_sets],
+    )
+    bank_gmms: list[dict[str, Gmm]] = [{} for _ in banks]
+    for (b, label, _, _), gmm in zip(label_sets, gmms):
+        bank_gmms[b][label] = gmm
+    fitted = [
+        _bank(samples, labels, bank_gmms[b], name, notes)
+        for b, (name, samples, _) in enumerate(banks)
+    ]
+    time_models = dict(zip(views, fitted))
+    duration_models = dict(zip(duration_keys, fitted[len(views):]))
+
+    if not lifecycle_steps:
         notes.append("lifecycle extension absent: lifecycle_duration features skipped")
+    elif has_time and has_concept and not duration_models:
+        notes.append(
+            "lifecycle extension present but no step pairs matched: "
+            "lifecycle_duration features skipped"
+        )
 
     if diagnostics is not None:
         diagnostics.extend(notes)

@@ -1,6 +1,16 @@
 """Statistical estimators behind the feature layer: smoothed multinoulli
 tables over discrete contexts, univariate Gaussian mixtures fitted by EM,
 and BIC-based selection of the mixture size.
+
+All EM runs go through one packed kernel. It groups the fits by component
+count k, concatenates each group's samples into one row array with a
+contiguous segment per fit, and runs every iteration as whole-array
+operations over the group, with per-fit sums by ``np.add.reduceat`` over
+the segment starts. Fits that converge drop out and their rows are
+compacted away. Each fit keeps its own seed, floor, stopping rule and
+warnings, and its result does not depend on the fits packed with it, so
+``gmm_select_bic_many`` over many sample sets equals ``gmm_select_bic`` on
+each. ``gmm_fit_em`` and ``gmm_select_bic`` run the same kernel on one set.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ __all__ = [
     "multinoulli_fit",
     "gmm_fit_em",
     "gmm_select_bic",
+    "gmm_select_bic_many",
     "gmm_density",
     "gmm_log_density",
 ]
@@ -46,21 +57,21 @@ class MultinoulliTable:
     context_totals: Mapping[tuple[str, ...], int]
 
     def probability(self, context: tuple[str, ...], label: str) -> float:
+        return self.distribution(context)[label]
+
+    def distribution(self, context: tuple[str, ...]) -> dict[str, float]:
+        """The smoothed probability of every label given ``context``, in
+        label order, with one lookup of the context."""
         if len(context) != self.arity:
             raise ValueError(
                 f"context arity {len(context)} does not match table arity {self.arity}"
             )
         per_label = self.counts.get(context)
-        if per_label is None:
-            return 1.0 / len(self.labels)
-        total = self.context_totals[context]
-        denom = total + self.alpha * len(self.labels)
-        if denom == 0.0:
-            return 1.0 / len(self.labels)
-        return (per_label.get(label, 0) + self.alpha) / denom
-
-    def distribution(self, context: tuple[str, ...]) -> dict[str, float]:
-        return {l: self.probability(context, l) for l in self.labels}
+        if per_label is not None:
+            denom = self.context_totals[context] + self.alpha * len(self.labels)
+            if denom != 0.0:
+                return {l: (per_label.get(l, 0) + self.alpha) / denom for l in self.labels}
+        return dict.fromkeys(self.labels, 1.0 / len(self.labels))
 
     def to_dict(self) -> dict:
         return {
@@ -211,6 +222,152 @@ def _kmeanspp_centers(xs: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return np.asarray(centers, dtype=float)
 
 
+def _finite_samples(samples: Sequence[float]) -> np.ndarray:
+    xs = np.asarray(list(samples), dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise EstimationError("samples must be finite")
+    return xs
+
+
+def _em_group(
+    sample_sets: list[np.ndarray],
+    k: int,
+    seeds: list[int],
+    max_iters: int,
+    tol: float,
+) -> list[Gmm]:
+    """EM for fits that share the component count ``k``, packed.
+
+    The samples of all fits form one row array with one contiguous segment
+    per fit. Each iteration runs one E-step over the (k, rows) scores,
+    whose exponentials give both the log-likelihood and the
+    responsibilities, and sums per fit with ``np.add.reduceat`` over the
+    segment starts. Every operation is elementwise or reduces within one
+    segment, so a fit's result does not depend on the fits packed with it.
+    A fit that meets its tolerance drops out and its rows are compacted
+    away.
+    """
+    n_fits = len(sample_sets)
+    floor_of = np.empty(n_fits)
+    # parameters are (k, fits) and row arrays (k, rows), all C-contiguous:
+    # reductions over the components then combine whole rows
+    means = np.empty((k, n_fits))
+    variances = np.empty((k, n_fits))
+    for f, (xs, seed) in enumerate(zip(sample_sets, seeds)):
+        sample_var = float(np.var(xs))
+        floor_of[f] = max(1e-6 * sample_var, 1e-9)
+        means[:, f] = _kmeanspp_centers(xs, k, np.random.default_rng(seed))
+        variances[:, f] = max(sample_var, floor_of[f])
+    weights = np.full((k, n_fits), 1.0 / k)
+
+    trajectories: list[list[float]] = [[] for _ in range(n_fits)]
+    warnings: list[dict[str, None]] = [{} for _ in range(n_fits)]
+    final: list[tuple[np.ndarray, ...]] = [()] * n_fits
+
+    # the live fits: their indices, floors, rows and segment layout
+    ids = np.arange(n_fits)
+    floors = floor_of
+    lengths = np.asarray([len(xs) for xs in sample_sets])
+    xs = np.concatenate(sample_sets)
+    ll_prev = np.full(n_fits, -math.inf)
+
+    def warn(flags: np.ndarray, message: str) -> None:
+        for f in ids[flags]:
+            warnings[f].setdefault(message)
+
+    for it in range(max_iters + 1):
+        starts = np.cumsum(lengths) - lengths
+        diff = xs - np.repeat(means, lengths, axis=1)
+        scores = np.repeat(
+            np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)), lengths, axis=1
+        ) + diff**2 * np.repeat(-0.5 / variances, lengths, axis=1)
+        top = scores.max(axis=0)
+        expd = np.exp(scores - top)
+        total = expd.sum(axis=0)
+        ll = np.add.reduceat(top + np.log(total), starts)
+        for f, value in zip(ids.tolist(), ll.tolist()):
+            trajectories[f].append(value)
+        if it == max_iters:  # this E-step only scored the final parameters
+            stop = np.ones(len(ids), dtype=bool)
+            warn(stop, "EM stopped at the iteration cap")
+        else:
+            stop = (ll - ll_prev <= tol * (1.0 + np.abs(ll))) & (it > 0)
+            # a converged fit keeps its parameters, so this log-likelihood
+            # is also its final one
+            for f, value in zip(ids[stop].tolist(), ll[stop].tolist()):
+                trajectories[f].append(value)
+        if stop.any():
+            for local in np.flatnonzero(stop):
+                final[ids[local]] = (
+                    weights[:, local], means[:, local], variances[:, local]
+                )
+            keep = ~stop
+            if not keep.any():
+                break
+            rows = np.repeat(keep, lengths)
+            ids, floors, lengths, ll = ids[keep], floors[keep], lengths[keep], ll[keep]
+            # np.compress keeps the (k, ·) arrays C-contiguous, unlike [:, mask]
+            weights, means, variances = (
+                np.compress(keep, a, axis=1) for a in (weights, means, variances)
+            )
+            xs, expd, total = xs[rows], np.compress(rows, expd, axis=1), total[rows]
+            starts = np.cumsum(lengths) - lengths
+        ll_prev = ll
+
+        resp = expd / total
+        mass = np.add.reduceat(resp, starts, axis=1)
+        degenerate = mass < 1e-12
+        if degenerate.any():
+            warn(degenerate.any(axis=0), "degenerate cluster: responsibility mass vanished")
+            mass = np.where(degenerate, 1e-12, mass)
+        weights = np.maximum(mass / mass.sum(axis=0), 1e-300)
+        weights = weights / weights.sum(axis=0)
+        means = np.where(
+            degenerate, means, np.add.reduceat(resp * xs, starts, axis=1) / mass
+        )
+        diff = xs - np.repeat(means, lengths, axis=1)
+        new_var = np.add.reduceat(resp * diff**2, starts, axis=1) / mass
+        warn((new_var < floors).any(axis=0), "variance clamped to floor")
+        variances = np.maximum(new_var, floors)
+
+    return [
+        Gmm(
+            weights=tuple(w.tolist()),
+            means=tuple(m.tolist()),
+            variances=tuple(v.tolist()),
+            variance_floor=float(floor),
+            log_likelihood=trajectory[-1],
+            ll_trajectory=tuple(trajectory),
+            warnings=tuple(warned),
+        )
+        for floor, (w, m, v), trajectory, warned in zip(
+            floor_of, final, trajectories, warnings
+        )
+    ]
+
+
+def _em_fits(
+    sample_sets: list[np.ndarray],
+    ks: list[int],
+    seeds: list[int],
+    max_iters: int,
+    tol: float,
+) -> list[Gmm]:
+    """Fit one mixture per (samples, k, seed) by EM, with the fits of each
+    component count packed into one :func:`_em_group` run, so no component
+    is padded. The callers validate the inputs."""
+    fits: list[Gmm] = [None] * len(ks)  # type: ignore[list-item]
+    for k in sorted(set(ks)):
+        members = [i for i, k_i in enumerate(ks) if k_i == k]
+        group = _em_group(
+            [sample_sets[i] for i in members], k, [seeds[i] for i in members],
+            max_iters, tol,
+        )
+        for i, fit in zip(members, group):
+            fits[i] = fit
+    return fits
+
+
 def gmm_fit_em(
     samples: Sequence[float],
     k: int,
@@ -223,72 +380,55 @@ def gmm_fit_em(
     Initialization is k-means++-style seeding of the means with uniform
     weights and the global variance; deterministic for a fixed seed. The
     per-iteration log-likelihood trajectory is recorded and non-decreasing.
+    EM stops once an iteration gains at most ``tol * (1 + |log L|)``, or
+    after ``max_iters`` iterations, which is recorded as a warning.
     Variances are clamped to a floor of 1e-6 of the sample variance
     (absolute floor 1e-9); clamping is recorded as a warning.
     """
-    xs = np.asarray(list(samples), dtype=float)
-    n = len(xs)
     if k < 1:
         raise EstimationError("k must be at least 1")
-    if k > n:
-        raise EstimationError(f"cannot fit {k} components on {n} samples")
-    if not np.all(np.isfinite(xs)):
-        raise EstimationError("samples must be finite")
+    xs = _finite_samples(samples)
+    if k > len(xs):
+        raise EstimationError(f"cannot fit {k} components on {len(xs)} samples")
+    return _em_fits([xs], [k], [seed], max_iters, tol)[0]
 
-    sample_var = float(np.var(xs))
-    floor = max(1e-6 * sample_var, 1e-9)
-    rng = np.random.default_rng(seed)
 
-    means = _kmeanspp_centers(xs, k, rng)
-    variances = np.full(k, max(sample_var, floor))
-    weights = np.full(k, 1.0 / k)
-
-    warnings: list[str] = []
-    trajectory: list[float] = []
-
-    def log_resp() -> tuple[np.ndarray, float]:
-        scores = np.stack([
-            np.log(weights[j]) + _component_log_pdf(xs, means[j], variances[j])
-            for j in range(k)
-        ], axis=1)  # (n, k)
-        top = scores.max(axis=1, keepdims=True)
-        log_norm = top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))
-        return scores - log_norm[:, None], float(log_norm.sum())
-
-    ll_prev = -math.inf
-    for _ in range(max_iters):
-        log_r, ll = log_resp()
-        trajectory.append(ll)
-        if ll - ll_prev <= tol * (1.0 + abs(ll)) and len(trajectory) > 1:
-            ll_prev = ll
-            break
-        ll_prev = ll
-        resp = np.exp(log_r)
-        mass = resp.sum(axis=0)
-        degenerate = mass < 1e-12
-        if degenerate.any():
-            warnings.append("degenerate cluster: responsibility mass vanished")
-            mass = np.where(degenerate, 1e-12, mass)
-        weights = np.maximum(mass / mass.sum(), 1e-300)
-        weights = weights / weights.sum()
-        means = np.where(degenerate, means, (resp * xs[:, None]).sum(axis=0) / mass)
-        new_var = (resp * (xs[:, None] - means[None, :]) ** 2).sum(axis=0) / mass
-        if np.any(new_var < floor):
-            warnings.append("variance clamped to floor")
-        variances = np.maximum(new_var, floor)
-
-    _, ll_final = log_resp()
-    trajectory.append(ll_final)
-
-    return Gmm(
-        weights=tuple(float(w) for w in weights),
-        means=tuple(float(m) for m in means),
-        variances=tuple(float(v) for v in variances),
-        variance_floor=floor,
-        log_likelihood=ll_final,
-        ll_trajectory=tuple(trajectory),
-        warnings=tuple(dict.fromkeys(warnings)),
-    )
+def gmm_select_bic_many(
+    sample_sets: Sequence[Sequence[float]],
+    k_max: int,
+    seeds: Sequence[int],
+    max_iters: int = 200,
+    tol: float = 1e-8,
+) -> list[Gmm]:
+    """:func:`gmm_select_bic` of every sample set with its seed, with the
+    candidate mixtures of all sets fitted in one packed EM run. Each
+    result equals ``gmm_select_bic(samples, k_max, seed)`` exactly."""
+    if k_max < 1:
+        raise EstimationError("k_max must be at least 1")
+    if len(sample_sets) != len(seeds):
+        raise ValueError("one seed per sample set is required")
+    arrays = [_finite_samples(samples) for samples in sample_sets]
+    if any(len(xs) == 0 for xs in arrays):
+        raise EstimationError("cannot select a mixture on no samples")
+    candidates = [
+        (xs, k, seed + k)
+        for xs, seed in zip(arrays, seeds)
+        for k in range(1, min(k_max, len(xs)) + 1)
+    ]
+    fits = iter(_em_fits(
+        [xs for xs, _, _ in candidates], [k for _, k, _ in candidates],
+        [seed for _, _, seed in candidates], max_iters, tol,
+    ))
+    selected: list[Gmm] = []
+    for xs in arrays:
+        best: Gmm | None = None
+        for k in range(1, min(k_max, len(xs)) + 1):
+            fit = next(fits)
+            bic = -2.0 * fit.log_likelihood + (3 * k - 1) * math.log(len(xs))
+            if best is None or bic < best.bic:
+                best = replace(fit, bic=bic)
+        selected.append(best)  # type: ignore[arg-type]
+    return selected
 
 
 def gmm_select_bic(
@@ -303,18 +443,4 @@ def gmm_select_bic(
 
     Ties keep the smaller k.
     """
-    if k_max < 1:
-        raise EstimationError("k_max must be at least 1")
-    n = len(samples)
-    if n == 0:
-        raise EstimationError("cannot select a mixture on no samples")
-    best: Gmm | None = None
-    for k in range(1, min(k_max, n) + 1):
-        fit = gmm_fit_em(samples, k, seed=seed + k, max_iters=max_iters, tol=tol)
-        p = 3 * k - 1
-        bic = -2.0 * fit.log_likelihood + p * math.log(n)
-        fit = replace(fit, bic=bic)
-        if best is None or bic < best.bic:
-            best = fit
-    assert best is not None
-    return best
+    return gmm_select_bic_many([samples], k_max, [seed], max_iters, tol)[0]

@@ -4,11 +4,13 @@ deliberately brute-force and stays off the library's own code paths."""
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from eventabs.petri import LabeledPetriNet, Marking
+from eventabs.stats import Gmm
 
 
 def enumerate_sequence_scores(
@@ -109,3 +111,90 @@ def is_valid_run(net: LabeledPetriNet, labels: list[str]) -> bool:
         return False
 
     return search(net.initial_marking, 0)
+
+
+def em_fit_reference(
+    samples, k: int, seed: int = 0, max_iters: int = 200, tol: float = 1e-8
+) -> Gmm:
+    """EM for one univariate mixture, one fit at a time: k-means++ seeding
+    from ``default_rng(seed)``, uniform weights and the sample variance,
+    floor ``max(1e-6 var, 1e-9)``, stop once an iteration gains at most
+    ``tol * (1 + |ll|)`` or after ``max_iters`` iterations, and a final
+    E-step whose log-likelihood ends the trajectory."""
+    xs = np.asarray(list(samples), dtype=float)
+    n = len(xs)
+    assert 1 <= k <= n and np.all(np.isfinite(xs))
+    sample_var = float(np.var(xs))
+    floor = max(1e-6 * sample_var, 1e-9)
+    rng = np.random.default_rng(seed)
+
+    centers = [xs[rng.integers(n)]]
+    for _ in range(1, k):
+        d2 = np.min((xs[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
+        if d2.sum() <= 0.0:
+            centers.append(xs[rng.integers(n)])
+        else:
+            centers.append(xs[rng.choice(n, p=d2 / d2.sum())])
+    means = np.asarray(centers, dtype=float)
+    variances = np.full(k, max(sample_var, floor))
+    weights = np.full(k, 1.0 / k)
+
+    warnings: list[str] = []
+    trajectory: list[float] = []
+
+    def log_resp() -> tuple[np.ndarray, float]:
+        scores = np.stack([
+            np.log(weights[j])
+            - 0.5 * (math.log(2.0 * math.pi) + math.log(variances[j])
+                     + (xs - means[j]) ** 2 / variances[j])
+            for j in range(k)
+        ], axis=1)
+        top = scores.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))
+        return scores - log_norm[:, None], float(log_norm.sum())
+
+    ll_prev = -math.inf
+    for _ in range(max_iters):
+        log_r, ll = log_resp()
+        trajectory.append(ll)
+        if ll - ll_prev <= tol * (1.0 + abs(ll)) and len(trajectory) > 1:
+            break
+        ll_prev = ll
+        resp = np.exp(log_r)
+        mass = resp.sum(axis=0)
+        degenerate = mass < 1e-12
+        if degenerate.any():
+            warnings.append("degenerate cluster: responsibility mass vanished")
+            mass = np.where(degenerate, 1e-12, mass)
+        weights = np.maximum(mass / mass.sum(), 1e-300)
+        weights = weights / weights.sum()
+        means = np.where(degenerate, means, (resp * xs[:, None]).sum(axis=0) / mass)
+        new_var = (resp * (xs[:, None] - means[None, :]) ** 2).sum(axis=0) / mass
+        if np.any(new_var < floor):
+            warnings.append("variance clamped to floor")
+        variances = np.maximum(new_var, floor)
+    else:
+        warnings.append("EM stopped at the iteration cap")
+
+    _, ll_final = log_resp()
+    trajectory.append(ll_final)
+    return Gmm(
+        weights=tuple(float(w) for w in weights),
+        means=tuple(float(m) for m in means),
+        variances=tuple(float(v) for v in variances),
+        variance_floor=floor,
+        log_likelihood=ll_final,
+        ll_trajectory=tuple(trajectory),
+        warnings=tuple(dict.fromkeys(warnings)),
+    )
+
+
+def bic_select_reference(samples, k_max: int, seed: int = 0) -> Gmm:
+    """The mixture of 1..min(k_max, n) components, fitted by
+    :func:`em_fit_reference` with seed ``seed + k``, of least BIC
+    ``-2 ll + (3k - 1) ln n``; ties keep the smaller k."""
+    n = len(samples)
+    fits = [em_fit_reference(samples, k, seed + k) for k in range(1, min(k_max, n) + 1)]
+    bics = [-2.0 * g.log_likelihood + (3 * g.n_components - 1) * math.log(n) for g in fits]
+    best = min(range(len(fits)), key=lambda i: (bics[i], i))
+    return fits[best]

@@ -1,6 +1,7 @@
 """Catalog construction, observation evaluation, and lifecycle pairing."""
 
 import json
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from eventabs.features import (
     BOT,
+    MISSING,
     CatalogConfig,
     FeatureCatalog,
     LabelGmmBank,
@@ -19,7 +21,7 @@ from eventabs.features import (
     pair_lifecycle_steps,
     view_coordinate,
 )
-from eventabs.stats import gmm_density
+from eventabs.stats import gmm_density, multinoulli_fit
 from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
 
 from factories import BASE, make_event, make_log, sequence_trace
@@ -83,6 +85,42 @@ class TestAvailability:
         warning = "time_view day, label X: variance clamped to floor"
         assert catalog.notes.count(warning) == 1
         assert warning in diagnostics
+
+    def test_ngram_tables_skip_contexts_ending_in_missing(self):
+        # org:resource is absent on some events; their contexts end in
+        # MISSING, evaluate to the neutral row, and are not counted
+        resources = [["alice", None, "bob"], [None, "bob", "alice", None], ["bob"]]
+        log = make_log([
+            [
+                make_event(f"A{i % 2}", f"X{i % 3}", BASE + timedelta(seconds=60 * i),
+                           org=None if r is None else {"resource": r})
+                for i, r in enumerate(trace)
+            ]
+            for trace in resources
+        ])
+        config = CatalogConfig(ngram_sizes=(1, 2, 3), time_views=())
+        catalog = build_catalog(log, config)
+        tables = list(catalog.concept_tables.values()) + list(catalog.org_tables.values())
+        assert catalog.org_tables
+        assert not [ctx for t in tables for ctx in t.counts if ctx[-1] == MISSING]
+
+        def counting_missing(n: int):
+            observations = []
+            for trace in log.traces:
+                symbols = [BOT] * (n - 1) + [ev.org("resource") or MISSING for ev in trace.events]
+                observations += [
+                    (tuple(symbols[t : t + n]), ev.label) for t, ev in enumerate(trace.events)
+                ]
+            return multinoulli_fit(observations, config.smoothing_alpha, catalog.labels)
+
+        counted = replace(catalog, org_tables={
+            (n, "resource"): counting_missing(n) for n in config.ngram_sizes
+        })
+        assert any(ctx[-1] == MISSING for t in counted.org_tables.values() for ctx in t.counts)
+        for trace in log.traces:
+            assert np.array_equal(
+                evaluate_observations(catalog, trace), evaluate_observations(counted, trace)
+            )
 
     def test_unannotated_event_rejected(self):
         log = make_log([[make_event("A", "X", BASE), make_event("B", None, BASE)]])

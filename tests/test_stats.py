@@ -1,6 +1,7 @@
 """Multinoulli estimation, EM mixtures, and BIC selection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from eventabs.stats import (
     EstimationError,
     Gmm,
     MultinoulliTable,
+    _em_fits,
     gmm_density,
     gmm_fit_em,
     gmm_select_bic,
+    gmm_select_bic_many,
     multinoulli_fit,
 )
+
+from oracles import bic_select_reference, em_fit_reference
 
 
 class TestMultinoulli:
@@ -49,6 +54,30 @@ class TestMultinoulli:
         )
         for ctx in [("A",), ("B",), ("unseen",)]:
             assert sum(table.distribution(ctx).values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_distribution_hand_values(self):
+        table = multinoulli_fit(
+            [(("A",), "X"), (("A",), "Y"), (("A",), "X"), (("B",), "Z")], alpha=0.3,
+            labels=["X", "Y", "Z"],
+        )
+        # a context counted with no observations has denominator 0 at alpha 0
+        bare = MultinoulliTable(
+            arity=1, labels=("X", "Y"), alpha=0.0,
+            counts={("A",): {"X": 2}, ("E",): {}}, context_totals={("A",): 2, ("E",): 0},
+        )
+        cases = [
+            (table, ("A",), [2.3 / 3.9, 1.3 / 3.9, 0.3 / 3.9]),
+            (table, ("unseen",), [1 / 3] * 3),
+            (bare, ("A",), [1.0, 0.0]),
+            (bare, ("E",), [0.5, 0.5]),
+        ]
+        for t, ctx, expected in cases:
+            dist = t.distribution(ctx)
+            assert list(dist) == list(t.labels)
+            assert list(dist.values()) == pytest.approx(expected, rel=1e-12)
+            assert [t.probability(ctx, l) for l in t.labels] == list(dist.values())
+        with pytest.raises(ValueError, match="arity"):
+            table.distribution(("A", "B"))
 
     def test_empty_observations_rejected(self):
         with pytest.raises(EstimationError):
@@ -121,6 +150,16 @@ class TestGmmFit:
         b = gmm_fit_em(xs, k=2, seed=7)
         assert a.means == b.means and a.weights == b.weights
 
+    def test_iteration_cap_is_a_warning(self):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([rng.normal(0, 1, 50), rng.normal(6, 1, 50)])
+        capped = gmm_fit_em(xs, k=2, seed=0, max_iters=2)
+        assert "EM stopped at the iteration cap" in capped.warnings
+        assert len(capped.ll_trajectory) == 3
+        converged = gmm_fit_em(xs, k=1, seed=0)
+        assert len(converged.ll_trajectory) < 200
+        assert converged.warnings == ()
+
     def test_weight_invariant(self):
         rng = np.random.default_rng(5)
         g = gmm_fit_em(rng.normal(0, 1, 100), k=3, seed=0)
@@ -190,3 +229,100 @@ class TestDensity:
             Gmm(weights=(0.5, 0.6), means=(0, 1), variances=(1, 1), variance_floor=0)
         with pytest.raises(EstimationError):
             Gmm(weights=(1.0,), means=(0.0,), variances=(1e-12,), variance_floor=1e-9)
+
+
+# --- the packed EM kernel against the one-fit-at-a-time reference -----------
+
+_values = st.floats(-1e4, 1e4, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def sample_sets(draw) -> list[float]:
+    kind = draw(st.sampled_from(["any", "constant", "single", "separated"]))
+    if kind == "constant":  # every fit clamps its variance
+        return [draw(_values)] * draw(st.integers(2, 20))
+    if kind == "single":
+        return [draw(_values)]
+    if kind == "separated":
+        jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40))
+        low, half = draw(_values), len(jitter) // 2
+        return [low + j for j in jitter[:half]] + [low + 1e5 + j for j in jitter[half:]]
+    return draw(st.lists(_values, min_size=1, max_size=40))
+
+
+@st.composite
+def em_fits(draw) -> tuple[list[float], int, int]:
+    xs = draw(sample_sets())
+    # the largest k is drawn on its own: on sets of up to 5 samples it is n
+    k = draw(st.one_of(st.integers(1, min(5, len(xs))), st.just(min(5, len(xs)))))
+    return xs, k, draw(st.integers(0, 10_000))
+
+
+def _close(a, b, scale: float = 0.0) -> bool:
+    return all(
+        abs(x - y) <= 1e-9 * max(abs(x), abs(y), scale) for x, y in zip(a, b, strict=True)
+    )
+
+
+def assert_matches_reference(got: Gmm, ref: Gmm, xs: list[float]) -> None:
+    assert len(got.ll_trajectory) == len(ref.ll_trajectory)
+    assert got.warnings == ref.warnings
+    assert got.variance_floor == ref.variance_floor
+    assert _close(got.weights, ref.weights)
+    # a mean is a weighted average of the samples, so its rounding error
+    # scales with their magnitude
+    assert _close(got.means, ref.means, scale=max(abs(x) for x in xs))
+    assert _close(got.variances, ref.variances)
+    assert _close(got.ll_trajectory, ref.ll_trajectory, scale=1.0)
+
+
+class TestPackedEm:
+    @given(st.lists(em_fits(), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_packed_fits_match_the_reference(self, fits):
+        got = _em_fits(
+            [np.asarray(xs, dtype=float) for xs, _, _ in fits],
+            [k for _, k, _ in fits], [seed for _, _, seed in fits], 200, 1e-8,
+        )
+        for g, (xs, k, seed) in zip(got, fits, strict=True):
+            assert_matches_reference(g, em_fit_reference(xs, k, seed), xs)
+
+    @given(st.lists(sample_sets(), min_size=1, max_size=5), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_bic_choice_matches_the_reference(self, sets, k_max):
+        seeds = [17 * i for i in range(len(sets))]
+        selected = gmm_select_bic_many(sets, k_max, seeds)
+        for got, xs, seed in zip(selected, sets, seeds, strict=True):
+            ref = bic_select_reference(xs, k_max, seed)
+            assert got.n_components == ref.n_components
+            assert_matches_reference(got, ref, xs)
+
+    def test_a_fit_packed_with_others_equals_it_alone(self):
+        rng = np.random.default_rng(11)
+        sets = [
+            rng.normal(0, 1, 40),
+            np.concatenate([rng.normal(0, 1, 30), rng.normal(50, 2, 30)]),
+            np.full(7, 3.5),
+            rng.exponential(100.0, 90),
+            np.array([2.0]),
+        ]
+        seeds = [3, 1000, 2000, 3000, 4000]
+        packed = gmm_select_bic_many(sets, 5, seeds)
+        for got, xs, seed in zip(packed, sets, seeds, strict=True):
+            assert got == gmm_select_bic(xs, 5, seed=seed)
+        candidates = [(xs, k) for xs in sets for k in range(1, min(5, len(xs)) + 1)]
+        fits = _em_fits([xs for xs, _ in candidates], [k for _, k in candidates],
+                        [9] * len(candidates), 200, 1e-8)
+        for got, (xs, k) in zip(fits, candidates, strict=True):
+            assert replace(got, bic=0.0) == replace(gmm_fit_em(xs, k, seed=9), bic=0.0)
+
+    def test_invalid_sets_rejected(self):
+        with pytest.raises(EstimationError, match="no samples"):
+            gmm_select_bic_many([[1.0, 2.0], []], 3, [0, 1])
+        with pytest.raises(EstimationError, match="finite"):
+            gmm_select_bic_many([[1.0, math.nan]], 3, [0])
+        with pytest.raises(EstimationError, match="k_max"):
+            gmm_select_bic_many([[1.0]], 0, [0])
+        with pytest.raises(ValueError, match="seed"):
+            gmm_select_bic_many([[1.0]], 2, [0, 1])
+        assert gmm_select_bic_many([], 3, []) == []
