@@ -7,7 +7,10 @@ f_k(t, y_{t-1}, y_t, x)) / Z(x)``. Observation features contribute
 distinguished begin-of-sequence row so transitions are defined at t = 1.
 The feature catalog owns the weight layout (which label each observation
 weight scores, and where the transition block starts); this module only
-asks it to split a weight vector. All inference runs in log space.
+asks it to split a weight vector. The per-trace functions (``log_partition``,
+``posterior_marginals``, ``viterbi_decode``) run in log space. Training
+packs all pairs into time-major rows and runs one scaled forward-backward
+pass over them per objective evaluation.
 """
 
 from __future__ import annotations
@@ -146,10 +149,9 @@ def _sequence_score(emissions: np.ndarray, trans: np.ndarray, y: np.ndarray) -> 
     T, L = emissions.shape
     if T == 0:
         return 0.0
-    score = trans[L, y[0]] + emissions[0, y[0]]
-    for t in range(1, T):
-        score += trans[y[t - 1], y[t]] + emissions[t, y[t]]
-    return float(score)
+    return float(
+        trans[L, y[0]] + trans[y[:-1], y[1:]].sum() + emissions[np.arange(T), y].sum()
+    )
 
 
 def posterior_marginals(
@@ -200,12 +202,16 @@ def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
 
 
 class TrainingBatch:
-    """Training pairs padded into flat arrays, precomputed once so repeated
+    """Training pairs packed time-major, precomputed once so repeated
     objective evaluations only touch weight-dependent quantities.
 
-    Pairs are stably sorted by length, longest first, so the recursions can
-    run on shrinking active prefixes instead of masking every step. The
-    aggregated value and gradient are order-independent sums over pairs.
+    Empty pairs are dropped and the rest stably sorted by length, longest
+    first, so the traces that reach position t are a prefix of that order:
+    position t of trace i is row ``offsets[t] + i``, and each step's rows
+    are one contiguous slice, as in a packed sequence. Memory is O(events),
+    with no padding. The observed feature counts are one vector over the
+    whole weight layout, so the objective is ``sum log Z - w . observed``
+    and its gradient ``expected - observed``.
     """
 
     def __init__(self, pairs: Sequence[LabeledPair], catalog: FeatureCatalog):
@@ -216,112 +222,94 @@ class TrainingBatch:
         self.n = len(live)
         if self.n == 0:
             return
-        f_obs = catalog.n_observation_features
         L = catalog.n_labels
-        self.lengths = np.asarray([len(p.labels) for p in live])
-        t_max = int(self.lengths.max())
-        self.t_max = t_max
-        # active[t]: how many (length-sorted) traces extend beyond position t
-        self.active = np.count_nonzero(
-            self.lengths[:, None] > np.arange(t_max)[None, :], axis=0
-        )
-        self.obs = np.zeros((self.n, t_max, f_obs))
-        self.labels = np.zeros((self.n, t_max), dtype=np.intp)
-        self.mask = np.zeros((self.n, t_max), dtype=bool)
-        for i, p in enumerate(live):
-            t = len(p.labels)
-            self.obs[i, :t] = p.observations
-            self.labels[i, :t] = p.labels
-            self.mask[i, :t] = True
-        self.obs_flat = self.obs.reshape(self.n * t_max, f_obs)
-        mask_f = self.mask.astype(float)
-        picked = np.zeros((self.n, t_max, L))
-        np.put_along_axis(picked, self.labels[:, :, None], mask_f[:, :, None], axis=2)
-        self.observed_label_onehot = picked
-        self.first_labels = self.labels[:, 0]
-        self.edge_mask = self.mask[:, 1:]
-        prev, cur = self.labels[:, :-1], self.labels[:, 1:]
-        self.prev, self.cur = prev, cur
-        observed_core = np.zeros((L, L))
-        np.add.at(observed_core, (prev[self.edge_mask], cur[self.edge_mask]), 1.0)
-        self.observed_core = observed_core
-        self.observed_bos = np.bincount(self.first_labels, minlength=L).astype(float)
+        lengths = np.asarray([len(p.labels) for p in live])
+        # active[t]: how many traces reach position t
+        active = self.n - np.cumsum(np.bincount(lengths))[:-1]
+        self.offsets = np.concatenate([[0], np.cumsum(active)])
+        trace = np.repeat(np.arange(self.n), lengths)
+        position = np.arange(len(trace)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        rows = self.offsets[position] + trace
+        self.obs = np.empty((len(rows), catalog.n_observation_features))
+        self.obs[rows] = np.concatenate([p.observations for p in live])
+        labels = np.empty(len(rows), dtype=np.intp)
+        labels[rows] = np.concatenate([p.labels for p in live])
+        # the row of the same trace's previous position, for each row past step 0
+        self.prev = np.arange(self.n, len(rows)) - np.repeat(active[:-1], active[1:])
+        observed_trans = np.zeros((L + 1, L))
+        np.add.at(observed_trans, (labels[self.prev], labels[self.n:]), 1.0)
+        np.add.at(observed_trans[L], labels[:self.n], 1.0)
+        self.observed = np.concatenate([
+            _observation_counts(self.obs, np.eye(L)[labels], catalog),
+            observed_trans.ravel(),
+        ])
 
 
-def _lse_rows(scores: np.ndarray) -> np.ndarray:
-    """log-sum-exp over the second-to-last axis of (..., L, L) scores."""
-    if scores.shape[-2] == 2:
-        return np.logaddexp(scores[..., 0, :], scores[..., 1, :])
-    return np.logaddexp.reduce(scores, axis=-2)
-
-
-def _lse_cols(scores: np.ndarray) -> np.ndarray:
-    """log-sum-exp over the last axis."""
-    if scores.shape[-1] == 2:
-        return np.logaddexp(scores[..., 0], scores[..., 1])
-    return np.logaddexp.reduce(scores, axis=-1)
+def _observation_counts(
+    obs: np.ndarray, per_label: np.ndarray, catalog: FeatureCatalog
+) -> np.ndarray:
+    """Each observation feature's values summed over the rows, every row
+    weighted by its (rows, L) entry for the feature's label. The full
+    (F_obs, L) product is several times faster than gathering one column
+    per feature."""
+    counts = obs.T @ per_label
+    return counts[np.arange(len(counts)), catalog.observation_labels]
 
 
 def _batch_nll_and_gradient(
     weights: np.ndarray, batch: TrainingBatch
 ) -> tuple[float, np.ndarray]:
+    """Scaled forward-backward (Rabiner 1989) over the packed rows.
+
+    Potentials are exponentiated once, shifted by their maxima, and every
+    row's forward vector is normalized by its scale factor ``c``, so log Z
+    is the sum of the logs of the factors plus the shifts; the backward
+    pass reuses the factors. A factor below the smallest normal float (or
+    an overflow) means the weights put about 700 nats between paths; the
+    value is then ``+inf`` and the gradient NaN, which the optimizer
+    backtracks from.
+    """
     catalog = batch.catalog
     if batch.n == 0:
         return 0.0, np.zeros(catalog.n_features)
-    L = catalog.n_labels
-    n, t_max = batch.n, batch.t_max
-    w_obs, trans = catalog.split(np.asarray(weights, dtype=float))
-    core = trans[:L]
+    L, n, offsets = catalog.n_labels, batch.n, batch.offsets.tolist()
+    weights = np.asarray(weights, dtype=float)
+    w_obs, trans = catalog.split(weights)
+    core_max, bos_max = trans[:L].max(), trans[L].max()
+    emissions = batch.obs @ _emission_weights(catalog, w_obs)
+    row_max = emissions.max(axis=1, keepdims=True)
 
-    emissions = (batch.obs_flat @ _emission_weights(catalog, w_obs)).reshape(n, t_max, L)
+    with np.errstate(all="ignore"):  # a degenerate pass is caught below
+        e_core = np.exp(trans[:L] - core_max)
+        p = np.exp(emissions - row_max)
+        alpha = np.empty_like(p)
+        scale = np.empty(len(p))
+        np.multiply(np.exp(trans[L] - bos_max), p[:n], out=alpha[:n])
+        for t in range(len(offsets) - 1):
+            s, e = offsets[t], offsets[t + 1]
+            if t:
+                np.dot(alpha[offsets[t - 1]:offsets[t - 1] + e - s], e_core, out=alpha[s:e])
+                alpha[s:e] *= p[s:e]
+            np.add.reduce(alpha[s:e], axis=1, out=scale[s:e])
+            alpha[s:e] /= scale[s:e, None]
 
-    mask, labels, lengths, active = batch.mask, batch.labels, batch.lengths, batch.active
-    alpha = np.full((n, t_max, L), -np.inf)
-    alpha[:, 0] = trans[L] + emissions[:, 0]
-    for t in range(1, t_max):
-        m = active[t]
-        alpha[:m, t] = emissions[:m, t] + _lse_rows(
-            alpha[:m, t - 1, :, None] + core
-        )
-    log_z = _lse_cols(alpha[np.arange(n), lengths - 1])
-
-    beta = np.zeros((n, t_max, L))
-    for t in range(t_max - 2, -1, -1):
-        m = active[t + 1]
-        beta[:m, t] = _lse_cols(
-            core + (emissions[:m, t + 1] + beta[:m, t + 1])[:, None, :]
-        )
-
-    node = np.exp(alpha + beta - log_z[:, None, None]) * mask[:, :, None]
-
-    observed_emission = (
-        np.take_along_axis(emissions, labels[:, :, None], axis=2)[:, :, 0] * mask
-    )
-    observed_trans_score = trans[L][batch.first_labels].sum()
-    observed_trans_score += (core[batch.prev, batch.cur] * batch.edge_mask).sum()
-    value = float(log_z.sum() - observed_emission.sum() - observed_trans_score)
-
-    # observation gradient: expected minus observed counts via one matmul
-    f_obs = catalog.n_observation_features
-    grad = np.empty(catalog.n_features)
-    diff = node - batch.observed_label_onehot
-    counts = batch.obs_flat.T @ diff.reshape(-1, L)  # (F_obs, L)
-    grad[:f_obs] = counts[np.arange(f_obs), catalog.observation_labels]
-
-    # transition gradient: expected edge counts from pair marginals
-    edge = np.exp(
-        alpha[:, :-1, :, None]
-        + core[None, None]
-        + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :]
-        - log_z[:, None, None, None]
-    ) * batch.edge_mask[:, :, None, None]
-    expected_core = edge.sum(axis=(0, 1))
-    expected_bos = node[:, 0].sum(axis=0)
-    grad[f_obs:] = np.concatenate([
-        (expected_core - batch.observed_core).ravel(),
-        expected_bos - batch.observed_bos,
-    ])
-    return value, grad
+        # q: each row's potentials over its scale factor, times beta past step 0
+        q = p / scale[:, None]
+        beta = np.ones_like(p)
+        for t in range(len(offsets) - 2, 0, -1):
+            s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
+            q[s:e] *= beta[s:e]
+            np.dot(q[s:e], e_core.T, out=beta[ps:ps + e - s])
+        node = alpha * beta
+        expected = np.concatenate([
+            _observation_counts(batch.obs, node, catalog),
+            (e_core * (alpha[batch.prev].T @ q[n:])).ravel(),
+            node[:n].sum(axis=0),
+        ])
+    if not (scale.min() >= np.finfo(float).tiny and np.all(np.isfinite(expected))):
+        return np.inf, np.full(catalog.n_features, np.nan)
+    log_z = np.log(scale).sum() + row_max.sum() + n * bos_max + (len(p) - n) * core_max
+    return float(log_z - weights @ batch.observed), expected - batch.observed
 
 
 def nll_and_gradient(
@@ -331,7 +319,8 @@ def nll_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Negative conditional log-likelihood of the pairs and its gradient:
     expected minus observed feature counts. This is the smooth part of the
-    training objective; the L1 penalty lives in the optimizer.
+    training objective; the L1 penalty lives in the optimizer. Weights that
+    underflow the scaled forward pass give ``+inf`` and a NaN gradient.
     """
     if not pairs:
         raise ValueError("need at least one training pair")

@@ -24,7 +24,8 @@ Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 class OptimizationError(Exception):
-    """The objective produced a non-finite value or gradient."""
+    """The objective produced a non-finite value or gradient at the start
+    point."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,11 @@ def minimize(
 
     ``objective(x)`` must return the smooth loss value and its gradient.
     Returns the weight vector and run diagnostics; fully deterministic.
-    Raises :class:`OptimizationError` on non-finite values; a failed line
-    search terminates with the best iterate and a diagnostic flag.
+    Raises :class:`OptimizationError` if the value or gradient at the start
+    point is non-finite. A line-search trial with a non-finite value or
+    gradient counts as an evaluation and is rejected, so the step
+    backtracks; a failed line search terminates with the best iterate and
+    a diagnostic flag.
     """
     c = config.l1_coefficient
     x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).copy()
@@ -113,19 +117,23 @@ def minimize(
 
     evaluations = 0
 
-    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray, float] | None:
+        """Value, gradient and composite, or None where any is non-finite."""
         nonlocal evaluations
         evaluations += 1
         value, grad = objective(point)
         grad = np.asarray(grad, dtype=float)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise OptimizationError(
-                f"non-finite objective or gradient at iterate with "
-                f"|x|_max={np.max(np.abs(point)):.3e}"
-            )
+            return None
         return value, grad, value + c * float(np.abs(point).sum())
 
-    f, g, composite = evaluate(x)
+    start = evaluate(x)
+    if start is None:
+        raise OptimizationError(
+            f"non-finite objective or gradient at the start point with "
+            f"|x|_max={np.max(np.abs(x)):.3e}"
+        )
+    f, g, composite = start
     best_x, best_composite = x.copy(), composite
     history = [composite]
     s_hist: deque[np.ndarray] = deque(maxlen=config.memory)
@@ -158,11 +166,13 @@ def minimize(
             x_new = x + step * d
             if c > 0:
                 x_new = np.where(x_new * orthant > 0, x_new, 0.0)
-            f_new, g_new, composite_new = evaluate(x_new)
-            gain = float(pg @ (x_new - x))
-            if composite_new <= composite + config.sufficient_decrease * gain and gain < 0:
-                accepted = True
-                break
+            trial = evaluate(x_new)
+            if trial is not None:
+                f_new, g_new, composite_new = trial
+                gain = float(pg @ (x_new - x))
+                if composite_new <= composite + config.sufficient_decrease * gain and gain < 0:
+                    accepted = True
+                    break
             step *= config.backtrack_factor
         if not accepted:
             line_search_failed = True

@@ -1,6 +1,8 @@
 """Inference against exhaustive enumeration, gradients against finite
 differences, and training behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from oracles import (
     log_sum_exp,
 )
 
-LABEL_POOL = ("alpha", "beta", "gamma", "delta")
+LABEL_POOL = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta")
 
 
 def random_model(
@@ -318,6 +320,96 @@ class TestGradient:
             seq_g += g
         assert batched_v == pytest.approx(seq_v, rel=1e-9)
         assert np.allclose(batched_g, seq_g, rtol=1e-9, atol=1e-9)
+
+
+SKEWED_LENGTHS = (300, 1, 2, 1, 3, 5, 1, 8, 13, 2, 40, 1, 120, 4)
+
+
+def random_pairs(rng, lengths, n_features, n_labels):
+    return [
+        crf.LabeledPair(
+            rng.normal(0, 1, (T, n_features)), rng.integers(0, n_labels, T).astype(np.intp)
+        )
+        for T in lengths
+    ]
+
+
+class TestPackedObjective:
+    @pytest.mark.parametrize("n_labels", [2, 7])
+    def test_equals_per_trace_log_space(self, n_labels):
+        rng = np.random.default_rng(40 + n_labels)
+        catalog = random_model(rng, n_labels, 6).catalog
+        model = crf.CrfModel(catalog, rng.normal(0.0, 20.0, catalog.n_features))
+        pairs = random_pairs(rng, SKEWED_LENGTHS, 6, n_labels)
+        value, grad = crf.nll_and_gradient(model.weights, pairs, catalog)
+        expected = -sum(
+            crf.sequence_log_prob(model, p.observations, [model.labels[i] for i in p.labels])
+            for p in pairs
+        )
+        assert value == pytest.approx(expected, rel=1e-12)
+        # expected minus observed counts from the log-space marginals
+        L, f_obs = catalog.n_labels, catalog.n_observation_features
+        counts = np.zeros(catalog.n_features)
+        trans = counts[f_obs:].reshape(L + 1, L)
+        for p in pairs:
+            node, edge = crf.posterior_marginals(model, p.observations)
+            onehot = np.eye(L)[p.labels]
+            diff = node - onehot
+            counts[:f_obs] += np.einsum(
+                "tf,tf->f", p.observations, diff[:, catalog.observation_labels]
+            )
+            trans[:L] += edge.sum(axis=0)
+            np.add.at(trans, (p.labels[:-1], p.labels[1:]), -1.0)
+            trans[L] += diff[0]
+        assert np.allclose(grad, counts, rtol=1e-9, atol=1e-9)
+
+    def test_underflow_returns_plus_inf_without_warning(self):
+        # the +-1e3-weight case of test_log_space_stability_long_sequence_large_weights
+        rng = np.random.default_rng(99)
+        model = random_model(rng, 2, 3)
+        model.weights[:] = np.where(model.weights > 0, 1e3, -1e3)
+        obs = rng.uniform(0, 1, (10_000, 3))
+        pair = crf.LabeledPair(obs, rng.integers(0, 2, 10_000).astype(np.intp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = crf.nll_and_gradient(model.weights, [pair], model.catalog)
+        assert value == np.inf
+
+    def test_subnormal_scale_factor_returns_plus_inf(self):
+        # after the max shifts, each label's begin-of-sequence factor times its
+        # emission factor is exp(-720), so the one scale factor is
+        # 2 * exp(-720): nonzero, but below the normal float range
+        catalog = FeatureCatalog(
+            labels=("alpha", "beta"),
+            observation_features=(FeatureDef("bias", "beta"),),
+            config=CatalogConfig(),
+        )
+        weights = np.zeros(catalog.n_features)
+        weights[0] = 720.0  # emission of beta
+        weights[-2] = 720.0  # begin-of-sequence -> alpha
+        pair = crf.LabeledPair(np.ones((1, 1)), np.array([0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = crf.nll_and_gradient(weights, [pair], catalog)
+        assert value == np.inf
+
+    def test_batch_holds_one_row_per_event(self):
+        rng = np.random.default_rng(41)
+        catalog = random_model(rng, 3, 4).catalog
+        lengths = (0, 77, 3, 0, 12, 1, 5, 30, 2, 77)
+        pairs = random_pairs(rng, lengths, 4, 3)
+        batch = crf.TrainingBatch(pairs, catalog)
+        live = sorted((p for p in pairs if len(p.labels)), key=lambda p: -len(p.labels))
+        assert batch.n == len(live) == 8
+        assert batch.obs.shape == (sum(lengths), 4)
+        # position t of the i-th longest trace sits at row offsets[t] + i
+        for i, p in enumerate(live):
+            rows = batch.offsets[: len(p.labels)] + i
+            assert np.array_equal(batch.obs[rows], p.observations)
+        # nothing the batch holds grows with traces x longest trace
+        padded = len(live) * max(lengths) * 4
+        held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+        assert max(v.size for v in held) == batch.obs.size < padded / 2
 
 
 class TestTraining:

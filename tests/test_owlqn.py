@@ -118,6 +118,26 @@ class TestContracts:
         with pytest.raises(OptimizationError):
             minimize(bad, 3, OwlqnConfig())
 
+    def test_non_finite_trial_backtracks(self):
+        # the first step has unit length (the gradient at 0 is longer than 1)
+        # and lands outside the ball where the objective is finite
+        b = np.array([0.2, -0.1, 0.2])  # |b| = 0.3, so the start is inside
+        calls, rejected = [], []
+
+        def walled(x):
+            calls.append(1)
+            d = x - b
+            if float(d @ d) > 0.5**2:
+                rejected.append(1)
+                return float("inf"), np.full(3, np.nan)
+            return 5.0 * float(d @ d), 10.0 * d
+
+        x, result = minimize(walled, 3, OwlqnConfig())
+        assert rejected
+        assert result.evaluations == len(calls)
+        assert not result.line_search_failed
+        assert np.allclose(x, b, atol=1e-6)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OwlqnConfig(memory=0)
