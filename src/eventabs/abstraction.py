@@ -6,14 +6,14 @@ high-level start/complete log. Also owns model persistence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .crf import CrfModel, train, viterbi_decode
+from .crf import CrfModel, train, viterbi_decode_many
 from .features import CatalogConfig, FeatureCatalog, build_catalog, evaluate_observations
 from .owlqn import OwlqnConfig
 from .xes import (
@@ -24,7 +24,6 @@ from .xes import (
     AttributeValue,
     Event,
     EventLog,
-    Trace,
 )
 
 __all__ = [
@@ -81,48 +80,33 @@ def annotate(
     preserved. Events lacking attributes a feature family needs are scored
     with neutral feature values (recorded in ``diagnostics``).
     """
-    traces = []
-    for trace in unannotated.traces:
-        observations = evaluate_observations(model.catalog, trace, diagnostics)
-        decoded = viterbi_decode(model, observations)
-        events = []
-        for event, label in zip(trace.events, decoded):
-            attributes = dict(event.attributes)
-            attributes[LABEL] = AttributeValue.string(label)
-            events.append(Event(attributes))
-        traces.append(Trace(dict(trace.attributes), events))
+    decoded = viterbi_decode_many(model, [
+        evaluate_observations(model.catalog, trace, diagnostics)
+        for trace in unannotated.traces
+    ])
+    traces = [
+        replace(trace, events=[
+            Event({**event.attributes, LABEL: AttributeValue.string(label)})
+            for event, label in zip(trace.events, labels)
+        ])
+        for trace, labels in zip(unannotated.traces, decoded)
+    ]
     global_event = dict(unannotated.global_event_attributes)
     global_event.setdefault(LABEL, AttributeValue.string(""))
-    return EventLog(
-        attributes=dict(unannotated.attributes),
-        extensions=set(unannotated.extensions),
-        classifiers=dict(unannotated.classifiers),
-        global_trace_attributes=dict(unannotated.global_trace_attributes),
-        global_event_attributes=global_event,
-        traces=traces,
-    )
+    return replace(unannotated, global_event_attributes=global_event, traces=traces)
 
 
 def strip_labels(log: EventLog) -> EventLog:
     """Remove the label attribute from every event."""
-    traces = []
-    for trace in log.traces:
-        events = []
-        for event in trace.events:
-            attributes = {k: v for k, v in event.attributes.items() if k != LABEL}
-            events.append(Event(attributes))
-        traces.append(Trace(dict(trace.attributes), events))
-    global_event = {
-        k: v for k, v in log.global_event_attributes.items() if k != LABEL
-    }
-    return EventLog(
-        attributes=dict(log.attributes),
-        extensions=set(log.extensions),
-        classifiers=dict(log.classifiers),
-        global_trace_attributes=dict(log.global_trace_attributes),
-        global_event_attributes=global_event,
-        traces=traces,
-    )
+    traces = [
+        replace(trace, events=[
+            Event({k: v for k, v in event.attributes.items() if k != LABEL})
+            for event in trace.events
+        ])
+        for trace in log.traces
+    ]
+    global_event = {k: v for k, v in log.global_event_attributes.items() if k != LABEL}
+    return replace(log, global_event_attributes=global_event, traces=traces)
 
 
 def collapse(annotated: EventLog) -> EventLog:
@@ -157,12 +141,11 @@ def collapse(annotated: EventLog) -> EventLog:
                     LIFECYCLE_TRANSITION: AttributeValue.string(transition),
                 }))
             run_start = i
-        traces.append(Trace(dict(trace.attributes), events))
-    return EventLog(
-        attributes=dict(annotated.attributes),
+        traces.append(replace(trace, events=events))
+    return replace(
+        annotated,
         extensions={"Concept", "Time", "Lifecycle"},
         classifiers={"Activity": (CONCEPT_NAME,)},
-        global_trace_attributes=dict(annotated.global_trace_attributes),
         global_event_attributes={
             CONCEPT_NAME: AttributeValue.string(""),
             TIME_TIMESTAMP: AttributeValue.date(

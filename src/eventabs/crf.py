@@ -7,10 +7,13 @@ f_k(t, y_{t-1}, y_t, x)) / Z(x)``. Observation features contribute
 distinguished begin-of-sequence row so transitions are defined at t = 1.
 The feature catalog owns the weight layout (which label each observation
 weight scores, and where the transition block starts); this module only
-asks it to split a weight vector. The per-trace functions (``log_partition``,
-``posterior_marginals``, ``viterbi_decode``) run in log space. Training
-packs all pairs into time-major rows and runs one scaled forward-backward
-pass over them per objective evaluation.
+asks it to split a weight vector. Training and decoding share one packing
+of traces into time-major rows (``_pack``): training runs one scaled
+forward-backward pass over it per objective evaluation, Viterbi one
+log-space max-plus pass for any number of traces. ``log_partition``,
+``posterior_marginals`` and ``sequence_log_prob`` stay per-trace in log
+space: they must stay finite where the weights put more than about 700
+nats between paths, and there the scaled pass returns ``+inf``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "sequence_log_prob",
     "posterior_marginals",
     "viterbi_decode",
+    "viterbi_decode_many",
     "nll_and_gradient",
     "train",
 ]
@@ -176,65 +180,90 @@ def posterior_marginals(
     return node, edge
 
 
-def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
-    """The maximum-score labeling; among ties, the sequence that is
-    lexicographically smallest in label-alphabet order."""
-    emissions, trans = model.potentials(observations)
-    T, L = emissions.shape
-    if T == 0:
-        return []
-    core = trans[:L]
-    # delta[t, i]: best achievable score of positions t+1..T-1 given y_t = i.
-    delta = np.zeros((T, L))
-    for t in range(T - 2, -1, -1):
-        delta[t] = np.maximum.reduce(
-            core + (emissions[t + 1] + delta[t + 1])[None, :], axis=1
+def _pack(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time-major packing: the non-empty sequences (input indices ``order``)
+    stably sorted longest first, so those reaching position t are a prefix
+    and position t of the i-th is row ``offsets[t] + i``. Each step's rows
+    are one contiguous slice, as in a packed sequence. ``rows`` holds every
+    event's row, sequence by sequence in ``order``."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")[: np.count_nonzero(lengths)]
+    live = lengths[order]
+    # active[t]: how many sequences reach position t
+    active = len(order) - np.cumsum(np.bincount(live))[:-1]
+    offsets = np.concatenate([[0], np.cumsum(active)]).astype(np.intp)
+    position = np.arange(live.sum()) - np.repeat(np.cumsum(live) - live, live)
+    return order, offsets, offsets[position] + np.repeat(np.arange(len(order)), live)
+
+
+def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> list[list[str]]:
+    """The maximum-score labeling of every sequence, in input order; among
+    ties, the lexicographically smallest in label-alphabet order. One
+    max-plus backward and one argmax forward pass over the packed rows
+    (:func:`_pack`), a contiguous slice per step. Emissions come from
+    :meth:`CrfModel.potentials` per sequence, so a sequence decodes the
+    same whatever it is batched with."""
+    order, offsets, rows = _pack([len(obs) for obs in observations])
+    decoded: list[list[str]] = [[] for _ in observations]
+    if len(order) == 0:
+        return decoded
+    n, trans = len(order), model.catalog.split(model.weights)[1]
+    core = trans[:-1]
+    emissions = np.empty((len(rows), len(core)))
+    emissions[rows] = np.concatenate([model.potentials(observations[i])[0] for i in order])
+    # delta[r, l]: best score of the rest of row r's sequence given label l at row r
+    delta = np.zeros_like(emissions)
+    offsets = offsets.tolist()
+    for t in range(len(offsets) - 2, 0, -1):
+        s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
+        delta[ps:ps + e - s] = np.maximum.reduce(
+            core + (emissions[s:e] + delta[s:e])[:, None, :], axis=2
         )
-    first = trans[L] + emissions[0] + delta[0]
-    path = [int(np.argmax(first))]
-    for t in range(1, T):
-        scores = core[path[-1]] + emissions[t] + delta[t]
-        path.append(int(np.argmax(scores)))
-    return [model.labels[i] for i in path]
+    path = np.empty(len(rows), dtype=np.intp)
+    path[:n] = np.argmax(trans[-1] + emissions[:n] + delta[:n], axis=1)
+    for t in range(1, len(offsets) - 1):
+        s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
+        path[s:e] = np.argmax(core[path[ps:ps + e - s]] + emissions[s:e] + delta[s:e], axis=1)
+    names = np.asarray(model.labels, dtype=object)[path[rows]].tolist()
+    ends = np.cumsum([len(observations[i]) for i in order]).tolist()
+    for i, start, end in zip(order, [0] + ends, ends):
+        decoded[i] = names[start:end]
+    return decoded
+
+
+def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
+    """The maximum-score labeling of one sequence (see
+    :func:`viterbi_decode_many`)."""
+    return viterbi_decode_many(model, [observations])[0]
 
 
 # --- training ----------------------------------------------------------------
 
 
 class TrainingBatch:
-    """Training pairs packed time-major, precomputed once so repeated
-    objective evaluations only touch weight-dependent quantities.
+    """Training pairs packed time-major (:func:`_pack`), precomputed once so
+    repeated objective evaluations only touch weight-dependent quantities.
 
-    Empty pairs are dropped and the rest stably sorted by length, longest
-    first, so the traces that reach position t are a prefix of that order:
-    position t of trace i is row ``offsets[t] + i``, and each step's rows
-    are one contiguous slice, as in a packed sequence. Memory is O(events),
-    with no padding. The observed feature counts are one vector over the
-    whole weight layout, so the objective is ``sum log Z - w . observed``
-    and its gradient ``expected - observed``.
+    Position t of the i-th longest non-empty pair is row ``offsets[t] + i``,
+    so memory is O(events), with no padding. The observed feature counts
+    are one vector over the whole weight layout, so the objective is
+    ``sum log Z - w . observed`` and its gradient ``expected - observed``.
     """
 
     def __init__(self, pairs: Sequence[LabeledPair], catalog: FeatureCatalog):
         self.catalog = catalog
-        live = [p for p in pairs if len(p.labels) > 0]
-        order = np.argsort([-len(p.labels) for p in live], kind="stable")
-        live = [live[i] for i in order]
-        self.n = len(live)
+        order, self.offsets, rows = _pack([len(p.labels) for p in pairs])
+        self.n = len(order)
         if self.n == 0:
             return
         L = catalog.n_labels
-        lengths = np.asarray([len(p.labels) for p in live])
-        # active[t]: how many traces reach position t
-        active = self.n - np.cumsum(np.bincount(lengths))[:-1]
-        self.offsets = np.concatenate([[0], np.cumsum(active)])
-        trace = np.repeat(np.arange(self.n), lengths)
-        position = np.arange(len(trace)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        rows = self.offsets[position] + trace
+        live = [pairs[i] for i in order]
         self.obs = np.empty((len(rows), catalog.n_observation_features))
         self.obs[rows] = np.concatenate([p.observations for p in live])
         labels = np.empty(len(rows), dtype=np.intp)
         labels[rows] = np.concatenate([p.labels for p in live])
         # the row of the same trace's previous position, for each row past step 0
+        active = np.diff(self.offsets)
         self.prev = np.arange(self.n, len(rows)) - np.repeat(active[:-1], active[1:])
         observed_trans = np.zeros((L + 1, L))
         np.add.at(observed_trans, (labels[self.prev], labels[self.n:]), 1.0)

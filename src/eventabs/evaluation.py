@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .abstraction import AbstractionConfig, annotate, fit, strip_labels
+from .abstraction import AbstractionConfig, fit
+from .crf import viterbi_decode_many
+from .features import evaluate_observations
 from .xes import EventLog
 
 __all__ = [
@@ -203,32 +205,20 @@ def _true_label_sequences(log: EventLog) -> list[list[str]]:
     return sequences
 
 
-def _clone_with_traces(log: EventLog, traces: list) -> EventLog:
-    return EventLog(
-        attributes=dict(log.attributes),
-        extensions=set(log.extensions),
-        classifiers=dict(log.classifiers),
-        global_trace_attributes=dict(log.global_trace_attributes),
-        global_event_attributes=dict(log.global_event_attributes),
-        traces=traces,
-    )
-
-
 def _run_fold(
     log: EventLog, fold: list[int], config: EvalConfig
 ) -> tuple[dict[int, list[str]], list[str]]:
+    """Fit on the rest, then decode the fold (features never read labels)."""
     diagnostics: list[str] = []
     held_out = set(fold)
-    train_log = _clone_with_traces(
-        log, [t for i, t in enumerate(log.traces) if i not in held_out]
+    train_log = replace(
+        log, traces=[t for i, t in enumerate(log.traces) if i not in held_out]
     )
     model = fit(train_log, config.abstraction, diagnostics)
-    predicted: dict[int, list[str]] = {}
-    for i in fold:
-        test_log = _clone_with_traces(log, [log.traces[i]])
-        result = annotate(model, strip_labels(test_log), diagnostics)
-        predicted[i] = [ev.label for ev in result.traces[0].events]
-    return predicted, diagnostics
+    decoded = viterbi_decode_many(model, [
+        evaluate_observations(model.catalog, log.traces[i], diagnostics) for i in fold
+    ])
+    return dict(zip(fold, decoded)), diagnostics
 
 
 _WORKER_STATE: dict = {}

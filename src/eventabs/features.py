@@ -127,17 +127,6 @@ class FeatureDef:
         """The family instance this feature reads one label column of."""
         return (self.family, self.n, self.org, self.view, self.step)
 
-    def describe(self) -> str:
-        if self.family == "bias":
-            return f"bias[{self.label}]"
-        if self.family == "concept_ngram":
-            return f"concept_{self.n}gram[{self.label}]"
-        if self.family == "org_ngram":
-            return f"org_{self.org}_{self.n}gram[{self.label}]"
-        if self.family == "time_view":
-            return f"time_{self.view}[{self.label}]"
-        return f"duration_after_{self.step}[{self.label}]"
-
     def to_dict(self) -> dict:
         return {
             "family": self.family, "label": self.label, "n": self.n,

@@ -28,28 +28,29 @@ class OptimizationError(Exception):
     point."""
 
 
+# stationarity threshold on the pseudo-gradient, relative to max(1, |x|_max)
+GRADIENT_TOLERANCE = 1e-12
+# Armijo line search: required fraction of the predicted decrease, step
+# shrink factor per rejected trial, and trials before the search fails
+SUFFICIENT_DECREASE = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_LINE_SEARCH_TRIALS = 50
+
+
 @dataclass(frozen=True)
 class OwlqnConfig:
     memory: int = 10
     l1_coefficient: float = 0.0
     max_iterations: int = 500
     tolerance: float = 1e-7
-    gradient_tolerance: float = 1e-12
-    sufficient_decrease: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_line_search_trials: int = 50
 
     def __post_init__(self) -> None:
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
         if self.l1_coefficient < 0:
             raise ValueError("l1_coefficient must be non-negative")
-        if self.tolerance <= 0 or self.gradient_tolerance <= 0:
+        if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient_decrease must be in (0, 1)")
 
 
 @dataclass
@@ -147,7 +148,7 @@ def minimize(
     for iterations in range(1, config.max_iterations + 1):
         pg = _pseudo_gradient(x, g, c)
         # stationarity: no orthant direction can decrease the composite
-        if np.max(np.abs(pg)) <= config.gradient_tolerance * max(
+        if np.max(np.abs(pg)) <= GRADIENT_TOLERANCE * max(
             1.0, float(np.max(np.abs(x)))
         ):
             converged = True
@@ -162,7 +163,7 @@ def minimize(
 
         step = 1.0 if s_hist else min(1.0, 1.0 / float(np.linalg.norm(d)))
         accepted = False
-        for _ in range(config.max_line_search_trials):
+        for _ in range(MAX_LINE_SEARCH_TRIALS):
             x_new = x + step * d
             if c > 0:
                 x_new = np.where(x_new * orthant > 0, x_new, 0.0)
@@ -170,10 +171,10 @@ def minimize(
             if trial is not None:
                 f_new, g_new, composite_new = trial
                 gain = float(pg @ (x_new - x))
-                if composite_new <= composite + config.sufficient_decrease * gain and gain < 0:
+                if composite_new <= composite + SUFFICIENT_DECREASE * gain and gain < 0:
                     accepted = True
                     break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             line_search_failed = True
             break

@@ -60,6 +60,22 @@ def argmax_lexicographic(
     return sequences[best_i]
 
 
+def viterbi_per_position(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
+    """One trace's Viterbi path by a loop over its positions: a max-plus
+    backward pass, then the first (lowest-index) maximum at each step."""
+    T, L = emissions.shape
+    if T == 0:
+        return []
+    core = trans[:L]
+    delta = np.zeros((T, L))
+    for t in range(T - 2, -1, -1):
+        delta[t] = np.maximum.reduce(core + (emissions[t + 1] + delta[t + 1])[None, :], axis=1)
+    path = [int(np.argmax(trans[L] + emissions[0] + delta[0]))]
+    for t in range(1, T):
+        path.append(int(np.argmax(core[path[-1]] + emissions[t] + delta[t])))
+    return path
+
+
 def recursive_edit_distance(a: tuple, b: tuple) -> int:
     """Memoized textbook recurrence, independent of the two-row DP."""
 

@@ -14,6 +14,7 @@ from oracles import (
     argmax_lexicographic,
     enumerate_sequence_scores,
     log_sum_exp,
+    viterbi_per_position,
 )
 
 LABEL_POOL = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta")
@@ -410,6 +411,56 @@ class TestPackedObjective:
         padded = len(live) * max(lengths) * 4
         held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
         assert max(v.size for v in held) == batch.obs.size < padded / 2
+
+
+class TestViterbiMany:
+    @pytest.mark.parametrize("n_labels", [2, 7])
+    @pytest.mark.parametrize("sigma", [20.0, 0.0])
+    def test_equals_lone_decodes_in_input_order(self, n_labels, sigma):
+        rng = np.random.default_rng(60 + n_labels)
+        catalog = random_model(rng, n_labels, 6).catalog
+        model = crf.CrfModel(catalog, rng.normal(0.0, sigma, catalog.n_features))
+        lengths = (0,) + SKEWED_LENGTHS[:7] + (0,) + SKEWED_LENGTHS[7:] + (0,)
+        observations = [rng.normal(0, 1, (T, 6)) for T in lengths]
+        decoded = crf.viterbi_decode_many(model, observations)
+        assert decoded == [crf.viterbi_decode(model, obs) for obs in observations]
+        assert decoded == [
+            [model.labels[y] for y in viterbi_per_position(*model.potentials(obs))]
+            for obs in observations
+        ]
+        assert [len(labels) for labels in decoded] == list(lengths)
+        if sigma == 0.0:
+            assert all(set(labels) <= {"alpha"} for labels in decoded)
+
+    def test_no_traces(self):
+        model = random_model(np.random.default_rng(62), 3, 4)
+        assert crf.viterbi_decode_many(model, []) == []
+        assert crf.viterbi_decode_many(model, [np.zeros((0, 4))] * 2) == [[], []]
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_short_traces_together_match_enumeration(self, ties):
+        # with small integer weights and 0/1 observations, equal-score
+        # labelings are common, so the lexicographic tie rule is exercised
+        rng = np.random.default_rng(63 + ties)
+        for _ in range(10):
+            L = int(rng.integers(2, 5))
+            model = random_model(rng, L, 4)
+            if ties:
+                model.weights[:] = rng.integers(-1, 2, model.catalog.n_features)
+            lengths = rng.integers(0, 7, 6)
+            observations = [
+                rng.integers(0, 2, (T, 4)).astype(float) if ties else rng.normal(0, 1, (T, 4))
+                for T in lengths
+            ]
+            decoded = crf.viterbi_decode_many(model, observations)
+            assert len(decoded) == len(observations)
+            for obs, labels in zip(observations, decoded):
+                if len(obs) == 0:
+                    assert labels == []
+                    continue
+                sequences, scores = oracle_inputs(model, obs)
+                expected = argmax_lexicographic(sequences, scores)
+                assert tuple(model.catalog.label_index[l] for l in labels) == expected
 
 
 class TestTraining:

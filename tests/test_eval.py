@@ -1,11 +1,14 @@
 """Levenshtein similarity, cross-validation drivers, confusion matrices."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventabs.abstraction import AbstractionConfig
+from eventabs.abstraction import AbstractionConfig, annotate, fit, strip_labels
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -157,6 +160,52 @@ class TestKFold:
         b = k_fold(learnable_log(8), k=3, seed=11, config=FAST)
         assert a.per_trace == b.per_trace
         assert np.array_equal(a.confusion.counts, b.confusion.counts)
+
+
+def mixed_log(n_traces: int = 7):
+    """Traces whose labels the fast model cannot all get right."""
+    rng = np.random.default_rng(5)
+    names = ("MC", "W", "D", "X")
+    labels = ("Taking medicine", "Taking medicine", "Eating", "Eating")
+    traces = []
+    for _ in range(n_traces):
+        picks = rng.integers(0, 4, int(rng.integers(2, 8)))
+        rows = [(names[p], labels[p] if rng.random() < 0.8 else labels[3 - p]) for p in picks]
+        traces.append(sequence_trace(rows))
+    return make_log(traces)
+
+
+class TestFoldPredictions:
+    """Each fold's predictions are those of the public pipeline: fit on the
+    other traces, then annotate the fold with its labels stripped."""
+
+    def assert_folds_match_pipeline(self, log, folds, report):
+        offsets = np.cumsum([0] + [len(t.events) for t in log.traces])
+        predicted = [
+            [r.predicted_label for r in report.records[a:b]]
+            for a, b in zip(offsets, offsets[1:])
+        ]
+        for fold in folds:
+            rest = [t for i, t in enumerate(log.traces) if i not in fold]
+            model = fit(replace(log, traces=rest), FAST.abstraction)
+            held_out = strip_labels(replace(log, traces=[log.traces[i] for i in fold]))
+            expected = [[ev.label for ev in t.events] for t in annotate(model, held_out).traces]
+            assert [predicted[i] for i in fold] == expected
+
+    def test_leave_one_trace_out(self):
+        log = mixed_log()
+        report = leave_one_trace_out(log, FAST)
+        assert report.mean_similarity < 1.0  # not trivially perfect
+        folds = [[i] for i in range(len(log.traces))]
+        self.assert_folds_match_pipeline(log, folds, report)
+
+    def test_k_fold(self):
+        log = mixed_log()
+        report = k_fold(log, k=3, seed=4, config=FAST)
+        indices = list(range(len(log.traces)))
+        random.Random(4).shuffle(indices)
+        folds = [[int(i) for i in part] for part in np.array_split(indices, 3)]
+        self.assert_folds_match_pipeline(log, folds, report)
 
 
 class TestSimilarityModes:
