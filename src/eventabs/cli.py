@@ -204,11 +204,13 @@ def train(log_path: str, model_path: str, config_path: str | None,
     abstraction.save_model(model, model_path)
     total = len(model.weights)
     nonzero = model.nonzero_weight_count
-    assert model.training is not None
+    training = model.training
+    assert training is not None
     click.echo(
         f"trained on {len(log.traces)} traces: {total} features, "
         f"{nonzero} nonzero weights ({100.0 * nonzero / total:.1f}% dense), "
-        f"final objective {model.training.objective:.6f}"
+        f"final objective {training.objective:.6f} after {training.iterations} "
+        f"iterations and {training.evaluations} evaluations (stop: {training.stop})"
     )
 
 

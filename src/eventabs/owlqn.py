@@ -3,11 +3,29 @@
 
 With ``C == 0`` the method is plain L-BFGS with a backtracking Armijo line
 search. With ``C > 0`` the subgradient at zero coordinates is resolved by
-the pseudo-gradient, quasi-Newton directions are projected onto the
-steepest-descent pseudo-gradient's sign pattern, and every line-search
-point is constrained to the orthant picked at the start of the iteration,
-so coordinates crossing zero land exactly on it. The composite objective
-never increases across accepted steps.
+the pseudo-gradient, and every line-search point is constrained to the
+orthant picked at the start of the iteration, so coordinates crossing zero
+land exactly on it. Three rules shape the direction:
+
+- At zero coordinates the quasi-Newton direction keeps only the components
+  whose sign agrees with the steepest-descent pseudo-gradient's. At nonzero
+  coordinates it is kept whole: the orthant constraint already stops sign
+  crossings there, and zeroing those components would throw away the
+  curvature correction.
+- A zero coordinate whose pseudo-gradient is zero stays at zero for the
+  iteration, so the L-BFGS curvature pairs are restricted to the other
+  coordinates. The step then follows the curvature of the free block, not
+  the free block of the inverse Hessian, which differ wherever held
+  coordinates are correlated with free ones.
+- A direction that is not a descent direction for the pseudo-gradient
+  falls back to steepest descent (Gong & Ye, ICML 2015).
+
+Accepted steps strictly lower the composite objective. A run ends for one
+of four reasons, recorded as ``OwlqnResult.stop``: ``"stationary"`` (the
+pseudo-gradient vanishes), ``"stalled"`` (the composite fell by less than
+``tolerance`` relative per iteration over the last five iterations),
+``"iteration_cap"`` or ``"line_search_failed"``. ``converged`` counts the
+first two.
 """
 
 from __future__ import annotations
@@ -35,6 +53,8 @@ GRADIENT_TOLERANCE = 1e-12
 SUFFICIENT_DECREASE = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_LINE_SEARCH_TRIALS = 50
+# least s.y for a curvature pair to enter the L-BFGS update
+CURVATURE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,10 +77,17 @@ class OwlqnConfig:
 class OwlqnResult:
     objective: float
     iterations: int
-    converged: bool
-    line_search_failed: bool
     nonzero: int
     evaluations: int
+    stop: str  # "stationary", "stalled", "iteration_cap" or "line_search_failed"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("stationary", "stalled")
+
+    @property
+    def line_search_failed(self) -> bool:
+        return self.stop == "line_search_failed"
 
 
 def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, c: float) -> np.ndarray:
@@ -75,21 +102,32 @@ def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, c: float) -> np.ndarray:
 
 def _two_loop_direction(
     pg: np.ndarray,
-    s_hist: deque[np.ndarray],
-    y_hist: deque[np.ndarray],
-    rho_hist: deque[float],
+    pairs: deque[tuple[np.ndarray, np.ndarray]],
+    free: np.ndarray,
 ) -> np.ndarray:
-    d = -pg.copy()
-    if not s_hist:
+    """The L-BFGS direction ``-H pg``, with ``H`` built from the stored
+    ``(s, y)`` pairs restricted to the ``free`` coordinates, so that it
+    approximates the inverse of the Hessian's free block rather than the
+    free block of the inverse Hessian. A pair without positive curvature
+    on the free coordinates is skipped. The direction is ``-pg`` off
+    ``free``."""
+    restricted = []
+    for s, y in pairs:
+        s, y = s * free, y * free
+        sy = float(s @ y)
+        if sy > CURVATURE_FLOOR:
+            restricted.append((s, y, 1.0 / sy))
+    d = -pg
+    if not restricted:
         return d
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, y, rho in reversed(restricted):
         a = rho * float(s @ d)
         alphas.append(a)
         d -= a * y
-    s_last, y_last = s_hist[-1], y_hist[-1]
+    s_last, y_last, _ = restricted[-1]
     d *= float(s_last @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+    for (s, y, rho), a in zip(restricted, reversed(alphas)):
         b = rho * float(y @ d)
         d += (a - b) * s
     return d
@@ -108,8 +146,8 @@ def minimize(
     Raises :class:`OptimizationError` if the value or gradient at the start
     point is non-finite. A line-search trial with a non-finite value or
     gradient counts as an evaluation and is rejected, so the step
-    backtracks; a failed line search terminates with the best iterate and
-    a diagnostic flag.
+    backtracks; a failed line search ends the run at the last accepted
+    iterate with ``stop == "line_search_failed"``.
     """
     c = config.l1_coefficient
     x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).copy()
@@ -118,15 +156,15 @@ def minimize(
 
     evaluations = 0
 
-    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray, float] | None:
-        """Value, gradient and composite, or None where any is non-finite."""
+    def evaluate(point: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """Gradient and composite, or None where either is non-finite."""
         nonlocal evaluations
         evaluations += 1
         value, grad = objective(point)
         grad = np.asarray(grad, dtype=float)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             return None
-        return value, grad, value + c * float(np.abs(point).sum())
+        return grad, value + c * float(np.abs(point).sum())
 
     start = evaluate(x)
     if start is None:
@@ -134,15 +172,12 @@ def minimize(
             f"non-finite objective or gradient at the start point with "
             f"|x|_max={np.max(np.abs(x)):.3e}"
         )
-    f, g, composite = start
-    best_x, best_composite = x.copy(), composite
-    history = [composite]
-    s_hist: deque[np.ndarray] = deque(maxlen=config.memory)
-    y_hist: deque[np.ndarray] = deque(maxlen=config.memory)
-    rho_hist: deque[float] = deque(maxlen=config.memory)
+    g, composite = start
+    # composites of the last six iterates, for the relative-decrease window
+    recent: deque[float] = deque([composite], maxlen=6)
+    pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=config.memory)
 
-    converged = False
-    line_search_failed = False
+    stop = "iteration_cap"
     iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
@@ -151,17 +186,20 @@ def minimize(
         if np.max(np.abs(pg)) <= GRADIENT_TOLERANCE * max(
             1.0, float(np.max(np.abs(x)))
         ):
-            converged = True
+            stop = "stationary"
             break
-        d = _two_loop_direction(pg, s_hist, y_hist, rho_hist)
+        # with C > 0 a zero coordinate where pg is zero stays at zero this
+        # iteration, so the curvature model leaves it out
+        free = (x != 0) | (pg != 0) if c > 0 else np.ones(dim, dtype=bool)
+        d = _two_loop_direction(pg, pairs, free)
         if c > 0:
-            d = np.where(d * -pg > 0, d, 0.0)
-            if not np.any(d):
-                converged = True
-                break
+            # a zero coordinate may leave zero only along -pg
+            d = np.where((x != 0) | (d * -pg > 0), d, 0.0)
             orthant = np.where(x != 0, np.sign(x), np.sign(-pg))
+        if float(pg @ d) >= 0:
+            d = -pg
 
-        step = 1.0 if s_hist else min(1.0, 1.0 / float(np.linalg.norm(d)))
+        step = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(d)))
         accepted = False
         for _ in range(MAX_LINE_SEARCH_TRIALS):
             x_new = x + step * d
@@ -169,42 +207,34 @@ def minimize(
                 x_new = np.where(x_new * orthant > 0, x_new, 0.0)
             trial = evaluate(x_new)
             if trial is not None:
-                f_new, g_new, composite_new = trial
+                g_new, composite_new = trial
                 gain = float(pg @ (x_new - x))
                 if composite_new <= composite + SUFFICIENT_DECREASE * gain and gain < 0:
                     accepted = True
                     break
             step *= BACKTRACK_FACTOR
         if not accepted:
-            line_search_failed = True
+            stop = "line_search_failed"
             break
 
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10:
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
+        if float(s @ y) > CURVATURE_FLOOR:
+            pairs.append((s, y))
 
-        x, f, g, composite = x_new, f_new, g_new, composite_new
-        history.append(composite)
-        if composite < best_composite:
-            best_x, best_composite = x.copy(), composite
-
-        if len(history) > 5:
-            window = history[-6:]
-            scale = max(abs(window[-1]), 1e-12)
-            if (window[0] - window[-1]) / (5.0 * scale) < config.tolerance:
-                converged = True
+        x, g, composite = x_new, g_new, composite_new
+        recent.append(composite)
+        if len(recent) == recent.maxlen:
+            scale = max(abs(composite), 1e-12)
+            if (recent[0] - composite) / (5.0 * scale) < config.tolerance:
+                stop = "stalled"
                 break
 
     result = OwlqnResult(
-        objective=best_composite,
+        objective=composite,
         iterations=iterations,
-        converged=converged,
-        line_search_failed=line_search_failed,
-        nonzero=int(np.count_nonzero(best_x)),
+        nonzero=int(np.count_nonzero(x)),
         evaluations=evaluations,
+        stop=stop,
     )
-    return best_x, result
+    return x, result

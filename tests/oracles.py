@@ -8,6 +8,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize as scipy_minimize
 
 from eventabs.petri import LabeledPetriNet, Marking
 from eventabs.stats import Gmm
@@ -214,3 +215,24 @@ def bic_select_reference(samples, k_max: int, seed: int = 0) -> Gmm:
     bics = [-2.0 * g.log_likelihood + (3 * g.n_components - 1) * math.log(n) for g in fits]
     best = min(range(len(fits)), key=lambda i: (bics[i], i))
     return fits[best]
+
+
+def l1_lbfgsb_reference(objective, dim: int, c: float) -> tuple[np.ndarray, float]:
+    """Minimize ``objective``'s smooth part plus ``c * |w|_1`` with SciPy's
+    L-BFGS-B on the split form w = p - q with p, q >= 0, where the penalty
+    ``c * sum(p + q)`` is linear and the problem is smooth and
+    bound-constrained. Returns w and its composite objective."""
+
+    def split(z: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = objective(z[:dim] - z[dim:])
+        grad = np.asarray(grad, dtype=float)
+        return value + c * float(z.sum()), np.concatenate([grad + c, c - grad])
+
+    found = scipy_minimize(
+        split, np.zeros(2 * dim), jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * dim),
+        options={"maxiter": 20000, "maxfun": 50000, "maxcor": 20,
+                 "ftol": 1e-15, "gtol": 1e-10},
+    )
+    w = found.x[:dim] - found.x[dim:]
+    return w, float(objective(w)[0] + c * np.abs(w).sum())

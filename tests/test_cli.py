@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline runs."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -143,6 +144,12 @@ class TestTrain:
         assert "features" in result.output
         assert "% dense" in result.output
         assert "objective" in result.output
+
+    def test_summary_reports_optimizer_run(self, trained):
+        *_, result = trained
+        summary = result.output.strip().splitlines()[-1]
+        assert re.search(r"after \d+ iterations and \d+ evaluations \(stop: "
+                         r"(stationary|stalled|iteration_cap|line_search_failed)\)$", summary)
 
     def test_unannotated_log_rejected(self, runner, tmp_path):
         bare = make_log([sequence_trace([("A", None), ("B", None)])])

@@ -8,11 +8,13 @@ import pytest
 
 from eventabs import crf
 from eventabs.features import CatalogConfig, FeatureCatalog, FeatureDef, build_catalog
+from eventabs.owlqn import OwlqnConfig, minimize
 
 from factories import make_log, sequence_trace
 from oracles import (
     argmax_lexicographic,
     enumerate_sequence_scores,
+    l1_lbfgsb_reference,
     log_sum_exp,
     viterbi_per_position,
 )
@@ -515,3 +517,47 @@ class TestTraining:
         relaxed = crf.train(log, catalog, l1_coefficient=0.01)
         strict = crf.train(log, catalog, l1_coefficient=100.0)
         assert strict.nonzero_weight_count < relaxed.nonzero_weight_count
+
+
+class TestOptimumAgainstLbfgsb:
+    """OWL-QN's composite NLL + C * |w|_1 at return against SciPy's
+    L-BFGS-B on the split form (``l1_lbfgsb_reference``)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_random_crf(self, seed):
+        # labels drawn position by position from a random model's node
+        # marginals, so the data carry signal for the fit to find
+        rng = np.random.default_rng(700 + seed)
+        n_labels, n_obs = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        model = random_model(rng, n_labels, n_obs)
+        pairs = []
+        for T in rng.integers(1, 12, size=20):
+            obs = rng.normal(0, 1, (T, n_obs))
+            node, _ = crf.posterior_marginals(model, obs)
+            labels = [rng.choice(n_labels, p=p / p.sum()) for p in node]
+            pairs.append(crf.LabeledPair(obs, np.array(labels, dtype=np.intp)))
+        c = float(rng.uniform(0.05, 1.0))
+
+        def objective(w):
+            return crf.nll_and_gradient(w, pairs, model.catalog)
+
+        n = model.catalog.n_features
+        _, result = minimize(objective, n, OwlqnConfig(l1_coefficient=c))
+        _, reference = l1_lbfgsb_reference(objective, n, c)
+        assert result.objective <= reference * (1 + 1e-6)
+
+    def test_reference_fit(self):
+        # the household log of the acceptance tests, its catalog, C = 0.1
+        # and the default optimizer config
+        from eventabs.petri import generate_annotated_log, medicine_eating_process
+
+        log = generate_annotated_log(medicine_eating_process(), 200, seed=7)
+        catalog = build_catalog(
+            log, CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
+        )
+        trained = crf.train(log, catalog, l1_coefficient=0.1)
+        pairs = crf.training_pairs(log, catalog)
+        _, reference = l1_lbfgsb_reference(
+            lambda w: crf.nll_and_gradient(w, pairs, catalog), catalog.n_features, 0.1
+        )
+        assert trained.training.objective <= reference * (1 + 2e-5)

@@ -1,9 +1,11 @@
-"""Optimizer checks against closed-form solutions."""
+"""Optimizer checks against closed-form solutions and SciPy's L-BFGS-B."""
 
 import numpy as np
 import pytest
 
 from eventabs.owlqn import OptimizationError, OwlqnConfig, minimize
+
+from oracles import l1_lbfgsb_reference
 
 
 def soft_threshold(b: np.ndarray, c: float) -> np.ndarray:
@@ -26,6 +28,12 @@ def spd_quadratic(a: np.ndarray, b: np.ndarray):
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(0, 1, (dim, dim))
     return m @ m.T + dim * np.eye(dim)
+
+
+def ill_conditioned_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random rotation of eigenvalues log-spaced from 1e-2 to 10."""
+    q, _ = np.linalg.qr(rng.normal(0, 1, (dim, dim)))
+    return (q * np.logspace(-2, 1, dim)) @ q.T
 
 
 class TestSoftThreshold:
@@ -154,3 +162,123 @@ class TestContracts:
             spd_quadratic(a, b), 30, OwlqnConfig(max_iterations=3)
         )
         assert result.iterations <= 3
+
+
+class TestStop:
+    def test_stationary(self):
+        # the penalty dominates the gradient at 0, so pg vanishes at once
+        _, result = minimize(
+            shifted_quadratic(np.array([0.5, -1.0])), 2, OwlqnConfig(l1_coefficient=100.0)
+        )
+        assert result.stop == "stationary"
+        assert result.converged and not result.line_search_failed
+        assert (result.iterations, result.evaluations) == (1, 1)
+
+    def test_stalled(self):
+        rng = np.random.default_rng(41)
+        a = ill_conditioned_spd(rng, 10)
+        _, result = minimize(spd_quadratic(a, rng.normal(0, 1, 10)), 10, OwlqnConfig())
+        assert result.stop == "stalled"
+        assert result.converged and not result.line_search_failed
+        assert result.iterations < OwlqnConfig().max_iterations
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(9)
+        a = random_spd(rng, 30)
+        _, result = minimize(
+            spd_quadratic(a, rng.normal(0, 1, 30)), 30, OwlqnConfig(max_iterations=3)
+        )
+        assert result.stop == "iteration_cap"
+        assert not result.converged and not result.line_search_failed
+        assert result.iterations == 3
+
+    def test_line_search_failed(self):
+        b = np.array([1.0, -2.0, 0.5])
+
+        def wrong_sign(x):
+            d = x - b
+            return 0.5 * float(d @ d), -d
+
+        x, result = minimize(wrong_sign, 3, OwlqnConfig(l1_coefficient=0.1))
+        assert result.stop == "line_search_failed"
+        assert result.line_search_failed and not result.converged
+        assert np.array_equal(x, np.zeros(3))
+        assert result.evaluations == 51  # the start point and 50 trials
+
+
+class TestFixedOrthant:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_l1_needs_no_more_iterations_than_without_it(self, seed):
+        # x* has no zero coordinate and the fit starts in its orthant; there
+        # the L1 term is linear, so OWL-QN should take L-BFGS's steps
+        rng = np.random.default_rng(500 + seed)
+        dim, c = 10, 0.5
+        a = ill_conditioned_spd(rng, dim)
+        x_star = rng.choice([-1.0, 1.0], dim) * rng.uniform(1, 2, dim)
+        signs = np.sign(x_star)
+        x, penalized = minimize(
+            spd_quadratic(a, a @ x_star + c * signs), dim,
+            OwlqnConfig(l1_coefficient=c, tolerance=1e-10), initial=signs,
+        )
+        _, smooth = minimize(
+            spd_quadratic(a, a @ x_star), dim, OwlqnConfig(tolerance=1e-10), initial=signs
+        )
+        assert np.array_equal(np.sign(x), signs)
+        assert penalized.iterations <= smooth.iterations + 3
+        assert np.abs(x - x_star).max() < 1e-3
+
+
+class TestAgainstLbfgsb:
+    def test_reference_matches_closed_form(self):
+        rng = np.random.default_rng(299)
+        b = rng.normal(0, 2, 20)
+        c = 0.7
+        w, composite = l1_lbfgsb_reference(shifted_quadratic(b), 20, c)
+        expected = soft_threshold(b, c)
+        assert np.abs(w - expected).max() < 1e-6
+        assert composite == pytest.approx(
+            shifted_quadratic(b)(expected)[0] + c * np.abs(expected).sum(), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_quadratic_composite_matches_reference(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        dim = int(rng.integers(5, 30))
+        m = rng.normal(0, 1, (dim, dim))
+        objective = spd_quadratic(m @ m.T + 0.1 * np.eye(dim), rng.normal(0, 3, dim))
+        c = float(rng.uniform(0.1, 2.0))
+        _, result = minimize(objective, dim, OwlqnConfig(l1_coefficient=c))
+        _, reference = l1_lbfgsb_reference(objective, dim, c)
+        assert result.objective <= reference + 1e-6 * max(1.0, abs(reference))
+
+
+class TestHeldAtZero:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_needs_no_more_iterations_than_lbfgs_on_the_free_block(self, seed):
+        # the last six coordinates are near-copies of the first six and stay
+        # at zero with |gradient| < C/2 from a start near x*; OWL-QN should
+        # step with the curvature of the free block alone, as L-BFGS on that
+        # block does, not with the free block of the inverse Hessian
+        rng = np.random.default_rng(600 + seed)
+        n_free, c = 6, 1.0
+        base = rng.normal(0, 1, (40, n_free))
+        features = np.hstack([base, base + 0.1 * rng.normal(0, 1, (40, n_free))])
+        a = features.T @ features / 40 + 1e-2 * np.eye(2 * n_free)
+        x_star = np.zeros(2 * n_free)
+        x_star[:n_free] = rng.choice([-1.0, 1.0], n_free) * rng.uniform(1, 2, n_free)
+        signs = np.sign(x_star[:n_free])
+        grad_star = np.concatenate([-c * signs, rng.uniform(-0.25, 0.25, n_free) * c])
+        b = a @ x_star - grad_star
+        delta = rng.normal(0, 1, n_free)
+        delta *= 0.25 * c / np.abs(a[n_free:, :n_free] @ delta).max()
+        start = np.concatenate([x_star[:n_free] + delta, np.zeros(n_free)])
+        x, penalized = minimize(
+            spd_quadratic(a, b), 2 * n_free,
+            OwlqnConfig(l1_coefficient=c, tolerance=1e-10), initial=start,
+        )
+        _, free_block = minimize(
+            spd_quadratic(a[:n_free, :n_free], b[:n_free] - c * signs), n_free,
+            OwlqnConfig(tolerance=1e-10), initial=start[:n_free],
+        )
+        assert penalized.iterations <= free_block.iterations + 1
+        assert np.abs(x - x_star).max() < 1e-6
