@@ -9,12 +9,19 @@ import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .crf import CrfModel, train, viterbi_decode_many
-from .features import CatalogConfig, FeatureCatalog, build_catalog, evaluate_observations
+from .crf import CrfModel, fit_batch, training_batch, viterbi_decode_many
+from .features import (
+    CatalogConfig,
+    FeatureCatalog,
+    InternedLog,
+    fold_catalogs,
+    neutral_time_notes,
+    observation_matrix,
+)
 from .owlqn import OwlqnConfig
 from .xes import (
     CONCEPT_NAME,
@@ -30,6 +37,7 @@ __all__ = [
     "AbstractionConfig",
     "ModelIOError",
     "fit",
+    "fit_folds",
     "annotate",
     "collapse",
     "strip_labels",
@@ -54,19 +62,36 @@ class AbstractionConfig:
     optimizer: OwlqnConfig = OwlqnConfig()
 
 
+def fit_folds(
+    log: InternedLog,
+    folds: Iterable[Iterable[int]],
+    config: AbstractionConfig = AbstractionConfig(),
+) -> Iterator[tuple[CrfModel, np.ndarray]]:
+    """Per fold, the model fitted on the log less the fold's traces, with
+    its catalog's observation matrix over the whole log (which the fold's
+    held-out rows are decoded from). The catalogs are built together
+    (:func:`fold_catalogs`); the models are trained one at a time, so at
+    most one fold's matrix is held at once."""
+    folds = [list(fold) for fold in folds]
+    for fold, catalog in zip(folds, fold_catalogs(log, folds, config.catalog)):
+        observations = observation_matrix(catalog, log)
+        held = set(fold)
+        rest = [t for t in range(log.n_traces) if t not in held] if held else None
+        batch = training_batch(log, catalog, observations, rest)
+        yield fit_batch(batch, config.l1_coefficient, config.optimizer), observations
+
+
 def fit(
     annotated: EventLog,
     config: AbstractionConfig = AbstractionConfig(),
     diagnostics: list[str] | None = None,
 ) -> CrfModel:
-    """Build the feature catalog on the annotated log and train the CRF."""
-    catalog = build_catalog(annotated, config.catalog, diagnostics)
-    return train(
-        annotated,
-        catalog,
-        l1_coefficient=config.l1_coefficient,
-        optimizer_config=config.optimizer,
-    )
+    """Build the feature catalog on the annotated log and train the CRF:
+    the one-fold case of :func:`fit_folds`, holding nothing out."""
+    model, _ = next(fit_folds(InternedLog(annotated.traces), [()], config))
+    if diagnostics is not None:
+        diagnostics.extend(model.catalog.notes)
+    return model
 
 
 def annotate(
@@ -80,10 +105,12 @@ def annotate(
     preserved. Events lacking attributes a feature family needs are scored
     with neutral feature values (recorded in ``diagnostics``).
     """
-    decoded = viterbi_decode_many(model, [
-        evaluate_observations(model.catalog, trace, diagnostics)
-        for trace in unannotated.traces
-    ])
+    log = InternedLog(unannotated.traces)
+    if diagnostics is not None:
+        diagnostics.extend(neutral_time_notes(model.catalog, log, range(log.n_traces)))
+    decoded = viterbi_decode_many(
+        model, log.per_trace(observation_matrix(model.catalog, log))
+    )
     traces = [
         replace(trace, events=[
             Event({**event.attributes, LABEL: AttributeValue.string(label)})

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import FeatureCatalog, evaluate_observations, label_indices
+from .features import FeatureCatalog, InternedLog, observation_matrix
 from .owlqn import OwlqnConfig, OwlqnResult, minimize
 from .xes import EventLog
 
@@ -36,6 +36,10 @@ __all__ = [
     "viterbi_decode",
     "viterbi_decode_many",
     "nll_and_gradient",
+    "TrainingBatch",
+    "training_batch",
+    "fit_batch",
+    "training_pairs",
     "train",
 ]
 
@@ -180,20 +184,23 @@ def posterior_marginals(
     return node, edge
 
 
-def _pack(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time-major packing: the non-empty sequences (input indices ``order``)
-    stably sorted longest first, so those reaching position t are a prefix
-    and position t of the i-th is row ``offsets[t] + i``. Each step's rows
-    are one contiguous slice, as in a packed sequence. ``rows`` holds every
-    event's row, sequence by sequence in ``order``."""
+def _pack(lengths: Sequence[int]) -> tuple[int, np.ndarray, np.ndarray]:
+    """Time-major packing of sequences: the ``n`` non-empty ones, stably
+    sorted longest first, so those reaching position t are a prefix and
+    position t of the i-th is row ``offsets[t] + i``. Each step's rows are
+    one contiguous slice, as in a packed sequence. ``rows`` holds every
+    event's row, sequence by sequence in input order, so a concatenation
+    of the sequences lands in the packed layout by one scatter."""
     lengths = np.asarray(lengths, dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")[: np.count_nonzero(lengths)]
     live = lengths[order]
     # active[t]: how many sequences reach position t
     active = len(order) - np.cumsum(np.bincount(live))[:-1]
     offsets = np.concatenate([[0], np.cumsum(active)]).astype(np.intp)
-    position = np.arange(live.sum()) - np.repeat(np.cumsum(live) - live, live)
-    return order, offsets, offsets[position] + np.repeat(np.arange(len(order)), live)
+    rank = np.zeros(len(lengths), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return len(order), offsets, offsets[position] + np.repeat(rank, lengths)
 
 
 def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> list[list[str]]:
@@ -203,14 +210,16 @@ def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> 
     (:func:`_pack`), a contiguous slice per step. Emissions come from
     :meth:`CrfModel.potentials` per sequence, so a sequence decodes the
     same whatever it is batched with."""
-    order, offsets, rows = _pack([len(obs) for obs in observations])
-    decoded: list[list[str]] = [[] for _ in observations]
-    if len(order) == 0:
-        return decoded
-    n, trans = len(order), model.catalog.split(model.weights)[1]
+    lengths = [len(obs) for obs in observations]
+    n, offsets, rows = _pack(lengths)
+    if n == 0:
+        return [[] for _ in observations]
+    trans = model.catalog.split(model.weights)[1]
     core = trans[:-1]
     emissions = np.empty((len(rows), len(core)))
-    emissions[rows] = np.concatenate([model.potentials(observations[i])[0] for i in order])
+    emissions[rows] = np.concatenate([
+        model.potentials(obs)[0] for obs in observations if len(obs)
+    ])
     # delta[r, l]: best score of the rest of row r's sequence given label l at row r
     delta = np.zeros_like(emissions)
     offsets = offsets.tolist()
@@ -225,10 +234,8 @@ def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> 
         s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
         path[s:e] = np.argmax(core[path[ps:ps + e - s]] + emissions[s:e] + delta[s:e], axis=1)
     names = np.asarray(model.labels, dtype=object)[path[rows]].tolist()
-    ends = np.cumsum([len(observations[i]) for i in order]).tolist()
-    for i, start, end in zip(order, [0] + ends, ends):
-        decoded[i] = names[start:end]
-    return decoded
+    ends = np.cumsum(lengths).tolist()
+    return [names[end - length:end] for length, end in zip(lengths, ends)]
 
 
 def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
@@ -251,25 +258,47 @@ class TrainingBatch:
     """
 
     def __init__(self, pairs: Sequence[LabeledPair], catalog: FeatureCatalog):
+        live = [p for p in pairs if len(p.labels)]
+        self._pack_rows(
+            catalog,
+            np.concatenate([p.observations for p in live]) if live else None,
+            np.concatenate([p.labels for p in live]) if live else None,
+            [len(p.labels) for p in pairs],
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        catalog: FeatureCatalog,
+        observations: np.ndarray,
+        labels: np.ndarray,
+        lengths: Sequence[int],
+    ) -> "TrainingBatch":
+        """The batch of the sequences whose (events, F_obs) observation rows
+        and label indices are concatenated, sequence after sequence, with
+        the given lengths."""
+        batch = cls.__new__(cls)
+        batch._pack_rows(catalog, observations, labels, lengths)
+        return batch
+
+    def _pack_rows(self, catalog, observations, labels, lengths) -> None:
         self.catalog = catalog
-        order, self.offsets, rows = _pack([len(p.labels) for p in pairs])
-        self.n = len(order)
+        self.n, self.offsets, rows = _pack(lengths)
         if self.n == 0:
             return
         L = catalog.n_labels
-        live = [pairs[i] for i in order]
         self.obs = np.empty((len(rows), catalog.n_observation_features))
-        self.obs[rows] = np.concatenate([p.observations for p in live])
-        labels = np.empty(len(rows), dtype=np.intp)
-        labels[rows] = np.concatenate([p.labels for p in live])
+        self.obs[rows] = observations
+        packed = np.empty(len(rows), dtype=np.intp)
+        packed[rows] = labels
         # the row of the same trace's previous position, for each row past step 0
         active = np.diff(self.offsets)
         self.prev = np.arange(self.n, len(rows)) - np.repeat(active[:-1], active[1:])
         observed_trans = np.zeros((L + 1, L))
-        np.add.at(observed_trans, (labels[self.prev], labels[self.n:]), 1.0)
-        np.add.at(observed_trans[L], labels[:self.n], 1.0)
+        np.add.at(observed_trans, (packed[self.prev], packed[self.n:]), 1.0)
+        np.add.at(observed_trans[L], packed[:self.n], 1.0)
         self.observed = np.concatenate([
-            _observation_counts(self.obs, np.eye(L)[labels], catalog),
+            _observation_counts(self.obs, np.eye(L)[packed], catalog),
             observed_trans.ravel(),
         ])
 
@@ -356,26 +385,49 @@ def nll_and_gradient(
     return _batch_nll_and_gradient(weights, TrainingBatch(pairs, catalog))
 
 
+def training_batch(
+    log: InternedLog,
+    catalog: FeatureCatalog,
+    observations: np.ndarray | None = None,
+    traces: Sequence[int] | None = None,
+) -> TrainingBatch:
+    """The packed batch of the given traces of an interned, annotated log
+    (default: all). ``observations`` is the catalog's observation matrix
+    over the whole log, evaluated here when not given."""
+    if observations is None:
+        observations = observation_matrix(catalog, log)
+    if traces is None:
+        return TrainingBatch.from_rows(
+            catalog, observations, log.label_indices(catalog.labels), log.lengths
+        )
+    events = log.events(traces)
+    return TrainingBatch.from_rows(
+        catalog, observations[events], log.label_indices(catalog.labels, events),
+        log.lengths[list(traces)],
+    )
+
+
 def training_pairs(log: EventLog, catalog: FeatureCatalog) -> list[LabeledPair]:
     """Evaluate the catalog on every annotated trace of a log."""
+    interned = InternedLog(log.traces)
+    observations = observation_matrix(catalog, interned)
+    labels = interned.label_indices(catalog.labels)
     return [
-        LabeledPair(evaluate_observations(catalog, trace), label_indices(catalog, trace))
-        for trace in log.traces
+        LabeledPair(obs, y)
+        for obs, y in zip(interned.per_trace(observations), interned.per_trace(labels))
     ]
 
 
-def train(
-    annotated: EventLog,
-    catalog: FeatureCatalog,
+def fit_batch(
+    batch: TrainingBatch,
     l1_coefficient: float = 0.1,
     optimizer_config: OwlqnConfig | None = None,
     objective_hook: Callable[[float], None] | None = None,
 ) -> CrfModel:
-    """Fit CRF weights by minimizing NLL + C * ||lambda||_1 with OWL-QN.
-
-    Deterministic: identical inputs produce identical weight vectors.
-    """
-    batch = TrainingBatch(training_pairs(annotated, catalog), catalog)
+    """Fit CRF weights on a packed batch by minimizing NLL + C * ||lambda||_1
+    with OWL-QN. Deterministic: identical inputs produce identical weight
+    vectors."""
+    catalog = batch.catalog
     base = optimizer_config or OwlqnConfig()
     config = replace(base, l1_coefficient=l1_coefficient)
 
@@ -391,4 +443,19 @@ def train(
         weights=weights,
         l1_coefficient=l1_coefficient,
         training=result,
+    )
+
+
+def train(
+    annotated: EventLog,
+    catalog: FeatureCatalog,
+    l1_coefficient: float = 0.1,
+    optimizer_config: OwlqnConfig | None = None,
+    objective_hook: Callable[[float], None] | None = None,
+) -> CrfModel:
+    """Fit CRF weights on an annotated log (:func:`fit_batch` on its
+    :func:`training_batch`)."""
+    return fit_batch(
+        training_batch(InternedLog(annotated.traces), catalog),
+        l1_coefficient, optimizer_config, objective_hook,
     )

@@ -1,20 +1,27 @@
 """Evaluation of predicted high-level annotations: Levenshtein similarity,
 leave-one-trace-out and k-fold cross-validation drivers, and confusion
 matrices over low-level events.
+
+A cross-validation reads the log once, into an :class:`InternedLog`, before
+any worker starts. The folds are cut into ``n_jobs`` contiguous shares;
+each share builds its folds' catalogs together (count subtraction plus
+packed EM, see :func:`fold_catalogs`), then trains and decodes its folds
+one at a time. Results are merged in fold order, so the report does not
+depend on ``n_jobs``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .abstraction import AbstractionConfig, fit
+from .abstraction import AbstractionConfig, fit_folds
 from .crf import viterbi_decode_many
-from .features import evaluate_observations
+from .features import InternedLog, neutral_time_notes
 from .xes import EventLog
 
 __all__ = [
@@ -191,46 +198,31 @@ class EvalConfig:
             raise ValueError("n_jobs must be at least 1")
 
 
-def _true_label_sequences(log: EventLog) -> list[list[str]]:
-    sequences = []
-    for trace in log.traces:
-        labels = []
-        for i, ev in enumerate(trace.events):
-            if ev.label is None:
-                raise ValueError(
-                    f"trace {trace.case_id!r} event {i} has no ground-truth label"
-                )
-            labels.append(ev.label)
-        sequences.append(labels)
-    return sequences
-
-
-def _run_fold(
-    log: EventLog, fold: list[int], config: EvalConfig
-) -> tuple[dict[int, list[str]], list[str]]:
-    """Fit on the rest, then decode the fold (features never read labels)."""
-    diagnostics: list[str] = []
-    held_out = set(fold)
-    train_log = replace(
-        log, traces=[t for i, t in enumerate(log.traces) if i not in held_out]
-    )
-    model = fit(train_log, config.abstraction, diagnostics)
-    decoded = viterbi_decode_many(model, [
-        evaluate_observations(model.catalog, log.traces[i], diagnostics) for i in fold
-    ])
-    return dict(zip(fold, decoded)), diagnostics
+def _run_share(
+    log: InternedLog, folds: list[list[int]], config: EvalConfig
+) -> list[tuple[list[list[str]], list[str]]]:
+    """Per fold: fit on the rest, then decode the fold's traces (features
+    never read labels); the decodes and the fold's diagnostics."""
+    outcomes = []
+    for fold, (model, observations) in zip(folds, fit_folds(log, folds, config.abstraction)):
+        rows = log.per_trace(observations)
+        decoded = viterbi_decode_many(model, [rows[t] for t in fold])
+        outcomes.append((
+            decoded, list(model.catalog.notes) + neutral_time_notes(model.catalog, log, fold)
+        ))
+    return outcomes
 
 
 _WORKER_STATE: dict = {}
 
 
-def _fold_worker_init(log: EventLog, config: EvalConfig) -> None:
+def _share_worker_init(log: InternedLog, config: EvalConfig) -> None:
     _WORKER_STATE["log"] = log
     _WORKER_STATE["config"] = config
 
 
-def _fold_worker(fold: list[int]) -> tuple[dict[int, list[str]], list[str]]:
-    return _run_fold(_WORKER_STATE["log"], fold, _WORKER_STATE["config"])
+def _share_worker(folds: list[list[int]]) -> list[tuple[list[list[str]], list[str]]]:
+    return _run_share(_WORKER_STATE["log"], folds, _WORKER_STATE["config"])
 
 
 def _evaluate_folds(
@@ -238,23 +230,34 @@ def _evaluate_folds(
     folds: list[list[int]],
     config: EvalConfig,
 ) -> AbstractionReport:
-    truth = _true_label_sequences(log)
-    diagnostics: list[str] = []
-    predicted: dict[int, list[str]] = {}
+    interned = InternedLog(log.traces)
+    unlabeled = np.flatnonzero(interned.label_ids < 0)
+    if len(unlabeled):
+        raise ValueError(f"{interned.describe(int(unlabeled[0]))} has no ground-truth label")
+    names = np.asarray(interned.labels, dtype=object)
+    truth = [names[ids].tolist() for ids in interned.per_trace(interned.label_ids)]
 
-    if config.n_jobs > 1:
+    shares = [
+        [folds[i] for i in share]
+        for share in np.array_split(np.arange(len(folds)), min(config.n_jobs, len(folds)))
+    ]
+    if len(shares) > 1:
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
         with context.Pool(
-            config.n_jobs, initializer=_fold_worker_init, initargs=(log, config)
+            len(shares), initializer=_share_worker_init, initargs=(interned, config)
         ) as pool:
-            outcomes = pool.map(_fold_worker, folds)
+            outcomes = pool.map(_share_worker, shares, chunksize=1)
     else:
-        outcomes = [_run_fold(log, fold, config) for fold in folds]
+        outcomes = [_run_share(interned, folds, config)]
 
-    for fold_predictions, fold_diagnostics in outcomes:
-        predicted.update(fold_predictions)
+    diagnostics: list[str] = []
+    predicted: dict[int, list[str]] = {}
+    for fold, (decoded, fold_diagnostics) in zip(
+        folds, [outcome for share in outcomes for outcome in share]
+    ):
+        predicted.update(zip(fold, decoded))
         diagnostics.extend(fold_diagnostics)
 
     all_labels = tuple(sorted(

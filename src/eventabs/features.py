@@ -13,13 +13,22 @@ real-valued observation features, each attached to one candidate label:
   time since the FIFO-matched previous lifecycle step ``c`` of the same
   activity.
 
-Each family instance is evaluated once per trace as a (positions x labels)
-block; feature columns are gathered from these blocks by label. Except for
-the constant bias block, every block row is a distribution over labels:
-missing data degrades to the neutral row 1/|labels|, never to zero. The
-catalog owns the whole weight layout: the observation features, then the
-label-transition indicator block, and the split of a weight vector into
-the two.
+A log is read once, into an :class:`InternedLog`: trace offsets, label
+ids, symbol ids per string attribute, n-gram context ids, time-view
+coordinates and lifecycle durations, as columns over its events. Catalogs
+and observation matrices are computed from those columns. The catalogs of
+many cross-validation folds of one log are built together
+(:func:`fold_catalogs`): each fold's tables are the whole log's counts
+less the held-out traces', and the mixtures of many folds are fitted in
+one packed EM run. :func:`build_catalog` is the one-fold case.
+
+Each family instance is evaluated as one (events x labels) block over the
+whole interned log; feature columns are gathered from these blocks by
+label. Except for the constant bias block, every block row is a
+distribution over labels: missing data degrades to the neutral row
+1/|labels|, never to zero. The catalog owns the whole weight layout: the
+observation features, then the label-transition indicator block, and the
+split of a weight vector into the two.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import calendar
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +46,6 @@ from .stats import (
     MultinoulliTable,
     gmm_log_density,
     gmm_select_bic_many,
-    multinoulli_fit,
 )
 from .xes import CONCEPT_NAME, Event, EventLog, Trace
 
@@ -50,7 +58,11 @@ __all__ = [
     "FeatureDef",
     "LabelGmmBank",
     "FeatureCatalog",
+    "InternedLog",
+    "fold_catalogs",
     "build_catalog",
+    "observation_matrix",
+    "neutral_time_notes",
     "evaluate_observations",
     "pair_lifecycle_steps",
     "view_coordinate",
@@ -373,7 +385,7 @@ def pair_lifecycle_steps(
     return matches
 
 
-# --- per-family extraction: shared by catalog construction and evaluation ------
+# --- the interned log ----------------------------------------------------------
 
 
 def _symbol(event: Event, key: str) -> str:
@@ -383,18 +395,13 @@ def _symbol(event: Event, key: str) -> str:
     return av.value  # type: ignore[return-value]
 
 
-def _ngram_contexts(trace: Trace, key: str, n: int) -> list[tuple[str, ...]]:
-    """The n-gram context ending at each event: the last ``n`` values of the
-    string attribute ``key``, BOT before the trace start and MISSING where
-    the attribute is absent."""
-    padded = [BOT] * (n - 1) + [_symbol(ev, key) for ev in trace.events]
-    return [tuple(padded[t : t + n]) for t in range(len(trace.events))]
-
-
-def _view_coordinates(trace: Trace, view: str) -> tuple[list[int], list[float]]:
-    """Indices of the timestamped events and their coordinates in ``view``."""
-    indices = [i for i, ev in enumerate(trace.events) if ev.timestamp is not None]
-    return indices, [view_coordinate(view, trace.events[i].timestamp) for i in indices]
+def _intern(values: list) -> tuple[tuple, np.ndarray]:
+    """The sorted vocabulary of the values other than None, and each
+    value's index in it (-1 for None)."""
+    vocabulary = tuple(sorted({v for v in values if v is not None}))
+    index = {v: i for i, v in enumerate(vocabulary)}
+    index[None] = -1
+    return vocabulary, np.fromiter((index[v] for v in values), dtype=np.intp, count=len(values))
 
 
 def _lifecycle_durations(
@@ -412,11 +419,289 @@ def _lifecycle_durations(
     ]  # type: ignore[misc]
 
 
+_STRING_KEYS = (CONCEPT_NAME,) + tuple(f"org:{o}" for o in ORG_KINDS)
+
+
+class InternedLog:
+    """A columnar view of a list of traces, built once and shared by every
+    catalog fit and feature evaluation on them.
+
+    Events are numbered in log order; trace ``t`` holds events
+    ``offsets[t]:offsets[t + 1]``. Labels and lower-cased lifecycle steps
+    are interned into sorted vocabularies (id -1 where an event has none),
+    and so is each string attribute the n-gram families read (MISSING
+    where an event lacks it). The columns that depend on a parameter,
+    n-gram contexts and their label counts per attribute and n, time-view
+    coordinates per view and lifecycle durations per step chain, are
+    computed on first use and kept.
+    """
+
+    def __init__(self, traces: Sequence[Trace]):
+        self.traces = list(traces)
+        self.lengths = np.asarray([len(t.events) for t in self.traces], dtype=np.intp)
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)]).astype(np.intp)
+        events = [ev for t in self.traces for ev in t.events]
+        self.labels, self.label_ids = _intern([ev.label for ev in events])
+        self.steps, self.step_ids = _intern([_lifecycle_step(ev) for ev in events])
+        self.timestamps = [ev.timestamp for ev in events]
+        self.timed = np.asarray([ts is not None for ts in self.timestamps], dtype=bool)
+        self.symbols = {
+            key: _intern([_symbol(ev, key) for ev in events]) for key in _STRING_KEYS
+        }
+        self._memo: dict = {}
+
+    @property
+    def n_traces(self) -> int:
+        return len(self.traces)
+
+    @property
+    def n_events(self) -> int:
+        return int(self.offsets[-1])
+
+    def events(self, traces: Iterable[int]) -> np.ndarray:
+        """The event numbers of the given traces, trace by trace."""
+        spans = [np.arange(self.offsets[t], self.offsets[t + 1]) for t in traces]
+        return np.concatenate(spans) if spans else np.empty(0, dtype=np.intp)
+
+    def per_trace(self, rows: np.ndarray) -> list[np.ndarray]:
+        """An array over all events split into one slice per trace."""
+        bounds = self.offsets.tolist()
+        return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def describe(self, event: int) -> str:
+        t = int(np.searchsorted(self.offsets, event, side="right")) - 1
+        return f"trace {self.traces[t].case_id!r} event {event - int(self.offsets[t])}"
+
+    def label_indices(
+        self, alphabet: Sequence[str], events: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The index in ``alphabet`` of the label of each event (default:
+        all); raises on the first event without a label or with one
+        outside the alphabet."""
+        if events is None:
+            events = np.arange(self.n_events)
+        index = {l: i for i, l in enumerate(alphabet)}
+        lookup = np.asarray([index.get(l, -1) for l in self.labels] + [-1], dtype=np.intp)
+        out = lookup[self.label_ids[events]]
+        bad = np.flatnonzero(out < 0)
+        if len(bad):
+            event = int(events[bad[0]])
+            label = self.label_ids[event]
+            if label < 0:
+                raise TrainingError(f"{self.describe(event)} has no label attribute")
+            raise ValueError(
+                f"label {self.labels[label]!r} is outside the model alphabet {tuple(alphabet)}"
+            )
+        return out
+
+    def present(self, key: str) -> np.ndarray:
+        """Which events carry the string attribute ``key``."""
+        vocabulary, ids = self.symbols[key]
+        if MISSING not in vocabulary:
+            return np.ones(len(ids), dtype=bool)
+        return ids != vocabulary.index(MISSING)
+
+    def contexts(self, key: str, n: int) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
+        """The n-gram contexts of attribute ``key``: the distinct contexts,
+        each event's context id, and whether each context ends in a value
+        (contexts ending in MISSING are neither counted nor looked up). The
+        context at an event is the last ``n`` values of the attribute, BOT
+        before the trace start."""
+        memo = ("contexts", key, n)
+        if memo not in self._memo:
+            vocabulary, ids = self.symbols[key]
+            position = np.arange(self.n_events) - np.repeat(self.offsets[:-1], self.lengths)
+            window = np.full((self.n_events, n), len(vocabulary), dtype=np.intp)  # BOT
+            for lag in range(n):
+                reach = np.flatnonzero(position >= lag)
+                window[reach, n - 1 - lag] = ids[reach - lag]
+            distinct, inverse = np.unique(window, axis=0, return_inverse=True)
+            names = vocabulary + (BOT,)
+            contexts = [tuple(names[i] for i in row) for row in distinct.tolist()]
+            live = np.asarray([c[-1] != MISSING for c in contexts], dtype=bool)
+            self._memo[memo] = (contexts, inverse.reshape(-1), live)
+        return self._memo[memo]
+
+    def context_counts(self, key: str, n: int, events: np.ndarray | None = None) -> np.ndarray:
+        """(contexts, labels) counts of the labeled events with a live
+        context, over the given events (default: all, computed once)."""
+        if events is None:
+            memo = ("context_counts", key, n)
+            if memo not in self._memo:
+                self._memo[memo] = self.context_counts(key, n, np.arange(self.n_events))
+            return self._memo[memo]
+        contexts, ids, live = self.contexts(key, n)
+        context, label = ids[events], self.label_ids[events]
+        keep = live[context] & (label >= 0)
+        L = len(self.labels)
+        cells = np.bincount(context[keep] * L + label[keep], minlength=len(contexts) * L)
+        return cells.reshape(len(contexts), L)
+
+    def coordinates(self, view: str) -> np.ndarray:
+        """Each event's coordinate in a time view (:func:`view_coordinate`),
+        NaN where it has no timestamp."""
+        memo = ("coordinates", view)
+        if memo not in self._memo:
+            out = np.full(self.n_events, np.nan)
+            out[self.timed] = [
+                view_coordinate(view, ts) for ts in self.timestamps if ts is not None
+            ]
+            self._memo[memo] = out
+        return self._memo[memo]
+
+    def durations(
+        self, steps: Iterable[str]
+    ) -> tuple[np.ndarray, tuple[tuple[str, str], ...], np.ndarray, np.ndarray]:
+        """Matched lifecycle durations, pairing by the step chain of
+        ``steps`` (:func:`pair_lifecycle_steps`): the events they end at, in
+        log order, the sorted distinct (activity, predecessor step) bank
+        keys, each duration's key id, and its seconds. Pairs lacking a
+        timestamp are left out."""
+        observed = {s.lower() for s in steps}
+        chain = tuple(s for s in _LIFECYCLE_CHAIN if s in observed)
+        memo = ("durations", chain)
+        if memo not in self._memo:
+            found = [
+                (int(self.offsets[t]) + i, key, seconds)
+                for t, trace in enumerate(self.traces)
+                for i, key, seconds in _lifecycle_durations(trace, chain)
+            ]
+            keys, key_ids = _intern([key for _, key, _ in found])
+            self._memo[memo] = (
+                np.asarray([e for e, _, _ in found], dtype=np.intp), keys, key_ids,
+                np.asarray([s for _, _, s in found], dtype=float),
+            )
+        return self._memo[memo]
+
+
 # --- catalog construction ----------------------------------------------------
+
+# Packed EM runs hold at most this many sample rows per event of the log, so
+# fitting the mixtures of many folds together keeps memory linear in the log.
+_EM_ROWS_PER_EVENT = 16
+
+
+@dataclass
+class _FoldPlan:
+    """A fold's catalog before its mixtures are fitted. ``banks`` holds the
+    (name, per-label samples, seed) of every mixture bank, time views
+    first; ``notes`` come before the mixture warnings, ``tail`` after."""
+
+    labels: tuple[str, ...]
+    defs: list[FeatureDef]
+    concept_tables: dict[int, MultinoulliTable]
+    org_tables: dict[tuple[int, str], MultinoulliTable]
+    views: tuple[str, ...]
+    duration_keys: list[tuple[str, str]]
+    banks: list[tuple[str, dict[str, np.ndarray], int]]
+    lifecycle_steps: tuple[str, ...]
+    notes: list[str]
+    tail: list[str]
+
+    @property
+    def rows(self) -> int:
+        return sum(len(xs) for _, samples, _ in self.banks for xs in samples.values())
+
+
+def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> _FoldPlan:
+    held = np.zeros(log.n_traces, dtype=bool)
+    held[list(fold)] = True
+    held_events = log.events(np.flatnonzero(held))
+    training = ~np.repeat(held, log.lengths)
+    offenders = [
+        log.describe(e) for e in np.flatnonzero(training & (log.label_ids < 0))[:11].tolist()
+    ]
+    if offenders:
+        raise TrainingError(
+            "events without a label attribute: " + ", ".join(offenders[:10])
+            + ("..." if len(offenders) > 10 else "")
+        )
+    if not training.any():
+        raise TrainingError("no annotated events in the training log")
+
+    label_of = log.label_ids
+    label_ids = np.flatnonzero(np.bincount(label_of[training], minlength=len(log.labels)))
+    labels = tuple(log.labels[j] for j in label_ids)
+    steps = log.step_ids[training]
+    step_ids = np.flatnonzero(np.bincount(steps[steps >= 0], minlength=len(log.steps)))
+    lifecycle_steps = tuple(log.steps[s] for s in step_ids)
+    has_concept = bool(log.present(CONCEPT_NAME)[training].any())
+    has_time = bool(log.timed[training].any())
+    notes: list[str] = []
+
+    defs: list[FeatureDef] = [FeatureDef("bias", l) for l in labels]
+    concept_tables: dict[int, MultinoulliTable] = {}
+    org_tables: dict[tuple[int, str], MultinoulliTable] = {}
+
+    def ngram_table(key: str, n: int) -> MultinoulliTable:
+        # the whole log's counts less the held-out traces', exact in integers
+        counts = log.context_counts(key, n) - log.context_counts(key, n, held_events)
+        return MultinoulliTable.from_counts(
+            n, log.contexts(key, n)[0], counts[:, label_ids], labels, config.smoothing_alpha
+        )
+
+    ngram_sizes = sorted(set(config.ngram_sizes))
+    if has_concept:
+        for n in ngram_sizes:
+            concept_tables[n] = ngram_table(CONCEPT_NAME, n)
+            defs.extend(FeatureDef("concept_ngram", l, n=n) for l in labels)
+    else:
+        notes.append("concept extension absent: concept_ngram features skipped")
+
+    for o in ORG_KINDS:
+        if log.present(f"org:{o}")[training].any():
+            for n in ngram_sizes:
+                org_tables[(n, o)] = ngram_table(f"org:{o}", n)
+                defs.extend(FeatureDef("org_ngram", l, n=n, org=o) for l in labels)
+        else:
+            notes.append(f"org:{o} extension absent: org_ngram features skipped")
+
+    def per_label(values: np.ndarray, owners: np.ndarray, rows: np.ndarray) -> dict[str, np.ndarray]:
+        return {l: values[rows & (owners == j)] for l, j in zip(labels, label_ids)}
+
+    banks: list[tuple[str, dict[str, np.ndarray], int]] = []
+    views = config.time_views if has_time else ()
+    for view in views:
+        banks.append((
+            f"time_view {view}",
+            per_label(log.coordinates(view), label_of, training & log.timed),
+            config.gmm_seed + 7919 * TIME_VIEWS.index(view),
+        ))
+        defs.extend(FeatureDef("time_view", l, view=view) for l in labels)
+    if not has_time:
+        notes.append("time extension absent: time_view features skipped")
+
+    duration_keys: list[tuple[str, str]] = []
+    if lifecycle_steps and has_time and has_concept:
+        ends, keys, key_ids, seconds = log.durations(lifecycle_steps)
+        kept = training[ends]
+        present = np.bincount(key_ids[kept], minlength=len(keys))
+        for offset, k in enumerate(np.flatnonzero(present).tolist()):
+            duration_keys.append(keys[k])
+            banks.append((
+                f"lifecycle_duration {keys[k][0]} after {keys[k][1]}",
+                per_label(seconds, label_of[ends], kept & (key_ids == k)),
+                config.gmm_seed + 104_729 + 1009 * offset,
+            ))
+    for step in sorted({step for _, step in duration_keys}):
+        defs.extend(FeatureDef("lifecycle_duration", l, step=step) for l in labels)
+
+    tail: list[str] = []
+    if not lifecycle_steps:
+        tail.append("lifecycle extension absent: lifecycle_duration features skipped")
+    elif has_time and has_concept and not duration_keys:
+        tail.append(
+            "lifecycle extension present but no step pairs matched: "
+            "lifecycle_duration features skipped"
+        )
+    return _FoldPlan(
+        labels, defs, concept_tables, org_tables, views, duration_keys, banks,
+        lifecycle_steps, notes, tail,
+    )
 
 
 def _bank(
-    samples: dict[str, list[float]],
+    samples: dict[str, np.ndarray],
     labels: tuple[str, ...],
     gmms: dict[str, Gmm],
     name: str,
@@ -436,200 +721,146 @@ def _bank(
     )
 
 
+def _fit_plans(plans: list[_FoldPlan], config: CatalogConfig) -> list[FeatureCatalog]:
+    """The catalogs of the plans, with all their mixtures fitted in one
+    packed EM run."""
+    # (plan, bank, label, samples, seed) of every mixture
+    label_sets = [
+        (p, b, label, samples[label], seed + 1000 * offset)
+        for p, plan in enumerate(plans)
+        for b, (_, samples, seed) in enumerate(plan.banks)
+        for offset, label in enumerate(sorted(samples))
+        if len(samples[label])
+    ]
+    gmms = gmm_select_bic_many(
+        [xs for *_, xs, _ in label_sets], config.gmm_max_components,
+        [seed for *_, seed in label_sets],
+    )
+    bank_gmms: list[list[dict[str, Gmm]]] = [[{} for _ in plan.banks] for plan in plans]
+    for (p, b, label, _, _), gmm in zip(label_sets, gmms):
+        bank_gmms[p][b][label] = gmm
+    catalogs = []
+    for plan, fitted_gmms in zip(plans, bank_gmms):
+        notes = list(plan.notes)
+        fitted = [
+            _bank(samples, plan.labels, gmms_of, name, notes)
+            for (name, samples, _), gmms_of in zip(plan.banks, fitted_gmms)
+        ]
+        catalogs.append(FeatureCatalog(
+            labels=plan.labels,
+            observation_features=tuple(plan.defs),
+            config=config,
+            concept_tables=plan.concept_tables,
+            org_tables=plan.org_tables,
+            time_models=dict(zip(plan.views, fitted)),
+            duration_models=dict(zip(plan.duration_keys, fitted[len(plan.views):])),
+            lifecycle_steps=plan.lifecycle_steps,
+            notes=tuple(notes + plan.tail),
+        ))
+    return catalogs
+
+
+def fold_catalogs(
+    log: InternedLog,
+    folds: Iterable[Iterable[int]],
+    config: CatalogConfig = CatalogConfig(),
+) -> Iterator[FeatureCatalog]:
+    """The catalog of every fold, fitted on the log less the fold's traces:
+    each equals :func:`build_catalog` on that smaller log. Yields them in
+    fold order.
+
+    Multinoulli tables are the whole log's context counts less those of
+    the held-out traces, which is exact in integers; the label alphabet,
+    family presence and the lifecycle step set are recounted per fold. The
+    mixtures of consecutive folds are fitted together, in packed EM runs
+    (:func:`gmm_select_bic_many`) of at most ``_EM_ROWS_PER_EVENT`` sample
+    rows per event of the log, with each fold's own seeds.
+    """
+    budget = _EM_ROWS_PER_EVENT * max(log.n_events, 1)
+    group: list[_FoldPlan] = []
+    for fold in folds:
+        plan = _plan_fold(log, fold, config)
+        if group and sum(p.rows for p in group) + plan.rows > budget:
+            yield from _fit_plans(group, config)
+            group = []
+        group.append(plan)
+    yield from _fit_plans(group, config)
+
+
 def build_catalog(
     training: EventLog,
     config: CatalogConfig = CatalogConfig(),
     diagnostics: list[str] | None = None,
 ) -> FeatureCatalog:
-    """Fit the feature catalog on a fully annotated log.
+    """Fit the feature catalog on a fully annotated log: the one-fold case
+    of :func:`fold_catalogs`, holding nothing out.
 
     Only families whose required attributes occur in the log are included;
     skipped families and mixture-fit warnings are recorded in the catalog
     notes. Raises :class:`TrainingError` when any event lacks the label
     attribute.
     """
-    offenders = [
-        f"trace {trace.case_id!r} event {i}"
-        for trace in training.traces
-        for i, ev in enumerate(trace.events)
-        if ev.label is None
-    ]
-    if offenders:
-        raise TrainingError(
-            "events without a label attribute: " + ", ".join(offenders[:10])
-            + ("..." if len(offenders) > 10 else "")
-        )
-    events = [ev for trace in training.traces for ev in trace.events]
-    if not events:
-        raise TrainingError("no annotated events in the training log")
-
-    labels = tuple(sorted({ev.label for ev in events}))  # type: ignore[arg-type]
-    notes: list[str] = []
-
-    has_concept = any(ev.name is not None for ev in events)
-    has_time = any(ev.timestamp is not None for ev in events)
-    has_org = {
-        o: any(ev.org(o) is not None for ev in events) for o in ORG_KINDS
-    }
-    lifecycle_steps = tuple(sorted({
-        s for ev in events if (s := _lifecycle_step(ev)) is not None
-    }))
-
-    defs: list[FeatureDef] = [FeatureDef("bias", l) for l in labels]
-    concept_tables: dict[int, MultinoulliTable] = {}
-    org_tables: dict[tuple[int, str], MultinoulliTable] = {}
-
-    def ngram_table(key: str, n: int) -> MultinoulliTable:
-        # contexts ending in MISSING are never looked up (evaluation gives
-        # those positions the neutral row); the family's presence check
-        # guarantees at least one observation
-        observations = [
-            (context, ev.label)
-            for trace in training.traces
-            for context, ev in zip(_ngram_contexts(trace, key, n), trace.events)
-            if context[-1] != MISSING
-        ]
-        return multinoulli_fit(observations, config.smoothing_alpha, labels)  # type: ignore[arg-type]
-
-    ngram_sizes = sorted(set(config.ngram_sizes))
-    if has_concept:
-        for n in ngram_sizes:
-            concept_tables[n] = ngram_table(CONCEPT_NAME, n)
-            defs.extend(FeatureDef("concept_ngram", l, n=n) for l in labels)
-    else:
-        notes.append("concept extension absent: concept_ngram features skipped")
-
-    for o in ORG_KINDS:
-        if has_org[o]:
-            for n in ngram_sizes:
-                org_tables[(n, o)] = ngram_table(f"org:{o}", n)
-                defs.extend(FeatureDef("org_ngram", l, n=n, org=o) for l in labels)
-        else:
-            notes.append(f"org:{o} extension absent: org_ngram features skipped")
-
-    # (name, per-label samples, seed) of every mixture bank; all their
-    # mixtures are fitted in one packed EM run below
-    banks: list[tuple[str, dict[str, list[float]], int]] = []
-    views = config.time_views if has_time else ()
-    for view in views:
-        samples: dict[str, list[float]] = {l: [] for l in labels}
-        for trace in training.traces:
-            for i, x in zip(*_view_coordinates(trace, view)):
-                samples[trace.events[i].label].append(x)  # type: ignore[index]
-        banks.append((
-            f"time_view {view}", samples,
-            config.gmm_seed + 7919 * TIME_VIEWS.index(view),
-        ))
-        defs.extend(FeatureDef("time_view", l, view=view) for l in labels)
-    if not has_time:
-        notes.append("time extension absent: time_view features skipped")
-
-    duration_samples: dict[tuple[str, str], dict[str, list[float]]] = {}
-    if lifecycle_steps and has_time and has_concept:
-        for trace in training.traces:
-            for i, key, seconds in _lifecycle_durations(trace, lifecycle_steps):
-                duration_samples.setdefault(key, {l: [] for l in labels})[
-                    trace.events[i].label  # type: ignore[index]
-                ].append(seconds)
-    duration_keys = sorted(duration_samples)
-    for offset, key in enumerate(duration_keys):
-        banks.append((
-            f"lifecycle_duration {key[0]} after {key[1]}", duration_samples[key],
-            config.gmm_seed + 104_729 + 1009 * offset,
-        ))
-    for step in sorted({step for _, step in duration_keys}):
-        defs.extend(FeatureDef("lifecycle_duration", l, step=step) for l in labels)
-
-    # (bank index, label, samples, seed) of every mixture, fitted together
-    label_sets = [
-        (b, label, samples[label], seed + 1000 * offset)
-        for b, (_, samples, seed) in enumerate(banks)
-        for offset, label in enumerate(sorted(samples))
-        if samples[label]
-    ]
-    gmms = gmm_select_bic_many(
-        [xs for _, _, xs, _ in label_sets], config.gmm_max_components,
-        [seed for _, _, _, seed in label_sets],
-    )
-    bank_gmms: list[dict[str, Gmm]] = [{} for _ in banks]
-    for (b, label, _, _), gmm in zip(label_sets, gmms):
-        bank_gmms[b][label] = gmm
-    fitted = [
-        _bank(samples, labels, bank_gmms[b], name, notes)
-        for b, (name, samples, _) in enumerate(banks)
-    ]
-    time_models = dict(zip(views, fitted))
-    duration_models = dict(zip(duration_keys, fitted[len(views):]))
-
-    if not lifecycle_steps:
-        notes.append("lifecycle extension absent: lifecycle_duration features skipped")
-    elif has_time and has_concept and not duration_models:
-        notes.append(
-            "lifecycle extension present but no step pairs matched: "
-            "lifecycle_duration features skipped"
-        )
-
+    catalog = next(fold_catalogs(InternedLog(training.traces), [()], config))
     if diagnostics is not None:
-        diagnostics.extend(notes)
-
-    return FeatureCatalog(
-        labels=labels,
-        observation_features=tuple(defs),
-        config=config,
-        concept_tables=concept_tables,
-        org_tables=org_tables,
-        time_models=time_models,
-        duration_models=duration_models,
-        lifecycle_steps=lifecycle_steps,
-        notes=tuple(notes),
-    )
+        diagnostics.extend(catalog.notes)
+    return catalog
 
 
 # --- evaluation ---------------------------------------------------------------
 
 
-def evaluate_observations(
-    catalog: FeatureCatalog,
-    trace: Trace,
-    diagnostics: list[str] | None = None,
-) -> np.ndarray:
-    """Evaluate every catalog observation feature at every trace position.
+def _duration_events(
+    catalog: FeatureCatalog, log: InternedLog
+) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """The events and durations each duration bank scores, paired by the
+    training step chain; model files without it pair each trace by the
+    steps of the banks plus its own."""
+    if catalog.lifecycle_steps is not None:
+        chains = {frozenset(catalog.lifecycle_steps): np.ones(log.n_events, dtype=bool)}
+    else:
+        bank_steps = {step for _, step in catalog.duration_models}
+        chains = {}
+        bounds = log.offsets.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            own = {log.steps[s] for s in log.step_ids[a:b].tolist() if s >= 0}
+            mask = chains.setdefault(
+                frozenset(bank_steps | own), np.zeros(log.n_events, dtype=bool)
+            )
+            mask[a:b] = True
+    found: dict[tuple[str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for steps, covered in chains.items():
+        ends, keys, key_ids, seconds = log.durations(steps)
+        for k, key in enumerate(keys):
+            mine = covered[ends] & (key_ids == k)
+            if key in catalog.duration_models and mine.any():
+                found.setdefault(key, []).append((ends[mine], seconds[mine]))
+    return {
+        key: (np.concatenate([e for e, _ in parts]), np.concatenate([s for _, s in parts]))
+        for key, parts in found.items()
+    }
 
-    Each family instance yields one (positions, labels) block: ones for
-    bias, otherwise rows that are distributions over the catalog labels,
-    with the neutral row 1/|labels| where the family's data is missing. A
+
+def observation_matrix(catalog: FeatureCatalog, log: InternedLog) -> np.ndarray:
+    """Evaluate every catalog observation feature at every event of an
+    interned log: a float array of shape (events, observation features),
+    in log order.
+
+    Each family instance yields one (events, labels) block: ones for bias,
+    otherwise rows that are distributions over the catalog labels, with
+    the neutral row 1/|labels| where the family's data is missing. A
     feature's column is the column of its label in its instance's block.
-    Returns a float array of shape (len(trace.events), number of
-    observation features). Pure: repeated calls agree exactly.
+    An n-gram table's rows are computed once per distinct context and
+    gathered; each mixture bank scores all its events in one call. An
+    event's row depends only on its own trace. Pure.
     """
-    events = trace.events
-    T, L = len(events), catalog.n_labels
-    if catalog.time_models and diagnostics is not None:
-        diagnostics.extend(
-            f"trace {trace.case_id!r} event {t}: no timestamp, "
-            "neutral time_view values used"
-            for t, ev in enumerate(events)
-            if ev.timestamp is None
-        )
-    durations: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
-    if catalog.duration_models:
-        steps = catalog.lifecycle_steps
-        if steps is None:
-            steps = {s for _, s in catalog.duration_models} | {
-                s for ev in events if (s := _lifecycle_step(ev)) is not None
-            }
-        for i, bank_key, seconds in _lifecycle_durations(trace, steps):
-            if bank_key in catalog.duration_models:
-                indices, xs = durations.setdefault(bank_key, ([], []))
-                indices.append(i)
-                xs.append(seconds)
-
+    E, L = log.n_events, catalog.n_labels
+    durations = _duration_events(catalog, log) if catalog.duration_models else {}
     slots: dict[tuple[str, int, str, str, str], int] = {}
     columns = [
         slots.setdefault(d.instance, len(slots)) * L + li
         for d, li in zip(catalog.observation_features, catalog.observation_labels)
     ]
-    blocks = np.full((T, len(slots), L), 1.0 / L)
+    blocks = np.full((E, len(slots), L), 1.0 / L)
     for (family, n, org, view, step), block in zip(slots, blocks.transpose(1, 0, 2)):
         if family == "bias":
             block[:] = 1.0
@@ -638,37 +869,43 @@ def evaluate_observations(
                 key, table = CONCEPT_NAME, catalog.concept_tables[n]
             else:
                 key, table = f"org:{org}", catalog.org_tables[(n, org)]
-            rows: dict[tuple[str, ...], list[float]] = {}
-            for t, context in enumerate(_ngram_contexts(trace, key, n)):
-                if context[-1] != MISSING:
-                    if context not in rows:
-                        rows[context] = list(table.distribution(context).values())
-                    block[t] = rows[context]
+            contexts, ids, live = log.contexts(key, n)
+            rows = np.full((len(contexts), L), 1.0 / L)
+            rows[live] = table.distributions([c for c, ok in zip(contexts, live) if ok])
+            block[:] = rows[ids]
         elif family == "time_view":
-            indices, xs = _view_coordinates(trace, view)
-            block[indices] = catalog.time_models[view].responsibilities(xs)
+            xs = log.coordinates(view)[log.timed]
+            block[log.timed] = catalog.time_models[view].responsibilities(xs)
         else:  # lifecycle_duration
-            for bank_key, (indices, xs) in durations.items():
+            for bank_key, (events, xs) in durations.items():
                 if bank_key[1] == step:
-                    bank = catalog.duration_models[bank_key]
-                    block[indices] = bank.responsibilities(xs)
-    return blocks.reshape(T, len(slots) * L)[:, columns]
+                    block[events] = catalog.duration_models[bank_key].responsibilities(xs)
+    return blocks.reshape(E, len(slots) * L)[:, columns]
 
 
-def label_indices(catalog: FeatureCatalog, trace: Trace) -> np.ndarray:
-    """Label index sequence of an annotated trace; raises on missing or
-    out-of-alphabet labels."""
-    out = np.empty(len(trace.events), dtype=np.intp)
-    for i, ev in enumerate(trace.events):
-        label = ev.label
-        if label is None:
-            raise TrainingError(
-                f"trace {trace.case_id!r} event {i} has no label attribute"
-            )
-        li = catalog.label_index.get(label)
-        if li is None:
-            raise ValueError(
-                f"label {label!r} is outside the model alphabet {catalog.labels}"
-            )
-        out[i] = li
-    return out
+def neutral_time_notes(
+    catalog: FeatureCatalog, log: InternedLog, traces: Iterable[int]
+) -> list[str]:
+    """Diagnostics for the events of the given traces that have no
+    timestamp, and so neutral time_view values under this catalog."""
+    if not catalog.time_models:
+        return []
+    events = log.events(traces)
+    return [
+        f"{log.describe(e)}: no timestamp, neutral time_view values used"
+        for e in events[~log.timed[events]].tolist()
+    ]
+
+
+def evaluate_observations(
+    catalog: FeatureCatalog,
+    trace: Trace,
+    diagnostics: list[str] | None = None,
+) -> np.ndarray:
+    """The observation matrix of one trace (:func:`observation_matrix`),
+    of shape (len(trace.events), number of observation features); events
+    without a timestamp are noted in ``diagnostics``."""
+    log = InternedLog([trace])
+    if diagnostics is not None:
+        diagnostics.extend(neutral_time_notes(catalog, log, [0]))
+    return observation_matrix(catalog, log)

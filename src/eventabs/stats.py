@@ -61,17 +61,60 @@ class MultinoulliTable:
 
     def distribution(self, context: tuple[str, ...]) -> dict[str, float]:
         """The smoothed probability of every label given ``context``, in
-        label order, with one lookup of the context."""
-        if len(context) != self.arity:
-            raise ValueError(
-                f"context arity {len(context)} does not match table arity {self.arity}"
-            )
-        per_label = self.counts.get(context)
-        if per_label is not None:
-            denom = self.context_totals[context] + self.alpha * len(self.labels)
-            if denom != 0.0:
-                return {l: (per_label.get(l, 0) + self.alpha) / denom for l in self.labels}
-        return dict.fromkeys(self.labels, 1.0 / len(self.labels))
+        label order."""
+        return dict(zip(self.labels, self.distributions([context])[0].tolist()))
+
+    def distributions(self, contexts: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """The smoothed label distribution of every context, as the rows of
+        a (contexts, labels) array, with one lookup per context."""
+        L = len(self.labels)
+        column = {l: j for j, l in enumerate(self.labels)}
+        observed: list[int] = []
+        totals: list[int] = []
+        cells: list[tuple[int, int, int]] = []
+        for r, context in enumerate(contexts):
+            if len(context) != self.arity:
+                raise ValueError(
+                    f"context arity {len(context)} does not match table arity {self.arity}"
+                )
+            per_label = self.counts.get(context)
+            if per_label is not None:
+                observed.append(r)
+                totals.append(self.context_totals[context])
+                cells.extend((r, column[l], c) for l, c in per_label.items() if l in column)
+        counts = np.zeros((len(contexts), L))
+        if cells:
+            rows, cols, values = zip(*cells)
+            counts[list(rows), list(cols)] = values
+        out = np.full((len(contexts), L), 1.0 / L)
+        denom = np.asarray(totals, dtype=float) + self.alpha * L
+        use = np.asarray(observed, dtype=np.intp)[denom != 0.0]
+        out[use] = (counts[use] + self.alpha) / denom[denom != 0.0, None]
+        return out
+
+    @classmethod
+    def from_counts(
+        cls,
+        arity: int,
+        contexts: Sequence[tuple[str, ...]],
+        counts: np.ndarray,
+        labels: tuple[str, ...],
+        alpha: float,
+    ) -> "MultinoulliTable":
+        """The table of a (contexts, labels) count matrix over a sorted
+        label alphabet; contexts without counts are left out, as never
+        observed. Equals :func:`multinoulli_fit` on the counted pairs."""
+        per_context: dict[tuple[str, ...], dict[str, int]] = {}
+        rows, cols = np.nonzero(counts)
+        for r, j, c in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist()):
+            per_context.setdefault(contexts[r], {})[labels[j]] = c
+        return cls(
+            arity=arity,
+            labels=labels,
+            alpha=float(alpha),
+            counts=per_context,
+            context_totals={ctx: sum(c.values()) for ctx, c in per_context.items()},
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -10,8 +10,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
+from eventabs.features import BOT, MISSING, pair_lifecycle_steps, view_coordinate
 from eventabs.petri import LabeledPetriNet, Marking
 from eventabs.stats import Gmm
+from eventabs.xes import CONCEPT_NAME
 
 
 def enumerate_sequence_scores(
@@ -236,3 +238,78 @@ def l1_lbfgsb_reference(objective, dim: int, c: float) -> tuple[np.ndarray, floa
     )
     w = found.x[:dim] - found.x[dim:]
     return w, float(objective(w)[0] + c * np.abs(w).sum())
+
+
+def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndarray:
+    """One trace's observation matrix, evaluated on its own: n-gram
+    contexts and lifecycle durations re-derived from its events, each
+    table row by the smoothing formula from the table's counts, and one
+    ``responsibilities`` call per bank and trace. Pairing and view
+    coordinates use the public ``pair_lifecycle_steps`` and
+    ``view_coordinate``, which have tests of their own. The neutral row
+    1/|labels| stands where a family's data is missing; bias is 1."""
+    events = trace.events
+    T, L = len(events), catalog.n_labels
+
+    def symbol(ev, key):
+        av = ev.attributes.get(key)
+        return av.value if av is not None and av.kind == "string" else MISSING
+
+    def step_of(ev):
+        return ev.lifecycle.lower() if ev.lifecycle is not None else None
+
+    if catalog.time_models and diagnostics is not None:
+        diagnostics.extend(
+            f"trace {trace.case_id!r} event {t}: no timestamp, "
+            "neutral time_view values used"
+            for t, ev in enumerate(events)
+            if ev.timestamp is None
+        )
+    durations: dict = {}
+    if catalog.duration_models:
+        steps = catalog.lifecycle_steps
+        if steps is None:
+            steps = {s for _, s in catalog.duration_models} | {
+                s for ev in events if (s := step_of(ev)) is not None
+            }
+        for i, j in enumerate(pair_lifecycle_steps(trace, steps)):
+            if j is None or events[i].timestamp is None or events[j].timestamp is None:
+                continue
+            bank_key = (events[i].name, step_of(events[j]))
+            if bank_key in catalog.duration_models:
+                indices, xs = durations.setdefault(bank_key, ([], []))
+                indices.append(i)
+                xs.append((events[i].timestamp - events[j].timestamp).total_seconds())
+
+    slots: dict = {}
+    columns = [
+        slots.setdefault(d.instance, len(slots)) * L + li
+        for d, li in zip(catalog.observation_features, catalog.observation_labels)
+    ]
+    blocks = np.full((T, len(slots), L), 1.0 / L)
+    for (family, n, org, view, step), block in zip(slots, blocks.transpose(1, 0, 2)):
+        if family == "bias":
+            block[:] = 1.0
+        elif family in ("concept_ngram", "org_ngram"):
+            if family == "concept_ngram":
+                key, table = CONCEPT_NAME, catalog.concept_tables[n]
+            else:
+                key, table = f"org:{org}", catalog.org_tables[(n, org)]
+            padded = [BOT] * (n - 1) + [symbol(ev, key) for ev in events]
+            for t in range(T):
+                context = tuple(padded[t : t + n])
+                per_label = table.counts.get(context)
+                if context[-1] == MISSING or per_label is None:
+                    continue
+                denom = table.context_totals[context] + table.alpha * len(table.labels)
+                if denom != 0.0:
+                    block[t] = [(per_label.get(l, 0) + table.alpha) / denom for l in table.labels]
+        elif family == "time_view":
+            indices = [t for t, ev in enumerate(events) if ev.timestamp is not None]
+            xs = [view_coordinate(view, events[t].timestamp) for t in indices]
+            block[indices] = catalog.time_models[view].responsibilities(xs)
+        else:  # lifecycle_duration
+            for bank_key, (indices, xs) in durations.items():
+                if bank_key[1] == step:
+                    block[indices] = catalog.duration_models[bank_key].responsibilities(xs)
+    return blocks.reshape(T, len(slots) * L)[:, columns]

@@ -14,10 +14,13 @@ from eventabs.features import (
     MISSING,
     CatalogConfig,
     FeatureCatalog,
+    InternedLog,
     LabelGmmBank,
     TrainingError,
     build_catalog,
     evaluate_observations,
+    fold_catalogs,
+    observation_matrix,
     pair_lifecycle_steps,
     view_coordinate,
 )
@@ -25,6 +28,7 @@ from eventabs.stats import gmm_density, multinoulli_fit
 from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
 
 from factories import BASE, make_event, make_log, sequence_trace
+from oracles import evaluate_observations_reference
 
 
 def families(catalog: FeatureCatalog) -> set[str]:
@@ -467,6 +471,91 @@ class TestFamilyBlocks:
         bank = LabelGmmBank(labels=("X", "Y", "Z"), gmms={}, log_priors={})
         rows = bank.responsibilities([0.0, 3.5, -1e9])
         assert np.array_equal(rows, np.full((3, 3), 1.0 / 3))
+
+
+# Events for the fold oracle: as _EVENTS, weighted so that timed
+# start/complete pairs of one activity, and so duration banks, are common.
+_PAIRED_EVENTS = st.tuples(
+    st.sampled_from(["A", "B", "A", "B", None]),
+    st.sampled_from(["X", "Y"]),
+    st.one_of(st.integers(1, 20_000), st.integers(1, 600), st.none()),
+    st.sampled_from(["start", "complete", "start", "complete", None]),
+    st.sampled_from(["r1", "r2", None]),
+)
+
+
+def _log_with_rare_trace(rows, rare_rows, position):
+    """A random log plus one trace, inserted at ``position``, that carries
+    the only instance of label U, of an org:role attribute and of the
+    lifecycle step resume, so holding it out changes the alphabet, the
+    family set and the pairing chain."""
+    rare, elapsed, last = [], 0, len(rare_rows) - 1
+    for i, (name, label, gap, step, resource) in enumerate(rare_rows):
+        elapsed += gap or 0
+        org = {"resource": resource} if resource is not None else {}
+        if i == last:
+            org["role"] = "boss"
+        rare.append(make_event(
+            name,
+            "U" if i == 0 else label,
+            BASE + timedelta(seconds=elapsed) if gap is not None else None,
+            "resume" if i == min(1, last) else step,
+            org,
+        ))
+    traces = [t.events for t in _random_log(rows).traces]
+    traces.insert(min(position, len(traces)), rare)
+    return make_log(traces)
+
+
+class TestFoldCatalogs:
+    """Every fold's catalog, built from the interned whole log by count
+    subtraction and packed EM, equals build_catalog on the log less the
+    fold; its observation matrix equals the per-trace oracle, bit for bit."""
+
+    CONFIG = CatalogConfig(ngram_sizes=(1, 2), time_views=("day", "week"), gmm_max_components=2)
+
+    @given(
+        st.lists(st.lists(_PAIRED_EVENTS, min_size=1, max_size=6), min_size=1, max_size=4),
+        st.lists(_PAIRED_EVENTS, min_size=1, max_size=4),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fold_catalogs_equal_build_catalog_of_the_rest(self, rows, rare_rows, position):
+        log = _log_with_rare_trace(rows, rare_rows, position)
+        n = len(log.traces)
+        folds = [[i] for i in range(n)] + [list(range(0, n, 2)), list(range(1, n, 2))]
+        interned = InternedLog(log.traces)
+        rare_held = False
+        for fold, catalog in zip(folds, fold_catalogs(interned, folds, self.CONFIG)):
+            rest = replace(log, traces=[t for i, t in enumerate(log.traces) if i not in fold])
+            expected = build_catalog(rest, self.CONFIG)
+            assert catalog == expected
+            assert json.dumps(catalog.to_dict()) == json.dumps(expected.to_dict())
+            matrix = observation_matrix(catalog, interned)
+            for rows_of, trace in zip(interned.per_trace(matrix), log.traces):
+                assert np.array_equal(rows_of, evaluate_observations_reference(catalog, trace))
+            rare_held |= "U" not in catalog.labels
+        assert rare_held
+
+    def test_evaluate_observations_equals_the_oracle(self):
+        log = _log_with_rare_trace(
+            [[("A", "X", 5, "start", "r1"), ("B", "Y", None, "complete", None),
+              ("A", "X", 70, "complete", "r2")]],
+            [("A", "Y", 30, "start", None), ("A", "X", 9, "complete", "r1")],
+            0,
+        )
+        catalog = build_catalog(log, self.CONFIG)
+        assert {d.family for d in catalog.observation_features} == {
+            "bias", "concept_ngram", "org_ngram", "time_view", "lifecycle_duration"
+        }
+        for trace in log.traces:
+            diagnostics: list[str] = []
+            expected_diagnostics: list[str] = []
+            assert np.array_equal(
+                evaluate_observations(catalog, trace, diagnostics),
+                evaluate_observations_reference(catalog, trace, expected_diagnostics),
+            )
+            assert diagnostics == expected_diagnostics
 
 
 class TestViewCoordinate:

@@ -106,6 +106,33 @@ class TestMultinoulli:
         again = MultinoulliTable.from_dict(table.to_dict())
         assert again.probability(("A",), "X") == table.probability(("A",), "X")
 
+    @given(
+        st.lists(st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC"),
+                           st.sampled_from("XYZ")), min_size=1, max_size=30),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_count_matrix_table_equals_the_fitted_table(self, rows, alpha):
+        labels = ("X", "Y", "Z")
+        observations = [((a, b), label) for a, b, label in rows]
+        fitted = multinoulli_fit(observations, alpha, labels)
+        contexts = sorted({ctx for ctx, _ in observations} | {("C", "A"), ("Q", "Q")})
+        counts = np.zeros((len(contexts), len(labels)), dtype=np.int64)
+        for ctx, label in observations:
+            counts[contexts.index(ctx), labels.index(label)] += 1
+        table = MultinoulliTable.from_counts(2, contexts, counts, labels, alpha)
+        assert table == fitted
+        # every row by the smoothing formula, uniform for unseen contexts
+        rows_out = table.distributions(contexts)
+        for ctx, row in zip(contexts, rows_out):
+            per_label = fitted.counts.get(ctx)
+            if per_label is None:
+                expected = [1.0 / 3] * 3
+            else:
+                denom = fitted.context_totals[ctx] + alpha * 3
+                expected = [(per_label.get(l, 0) + alpha) / denom for l in labels]
+            assert row.tolist() == expected
+
 
 class TestGmmFit:
     def test_constant_samples_degenerate(self):
