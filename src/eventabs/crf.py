@@ -10,7 +10,9 @@ weight scores, and where the transition block starts); this module only
 asks it to split a weight vector. Training and decoding share one packing
 of traces into time-major rows (``_pack``): training runs one scaled
 forward-backward pass over it per objective evaluation, Viterbi one
-log-space max-plus pass for any number of traces. ``log_partition``,
+log-space max-plus pass for any number of traces. A :class:`TrainingBatch`
+is built one way, from concatenated observation rows, label indices and
+sequence lengths. ``log_partition``,
 ``posterior_marginals`` and ``sequence_log_prob`` stay per-trace in log
 space: they must stay finite where the weights put more than about 700
 nats between paths, and there the scaled pass returns ``+inf``.
@@ -248,40 +250,26 @@ def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
 
 
 class TrainingBatch:
-    """Training pairs packed time-major (:func:`_pack`), precomputed once so
-    repeated objective evaluations only touch weight-dependent quantities.
+    """Training sequences packed time-major (:func:`_pack`), precomputed once
+    so repeated objective evaluations only touch weight-dependent
+    quantities.
 
-    Position t of the i-th longest non-empty pair is row ``offsets[t] + i``,
-    so memory is O(events), with no padding. The observed feature counts
-    are one vector over the whole weight layout, so the objective is
-    ``sum log Z - w . observed`` and its gradient ``expected - observed``.
+    Built from the sequences' (events, F_obs) observation rows and label
+    indices, concatenated sequence after sequence, and their lengths.
+    Position t of the i-th longest non-empty sequence is row
+    ``offsets[t] + i``, so memory is O(events), with no padding. The
+    observed feature counts are one vector over the whole weight layout,
+    so the objective is ``sum log Z - w . observed`` and its gradient
+    ``expected - observed``.
     """
 
-    def __init__(self, pairs: Sequence[LabeledPair], catalog: FeatureCatalog):
-        live = [p for p in pairs if len(p.labels)]
-        self._pack_rows(
-            catalog,
-            np.concatenate([p.observations for p in live]) if live else None,
-            np.concatenate([p.labels for p in live]) if live else None,
-            [len(p.labels) for p in pairs],
-        )
-
-    @classmethod
-    def from_rows(
-        cls,
+    def __init__(
+        self,
         catalog: FeatureCatalog,
         observations: np.ndarray,
         labels: np.ndarray,
         lengths: Sequence[int],
-    ) -> "TrainingBatch":
-        """The batch of the sequences whose (events, F_obs) observation rows
-        and label indices are concatenated, sequence after sequence, with
-        the given lengths."""
-        batch = cls.__new__(cls)
-        batch._pack_rows(catalog, observations, labels, lengths)
-        return batch
-
-    def _pack_rows(self, catalog, observations, labels, lengths) -> None:
+    ):
         self.catalog = catalog
         self.n, self.offsets, rows = _pack(lengths)
         if self.n == 0:
@@ -382,7 +370,13 @@ def nll_and_gradient(
     """
     if not pairs:
         raise ValueError("need at least one training pair")
-    return _batch_nll_and_gradient(weights, TrainingBatch(pairs, catalog))
+    batch = TrainingBatch(
+        catalog,
+        np.concatenate([p.observations for p in pairs]),
+        np.concatenate([p.labels for p in pairs]),
+        [len(p.labels) for p in pairs],
+    )
+    return _batch_nll_and_gradient(weights, batch)
 
 
 def training_batch(
@@ -397,11 +391,11 @@ def training_batch(
     if observations is None:
         observations = observation_matrix(catalog, log)
     if traces is None:
-        return TrainingBatch.from_rows(
+        return TrainingBatch(
             catalog, observations, log.label_indices(catalog.labels), log.lengths
         )
     events = log.events(traces)
-    return TrainingBatch.from_rows(
+    return TrainingBatch(
         catalog, observations[events], log.label_indices(catalog.labels, events),
         log.lengths[list(traces)],
     )
@@ -425,10 +419,16 @@ def fit_batch(
     objective_hook: Callable[[float], None] | None = None,
 ) -> CrfModel:
     """Fit CRF weights on a packed batch by minimizing NLL + C * ||lambda||_1
-    with OWL-QN. Deterministic: identical inputs produce identical weight
-    vectors."""
+    with OWL-QN, C = ``l1_coefficient``. An ``optimizer_config`` that sets
+    its own nonzero coefficient must agree with it. Deterministic:
+    identical inputs produce identical weight vectors."""
     catalog = batch.catalog
     base = optimizer_config or OwlqnConfig()
+    if base.l1_coefficient not in (0.0, l1_coefficient):
+        raise ValueError(
+            f"optimizer l1_coefficient {base.l1_coefficient} conflicts with "
+            f"l1_coefficient {l1_coefficient}; set the coefficient in one place"
+        )
     config = replace(base, l1_coefficient=l1_coefficient)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:

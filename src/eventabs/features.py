@@ -11,7 +11,8 @@ real-valued observation features, each attached to one candidate label:
   time within the day, the week, or the month, under per-label mixtures.
 * ``lifecycle_duration(c, l)``: responsibility of ``l`` given the elapsed
   time since the FIFO-matched previous lifecycle step ``c`` of the same
-  activity.
+  activity, in the step chain of the training log (the catalog's
+  ``lifecycle_steps``, so a trace pairs the same way at prediction time).
 
 A log is read once, into an :class:`InternedLog`: trace offsets, label
 ids, symbol ids per string attribute, n-gram context ids, time-view
@@ -29,6 +30,15 @@ distribution over labels: missing data degrades to the neutral row
 1/|labels|, never to zero. The catalog owns the whole weight layout: the
 observation features, then the label-transition indicator block, and the
 split of a weight vector into the two.
+
+With two labels E and T, every non-bias block row satisfies p(T) = 1 -
+p(E). Moving a family's weights by +a on E and -a on T therefore adds
+a * p(E) to both labels' scores and a further -a to T's; the opposite move
+on a second family takes the -a back, and what is left shifts both labels
+equally at every position. So p(y|x), and with it the likelihood, does not
+change: a two-label objective has flat directions and no unique optimal
+weights, only unique predictions. ``bias`` rows are ones, not
+distributions, and take no part in this gauge.
 """
 
 from __future__ import annotations
@@ -201,10 +211,9 @@ class FeatureCatalog:
     block, previous label varying slowest with the begin-of-sequence row
     last. Identical between training and prediction by construction.
 
-    ``lifecycle_steps`` is the lifecycle step set of the training log, which
-    fixes the step chain used for duration pairing; ``None`` (model files
-    that predate it) pairs by the steps of the duration banks plus those of
-    the evaluated trace.
+    ``lifecycle_steps`` is the lifecycle step set of the training log. It
+    fixes the step chain that pairs lifecycle durations, at training and at
+    prediction time alike; a stored catalog without it does not load.
     """
 
     labels: tuple[str, ...]
@@ -214,7 +223,7 @@ class FeatureCatalog:
     org_tables: dict[tuple[int, str], MultinoulliTable] = field(default_factory=dict)
     time_models: dict[str, LabelGmmBank] = field(default_factory=dict)
     duration_models: dict[tuple[str, str], LabelGmmBank] = field(default_factory=dict)
-    lifecycle_steps: tuple[str, ...] | None = None
+    lifecycle_steps: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -299,10 +308,7 @@ class FeatureCatalog:
                 (key[0], key[1]): LabelGmmBank.from_dict(b)
                 for key, b in data["duration_models"]
             },
-            lifecycle_steps=(
-                None if data.get("lifecycle_steps") is None
-                else tuple(data["lifecycle_steps"])
-            ),
+            lifecycle_steps=tuple(data["lifecycle_steps"]),
             notes=tuple(data["notes"]),
         )
 
@@ -809,37 +815,6 @@ def build_catalog(
 # --- evaluation ---------------------------------------------------------------
 
 
-def _duration_events(
-    catalog: FeatureCatalog, log: InternedLog
-) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-    """The events and durations each duration bank scores, paired by the
-    training step chain; model files without it pair each trace by the
-    steps of the banks plus its own."""
-    if catalog.lifecycle_steps is not None:
-        chains = {frozenset(catalog.lifecycle_steps): np.ones(log.n_events, dtype=bool)}
-    else:
-        bank_steps = {step for _, step in catalog.duration_models}
-        chains = {}
-        bounds = log.offsets.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            own = {log.steps[s] for s in log.step_ids[a:b].tolist() if s >= 0}
-            mask = chains.setdefault(
-                frozenset(bank_steps | own), np.zeros(log.n_events, dtype=bool)
-            )
-            mask[a:b] = True
-    found: dict[tuple[str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for steps, covered in chains.items():
-        ends, keys, key_ids, seconds = log.durations(steps)
-        for k, key in enumerate(keys):
-            mine = covered[ends] & (key_ids == k)
-            if key in catalog.duration_models and mine.any():
-                found.setdefault(key, []).append((ends[mine], seconds[mine]))
-    return {
-        key: (np.concatenate([e for e, _ in parts]), np.concatenate([s for _, s in parts]))
-        for key, parts in found.items()
-    }
-
-
 def observation_matrix(catalog: FeatureCatalog, log: InternedLog) -> np.ndarray:
     """Evaluate every catalog observation feature at every event of an
     interned log: a float array of shape (events, observation features),
@@ -854,7 +829,6 @@ def observation_matrix(catalog: FeatureCatalog, log: InternedLog) -> np.ndarray:
     event's row depends only on its own trace. Pure.
     """
     E, L = log.n_events, catalog.n_labels
-    durations = _duration_events(catalog, log) if catalog.duration_models else {}
     slots: dict[tuple[str, int, str, str, str], int] = {}
     columns = [
         slots.setdefault(d.instance, len(slots)) * L + li
@@ -876,10 +850,12 @@ def observation_matrix(catalog: FeatureCatalog, log: InternedLog) -> np.ndarray:
         elif family == "time_view":
             xs = log.coordinates(view)[log.timed]
             block[log.timed] = catalog.time_models[view].responsibilities(xs)
-        else:  # lifecycle_duration
-            for bank_key, (events, xs) in durations.items():
-                if bank_key[1] == step:
-                    block[events] = catalog.duration_models[bank_key].responsibilities(xs)
+        else:  # lifecycle_duration, paired by the training log's step chain
+            ends, keys, key_ids, seconds = log.durations(catalog.lifecycle_steps)
+            for k, bank_key in enumerate(keys):
+                bank = catalog.duration_models.get(bank_key)
+                if bank is not None and bank_key[1] == step:
+                    block[ends[key_ids == k]] = bank.responsibilities(seconds[key_ids == k])
     return blocks.reshape(E, len(slots) * L)[:, columns]
 
 

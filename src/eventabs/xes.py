@@ -130,6 +130,10 @@ def _to_utc_ms(dt: datetime) -> datetime:
     return dt.replace(microsecond=(dt.microsecond // 1000) * 1000)
 
 
+# The Python type of each attribute kind's value.
+_KIND_TYPES = {"string": str, "date": datetime, "int": int, "float": float, "boolean": bool}
+
+
 @dataclass(frozen=True)
 class AttributeValue:
     """A typed XES attribute value.
@@ -145,16 +149,11 @@ class AttributeValue:
 
     def __post_init__(self) -> None:
         v = self.value
-        ok = {
-            "string": lambda: isinstance(v, str),
-            "date": lambda: isinstance(v, datetime),
-            "int": lambda: isinstance(v, int) and not isinstance(v, bool),
-            "float": lambda: isinstance(v, float),
-            "boolean": lambda: isinstance(v, bool),
-        }.get(self.kind)
-        if ok is None:
+        expected = _KIND_TYPES.get(self.kind)
+        if expected is None:
             raise XesValueError(f"unknown attribute kind {self.kind!r}")
-        if not ok():
+        # a bool is an int to isinstance, but only the boolean kind holds one
+        if not isinstance(v, expected) or (isinstance(v, bool) and expected is not bool):
             raise XesValueError(f"value {v!r} does not match kind {self.kind!r}")
         if self.kind == "date":
             object.__setattr__(self, "value", _to_utc_ms(v))  # type: ignore[arg-type]
@@ -423,15 +422,13 @@ def _parse_trace(el: ET.Element) -> Trace:
 
 
 def _attribute_element(key: str, av: AttributeValue) -> ET.Element:
-    tag = {"string": "string", "date": "date", "int": "int",
-           "float": "float", "boolean": "boolean"}[av.kind]
     if av.kind == "date":
         raw = format_timestamp(av.value)  # type: ignore[arg-type]
     elif av.kind == "boolean":
         raw = "true" if av.value else "false"
     else:
         raw = repr(av.value) if av.kind == "float" else str(av.value)
-    el = ET.Element(tag, {"key": key, "value": raw})
+    el = ET.Element(av.kind, {"key": key, "value": raw})
     for child_key, child_value in av.children:
         el.append(_attribute_element(child_key, child_value))
     return el

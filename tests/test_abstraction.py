@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventabs.abstraction import (
     AbstractionConfig,
@@ -17,6 +19,7 @@ from eventabs.abstraction import (
     strip_labels,
 )
 from eventabs.features import CatalogConfig
+from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import (
     CONCEPT_NAME,
@@ -32,6 +35,7 @@ from eventabs.xes import (
 )
 
 from factories import make_event, make_log, sequence_trace
+from test_features import _EVENTS, _random_log
 from test_xes import annotated_household_trace
 
 SMALL_CONFIG = AbstractionConfig(
@@ -56,6 +60,13 @@ class TestFit:
         model = fit(log, SMALL_CONFIG)
         result = annotate(model, strip_labels(log))
         assert {ev.label for tr in result.traces for ev in tr.events} == {"Only"}
+
+    def test_fit_refuses_a_second_l1_coefficient(self):
+        config = AbstractionConfig(
+            catalog=SMALL_CONFIG.catalog, optimizer=OwlqnConfig(l1_coefficient=0.5)
+        )
+        with pytest.raises(ValueError, match="l1_coefficient"):
+            fit(synthetic_log(5, seed=4), config)
 
     def test_fit_deterministic(self):
         log = synthetic_log(10, seed=4)
@@ -258,3 +269,41 @@ class TestPersistence:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelIOError):
             load_model(tmp_path / "absent.json")
+
+
+# n-grams of size 1, no time views, one mixture component, a few OWL-QN
+# iterations: the properties below hold for any weights, so a short fit is
+# enough and keeps each example at a few milliseconds.
+PROPERTY_CONFIG = AbstractionConfig(
+    catalog=CatalogConfig(ngram_sizes=(1,), time_views=(), gmm_max_components=1),
+    optimizer=OwlqnConfig(max_iterations=5),
+)
+
+
+class TestPipelineProperties:
+    """fit, annotate and save/load on random logs whose events drop the
+    concept name, timestamp, lifecycle step or resource at random."""
+
+    @given(st.lists(st.lists(_EVENTS, min_size=1, max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_annotate_keeps_the_log_and_a_reloaded_model_decodes_alike(self, rows):
+        log = _random_log(rows)
+        model = fit(log, PROPERTY_CONFIG)
+        unlabeled = strip_labels(log)
+        annotated = annotate(model, unlabeled)
+
+        def unlabeled_attributes(event):
+            return {k: v for k, v in event.attributes.items() if k != LABEL}
+
+        assert len(annotated.traces) == len(log.traces)
+        for original, trace in zip(log.traces, annotated.traces):
+            assert trace.attributes == original.attributes
+            assert len(trace.events) == len(original.events)
+            for before, after in zip(original.events, trace.events):
+                assert after.label in model.labels
+                assert unlabeled_attributes(after) == unlabeled_attributes(before)
+
+        buffer = io.StringIO()
+        save_model(model, buffer)
+        reloaded = load_model(io.StringIO(buffer.getvalue()))
+        assert annotate(reloaded, unlabeled) == annotated

@@ -401,7 +401,12 @@ class TestPackedObjective:
         catalog = random_model(rng, 3, 4).catalog
         lengths = (0, 77, 3, 0, 12, 1, 5, 30, 2, 77)
         pairs = random_pairs(rng, lengths, 4, 3)
-        batch = crf.TrainingBatch(pairs, catalog)
+        batch = crf.TrainingBatch(
+            catalog,
+            np.concatenate([p.observations for p in pairs]),
+            np.concatenate([p.labels for p in pairs]),
+            lengths,
+        )
         live = sorted((p for p in pairs if len(p.labels)), key=lambda p: -len(p.labels))
         assert batch.n == len(live) == 8
         assert batch.obs.shape == (sum(lengths), 4)
@@ -503,6 +508,19 @@ class TestTraining:
         b = crf.train(log, catalog, l1_coefficient=0.05)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_conflicting_optimizer_coefficient_is_refused(self):
+        # the L1 coefficient is set by the l1_coefficient argument; an
+        # optimizer config that names a different one must not be ignored
+        log = self.separable_log()
+        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1,)))
+        with pytest.raises(ValueError, match="l1_coefficient"):
+            crf.train(log, catalog, l1_coefficient=0.1,
+                      optimizer_config=OwlqnConfig(l1_coefficient=0.5))
+        agreeing = crf.train(log, catalog, l1_coefficient=0.5,
+                             optimizer_config=OwlqnConfig(l1_coefficient=0.5))
+        unset = crf.train(log, catalog, l1_coefficient=0.5, optimizer_config=OwlqnConfig())
+        assert np.array_equal(agreeing.weights, unset.weights)
+
     def test_weight_vector_length_checked(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, 2, 3)
@@ -517,6 +535,68 @@ class TestTraining:
         relaxed = crf.train(log, catalog, l1_coefficient=0.01)
         strict = crf.train(log, catalog, l1_coefficient=100.0)
         assert strict.nonzero_weight_count < relaxed.nonzero_weight_count
+
+
+class TestTwoLabelGauge:
+    """With two labels every non-bias block row has p(T) = 1 - p(E), so
+    moving +a/-a on one family's (E, T) weights and -a/+a on another's
+    shifts both labels' scores by the same amount at every position:
+    p(y|x) does not change, and the optimum of the objective is not a point
+    (see the ``features`` module docstring)."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from eventabs.petri import generate_annotated_log, medicine_eating_process
+
+        log = generate_annotated_log(medicine_eating_process(), 60, seed=7)
+        catalog = build_catalog(
+            log, CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
+        )
+        assert catalog.n_labels == 2
+        pairs = crf.training_pairs(log, catalog)
+        weights = np.random.default_rng(7).normal(0.0, 1.0, catalog.n_features)
+        return catalog, pairs, weights
+
+    @staticmethod
+    def moved(catalog, weights, first, second, a):
+        """The weights with +a/-a on ``first``'s (E, T) pair and -a/+a on
+        ``second``'s; a family is named by (family, n, view)."""
+        out = weights.copy()
+        E, T = catalog.labels
+        for (family, n, view), sign in ((first, a), (second, -a)):
+            for label, signed in ((E, sign), (T, -sign)):
+                [k] = [
+                    k for k, d in enumerate(catalog.observation_features)
+                    if (d.family, d.n, d.view, d.label) == (family, n, view, label)
+                ]
+                out[k] += signed
+        return out
+
+    @staticmethod
+    def decodes(catalog, weights, pairs):
+        model = crf.CrfModel(catalog, weights)
+        return crf.viterbi_decode_many(model, [p.observations for p in pairs])
+
+    @pytest.mark.parametrize("first, second", [
+        (("concept_ngram", 1, ""), ("concept_ngram", 2, "")),
+        (("concept_ngram", 3, ""), ("time_view", 0, "day")),
+    ])
+    @pytest.mark.parametrize("a", [0.1, 1.0, 5.0])
+    def test_opposite_moves_on_two_families_are_flat(self, setup, first, second, a):
+        catalog, pairs, weights = setup
+        shifted = self.moved(catalog, weights, first, second, a)
+        base, _ = crf.nll_and_gradient(weights, pairs, catalog)
+        value, _ = crf.nll_and_gradient(shifted, pairs, catalog)
+        assert abs(value - base) <= 1e-11 * abs(base)
+        assert self.decodes(catalog, shifted, pairs) == self.decodes(catalog, weights, pairs)
+
+    def test_a_bias_move_is_not_flat(self, setup):
+        # bias is constant 1 in both columns, not a distribution over labels
+        catalog, pairs, weights = setup
+        shifted = self.moved(catalog, weights, ("bias", 0, ""), ("concept_ngram", 1, ""), 1.0)
+        base, _ = crf.nll_and_gradient(weights, pairs, catalog)
+        value, _ = crf.nll_and_gradient(shifted, pairs, catalog)
+        assert abs(value - base) > 1.0
 
 
 class TestOptimumAgainstLbfgsb:

@@ -1,5 +1,6 @@
 """Catalog construction, observation evaluation, and lifecycle pairing."""
 
+import io
 import json
 from dataclasses import replace
 from datetime import timedelta
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventabs.abstraction import ModelIOError, load_model, save_model
+from eventabs.crf import CrfModel
 from eventabs.features import (
     BOT,
     MISSING,
@@ -383,25 +386,25 @@ class TestLifecyclePairing:
             assert len(cols) == 4
             assert np.array_equal(matrix[2, cols], np.full(4, 0.5))
 
-    def test_model_files_without_the_step_set_keep_pairing(self):
-        # model files written before the training step set was stored pair
-        # by the steps of their banks plus those of the evaluated trace
+    def test_model_files_without_the_step_set_do_not_load(self):
+        # the training step set is the only pairing rule, so a model file
+        # whose catalog lacks it is refused rather than paired another way
         events = []
         for i in range(6):
             start = BASE + timedelta(minutes=10 * i)
             label = "X" if i % 2 else "Y"
             events.append(make_event("A", label, start, "start"))
             events.append(make_event("A", label, start + timedelta(seconds=5 + 3 * i), "complete"))
-        log = make_log([events])
-        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1,)))
-        data = catalog.to_dict()
-        del data["lifecycle_steps"]
-        legacy = FeatureCatalog.from_dict(data)
-        assert legacy.lifecycle_steps is None
-        assert np.array_equal(
-            evaluate_observations(legacy, log.traces[0]),
-            evaluate_observations(catalog, log.traces[0]),
-        )
+        catalog = build_catalog(make_log([events]), CatalogConfig(ngram_sizes=(1,)))
+        assert catalog.duration_models
+        buffer = io.StringIO()
+        save_model(CrfModel(catalog, np.zeros(catalog.n_features)), buffer)
+        data = json.loads(buffer.getvalue())
+        assert data["catalog"]["lifecycle_steps"] == ["complete", "start"]
+        load_model(io.StringIO(json.dumps(data)))
+        del data["catalog"]["lifecycle_steps"]
+        with pytest.raises(ModelIOError, match="lifecycle_steps"):
+            load_model(io.StringIO(json.dumps(data)))
 
 
 # A random event: concept name, label, seconds since the previous event,

@@ -172,6 +172,22 @@ class TestModelInvariants:
         with pytest.raises(XesValueError):
             AttributeValue("int", "not an int")
 
+    @pytest.mark.parametrize("kind, value", [
+        ("int", True), ("float", 1), ("boolean", 1), ("string", 1.0),
+        ("date", "2015-11-03"), ("float", False),
+    ])
+    def test_attribute_value_rejects_other_types(self, kind, value):
+        # a bool is not an int, and no kind converts its value
+        with pytest.raises(XesValueError, match="does not match"):
+            AttributeValue(kind, value)
+
+    def test_attribute_value_accepts_each_kind(self):
+        for kind, value in [("int", 3), ("float", 0.5), ("boolean", False),
+                            ("string", "x"), ("date", datetime(2015, 11, 3, tzinfo=UTC))]:
+            assert AttributeValue(kind, value).value == value
+        with pytest.raises(XesValueError, match="unknown attribute kind"):
+            AttributeValue("list", [])
+
     def test_event_typed_key_invariant(self):
         with pytest.raises(XesValueError, match="concept:name"):
             Event({CONCEPT_NAME: AttributeValue.integer(3)})
