@@ -66,19 +66,25 @@ def fit_folds(
     log: InternedLog,
     folds: Iterable[Iterable[int]],
     config: AbstractionConfig = AbstractionConfig(),
+    start: CrfModel | None = None,
 ) -> Iterator[tuple[CrfModel, np.ndarray]]:
     """Per fold, the model fitted on the log less the fold's traces, with
     its catalog's observation matrix over the whole log (which the fold's
     held-out rows are decoded from). The catalogs are built together
     (:func:`fold_catalogs`); the models are trained one at a time, so at
-    most one fold's matrix is held at once."""
+    most one fold's matrix is held at once. Each fit starts from
+    ``start``'s weights mapped into the fold catalog's layout
+    (:meth:`FeatureCatalog.weights_from`), or from zero."""
     folds = [list(fold) for fold in folds]
     for fold, catalog in zip(folds, fold_catalogs(log, folds, config.catalog)):
         observations = observation_matrix(catalog, log)
         held = set(fold)
         rest = [t for t in range(log.n_traces) if t not in held] if held else None
         batch = training_batch(log, catalog, observations, rest)
-        yield fit_batch(batch, config.l1_coefficient, config.optimizer), observations
+        initial = None if start is None else catalog.weights_from(start.catalog, start.weights)
+        yield fit_batch(
+            batch, config.l1_coefficient, config.optimizer, initial=initial
+        ), observations
 
 
 def fit(

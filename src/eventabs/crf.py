@@ -29,6 +29,9 @@ from .features import FeatureCatalog, InternedLog, observation_matrix
 from .owlqn import OwlqnConfig, OwlqnResult, minimize
 from .xes import EventLog
 
+# relative score difference below which two labelings tie in Viterbi
+TIE_TOLERANCE = 1e-9
+
 __all__ = [
     "LabeledPair",
     "CrfModel",
@@ -207,34 +210,59 @@ def _pack(lengths: Sequence[int]) -> tuple[int, np.ndarray, np.ndarray]:
 
 def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> list[list[str]]:
     """The maximum-score labeling of every sequence, in input order; among
-    ties, the lexicographically smallest in label-alphabet order. One
-    max-plus backward and one argmax forward pass over the packed rows
-    (:func:`_pack`), a contiguous slice per step. Emissions come from
-    :meth:`CrfModel.potentials` per sequence, so a sequence decodes the
-    same whatever it is batched with."""
+    ties, the lexicographically smallest in label-alphabet order. Scores
+    within ``TIE_TOLERANCE * max(1, |best|)`` of a sequence's best score
+    tie, so labelings that tie in exact arithmetic do so whatever the
+    rounding (weights moved along a null direction, such as a constant added
+    to the label-to-label transitions, decode the same). One max-plus
+    backward and one forward pass over the packed rows (:func:`_pack`), a
+    contiguous slice per step; the forward pass keeps, per sequence, the
+    slack its chosen prefix leaves under the best score, and takes the
+    smallest label whose best completion stays within it. Emissions are one
+    product per sequence, as in :meth:`CrfModel.potentials`, so a sequence
+    decodes the same whatever it is batched with."""
     lengths = [len(obs) for obs in observations]
     n, offsets, rows = _pack(lengths)
     if n == 0:
         return [[] for _ in observations]
-    trans = model.catalog.split(model.weights)[1]
+    w_obs, trans = model.catalog.split(model.weights)
     core = trans[:-1]
+    w_matrix = _emission_weights(model.catalog, w_obs)
     emissions = np.empty((len(rows), len(core)))
     emissions[rows] = np.concatenate([
-        model.potentials(obs)[0] for obs in observations if len(obs)
+        np.asarray(obs, dtype=float) @ w_matrix for obs in observations if len(obs)
     ])
-    # delta[r, l]: best score of the rest of row r's sequence given label l at row r
+    # delta[r, l]: best score of the rest of row r's sequence given label l
+    # at row r; ahead = emissions + delta, the best score from row r on,
+    # filled in place once a step's delta is final
     delta = np.zeros_like(emissions)
+    ahead = emissions
     offsets = offsets.tolist()
     for t in range(len(offsets) - 2, 0, -1):
         s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
-        delta[ps:ps + e - s] = np.maximum.reduce(
-            core + (emissions[s:e] + delta[s:e])[:, None, :], axis=2
-        )
+        ahead[s:e] += delta[s:e]
+        delta[ps:ps + e - s] = np.maximum.reduce(core + ahead[s:e][:, None, :], axis=2)
+    ahead[:n] += delta[:n]
+    total = trans[-1] + ahead[:n]
+    best = total.max(axis=1)
+    # need[i]: the least score the rest of sequence i must reach for its
+    # labeling to stay within the tie tolerance of the best score
+    need = (best - TIE_TOLERANCE * np.maximum(1.0, np.abs(best)))[:, None]
     path = np.empty(len(rows), dtype=np.intp)
-    path[:n] = np.argmax(trans[-1] + emissions[:n] + delta[:n], axis=1)
-    for t in range(1, len(offsets) - 1):
-        s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
-        path[s:e] = np.argmax(core[path[ps:ps + e - s]] + emissions[s:e] + delta[s:e], axis=1)
+    starts = np.arange(n) * len(core)  # flat index of each sequence's row in a step
+    for t in range(len(offsets) - 1):
+        s, e = offsets[t], offsets[t + 1]
+        m = e - s
+        if t:
+            ps = offsets[t - 1]
+            total = core[path[ps:ps + m]] + ahead[s:e]
+        choice = (total >= need[:m]).argmax(axis=1)
+        path[s:e] = choice
+        # keep the slack total - need >= 0 and measure need from delta: the
+        # chosen label's delta is the next step's maximum total bit for bit
+        # (same summation order), so some label always stays within
+        chosen = starts[:m] + choice
+        need[:m, 0] = delta[s:e].ravel()[chosen] - (total.ravel()[chosen] - need[:m, 0])
     names = np.asarray(model.labels, dtype=object)[path[rows]].tolist()
     ends = np.cumsum(lengths).tolist()
     return [names[end - length:end] for length, end in zip(lengths, ends)]
@@ -417,11 +445,13 @@ def fit_batch(
     l1_coefficient: float = 0.1,
     optimizer_config: OwlqnConfig | None = None,
     objective_hook: Callable[[float], None] | None = None,
+    initial: np.ndarray | None = None,
 ) -> CrfModel:
     """Fit CRF weights on a packed batch by minimizing NLL + C * ||lambda||_1
-    with OWL-QN, C = ``l1_coefficient``. An ``optimizer_config`` that sets
-    its own nonzero coefficient must agree with it. Deterministic:
-    identical inputs produce identical weight vectors."""
+    with OWL-QN, C = ``l1_coefficient``, from ``initial`` (in the batch
+    catalog's layout; default zero). An ``optimizer_config`` that sets its
+    own nonzero coefficient must agree with it. Deterministic: identical
+    inputs produce identical weight vectors."""
     catalog = batch.catalog
     base = optimizer_config or OwlqnConfig()
     if base.l1_coefficient not in (0.0, l1_coefficient):
@@ -437,7 +467,7 @@ def fit_batch(
             objective_hook(value)
         return value, grad
 
-    weights, result = minimize(objective, catalog.n_features, config)
+    weights, result = minimize(objective, catalog.n_features, config, initial)
     return CrfModel(
         catalog=catalog,
         weights=weights,

@@ -2,25 +2,41 @@
 leave-one-trace-out and k-fold cross-validation drivers, and confusion
 matrices over low-level events.
 
-A cross-validation reads the log once, into an :class:`InternedLog`, before
-any worker starts. The folds are cut into ``n_jobs`` contiguous shares;
-each share builds its folds' catalogs together (count subtraction plus
-packed EM, see :func:`fold_catalogs`), then trains and decodes its folds
-one at a time. Results are merged in fold order, so the report does not
-depend on ``n_jobs``.
+A cross-validation reads the log once, into an :class:`InternedLog`, and
+fits the whole log once, before any worker starts. The folds are cut into
+``n_jobs`` contiguous shares; each share builds its folds' catalogs
+together (count subtraction plus packed EM, see :func:`fold_catalogs`),
+then trains and decodes its folds one at a time. Every fold's OWL-QN run
+starts from the whole-log weights, mapped into the fold catalog's layout
+(:meth:`FeatureCatalog.weights_from`). A fold's training set differs from
+the whole log only by its held-out traces, so the fit takes far fewer
+iterations than one from zero weights. The start leaks nothing of the
+held-out labels into their predictions: each fold still minimizes its own
+objective, which never reads them, to the same stop test. A warm fit can
+end at other weights than one from zero only within that tolerance or
+along flat directions of the objective; the structural ones (the two-label
+gauge of the ``features`` docstring, a constant added to the label-to-
+label transitions) change no p(y|x) on any trace. ``tests/test_eval.py``
+checks sampled warm folds' composite objectives against an independent
+optimizer, and their decodes against fits from zero. No fold starts from
+another fold's result, so results are merged in fold order and the report
+does not depend on ``n_jobs``. The report records each fold's optimizer
+run (:class:`FoldRecord`).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+import statistics
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .abstraction import AbstractionConfig, fit_folds
-from .crf import viterbi_decode_many
+from .crf import CrfModel, viterbi_decode_many
 from .features import InternedLog, neutral_time_notes
 from .xes import EventLog
 
@@ -30,6 +46,7 @@ __all__ = [
     "collapse_runs",
     "ConfusionMatrix",
     "EventRecord",
+    "FoldRecord",
     "AbstractionReport",
     "EvalConfig",
     "leave_one_trace_out",
@@ -138,10 +155,24 @@ class EventRecord:
     predicted_label: str
 
 
+@dataclass(frozen=True)
+class FoldRecord:
+    """One fold's optimizer run: the held-out trace indices, the stop test
+    that ended OWL-QN, its iteration and evaluation counts, and the
+    composite objective (NLL + L1) it reached."""
+
+    held_out: tuple[int, ...]
+    stop: str
+    iterations: int
+    evaluations: int
+    objective: float
+
+
 @dataclass
 class AbstractionReport:
     """Cross-validation outcome: per-trace similarities, their mean, the
-    event-level confusion matrix, and per-label precision/recall."""
+    event-level confusion matrix, per-label precision/recall, and one
+    optimizer record per fold, in fold order."""
 
     per_trace: list[tuple[str, float]]
     mean_similarity: float
@@ -151,6 +182,7 @@ class AbstractionReport:
     records: list[EventRecord] = field(default_factory=list, repr=False)
     diagnostics: list[str] = field(default_factory=list)
     similarity_on: str = "events"
+    folds: list[FoldRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -163,6 +195,7 @@ class AbstractionReport:
             "precision": self.precision,
             "recall": self.recall,
             "diagnostics": self.diagnostics,
+            "folds": [asdict(record) for record in self.folds],
         }
 
     def to_json(self) -> str:
@@ -172,6 +205,15 @@ class AbstractionReport:
         lines = [
             f"mean Levenshtein similarity ({self.similarity_on}): "
             f"{self.mean_similarity:.4f} over {len(self.per_trace)} traces",
+        ]
+        if self.folds:
+            stops = Counter(record.stop for record in self.folds)
+            lines.append(
+                f"optimizer over {len(self.folds)} folds: "
+                + ", ".join(f"{stop} {n}" for stop, n in sorted(stops.items()))
+                + f"; median {statistics.median(r.iterations for r in self.folds):g} iterations"
+            )
+        lines += [
             "",
             "confusion matrix (rows: truth, columns: prediction):",
             self.confusion.to_text(),
@@ -198,17 +240,25 @@ class EvalConfig:
             raise ValueError("n_jobs must be at least 1")
 
 
+_FoldOutcome = tuple[list[list[str]], list[str], FoldRecord]
+
+
 def _run_share(
-    log: InternedLog, folds: list[list[int]], config: EvalConfig
-) -> list[tuple[list[list[str]], list[str]]]:
-    """Per fold: fit on the rest, then decode the fold's traces (features
-    never read labels); the decodes and the fold's diagnostics."""
+    log: InternedLog, folds: list[list[int]], config: EvalConfig, start: CrfModel
+) -> list[_FoldOutcome]:
+    """Per fold: fit on the rest from ``start``, then decode the fold's
+    traces (features never read labels); the decodes, the fold's
+    diagnostics and its optimizer record."""
     outcomes = []
-    for fold, (model, observations) in zip(folds, fit_folds(log, folds, config.abstraction)):
+    fitted = fit_folds(log, folds, config.abstraction, start)
+    for fold, (model, observations) in zip(folds, fitted):
         rows = log.per_trace(observations)
         decoded = viterbi_decode_many(model, [rows[t] for t in fold])
+        run = model.training
         outcomes.append((
-            decoded, list(model.catalog.notes) + neutral_time_notes(model.catalog, log, fold)
+            decoded,
+            list(model.catalog.notes) + neutral_time_notes(model.catalog, log, fold),
+            FoldRecord(tuple(fold), run.stop, run.iterations, run.evaluations, run.objective),
         ))
     return outcomes
 
@@ -216,13 +266,14 @@ def _run_share(
 _WORKER_STATE: dict = {}
 
 
-def _share_worker_init(log: InternedLog, config: EvalConfig) -> None:
-    _WORKER_STATE["log"] = log
-    _WORKER_STATE["config"] = config
+def _share_worker_init(log: InternedLog, config: EvalConfig, start: CrfModel) -> None:
+    _WORKER_STATE.update(log=log, config=config, start=start)
 
 
-def _share_worker(folds: list[list[int]]) -> list[tuple[list[list[str]], list[str]]]:
-    return _run_share(_WORKER_STATE["log"], folds, _WORKER_STATE["config"])
+def _share_worker(folds: list[list[int]]) -> list[_FoldOutcome]:
+    return _run_share(
+        _WORKER_STATE["log"], folds, _WORKER_STATE["config"], _WORKER_STATE["start"]
+    )
 
 
 def _evaluate_folds(
@@ -236,6 +287,7 @@ def _evaluate_folds(
         raise ValueError(f"{interned.describe(int(unlabeled[0]))} has no ground-truth label")
     names = np.asarray(interned.labels, dtype=object)
     truth = [names[ids].tolist() for ids in interned.per_trace(interned.label_ids)]
+    start, _ = next(fit_folds(interned, [()], config.abstraction))
 
     shares = [
         [folds[i] for i in share]
@@ -246,19 +298,21 @@ def _evaluate_folds(
 
         context = multiprocessing.get_context("fork")
         with context.Pool(
-            len(shares), initializer=_share_worker_init, initargs=(interned, config)
+            len(shares), initializer=_share_worker_init, initargs=(interned, config, start)
         ) as pool:
             outcomes = pool.map(_share_worker, shares, chunksize=1)
     else:
-        outcomes = [_run_share(interned, folds, config)]
+        outcomes = [_run_share(interned, folds, config, start)]
 
     diagnostics: list[str] = []
     predicted: dict[int, list[str]] = {}
-    for fold, (decoded, fold_diagnostics) in zip(
+    fold_records: list[FoldRecord] = []
+    for fold, (decoded, fold_diagnostics, record) in zip(
         folds, [outcome for share in outcomes for outcome in share]
     ):
         predicted.update(zip(fold, decoded))
         diagnostics.extend(fold_diagnostics)
+        fold_records.append(record)
 
     all_labels = tuple(sorted(
         {l for seq in truth for l in seq}
@@ -291,6 +345,7 @@ def _evaluate_folds(
         records=records,
         diagnostics=diagnostics,
         similarity_on=config.similarity_on,
+        folds=fold_records,
     )
 
 

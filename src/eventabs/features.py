@@ -266,6 +266,25 @@ class FeatureCatalog:
         f_obs = self.n_observation_features
         return weights[:f_obs], weights[f_obs:].reshape(self.n_labels + 1, self.n_labels)
 
+    def weights_from(self, source: "FeatureCatalog", weights: np.ndarray) -> np.ndarray:
+        """``source``'s weight vector laid out in this catalog: observation
+        weights matched by :class:`FeatureDef`, transition weights by
+        (previous, current) label with the begin-of-sequence row matched to
+        itself, and zero where ``source`` lacks the feature."""
+        w_obs, trans = source.split(weights)
+        position = {d: k for k, d in enumerate(source.observation_features)}
+        missing = len(w_obs)  # index of an appended zero
+        gather = [position.get(d, missing) for d in self.observation_features]
+        L = source.n_labels
+        # the source block with a zero row and column appended for missing labels
+        padded = np.zeros((L + 2, L + 1))
+        padded[: L + 1, :L] = trans
+        columns = [source.label_index.get(l, L) for l in self.labels]
+        rows = [source.label_index.get(l, L + 1) for l in self.labels] + [L]
+        return np.concatenate([
+            np.append(w_obs, 0.0)[gather], padded[np.ix_(rows, columns)].ravel()
+        ])
+
     def to_dict(self) -> dict:
         return {
             "labels": list(self.labels),

@@ -267,12 +267,7 @@ def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndar
         )
     durations: dict = {}
     if catalog.duration_models:
-        steps = catalog.lifecycle_steps
-        if steps is None:
-            steps = {s for _, s in catalog.duration_models} | {
-                s for ev in events if (s := step_of(ev)) is not None
-            }
-        for i, j in enumerate(pair_lifecycle_steps(trace, steps)):
+        for i, j in enumerate(pair_lifecycle_steps(trace, catalog.lifecycle_steps)):
             if j is None or events[i].timestamp is None or events[j].timestamp is None:
                 continue
             bank_key = (events[i].name, step_of(events[j]))

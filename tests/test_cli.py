@@ -234,6 +234,9 @@ class TestEvaluate:
             payload["per_trace"]
         )
         assert abs(payload["mean_similarity"] - recomputed) < 1e-12
+        folds = payload["folds"]
+        assert [f["held_out"] for f in folds] == [[i] for i in range(len(payload["per_trace"]))]
+        assert f"optimizer over {len(folds)} folds: " in result.output
 
     def test_kfold_reproducible(self, runner, tmp_path, trained):
         config, log_path, _, _ = trained

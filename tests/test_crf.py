@@ -469,6 +469,28 @@ class TestViterbiMany:
                 expected = argmax_lexicographic(sequences, scores)
                 assert tuple(model.catalog.label_index[l] for l in labels) == expected
 
+    @pytest.mark.parametrize("shift", [0.0548, 1.0 / 3.0, -0.7, 12.345])
+    @pytest.mark.parametrize("with_begin_row", [True, False])
+    def test_transition_shift_keeps_tied_decodes(self, shift, with_begin_row):
+        # a constant on the whole transition block adds shift * T to every
+        # labeling of a length-T trace, and one on the label-to-label rows
+        # alone shift * (T - 1): the integer ties of the test above stay
+        # ties in exact arithmetic, though not bit for bit
+        rng = np.random.default_rng(64)
+        for _ in range(10):
+            L = int(rng.integers(2, 5))
+            model = random_model(rng, L, 4)
+            model.weights[:] = rng.integers(-1, 2, model.catalog.n_features)
+            observations = [
+                rng.integers(0, 2, (T, 4)).astype(float) for T in rng.integers(0, 7, 6)
+            ]
+            shifted = model.weights.copy()
+            end = model.catalog.n_features if with_begin_row else -model.catalog.n_labels
+            shifted[model.catalog.n_observation_features:end] += shift
+            assert crf.viterbi_decode_many(
+                crf.CrfModel(model.catalog, shifted), observations
+            ) == crf.viterbi_decode_many(model, observations)
+
 
 class TestTraining:
     def separable_log(self):

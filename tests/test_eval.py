@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventabs.abstraction import AbstractionConfig, annotate, fit, strip_labels
+from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
+from eventabs.crf import (
+    LabeledPair,
+    fit_batch,
+    nll_and_gradient,
+    training_batch,
+    viterbi_decode_many,
+)
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -21,13 +28,13 @@ from eventabs.evaluation import (
     levenshtein_distance,
     levenshtein_similarity,
 )
-from eventabs.features import CatalogConfig
+from eventabs.features import CatalogConfig, InternedLog
 from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import CONCEPT_NAME, AttributeValue, Event, TIME_TIMESTAMP, Trace
 
 from factories import make_log, sequence_trace
-from oracles import recursive_edit_distance
+from oracles import l1_lbfgsb_reference, recursive_edit_distance
 
 FAST = EvalConfig(
     abstraction=AbstractionConfig(
@@ -245,9 +252,55 @@ class TestParallelReport:
         assert parallel.per_trace == sequential.per_trace
         assert parallel.records == sequential.records
         assert parallel.diagnostics == sequential.diagnostics
+        assert parallel.folds == sequential.folds
         assert np.array_equal(parallel.confusion.counts, sequential.confusion.counts)
+        held_out = [t for record in sequential.folds for t in record.held_out]
+        assert sorted(held_out) == list(range(len(log.traces)))
+        if cv == "loocv":
+            assert held_out == list(range(len(log.traces)))
         untimed = f"trace {log.traces[3].case_id!r} event 1: no timestamp"
         assert sum(d.startswith(untimed) for d in sequential.diagnostics) == 1
+
+
+class TestWarmStart:
+    """Every fold starts OWL-QN from the whole-log fit. A warm fold must
+    still reach its own objective's optimum, and decode as a fit from zero
+    weights on the same batch does."""
+
+    # the criterion-7 configuration (tests/test_acceptance.py)
+    CONFIG = AbstractionConfig(
+        catalog=CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3),
+        l1_coefficient=0.1,
+        optimizer=OwlqnConfig(max_iterations=60, tolerance=1e-5),
+    )
+
+    def test_warm_folds_reach_the_fold_optimum_and_decode_as_cold_ones(self):
+        log = generate_annotated_log(medicine_eating_process(), 20, seed=501)
+        interned = InternedLog(log.traces)
+        start, _ = next(fit_folds(interned, [()], self.CONFIG))
+        folds = [[t] for t in random.Random(3).sample(range(interned.n_traces), 4)]
+        c = self.CONFIG.l1_coefficient
+        warm_iterations = cold_iterations = 0
+        for fold, (warm, observations) in zip(
+            folds, fit_folds(interned, folds, self.CONFIG, start)
+        ):
+            catalog = warm.catalog
+            rest = [t for t in range(interned.n_traces) if t not in fold]
+            cold = fit_batch(
+                training_batch(interned, catalog, observations, rest), c, self.CONFIG.optimizer
+            )
+            rows = interned.per_trace(observations)
+            labels = interned.per_trace(interned.label_indices(catalog.labels))
+            pairs = [LabeledPair(rows[t], labels[t]) for t in rest]
+            _, optimum = l1_lbfgsb_reference(
+                lambda w: nll_and_gradient(w, pairs, catalog), catalog.n_features, c
+            )
+            assert abs(warm.training.objective - optimum) <= 5e-4 * optimum
+            held = [rows[t] for t in fold]
+            assert viterbi_decode_many(warm, held) == viterbi_decode_many(cold, held)
+            warm_iterations += warm.training.iterations
+            cold_iterations += cold.training.iterations
+        assert warm_iterations < cold_iterations
 
 
 class TestMemory:

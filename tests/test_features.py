@@ -540,6 +540,36 @@ class TestFoldCatalogs:
             rare_held |= "U" not in catalog.labels
         assert rare_held
 
+    def test_weights_from_matches_features_and_label_pairs_by_name(self):
+        # holding out the rare trace drops label U and the org:role family,
+        # so each direction of the mapping meets features the other lacks
+        log = _log_with_rare_trace(
+            [[("A", "X", 5, "start", "r1"), ("B", "Y", 60, "complete", None)],
+             [("B", "Y", 8, "start", "r2"), ("A", "X", 90, "complete", "r1")]],
+            [("A", "Y", 30, "start", None), ("B", "X", 9, "complete", "r1")],
+            1,
+        )
+        interned = InternedLog(log.traces)
+        whole, fold = fold_catalogs(interned, [[], [1]], self.CONFIG)
+        assert "U" not in fold.labels and fold.n_features < whole.n_features
+
+        def by_name(catalog, weights):
+            w_obs, trans = catalog.split(weights)
+            rows = catalog.labels + (None,)
+            return {
+                **dict(zip(catalog.observation_features, w_obs)),
+                **{(rows[i], catalog.labels[j]): trans[i, j] for i, j in np.ndindex(trans.shape)},
+            }
+
+        rng = np.random.default_rng(5)
+        for source, target in ((whole, fold), (fold, whole), (fold, fold)):
+            weights = rng.normal(size=source.n_features)
+            known = by_name(source, weights)
+            mapped = by_name(target, target.weights_from(source, weights))
+            assert mapped == {key: known.get(key, 0.0) for key in mapped}
+        weights = rng.normal(size=fold.n_features)
+        assert np.array_equal(fold.weights_from(fold, weights), weights)
+
     def test_evaluate_observations_equals_the_oracle(self):
         log = _log_with_rare_trace(
             [[("A", "X", 5, "start", "r1"), ("B", "Y", None, "complete", None),
