@@ -100,6 +100,15 @@ def fit(
     return model
 
 
+class _SharedStrings(dict):
+    """One string :class:`AttributeValue` per distinct text; the value is
+    frozen, so every event may hold the same one."""
+
+    def __missing__(self, text: str) -> AttributeValue:
+        value = self[text] = AttributeValue.string(text)
+        return value
+
+
 def annotate(
     model: CrfModel,
     unannotated: EventLog,
@@ -117,9 +126,10 @@ def annotate(
     decoded = viterbi_decode_many(
         model, log.per_trace(observation_matrix(model.catalog, log))
     )
+    values = _SharedStrings()
     traces = [
         replace(trace, events=[
-            Event({**event.attributes, LABEL: AttributeValue.string(label)})
+            Event({**event.attributes, LABEL: values[label]})
             for event, label in zip(trace.events, labels)
         ])
         for trace, labels in zip(unannotated.traces, decoded)
@@ -150,6 +160,7 @@ def collapse(annotated: EventLog) -> EventLog:
     Runs never merge across trace boundaries. Every input event must carry
     both a label and a timestamp.
     """
+    values = _SharedStrings()
     traces = []
     for trace in annotated.traces:
         for i, event in enumerate(trace.events):
@@ -169,9 +180,9 @@ def collapse(annotated: EventLog) -> EventLog:
             first, last = trace.events[run_start], trace.events[i - 1]
             for source, transition in ((first, "start"), (last, "complete")):
                 events.append(Event({
-                    CONCEPT_NAME: AttributeValue.string(source.label),
-                    TIME_TIMESTAMP: AttributeValue.date(source.timestamp),
-                    LIFECYCLE_TRANSITION: AttributeValue.string(transition),
+                    CONCEPT_NAME: values[source.label],
+                    TIME_TIMESTAMP: source.attributes[TIME_TIMESTAMP],
+                    LIFECYCLE_TRANSITION: values[transition],
                 }))
             run_start = i
         traces.append(replace(trace, events=events))

@@ -7,6 +7,26 @@ Keys of the standard extensions are normalized to the conventional prefixed
 lowercase forms ("concept:name", "time:timestamp", "lifecycle:transition",
 "org:resource", "org:role", "org:group"). The high-level activity of an
 event, when known, is stored under the plain string key "label".
+
+``serialize_xes`` writes the document directly as lines of text. Its bytes
+are those ElementTree's writer gives for the same tree after
+``ET.indent(tree, space="  ")``, plus a trailing newline: the same XML
+declaration and attribute order, ``" />"`` for empty elements,
+ElementTree's attribute escapes and UTF-8 with character references for
+what UTF-8 cannot encode. The ElementTree writer is kept as a test oracle
+(``tests/oracles.serialize_xes_reference``), and a property test holds the
+two byte-identical.
+
+``parse_xes`` reads the tree ``ET.parse`` builds, with two fast paths that
+change no result (``tests/oracles.parse_xes_reference`` is the plain walk
+they are tested against). A timestamp already in ``format_timestamp``'s
+form, ``YYYY-MM-DDTHH:MM:SS.fff+00:00``, goes straight to
+``datetime.fromisoformat``; every other form goes through
+``parse_timestamp``. A childless attribute other than a date is read once
+per distinct (tag, key, value) within one parse and its frozen
+``AttributeValue`` shared, which pays because logs draw their values from
+small alphabets. A list's items, held in its ``<values>`` element, become
+its children.
 """
 
 from __future__ import annotations
@@ -124,6 +144,8 @@ def format_timestamp(dt: datetime) -> str:
 
 
 def _to_utc_ms(dt: datetime) -> datetime:
+    if dt.tzinfo is timezone.utc and not dt.microsecond % 1000:
+        return dt
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     dt = dt.astimezone(timezone.utc)
@@ -200,9 +222,9 @@ class Event:
     attributes: dict[str, AttributeValue] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for key, kind in _TYPED_EVENT_KEYS.items():
-            av = self.attributes.get(key)
-            if av is not None and av.kind != kind:
+        for key, av in self.attributes.items():
+            kind = _TYPED_EVENT_KEYS.get(key)
+            if kind is not None and av.kind != kind:
                 raise XesValueError(
                     f"attribute {key!r} must be of kind {kind!r}, got {av.kind!r}"
                 )
@@ -294,25 +316,71 @@ class EventLog:
 
 _ATTR_TAGS = {"string", "date", "int", "float", "boolean", "id", "list", "container"}
 
+# The form format_timestamp writes; datetime.fromisoformat reads it exactly
+# as parse_timestamp would.
+_CANONICAL_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}\+00:00"
+)
+
+# (tag, raw key, raw value) -> (key, value) of a childless non-date
+# attribute, shared within one parse
+_Shared = dict[tuple[str, str, str], tuple[str, AttributeValue]]
+
 
 def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+    return tag.rsplit("}", 1)[-1] if tag[0] == "{" else tag
 
 
-def _parse_attribute(el: ET.Element) -> tuple[str, AttributeValue]:
-    tag = _local(el.tag)
-    key = canonical_key(el.attrib.get("key", ""))
-    raw = el.attrib.get("value", "")
+def _read_timestamp(raw: str) -> datetime:
+    if _CANONICAL_TIMESTAMP.fullmatch(raw):
+        try:
+            return datetime.fromisoformat(raw)
+        except ValueError:
+            pass  # an out-of-range field: parse_timestamp words the error
+    return parse_timestamp(raw)
+
+
+def _attribute_children(el: ET.Element, tag: str) -> list[ET.Element]:
+    """The attribute elements nested in ``el``; a list holds its items in
+    a ``<values>`` element."""
+    nested = []
+    for child in el:
+        child_tag = _local(child.tag)
+        if child_tag in _ATTR_TAGS:
+            nested.append(child)
+        elif child_tag == "values" and tag == "list":
+            nested.extend(c for c in child if _local(c.tag) in _ATTR_TAGS)
+    return nested
+
+
+def _parse_attribute(
+    el: ET.Element, tag: str, shared: _Shared
+) -> tuple[str, AttributeValue]:
+    attrib = el.attrib
+    raw_key = attrib.get("key", "")
+    raw = attrib.get("value", "")
+    if not len(el) and tag != "date":
+        memo = (tag, raw_key, raw)
+        hit = shared.get(memo)
+        if hit is None:
+            hit = shared[memo] = _read_attribute(tag, raw_key, raw, ())
+        return hit
     children = tuple(
-        _parse_attribute(child)
-        for child in el
-        if _local(child.tag) in _ATTR_TAGS
+        _parse_attribute(child, _local(child.tag), shared)
+        for child in _attribute_children(el, tag)
     )
+    return _read_attribute(tag, raw_key, raw, children)
+
+
+def _read_attribute(
+    tag: str, raw_key: str, raw: str, children: tuple[tuple[str, AttributeValue], ...]
+) -> tuple[str, AttributeValue]:
+    key = canonical_key(raw_key)
     try:
         if tag == "string" or tag == "id":
             value = AttributeValue("string", raw, children)
         elif tag == "date":
-            value = AttributeValue("date", parse_timestamp(raw), children)
+            value = AttributeValue("date", _read_timestamp(raw), children)
         elif tag == "int":
             value = AttributeValue("int", int(raw), children)
         elif tag == "float":
@@ -325,6 +393,16 @@ def _parse_attribute(el: ET.Element) -> tuple[str, AttributeValue]:
     except (ValueError, XesValueError) as exc:
         raise XesValueError(f"attribute {key!r}: {exc}") from exc
     return key, value
+
+
+def _attributes(el: ET.Element, shared: _Shared) -> dict[str, AttributeValue]:
+    attributes: dict[str, AttributeValue] = {}
+    for child in el:
+        tag = _local(child.tag)
+        if tag in _ATTR_TAGS:
+            key, value = _parse_attribute(child, tag, shared)
+            attributes[key] = value
+    return attributes
 
 
 def _split_classifier_keys(spec: str) -> tuple[str, ...]:
@@ -363,6 +441,7 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
     if _local(root.tag) != "log":
         raise XesParseError(f"expected <log> root element, got <{_local(root.tag)}>")
 
+    shared: _Shared = {}
     attributes: dict[str, AttributeValue] = {}
     extensions: set[str] = set()
     classifiers: dict[str, tuple[str, ...]] = {}
@@ -377,17 +456,14 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
         elif tag == "global":
             scope = el.attrib.get("scope", "event")
             target = global_trace if scope == "trace" else global_event
-            for child in el:
-                if _local(child.tag) in _ATTR_TAGS:
-                    key, value = _parse_attribute(child)
-                    target[key] = value
+            target.update(_attributes(el, shared))
         elif tag == "classifier":
             name = el.attrib.get("name", "")
             classifiers[name] = _split_classifier_keys(el.attrib.get("keys", ""))
         elif tag == "trace":
-            traces.append(_parse_trace(el))
+            traces.append(_parse_trace(el, shared))
         elif tag in _ATTR_TAGS:
-            key, value = _parse_attribute(el)
+            key, value = _parse_attribute(el, tag, shared)
             attributes[key] = value
 
     return EventLog(
@@ -400,78 +476,129 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
     )
 
 
-def _parse_trace(el: ET.Element) -> Trace:
+def _parse_trace(el: ET.Element, shared: _Shared) -> Trace:
     attributes: dict[str, AttributeValue] = {}
     events: list[Event] = []
     for child in el:
         tag = _local(child.tag)
         if tag == "event":
-            ev_attrs: dict[str, AttributeValue] = {}
-            for attr_el in child:
-                if _local(attr_el.tag) in _ATTR_TAGS:
-                    key, value = _parse_attribute(attr_el)
-                    ev_attrs[key] = value
-            events.append(Event(ev_attrs))
+            events.append(Event(_attributes(child, shared)))
         elif tag in _ATTR_TAGS:
-            key, value = _parse_attribute(child)
+            key, value = _parse_attribute(child, tag, shared)
             attributes[key] = value
     return Trace(attributes, events)
 
 
 # --- XML serialization ------------------------------------------------------
 
+_XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
 
-def _attribute_element(key: str, av: AttributeValue) -> ET.Element:
+# ElementTree's attribute-value escapes (xml.etree.ElementTree._escape_attrib)
+_ATTRIBUTE_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+
+
+def _escape(text: str) -> str:
+    return text.translate(_ATTRIBUTE_ESCAPES)
+
+
+def _raw_value(av: AttributeValue) -> str:
+    """The text of the ``value`` XML attribute, escaped. Only strings can
+    hold a character that needs escaping."""
+    if av.kind == "string":
+        return _escape(av.value)  # type: ignore[arg-type]
     if av.kind == "date":
-        raw = format_timestamp(av.value)  # type: ignore[arg-type]
-    elif av.kind == "boolean":
-        raw = "true" if av.value else "false"
+        return format_timestamp(av.value)  # type: ignore[arg-type]
+    if av.kind == "boolean":
+        return "true" if av.value else "false"
+    return repr(av.value) if av.kind == "float" else str(av.value)
+
+
+def _attribute_lines(
+    lines: list[str], pad: str, key: str, av: AttributeValue, rendered: dict
+) -> None:
+    """Append the lines of one attribute element at indent ``pad``.
+    ``rendered`` caches, within one call, the line of a childless
+    attribute by its value, and the head of a date line by its key. Floats
+    are not cached, because 0.0 == -0.0 but their reprs differ."""
+    kind = av.kind
+    if av.children:
+        lines.append(f'{pad}<{kind} key="{_escape(key)}" value="{_raw_value(av)}">')
+        for child_key, child_value in av.children:
+            _attribute_lines(lines, pad + "  ", child_key, child_value, rendered)
+        lines.append(f"{pad}</{kind}>")
+    elif kind == "date":
+        head = rendered.get((pad, key))
+        if head is None:
+            head = rendered[(pad, key)] = f'{pad}<date key="{_escape(key)}" value="'
+        lines.append(f"{head}{format_timestamp(av.value)}\" />")  # type: ignore[arg-type]
+    elif kind == "float":
+        lines.append(f'{pad}<float key="{_escape(key)}" value="{av.value!r}" />')
     else:
-        raw = repr(av.value) if av.kind == "float" else str(av.value)
-    el = ET.Element(av.kind, {"key": key, "value": raw})
-    for child_key, child_value in av.children:
-        el.append(_attribute_element(child_key, child_value))
-    return el
+        memo = (pad, key, kind, av.value)
+        line = rendered.get(memo)
+        if line is None:
+            line = rendered[memo] = (
+                f'{pad}<{kind} key="{_escape(key)}" value="{_raw_value(av)}" />'
+            )
+        lines.append(line)
 
 
 def serialize_xes(log: EventLog) -> bytes:
     """Serialize an :class:`EventLog` to XES XML bytes.
 
     Output is deterministic for a fixed log and reparses to an equal log.
+    The bytes are those ElementTree writes for the same element tree after
+    ``ET.indent(tree, space="  ")``, plus a trailing newline.
     """
-    root = ET.Element("log", {"xes.version": "1.0", "xes.features": ""})
+    rendered: dict = {}
+    body: list[str] = []
     for name in sorted(log.extensions):
         prefix, uri = _STANDARD_EXTENSIONS.get(
             name, (name.lower(), f"http://www.xes-standard.org/{name.lower()}.xesext")
         )
-        ET.SubElement(root, "extension", {"name": name, "prefix": prefix, "uri": uri})
+        body.append(
+            f'  <extension name="{_escape(name)}" prefix="{_escape(prefix)}" '
+            f'uri="{_escape(uri)}" />'
+        )
     for scope, attrs in (
         ("trace", log.global_trace_attributes),
         ("event", log.global_event_attributes),
     ):
         if attrs:
-            g = ET.SubElement(root, "global", {"scope": scope})
+            body.append(f'  <global scope="{scope}">')
             for key, av in attrs.items():
-                g.append(_attribute_element(key, av))
+                _attribute_lines(body, "    ", key, av, rendered)
+            body.append("  </global>")
     for name, keys in log.classifiers.items():
         quoted = " ".join(f"'{k}'" if " " in k else k for k in keys)
-        ET.SubElement(root, "classifier", {"name": name, "keys": quoted})
+        body.append(f'  <classifier name="{_escape(name)}" keys="{_escape(quoted)}" />')
     for key, av in log.attributes.items():
-        root.append(_attribute_element(key, av))
+        _attribute_lines(body, "  ", key, av, rendered)
     for trace in log.traces:
-        tr = ET.SubElement(root, "trace")
+        if not trace.attributes and not trace.events:
+            body.append("  <trace />")
+            continue
+        body.append("  <trace>")
         for key, av in trace.attributes.items():
-            tr.append(_attribute_element(key, av))
+            _attribute_lines(body, "    ", key, av, rendered)
         for event in trace.events:
-            ev = ET.SubElement(tr, "event")
+            if not event.attributes:
+                body.append("    <event />")
+                continue
+            body.append("    <event>")
             for key, av in event.attributes.items():
-                ev.append(_attribute_element(key, av))
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    buf = io.BytesIO()
-    tree.write(buf, encoding="utf-8", xml_declaration=True)
-    buf.write(b"\n")
-    return buf.getvalue()
+                _attribute_lines(body, "      ", key, av, rendered)
+            body.append("    </event>")
+        body.append("  </trace>")
+    root = '<log xes.version="1.0" xes.features=""'
+    if body:
+        lines = [_XML_DECLARATION, root + ">", *body, "</log>", ""]
+    else:
+        lines = [_XML_DECLARATION, root + " />", ""]
+    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
 
 
 # --- Sensor change-point conversion ----------------------------------------

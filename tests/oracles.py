@@ -3,8 +3,12 @@ deliberately brute-force and stays off the library's own code paths."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import re
+import xml.etree.ElementTree as ET
+from datetime import datetime, timezone
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +17,17 @@ from scipy.optimize import minimize as scipy_minimize
 from eventabs.features import BOT, MISSING, pair_lifecycle_steps, view_coordinate
 from eventabs.petri import LabeledPetriNet, Marking
 from eventabs.stats import Gmm
-from eventabs.xes import CONCEPT_NAME
+from eventabs.xes import (
+    _STANDARD_EXTENSIONS,
+    CONCEPT_NAME,
+    AttributeValue,
+    Event,
+    EventLog,
+    Trace,
+    XesParseError,
+    XesValueError,
+    canonical_key,
+)
 
 
 def enumerate_sequence_scores(
@@ -308,3 +322,164 @@ def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndar
                 if bank_key[1] == step:
                     block[indices] = catalog.duration_models[bank_key].responsibilities(xs)
     return blocks.reshape(T, len(slots) * L)[:, columns]
+
+
+# --- XES: the ElementTree writer and the plain parse walk -----------------
+
+
+def to_utc_ms_reference(dt: datetime) -> datetime:
+    """A datetime as UTC, truncated to the millisecond; naive is UTC."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    dt = dt.astimezone(timezone.utc)
+    return dt.replace(microsecond=(dt.microsecond // 1000) * 1000)
+
+
+def _timestamp_reference(text: str) -> datetime:
+    s = text.strip()
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    s = re.sub(r"\.(\d+)", lambda m: "." + m.group(1)[:6].ljust(6, "0"), s, count=1)
+    try:
+        dt = datetime.fromisoformat(s)
+    except ValueError as exc:
+        raise XesValueError(f"unparseable timestamp {text!r}") from exc
+    return to_utc_ms_reference(dt)
+
+
+def _attribute_element_reference(key: str, av) -> ET.Element:
+    if av.kind == "date":
+        raw = to_utc_ms_reference(av.value).isoformat(timespec="milliseconds")
+    elif av.kind == "boolean":
+        raw = "true" if av.value else "false"
+    else:
+        raw = repr(av.value) if av.kind == "float" else str(av.value)
+    el = ET.Element(av.kind, {"key": key, "value": raw})
+    for child_key, child_value in av.children:
+        el.append(_attribute_element_reference(child_key, child_value))
+    return el
+
+
+def serialize_xes_reference(log: EventLog) -> bytes:
+    """The log as an ElementTree, indented by ``ET.indent`` and written by
+    ElementTree's own writer, with a trailing newline."""
+    root = ET.Element("log", {"xes.version": "1.0", "xes.features": ""})
+    for name in sorted(log.extensions):
+        prefix, uri = _STANDARD_EXTENSIONS.get(
+            name, (name.lower(), f"http://www.xes-standard.org/{name.lower()}.xesext")
+        )
+        ET.SubElement(root, "extension", {"name": name, "prefix": prefix, "uri": uri})
+    for scope, attrs in (
+        ("trace", log.global_trace_attributes),
+        ("event", log.global_event_attributes),
+    ):
+        if attrs:
+            g = ET.SubElement(root, "global", {"scope": scope})
+            for key, av in attrs.items():
+                g.append(_attribute_element_reference(key, av))
+    for name, keys in log.classifiers.items():
+        quoted = " ".join(f"'{k}'" if " " in k else k for k in keys)
+        ET.SubElement(root, "classifier", {"name": name, "keys": quoted})
+    for key, av in log.attributes.items():
+        root.append(_attribute_element_reference(key, av))
+    for trace in log.traces:
+        tr = ET.SubElement(root, "trace")
+        for key, av in trace.attributes.items():
+            tr.append(_attribute_element_reference(key, av))
+        for event in trace.events:
+            ev = ET.SubElement(tr, "event")
+            for key, av in event.attributes.items():
+                ev.append(_attribute_element_reference(key, av))
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    buf = io.BytesIO()
+    tree.write(buf, encoding="utf-8", xml_declaration=True)
+    buf.write(b"\n")
+    return buf.getvalue()
+
+
+_ATTR_TAGS = {"string", "date", "int", "float", "boolean", "id", "list", "container"}
+
+
+def _local_reference(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def _attribute_reference(el: ET.Element) -> tuple[str, AttributeValue]:
+    tag = _local_reference(el.tag)
+    key = canonical_key(el.attrib.get("key", ""))
+    raw = el.attrib.get("value", "")
+    nested = []
+    for child in el:
+        child_tag = _local_reference(child.tag)
+        if child_tag in _ATTR_TAGS:
+            nested.append(child)
+        elif child_tag == "values" and tag == "list":
+            nested += [item for item in child if _local_reference(item.tag) in _ATTR_TAGS]
+    children = tuple(_attribute_reference(child) for child in nested)
+    try:
+        if tag == "string" or tag == "id":
+            value = AttributeValue("string", raw, children)
+        elif tag == "date":
+            value = AttributeValue("date", _timestamp_reference(raw), children)
+        elif tag == "int":
+            value = AttributeValue("int", int(raw), children)
+        elif tag == "float":
+            value = AttributeValue("float", float(raw), children)
+        elif tag == "boolean":
+            value = AttributeValue("boolean", raw.strip().lower() == "true", children)
+        else:
+            value = AttributeValue("string", "", children)
+    except (ValueError, XesValueError) as exc:
+        raise XesValueError(f"attribute {key!r}: {exc}") from exc
+    return key, value
+
+
+def _attributes_reference(el: ET.Element) -> dict:
+    return dict(
+        _attribute_reference(child)
+        for child in el
+        if _local_reference(child.tag) in _ATTR_TAGS
+    )
+
+
+def parse_xes_reference(data: bytes) -> EventLog:
+    """Parse XES bytes by a plain walk over ``ET.parse``'s tree: every
+    attribute element read on its own, every timestamp through the general
+    ISO-8601 path. A list's items are those in its ``<values>`` element."""
+    try:
+        root = ET.parse(io.BytesIO(data)).getroot()
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise XesParseError(f"malformed XML at line {line}, column {col}: {exc.msg}") from exc
+    if _local_reference(root.tag) != "log":
+        raise XesParseError(
+            f"expected <log> root element, got <{_local_reference(root.tag)}>"
+        )
+    parts: dict = {
+        "attributes": {}, "extensions": set(), "classifiers": {},
+        "global_trace_attributes": {}, "global_event_attributes": {}, "traces": [],
+    }
+    for el in root:
+        tag = _local_reference(el.tag)
+        if tag == "extension":
+            parts["extensions"].add(el.attrib.get("name", ""))
+        elif tag == "global":
+            scope = el.attrib.get("scope", "event")
+            target = "global_trace_attributes" if scope == "trace" else "global_event_attributes"
+            parts[target].update(_attributes_reference(el))
+        elif tag == "classifier":
+            parts["classifiers"][el.attrib.get("name", "")] = tuple(
+                canonical_key(m.group(1) or m.group(2))
+                for m in re.finditer(r"'([^']*)'|(\S+)", el.attrib.get("keys", ""))
+            )
+        elif tag == "trace":
+            events = [
+                Event(_attributes_reference(child))
+                for child in el if _local_reference(child.tag) == "event"
+            ]
+            parts["traces"].append(Trace(_attributes_reference(el), events))
+        elif tag in _ATTR_TAGS:
+            key, value = _attribute_reference(el)
+            parts["attributes"][key] = value
+    return EventLog(**parts)

@@ -1,16 +1,19 @@
 """Event log model: typed attributes, parse/serialize round trips, and
 sensor change-point conversion."""
 
+import math
 from datetime import datetime, time, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import parse_xes_reference, serialize_xes_reference, to_utc_ms_reference
 
 from eventabs import petri
 from eventabs.xes import (
     CONCEPT_NAME,
     LABEL,
+    LIFECYCLE_TRANSITION,
     TIME_TIMESTAMP,
     AttributeValue,
     Event,
@@ -19,6 +22,7 @@ from eventabs.xes import (
     Trace,
     XesParseError,
     XesValueError,
+    _to_utc_ms,
     parse_timestamp,
     parse_xes,
     read_sensor_csv,
@@ -135,6 +139,19 @@ class TestParse:
         log = parse_xes(doc)
         outer = log.traces[0].events[0].attributes["outer"]
         assert outer.children == (("inner", AttributeValue.integer(7)),)
+        assert parse_xes(serialize_xes(log)) == log
+
+    def test_list_items_survive(self):
+        doc = (
+            b"<log><trace><string key='concept:name' value='c'/>"
+            b"<event><list key='l'><values>"
+            b"<string key='a' value='1'/><string key='b' value='2'/>"
+            b"</values></list></event>"
+            b"</trace></log>"
+        )
+        log = parse_xes(doc)
+        items = (("a", AttributeValue.string("1")), ("b", AttributeValue.string("2")))
+        assert log.traces[0].events[0].attributes["l"] == AttributeValue("string", "", items)
         assert parse_xes(serialize_xes(log)) == log
 
 
@@ -399,3 +416,240 @@ def test_read_sensor_csv_reports_row(tmp_path):
     )
     with pytest.raises(SensorSeriesError, match="row 3"):
         read_sensor_csv(path)
+
+
+# --- the writer and the parser against their oracles ------------------------
+
+# Characters ElementTree escapes in attribute values, the quote it leaves
+# and non-ASCII text; none of them spells a typed event key.
+_AWKWARD_CHARS = list("&<>\"'\r\n\t ab:") + ["\u00e9", "\u20ac", "\U0001f600"]
+_OFFSETS = st.builds(
+    timezone,
+    st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                  max_value=timedelta(hours=23, minutes=59)),
+)
+_MOMENTS = st.datetimes(
+    min_value=datetime(1900, 1, 2), max_value=datetime(2100, 1, 1),
+    timezones=st.one_of(st.none(), st.just(UTC), _OFFSETS),
+)
+
+
+@st.composite
+def awkward_logs(draw, readable: bool = False) -> EventLog:
+    """Logs of every attribute kind, nested, under awkward keys and values.
+    Unless ``readable``, text may hold a lone surrogate (written as a
+    character reference no XML parser reads back) and classifiers may name
+    any global key, which the quoted-key syntax cannot always carry."""
+    text = st.text(
+        alphabet=st.sampled_from(_AWKWARD_CHARS + ([] if readable else ["\ud800"])),
+        max_size=6,
+    )
+    scalars = st.one_of(
+        text.map(AttributeValue.string),
+        _MOMENTS.map(AttributeValue.date),
+        st.integers().map(AttributeValue.integer),
+        st.floats().map(AttributeValue.real),
+        st.booleans().map(AttributeValue.boolean),
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.builds(
+            lambda av, children: AttributeValue(av.kind, av.value, tuple(children)),
+            scalars,
+            st.lists(st.tuples(text, inner), max_size=3),
+        ),
+        max_leaves=6,
+    )
+    attributes = st.dictionaries(text, values, max_size=3)
+    traces = [
+        Trace(
+            {CONCEPT_NAME: AttributeValue.string(draw(text)), **draw(attributes)},
+            [Event(attrs) for attrs in draw(st.lists(attributes, max_size=3))],
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    global_event = draw(attributes)
+    plain_keys = draw(st.sets(st.sampled_from([CONCEPT_NAME, "my key", "\u00e9 \u20ac"])))
+    global_event.update((key, AttributeValue.string("")) for key in plain_keys)
+    keys = sorted(plain_keys if readable else global_event)
+    classifiers = {
+        draw(text): tuple(draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(0, 2)) if keys else 0)
+    }
+    extensions = draw(st.sets(
+        st.one_of(st.sampled_from(["Concept", "Time", "Lifecycle", "Organizational",
+                                   "Semantic", "Custom"]), text),
+        max_size=3,
+    ))
+    return EventLog(
+        attributes=draw(attributes),
+        extensions=extensions,
+        classifiers=classifiers,
+        global_trace_attributes=draw(attributes),
+        global_event_attributes=global_event,
+        traces=traces,
+    )
+
+
+def _edge_logs() -> list[EventLog]:
+    case = {CONCEPT_NAME: AttributeValue.string("c")}
+    return [
+        EventLog(),
+        EventLog(traces=[Trace(dict(case), [])]),
+        EventLog(traces=[Trace(dict(case), [
+            Event(), Event({"k": AttributeValue.real(0.0)}), Event({"k": AttributeValue.real(-0.0)}),
+        ])]),
+        EventLog(
+            extensions={"Concept", "Weird & <Ext>"},
+            classifiers={"By both": ("concept:name", "my key")},
+            global_trace_attributes={CONCEPT_NAME: AttributeValue.string("")},
+            global_event_attributes={
+                CONCEPT_NAME: AttributeValue.string(""),
+                "my key": AttributeValue.real(-0.0),
+            },
+            attributes={"zero": AttributeValue.real(0.0), "neg": AttributeValue.real(-0.0),
+                        "nan": AttributeValue.real(math.nan)},
+        ),
+    ]
+
+
+def _household_log() -> EventLog:
+    return petri.generate_annotated_log(petri.medicine_eating_process(), 12, seed=11)
+
+
+def _sensor_log() -> EventLog:
+    base = datetime(2015, 11, 3, 6, tzinfo=UTC)
+    series = {
+        sensor: [(base + timedelta(minutes=37 * i + 11 * j), i % 2) for i in range(1, 80)]
+        for j, sensor in enumerate(["door", "fridge", "kettle & tap"])
+    }
+    return sensor_series_to_log(series)
+
+
+class TestWriterOracle:
+    @given(awkward_logs())
+    @settings(max_examples=120, deadline=None)
+    def test_bytes_match_elementtree(self, log):
+        assert serialize_xes(log) == serialize_xes_reference(log)
+
+    @pytest.mark.parametrize("log", _edge_logs(), ids=["empty", "no-events", "bare-event", "header"])
+    def test_edge_logs(self, log):
+        assert serialize_xes(log) == serialize_xes_reference(log)
+
+    def test_generated_and_converted_logs(self):
+        for log in (_household_log(), _sensor_log()):
+            assert serialize_xes(log) == serialize_xes_reference(log)
+
+
+def _facts(av: AttributeValue):
+    """Everything an attribute value holds, down to the type and the
+    tzinfo object; floats by repr, so NaN and -0.0 compare."""
+    value = av.value
+    tz = value.tzinfo if isinstance(value, datetime) else None
+    return (av.kind, type(value), repr(value), id(tz) if tz is not None else None,
+            tuple((k, _facts(c)) for k, c in av.children))
+
+
+def _log_facts(log: EventLog):
+    def block(attrs):
+        return [(k, _facts(v)) for k, v in attrs.items()]
+
+    return (
+        sorted(log.extensions), log.classifiers, block(log.attributes),
+        block(log.global_trace_attributes), block(log.global_event_attributes),
+        [(block(t.attributes), [block(e.attributes) for e in t.events]) for t in log.traces],
+    )
+
+
+@st.composite
+def timestamp_texts(draw) -> str:
+    moment = draw(st.datetimes(min_value=datetime(1900, 1, 2), max_value=datetime(2100, 1, 1)))
+    text = moment.strftime("%Y-%m-%dT%H:%M:%S")
+    digits = draw(st.sampled_from([0, 1, 3, 6, 9]))
+    if digits:
+        text += "." + f"{moment.microsecond:06d}{draw(st.integers(0, 999)):03d}"[:digits]
+    return text + draw(st.sampled_from(["", "Z", "+00:00", "+01:00", "-05:30", "+14:00"]))
+
+
+def _document(stamps: list[str], namespace: bool = False) -> bytes:
+    """Two copies of one trace whose events repeat values, ``n`` under two
+    tags, around the given timestamps."""
+    events = "".join(
+        f"<event><string key='concept:name' value='{'AB'[i % 2]}'/>"
+        f"<{'int' if i % 2 else 'string'} key='n' value='{i % 3}'/>"
+        f"<boolean key='ok' value='true'/>"
+        f"<date key='seen' value='{stamp}'/></event>"
+        for i, stamp in enumerate(stamps)
+    )
+    xmlns = " xmlns='http://www.xes-standard.org/'" if namespace else ""
+    return (
+        f"<log{xmlns}><global scope='event'><string key='concept:name' value=''/></global>"
+        f"<classifier name='A' keys='concept:name'/>"
+        f"<trace><string key='concept:name' value='c'/>{events}</trace>"
+        f"<trace><string key='concept:name' value='c'/>{events}</trace></log>"
+    ).encode()
+
+
+class TestParserOracle:
+    @given(st.lists(timestamp_texts(), max_size=8), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(["2015-11-03T08:45:23.000+00:00", "2015-11-03T08:45:23.123Z",
+              "2015-11-03T08:45:23", "2015-11-03T09:45:23.1+01:00",
+              "2015-11-03T08:45:23.123456789-05:30"], True)
+    def test_timestamps_and_repeated_values(self, stamps, namespace):
+        data = _document(stamps, namespace)
+        assert _log_facts(parse_xes(data)) == _log_facts(parse_xes_reference(data))
+
+    @given(awkward_logs(readable=True))
+    @settings(max_examples=100, deadline=None)
+    def test_serialized_logs(self, log):
+        data = serialize_xes(log)
+        assert _log_facts(parse_xes(data)) == _log_facts(parse_xes_reference(data))
+
+    def test_generated_and_converted_logs(self):
+        for log in (_household_log(), _sensor_log()):
+            data = serialize_xes(log)
+            assert _log_facts(parse_xes(data)) == _log_facts(parse_xes_reference(data))
+
+    def test_namespaced_list(self):
+        data = (
+            b"<log xmlns='http://www.xes-standard.org/'><trace>"
+            b"<string key='concept:name' value='c'/><event><list key='l'><values>"
+            b"<date key='d' value='2015-11-03T08:45:23.000+00:00'/><int key='i' value='4'/>"
+            b"</values></list></event></trace></log>"
+        )
+        parsed = parse_xes(data)
+        assert len(parsed.traces[0].events[0].attributes["l"].children) == 2
+        assert _log_facts(parsed) == _log_facts(parse_xes_reference(data))
+
+    @pytest.mark.parametrize("data", [
+        b"<log><trace></log>",
+        b"<log>\n<trace><event></trace></log>",
+        b"",
+        b"<log><trace><string key='concept:name' value='c'/>"
+        b"<event><date key='time:timestamp' value='not-a-date'/></event></trace></log>",
+        b"<log><trace><string key='concept:name' value='c'/>"
+        b"<event><date key='when' value='2015-13-03T08:45:23.000+00:00'/></event></trace></log>",
+        b"<log><trace><string key='concept:name' value='c'/>"
+        b"<event><int key='n' value='x'/></event></trace></log>",
+        b"<trace/>",
+    ])
+    def test_error_messages(self, data):
+        with pytest.raises((XesParseError, XesValueError)) as ours:
+            parse_xes(data)
+        with pytest.raises((XesParseError, XesValueError)) as theirs:
+            parse_xes_reference(data)
+        assert (type(ours.value), str(ours.value)) == (type(theirs.value), str(theirs.value))
+
+    @given(st.datetimes(
+        min_value=datetime(1900, 1, 2), max_value=datetime(2100, 1, 1),
+        timezones=st.one_of(st.none(), st.just(UTC), st.just(timezone(timedelta(0))), _OFFSETS),
+    ))
+    @settings(max_examples=300, deadline=None)
+    @example(datetime(2015, 11, 3, 8, 45, 23, 999999, tzinfo=UTC))
+    @example(datetime(2015, 11, 3, 8, 45, 23, 1000, tzinfo=UTC))
+    def test_to_utc_ms_matches_normalization(self, moment):
+        ours, theirs = _to_utc_ms(moment), to_utc_ms_reference(moment)
+        assert ours == theirs
+        assert ours.tzinfo is theirs.tzinfo is UTC
+        assert ours.microsecond == theirs.microsecond
