@@ -90,14 +90,11 @@ def fit_folds(
 def fit(
     annotated: EventLog,
     config: AbstractionConfig = AbstractionConfig(),
-    diagnostics: list[str] | None = None,
 ) -> CrfModel:
     """Build the feature catalog on the annotated log and train the CRF:
-    the one-fold case of :func:`fit_folds`, holding nothing out."""
-    model, _ = next(fit_folds(InternedLog(annotated.traces), [()], config))
-    if diagnostics is not None:
-        diagnostics.extend(model.catalog.notes)
-    return model
+    the one-fold case of :func:`fit_folds`, holding nothing out. Skipped
+    families and sub-model warnings are in ``model.catalog.notes``."""
+    return next(fit_folds(InternedLog(annotated.traces), [()], config))[0]
 
 
 class _SharedStrings(dict):
@@ -253,6 +250,6 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
             weights=weights,
             l1_coefficient=data["l1_coefficient"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelIOError(f"malformed model payload: {exc}") from exc
     return model

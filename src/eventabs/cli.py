@@ -124,7 +124,7 @@ def _load_log(path: str) -> xes.EventLog:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
-def _emit_diagnostics(diagnostics: list[str]) -> None:
+def _emit_diagnostics(diagnostics: tuple[str, ...] | list[str]) -> None:
     for message in dict.fromkeys(diagnostics):
         click.echo(f"warning: {message}", err=True)
 
@@ -193,14 +193,13 @@ def train(log_path: str, model_path: str, config_path: str | None,
     """Train an abstraction model on a fully annotated XES log."""
     values = _merged(config_path, l1=l1, ngrams=ngrams, kmax=kmax, seed=seed)
     log = _load_log(log_path)
-    diagnostics: list[str] = []
     from .features import TrainingError
 
     try:
-        model = abstraction.fit(log, _abstraction_config(values), diagnostics)
+        model = abstraction.fit(log, _abstraction_config(values))
     except TrainingError as exc:
         raise click.ClickException(str(exc)) from exc
-    _emit_diagnostics(diagnostics)
+    _emit_diagnostics(model.catalog.notes)
     abstraction.save_model(model, model_path)
     total = len(model.weights)
     nonzero = model.nonzero_weight_count

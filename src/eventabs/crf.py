@@ -10,17 +10,18 @@ weight scores, and where the transition block starts); this module only
 asks it to split a weight vector. Training and decoding share one packing
 of traces into time-major rows (``_pack``): training runs one scaled
 forward-backward pass over it per objective evaluation, Viterbi one
-log-space max-plus pass for any number of traces. A :class:`TrainingBatch`
-is built one way, from concatenated observation rows, label indices and
-sequence lengths. ``log_partition``,
-``posterior_marginals`` and ``sequence_log_prob`` stay per-trace in log
-space: they must stay finite where the weights put more than about 700
-nats between paths, and there the scaled pass returns ``+inf``.
+log-space max-plus pass for any number of traces. A :class:`TrainingBatch`,
+built from concatenated observation rows, label indices and sequence
+lengths, is the one training input of the objective (``nll_and_gradient``).
+``log_partition``, ``posterior_marginals`` and ``sequence_log_prob`` stay
+per-trace in log space: they must stay finite where the weights put more
+than about 700 nats between paths, and there the scaled pass returns
+``+inf``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .xes import EventLog
 TIE_TOLERANCE = 1e-9
 
 __all__ = [
-    "LabeledPair",
     "CrfModel",
     "log_partition",
     "sequence_log_prob",
@@ -47,18 +47,6 @@ __all__ = [
     "training_pairs",
     "train",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledPair:
-    """An observation matrix with its aligned label index sequence."""
-
-    observations: np.ndarray  # (T, F_obs)
-    labels: np.ndarray        # (T,) int
-
-    def __post_init__(self) -> None:
-        if len(self.observations) != len(self.labels):
-            raise ValueError("observation and label sequences differ in length")
 
 
 def _emission_weights(catalog: FeatureCatalog, w_obs: np.ndarray) -> np.ndarray:
@@ -96,14 +84,6 @@ def _log_partition_forward(emissions: np.ndarray, trans: np.ndarray) -> float:
     if len(emissions) == 0:
         return 0.0
     return float(np.logaddexp.reduce(_forward(emissions, trans)[-1]))
-
-
-def _log_partition_backward(emissions: np.ndarray, trans: np.ndarray) -> float:
-    if len(emissions) == 0:
-        return 0.0
-    L = emissions.shape[1]
-    beta = _backward(emissions, trans)
-    return float(np.logaddexp.reduce(trans[L] + emissions[0] + beta[0]))
 
 
 @dataclass(eq=False)
@@ -330,10 +310,11 @@ def _observation_counts(
     return counts[np.arange(len(counts)), catalog.observation_labels]
 
 
-def _batch_nll_and_gradient(
-    weights: np.ndarray, batch: TrainingBatch
-) -> tuple[float, np.ndarray]:
-    """Scaled forward-backward (Rabiner 1989) over the packed rows.
+def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, np.ndarray]:
+    """Negative conditional log-likelihood of the batch and its gradient,
+    expected minus observed feature counts: the smooth part of the training
+    objective (the L1 penalty lives in the optimizer). Computed by scaled
+    forward-backward (Rabiner 1989) over the packed rows.
 
     Potentials are exponentiated once, shifted by their maxima, and every
     row's forward vector is normalized by its scale factor ``c``, so log Z
@@ -386,27 +367,6 @@ def _batch_nll_and_gradient(
     return float(log_z - weights @ batch.observed), expected - batch.observed
 
 
-def nll_and_gradient(
-    weights: np.ndarray,
-    pairs: Sequence[LabeledPair],
-    catalog: FeatureCatalog,
-) -> tuple[float, np.ndarray]:
-    """Negative conditional log-likelihood of the pairs and its gradient:
-    expected minus observed feature counts. This is the smooth part of the
-    training objective; the L1 penalty lives in the optimizer. Weights that
-    underflow the scaled forward pass give ``+inf`` and a NaN gradient.
-    """
-    if not pairs:
-        raise ValueError("need at least one training pair")
-    batch = TrainingBatch(
-        catalog,
-        np.concatenate([p.observations for p in pairs]),
-        np.concatenate([p.labels for p in pairs]),
-        [len(p.labels) for p in pairs],
-    )
-    return _batch_nll_and_gradient(weights, batch)
-
-
 def training_batch(
     log: InternedLog,
     catalog: FeatureCatalog,
@@ -429,15 +389,14 @@ def training_batch(
     )
 
 
-def training_pairs(log: EventLog, catalog: FeatureCatalog) -> list[LabeledPair]:
-    """Evaluate the catalog on every annotated trace of a log."""
+def training_pairs(
+    log: EventLog, catalog: FeatureCatalog
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (observations, label indices) of every annotated trace of a log."""
     interned = InternedLog(log.traces)
     observations = observation_matrix(catalog, interned)
     labels = interned.label_indices(catalog.labels)
-    return [
-        LabeledPair(obs, y)
-        for obs, y in zip(interned.per_trace(observations), interned.per_trace(labels))
-    ]
+    return list(zip(interned.per_trace(observations), interned.per_trace(labels)))
 
 
 def fit_batch(
@@ -449,25 +408,19 @@ def fit_batch(
 ) -> CrfModel:
     """Fit CRF weights on a packed batch by minimizing NLL + C * ||lambda||_1
     with OWL-QN, C = ``l1_coefficient``, from ``initial`` (in the batch
-    catalog's layout; default zero). An ``optimizer_config`` that sets its
-    own nonzero coefficient must agree with it. Deterministic: identical
-    inputs produce identical weight vectors."""
+    catalog's layout; default zero). Deterministic: identical inputs
+    produce identical weight vectors."""
     catalog = batch.catalog
-    base = optimizer_config or OwlqnConfig()
-    if base.l1_coefficient not in (0.0, l1_coefficient):
-        raise ValueError(
-            f"optimizer l1_coefficient {base.l1_coefficient} conflicts with "
-            f"l1_coefficient {l1_coefficient}; set the coefficient in one place"
-        )
-    config = replace(base, l1_coefficient=l1_coefficient)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _batch_nll_and_gradient(w, batch)
+        value, grad = nll_and_gradient(w, batch)
         if objective_hook is not None:
             objective_hook(value)
         return value, grad
 
-    weights, result = minimize(objective, catalog.n_features, config, initial)
+    weights, result = minimize(
+        objective, catalog.n_features, optimizer_config or OwlqnConfig(), initial, l1_coefficient
+    )
     return CrfModel(
         catalog=catalog,
         weights=weights,

@@ -815,7 +815,6 @@ def fold_catalogs(
 def build_catalog(
     training: EventLog,
     config: CatalogConfig = CatalogConfig(),
-    diagnostics: list[str] | None = None,
 ) -> FeatureCatalog:
     """Fit the feature catalog on a fully annotated log: the one-fold case
     of :func:`fold_catalogs`, holding nothing out.
@@ -825,10 +824,7 @@ def build_catalog(
     notes. Raises :class:`TrainingError` when any event lacks the label
     attribute.
     """
-    catalog = next(fold_catalogs(InternedLog(training.traces), [()], config))
-    if diagnostics is not None:
-        diagnostics.extend(catalog.notes)
-    return catalog
+    return next(fold_catalogs(InternedLog(training.traces), [()], config))
 
 
 # --- evaluation ---------------------------------------------------------------

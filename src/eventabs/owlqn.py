@@ -1,5 +1,6 @@
 """Orthant-Wise Limited-memory Quasi-Newton minimization of
-``smooth_loss(x) + C * ||x||_1``.
+``smooth_loss(x) + C * ||x||_1``. ``C`` is an argument of :func:`minimize`;
+:class:`OwlqnConfig` holds only the memory, the cap and the tolerance.
 
 With ``C == 0`` the method is plain L-BFGS with a backtracking Armijo line
 search. With ``C > 0`` the subgradient at zero coordinates is resolved by
@@ -60,15 +61,12 @@ CURVATURE_FLOOR = 1e-10
 @dataclass(frozen=True)
 class OwlqnConfig:
     memory: int = 10
-    l1_coefficient: float = 0.0
     max_iterations: int = 500
     tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
-        if self.l1_coefficient < 0:
-            raise ValueError("l1_coefficient must be non-negative")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -138,8 +136,10 @@ def minimize(
     dim: int,
     config: OwlqnConfig = OwlqnConfig(),
     initial: np.ndarray | None = None,
+    l1_coefficient: float = 0.0,
 ) -> tuple[np.ndarray, OwlqnResult]:
-    """Minimize ``objective``'s smooth part plus the configured L1 penalty.
+    """Minimize ``objective``'s smooth part plus ``l1_coefficient *
+    ||x||_1``, starting from ``initial`` (default zero).
 
     ``objective(x)`` must return the smooth loss value and its gradient.
     Returns the weight vector and run diagnostics; fully deterministic.
@@ -149,7 +149,9 @@ def minimize(
     backtracks; a failed line search ends the run at the last accepted
     iterate with ``stop == "line_search_failed"``.
     """
-    c = config.l1_coefficient
+    if l1_coefficient < 0:
+        raise ValueError("l1_coefficient must be non-negative")
+    c = l1_coefficient
     x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).copy()
     if x.shape != (dim,):
         raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")

@@ -1,6 +1,7 @@
 """Statistical estimators behind the feature layer: smoothed multinoulli
-tables over discrete contexts, univariate Gaussian mixtures fitted by EM,
-and BIC-based selection of the mixture size.
+tables, each a (contexts, labels) count matrix smoothed as whole arrays;
+univariate Gaussian mixtures fitted by EM; and BIC-based selection of the
+mixture size.
 
 All EM runs go through one packed kernel. It groups the fits by component
 count k, concatenates each group's samples into one row array with a
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -25,11 +27,9 @@ __all__ = [
     "EstimationError",
     "MultinoulliTable",
     "Gmm",
-    "multinoulli_fit",
     "gmm_fit_em",
     "gmm_select_bic",
     "gmm_select_bic_many",
-    "gmm_density",
     "gmm_log_density",
 ]
 
@@ -40,56 +40,45 @@ class EstimationError(Exception):
     """An estimator received data it cannot be fitted on."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultinoulliTable:
     """Per-context categorical distributions over a label alphabet, with
-    additive smoothing.
+    additive smoothing, held as a count matrix: row i of ``counts`` holds
+    the label counts of the observed context ``contexts[i]``, one column
+    per label.
 
-    ``probability(ctx, l)`` is ``(count(ctx, l) + alpha) /
-    (count(ctx) + alpha * |labels|)``; contexts never observed fall back
-    to the uniform distribution.
+    The probability of label l given a context is ``(count(ctx, l) +
+    alpha) / (count(ctx) + alpha * |labels|)``; contexts never observed,
+    or with a zero denominator, fall back to the uniform distribution.
+    Tables are equal when they hold the same counts, in any row order.
     """
 
     arity: int
     labels: tuple[str, ...]
     alpha: float
-    counts: Mapping[tuple[str, ...], Mapping[str, int]]
-    context_totals: Mapping[tuple[str, ...], int]
+    contexts: tuple[tuple[str, ...], ...]
+    counts: np.ndarray  # (contexts, labels) int
 
-    def probability(self, context: tuple[str, ...], label: str) -> float:
-        return self.distribution(context)[label]
+    @cached_property
+    def _row(self) -> dict[tuple[str, ...], int]:
+        return {context: i for i, context in enumerate(self.contexts)}
 
-    def distribution(self, context: tuple[str, ...]) -> dict[str, float]:
-        """The smoothed probability of every label given ``context``, in
-        label order."""
-        return dict(zip(self.labels, self.distributions([context])[0].tolist()))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MultinoulliTable) and self.to_dict() == other.to_dict()
 
     def distributions(self, contexts: Sequence[tuple[str, ...]]) -> np.ndarray:
         """The smoothed label distribution of every context, as the rows of
         a (contexts, labels) array, with one lookup per context."""
         L = len(self.labels)
-        column = {l: j for j, l in enumerate(self.labels)}
-        observed: list[int] = []
-        totals: list[int] = []
-        cells: list[tuple[int, int, int]] = []
-        for r, context in enumerate(contexts):
-            if len(context) != self.arity:
-                raise ValueError(
-                    f"context arity {len(context)} does not match table arity {self.arity}"
-                )
-            per_label = self.counts.get(context)
-            if per_label is not None:
-                observed.append(r)
-                totals.append(self.context_totals[context])
-                cells.extend((r, column[l], c) for l, c in per_label.items() if l in column)
-        counts = np.zeros((len(contexts), L))
-        if cells:
-            rows, cols, values = zip(*cells)
-            counts[list(rows), list(cols)] = values
+        if any(len(c) != self.arity for c in contexts):
+            raise ValueError(f"context arity does not match table arity {self.arity}")
+        rows = np.asarray([self._row.get(c, -1) for c in contexts], dtype=np.intp)
+        seen = np.flatnonzero(rows >= 0)
+        counts = self.counts[rows[seen]]
+        denom = counts.sum(axis=1) + self.alpha * L
+        use = denom != 0.0
         out = np.full((len(contexts), L), 1.0 / L)
-        denom = np.asarray(totals, dtype=float) + self.alpha * L
-        use = np.asarray(observed, dtype=np.intp)[denom != 0.0]
-        out[use] = (counts[use] + self.alpha) / denom[denom != 0.0, None]
+        out[seen[use]] = (counts[use] + self.alpha) / denom[use, None]
         return out
 
     @classmethod
@@ -101,20 +90,12 @@ class MultinoulliTable:
         labels: tuple[str, ...],
         alpha: float,
     ) -> "MultinoulliTable":
-        """The table of a (contexts, labels) count matrix over a sorted
-        label alphabet; contexts without counts are left out, as never
-        observed. Equals :func:`multinoulli_fit` on the counted pairs."""
-        per_context: dict[tuple[str, ...], dict[str, int]] = {}
-        rows, cols = np.nonzero(counts)
-        for r, j, c in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist()):
-            per_context.setdefault(contexts[r], {})[labels[j]] = c
-        return cls(
-            arity=arity,
-            labels=labels,
-            alpha=float(alpha),
-            counts=per_context,
-            context_totals={ctx: sum(c.values()) for ctx, c in per_context.items()},
-        )
+        """The table of a (contexts, labels) integer count matrix over a
+        sorted label alphabet; contexts without counts are left out, as
+        never observed."""
+        observed = np.flatnonzero(counts.any(axis=1))
+        contexts = tuple(contexts[i] for i in observed.tolist())
+        return cls(arity, labels, float(alpha), contexts, counts[observed])
 
     def to_dict(self) -> dict:
         return {
@@ -122,66 +103,28 @@ class MultinoulliTable:
             "labels": list(self.labels),
             "alpha": self.alpha,
             "counts": [
-                [list(ctx), {l: c for l, c in sorted(per_label.items())}]
-                for ctx, per_label in sorted(self.counts.items())
+                [list(ctx), {l: c for l, c in sorted(zip(self.labels, row)) if c}]
+                for ctx, row in sorted(zip(self.contexts, self.counts.tolist()))
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MultinoulliTable":
-        counts = {
-            tuple(ctx): dict(per_label) for ctx, per_label in data["counts"]
-        }
-        totals = {ctx: sum(per_label.values()) for ctx, per_label in counts.items()}
-        return cls(
-            arity=data["arity"],
-            labels=tuple(data["labels"]),
-            alpha=data["alpha"],
-            counts=counts,
-            context_totals=totals,
-        )
-
-
-def multinoulli_fit(
-    observations: Iterable[tuple[tuple[str, ...], str]],
-    alpha: float,
-    labels: Iterable[str] | None = None,
-) -> MultinoulliTable:
-    """Estimate a smoothed multinoulli table from (context, label) pairs.
-
-    The label alphabet defaults to the labels seen in the observations;
-    pass ``labels`` explicitly to smooth over a larger alphabet.
-    """
-    if alpha < 0:
-        raise EstimationError("smoothing alpha must be non-negative")
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
-    totals: dict[tuple[str, ...], int] = {}
-    seen_labels: set[str] = set()
-    arity: int | None = None
-    for context, label in observations:
-        context = tuple(context)
-        if arity is None:
-            arity = len(context)
-        elif len(context) != arity:
-            raise EstimationError(
-                f"mixed context arities: {arity} and {len(context)}"
-            )
-        per_label = counts.setdefault(context, {})
-        per_label[label] = per_label.get(label, 0) + 1
-        totals[context] = totals.get(context, 0) + 1
-        seen_labels.add(label)
-    if arity is None:
-        raise EstimationError("cannot fit a multinoulli table on no observations")
-    alphabet = tuple(sorted(labels)) if labels is not None else tuple(sorted(seen_labels))
-    if not set(seen_labels) <= set(alphabet):
-        raise EstimationError("observed labels outside the declared alphabet")
-    return MultinoulliTable(
-        arity=arity,
-        labels=alphabet,
-        alpha=float(alpha),
-        counts=counts,
-        context_totals=totals,
-    )
+        """The table written by :meth:`to_dict`. Raises ``ValueError`` for a
+        count that is not a non-negative integer or that names a label
+        outside the table's labels."""
+        labels = tuple(data["labels"])
+        column = {l: j for j, l in enumerate(labels)}
+        counts = np.zeros((len(data["counts"]), len(labels)), dtype=np.int64)
+        for row, (ctx, per_label) in zip(counts, data["counts"]):
+            for label, c in dict(per_label).items():
+                if label not in column:
+                    raise ValueError(f"context {ctx}: label {label!r} is not in {labels}")
+                if type(c) is not int or c < 0:
+                    raise ValueError(f"context {ctx}: count {c!r} is not a non-negative integer")
+                row[column[label]] = c
+        contexts = tuple(tuple(ctx) for ctx, _ in data["counts"])
+        return cls(data["arity"], labels, data["alpha"], contexts, counts)
 
 
 @dataclass(frozen=True)
@@ -246,11 +189,6 @@ def gmm_log_density(model: Gmm, x: float | np.ndarray) -> float | np.ndarray:
     top = scores.max(axis=0)
     out = top + np.log(np.exp(scores - top).sum(axis=0))
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
-
-
-def gmm_density(model: Gmm, x: float | np.ndarray) -> float | np.ndarray:
-    """Mixture density at ``x``; integrates to one over the real line."""
-    return np.exp(gmm_log_density(model, x))
 
 
 def _kmeanspp_centers(xs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -406,11 +406,26 @@ def _attributes(el: ET.Element, shared: _Shared) -> dict[str, AttributeValue]:
 
 
 def _split_classifier_keys(spec: str) -> tuple[str, ...]:
-    # Keys are whitespace-separated; keys containing spaces are single-quoted.
-    keys = []
-    for match in re.finditer(r"'([^']*)'|(\S+)", spec):
-        keys.append(canonical_key(match.group(1) or match.group(2)))
-    return tuple(keys)
+    # Keys are whitespace-separated; see _join_classifier_keys for quoting.
+    return tuple(
+        canonical_key(m[1] if m[2] is None else m[2])
+        for m in re.finditer(r"'([^']*)'|(\S+)", spec)
+    )
+
+
+def _join_classifier_keys(name: str, keys: tuple[str, ...]) -> str:
+    """A classifier's keys, whitespace-separated. A key that is empty, holds
+    whitespace or starts with a quote is single-quoted, so it cannot hold a
+    quote: such a key raises :class:`XesValueError`."""
+    parts = []
+    for key in keys:
+        if key and key[0] != "'" and not re.search(r"\s", key):
+            parts.append(key)
+        elif "'" in key:
+            raise XesValueError(f"classifier {name!r}: key {key!r} cannot be written")
+        else:
+            parts.append(f"'{key}'")
+    return " ".join(parts)
 
 
 def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
@@ -573,8 +588,8 @@ def serialize_xes(log: EventLog) -> bytes:
                 _attribute_lines(body, "    ", key, av, rendered)
             body.append("  </global>")
     for name, keys in log.classifiers.items():
-        quoted = " ".join(f"'{k}'" if " " in k else k for k in keys)
-        body.append(f'  <classifier name="{_escape(name)}" keys="{_escape(quoted)}" />')
+        joined = _join_classifier_keys(name, keys)
+        body.append(f'  <classifier name="{_escape(name)}" keys="{_escape(joined)}" />')
     for key, av in log.attributes.items():
         _attribute_lines(body, "  ", key, av, rendered)
     for trace in log.traces:

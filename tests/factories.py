@@ -1,9 +1,13 @@
-"""Compact builders for annotated logs used across the test modules."""
+"""Compact builders for annotated logs and training batches used across
+the test modules."""
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
+
+from eventabs.crf import TrainingBatch
 from eventabs.xes import (
     CONCEPT_NAME,
     LABEL,
@@ -58,3 +62,13 @@ def sequence_trace(
         ts = start + timedelta(seconds=i * gap_seconds) if with_time else None
         events.append(make_event(name=name, label=label, ts=ts))
     return events
+
+
+def training_batch_of(catalog, pairs) -> TrainingBatch:
+    """The training batch of (observations, label indices) pairs, one pair
+    per sequence, in order."""
+    observations, labels = zip(*pairs)
+    return TrainingBatch(
+        catalog, np.concatenate(observations), np.concatenate(labels),
+        [len(y) for y in labels],
+    )

@@ -16,7 +16,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from eventabs.features import BOT, MISSING, pair_lifecycle_steps, view_coordinate
 from eventabs.petri import LabeledPetriNet, Marking
-from eventabs.stats import Gmm
+from eventabs.stats import EstimationError, Gmm
 from eventabs.xes import (
     _STANDARD_EXTENSIONS,
     CONCEPT_NAME,
@@ -254,10 +254,63 @@ def l1_lbfgsb_reference(objective, dim: int, c: float) -> tuple[np.ndarray, floa
     return w, float(objective(w)[0] + c * np.abs(w).sum())
 
 
+# --- multinoulli tables as dicts ---------------------------------------------
+
+
+def multinoulli_fit_reference(observations, alpha: float, labels=None) -> dict:
+    """A smoothed multinoulli table counted from (context, label) pairs, in
+    the dict form of ``MultinoulliTable.to_dict``: per observed context,
+    the count of each label seen with it. The alphabet defaults to the
+    labels seen; pass ``labels`` to smooth over a larger one."""
+    if alpha < 0:
+        raise EstimationError("smoothing alpha must be non-negative")
+    counts: dict = {}
+    arity = None
+    for context, label in observations:
+        context = tuple(context)
+        if arity is None:
+            arity = len(context)
+        elif len(context) != arity:
+            raise EstimationError(f"mixed context arities: {arity} and {len(context)}")
+        per_label = counts.setdefault(context, {})
+        per_label[label] = per_label.get(label, 0) + 1
+    if arity is None:
+        raise EstimationError("cannot fit a multinoulli table on no observations")
+    seen = {label for per_label in counts.values() for label in per_label}
+    alphabet = sorted(labels) if labels is not None else sorted(seen)
+    if not seen <= set(alphabet):
+        raise EstimationError("observed labels outside the declared alphabet")
+    return {
+        "arity": arity,
+        "labels": alphabet,
+        "alpha": float(alpha),
+        "counts": [[list(ctx), dict(sorted(c.items()))] for ctx, c in sorted(counts.items())],
+    }
+
+
+def multinoulli_rows_reference(table: dict, contexts) -> list[list[float]]:
+    """The smoothed label distribution of each context under a table in its
+    dict form, label by label: (count(ctx, l) + alpha) / (count(ctx) +
+    alpha * |labels|), uniform for a context never observed or with a zero
+    denominator."""
+    labels, alpha = table["labels"], table["alpha"]
+    counts = {tuple(ctx): per_label for ctx, per_label in table["counts"]}
+    rows = []
+    for context in contexts:
+        per_label = counts.get(tuple(context))
+        denom = 0.0 if per_label is None else sum(per_label.values()) + alpha * len(labels)
+        if denom == 0.0:
+            rows.append([1.0 / len(labels)] * len(labels))
+        else:
+            rows.append([(per_label.get(l, 0) + alpha) / denom for l in labels])
+    return rows
+
+
 def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndarray:
     """One trace's observation matrix, evaluated on its own: n-gram
     contexts and lifecycle durations re-derived from its events, each
-    table row by the smoothing formula from the table's counts, and one
+    table row by the smoothing formula from the table's stored dict form
+    (``to_dict``, so not its in-memory layout), and one
     ``responsibilities`` call per bank and trace. Pairing and view
     coordinates use the public ``pair_lifecycle_steps`` and
     ``view_coordinate``, which have tests of their own. The neutral row
@@ -305,14 +358,11 @@ def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndar
             else:
                 key, table = f"org:{org}", catalog.org_tables[(n, org)]
             padded = [BOT] * (n - 1) + [symbol(ev, key) for ev in events]
-            for t in range(T):
-                context = tuple(padded[t : t + n])
-                per_label = table.counts.get(context)
-                if context[-1] == MISSING or per_label is None:
-                    continue
-                denom = table.context_totals[context] + table.alpha * len(table.labels)
-                if denom != 0.0:
-                    block[t] = [(per_label.get(l, 0) + table.alpha) / denom for l in table.labels]
+            contexts = [tuple(padded[t : t + n]) for t in range(T)]
+            live = [t for t in range(T) if contexts[t][-1] != MISSING]
+            rows = multinoulli_rows_reference(table.to_dict(), [contexts[t] for t in live])
+            for t, row in zip(live, rows):
+                block[t] = row
         elif family == "time_view":
             indices = [t for t, ev in enumerate(events) if ev.timestamp is not None]
             xs = [view_coordinate(view, events[t].timestamp) for t in indices]
@@ -378,7 +428,10 @@ def serialize_xes_reference(log: EventLog) -> bytes:
             for key, av in attrs.items():
                 g.append(_attribute_element_reference(key, av))
     for name, keys in log.classifiers.items():
-        quoted = " ".join(f"'{k}'" if " " in k else k for k in keys)
+        quoted = " ".join(
+            f"'{k}'" if not k or k[0] == "'" or any(c.isspace() for c in k) else k
+            for k in keys
+        )
         ET.SubElement(root, "classifier", {"name": name, "keys": quoted})
     for key, av in log.attributes.items():
         root.append(_attribute_element_reference(key, av))
@@ -470,7 +523,7 @@ def parse_xes_reference(data: bytes) -> EventLog:
             parts[target].update(_attributes_reference(el))
         elif tag == "classifier":
             parts["classifiers"][el.attrib.get("name", "")] = tuple(
-                canonical_key(m.group(1) or m.group(2))
+                canonical_key(m.group(1) if m.group(2) is None else m.group(2))
                 for m in re.finditer(r"'([^']*)'|(\S+)", el.attrib.get("keys", ""))
             )
         elif tag == "trace":

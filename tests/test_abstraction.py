@@ -61,13 +61,6 @@ class TestFit:
         result = annotate(model, strip_labels(log))
         assert {ev.label for tr in result.traces for ev in tr.events} == {"Only"}
 
-    def test_fit_refuses_a_second_l1_coefficient(self):
-        config = AbstractionConfig(
-            catalog=SMALL_CONFIG.catalog, optimizer=OwlqnConfig(l1_coefficient=0.5)
-        )
-        with pytest.raises(ValueError, match="l1_coefficient"):
-            fit(synthetic_log(5, seed=4), config)
-
     def test_fit_deterministic(self):
         log = synthetic_log(10, seed=4)
         a = fit(log, SMALL_CONFIG)

@@ -29,6 +29,7 @@ from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.stats import gmm_fit_em, gmm_select_bic
 from eventabs.xes import EventLog, parse_xes, serialize_xes
 
+from factories import training_batch_of
 from oracles import (
     argmax_lexicographic,
     enumerate_sequence_scores,
@@ -139,12 +140,13 @@ def test_criterion_2_gradient_correctness():
         pairs = []
         for _ in range(int(rng.integers(1, 4))):
             T = int(rng.integers(1, 6))
-            pairs.append(crf.LabeledPair(
+            pairs.append((
                 rng.normal(0, 1, (T, F)),
                 rng.integers(0, n_labels, T).astype(np.intp),
             ))
+        batch = training_batch_of(layout, pairs)
         weights = rng.normal(0, 1, layout.n_features)
-        _, analytic = crf.nll_and_gradient(weights, pairs, layout)
+        _, analytic = crf.nll_and_gradient(weights, batch)
         eps = 1e-6
         numeric = np.zeros_like(weights)
         for i in range(len(weights)):
@@ -152,8 +154,7 @@ def test_criterion_2_gradient_correctness():
             plus[i] += eps
             minus[i] -= eps
             numeric[i] = (
-                crf.nll_and_gradient(plus, pairs, layout)[0]
-                - crf.nll_and_gradient(minus, pairs, layout)[0]
+                crf.nll_and_gradient(plus, batch)[0] - crf.nll_and_gradient(minus, batch)[0]
             ) / (2 * eps)
         scale = np.maximum(np.abs(numeric), 1.0)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
@@ -175,7 +176,7 @@ def test_criterion_3_optimizer_correctness():
             d = x - b
             return 0.5 * float(d @ d), d
 
-        x, _ = minimize(objective, dim, OwlqnConfig(l1_coefficient=c))
+        x, _ = minimize(objective, dim, l1_coefficient=c)
         expected = np.sign(b) * np.maximum(np.abs(b) - c, 0.0)
         assert np.abs(x - expected).max() < 1e-6
 

@@ -8,9 +8,9 @@ import pytest
 
 from eventabs import crf
 from eventabs.features import CatalogConfig, FeatureCatalog, FeatureDef, build_catalog
-from eventabs.owlqn import OwlqnConfig, minimize
+from eventabs.owlqn import minimize
 
-from factories import make_log, sequence_trace
+from factories import make_log, sequence_trace, training_batch_of
 from oracles import (
     argmax_lexicographic,
     enumerate_sequence_scores,
@@ -78,7 +78,7 @@ class TestLogPartition:
         )
 
     def test_forward_equals_backward(self):
-        from eventabs.crf import _log_partition_backward, _log_partition_forward
+        from eventabs.crf import _backward, _log_partition_forward
 
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -86,7 +86,8 @@ class TestLogPartition:
             obs = rng.normal(0, 1, (int(rng.integers(1, 9)), 5))
             emissions, trans = model.potentials(obs)
             forward = _log_partition_forward(emissions, trans)
-            backward = _log_partition_backward(emissions, trans)
+            beta = _backward(emissions, trans)
+            backward = np.logaddexp.reduce(trans[-1] + emissions[0] + beta[0])
             assert forward == pytest.approx(backward, rel=1e-9)
 
 
@@ -245,15 +246,14 @@ def test_log_space_stability_long_sequence_large_weights():
 
 
 class TestGradient:
-    def finite_difference(self, weights, pairs, layout, eps=1e-6):
+    def finite_difference(self, weights, batch, eps=1e-6):
         grad = np.zeros_like(weights)
         for i in range(len(weights)):
             plus, minus = weights.copy(), weights.copy()
             plus[i] += eps
             minus[i] -= eps
             grad[i] = (
-                crf.nll_and_gradient(plus, pairs, layout)[0]
-                - crf.nll_and_gradient(minus, pairs, layout)[0]
+                crf.nll_and_gradient(plus, batch)[0] - crf.nll_and_gradient(minus, batch)[0]
             ) / (2 * eps)
         return grad
 
@@ -268,13 +268,14 @@ class TestGradient:
             pairs = []
             for _ in range(int(rng.integers(1, 4))):
                 T = int(rng.integers(1, 6))
-                pairs.append(crf.LabeledPair(
+                pairs.append((
                     rng.normal(0, 1, (T, F)),
                     rng.integers(0, L, T).astype(np.intp),
                 ))
             weights = rng.normal(0, 1, layout.n_features)
-            _, analytic = crf.nll_and_gradient(weights, pairs, layout)
-            numeric = self.finite_difference(weights, pairs, layout)
+            batch = training_batch_of(layout, pairs)
+            _, analytic = crf.nll_and_gradient(weights, batch)
+            numeric = self.finite_difference(weights, batch)
             scale = np.maximum(np.abs(numeric), 1.0)
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
 
@@ -283,10 +284,12 @@ class TestGradient:
         model = random_model(rng, 3, 4)
         layout = model.catalog
         pairs = [
-            crf.LabeledPair(rng.normal(0, 1, (4, 4)), np.array([0, 1, 2, 0])),
-            crf.LabeledPair(rng.normal(0, 1, (2, 4)), np.array([2, 2])),
+            (rng.normal(0, 1, (4, 4)), np.array([0, 1, 2, 0])),
+            (rng.normal(0, 1, (2, 4)), np.array([2, 2])),
         ]
-        value, _ = crf.nll_and_gradient(np.zeros(layout.n_features), pairs, layout)
+        value, _ = crf.nll_and_gradient(
+            np.zeros(layout.n_features), training_batch_of(layout, pairs)
+        )
         assert value == pytest.approx((4 + 2) * np.log(3), rel=1e-12)
 
     def test_duplicating_pairs_doubles(self):
@@ -294,12 +297,12 @@ class TestGradient:
         model = random_model(rng, 2, 3)
         layout = model.catalog
         pairs = [
-            crf.LabeledPair(rng.normal(0, 1, (3, 3)), np.array([0, 1, 1])),
-            crf.LabeledPair(rng.normal(0, 1, (5, 3)), np.array([1, 0, 0, 1, 0])),
+            (rng.normal(0, 1, (3, 3)), np.array([0, 1, 1])),
+            (rng.normal(0, 1, (5, 3)), np.array([1, 0, 0, 1, 0])),
         ]
         weights = rng.normal(0, 1, layout.n_features)
-        v1, g1 = crf.nll_and_gradient(weights, pairs, layout)
-        v2, g2 = crf.nll_and_gradient(weights, pairs + pairs, layout)
+        v1, g1 = crf.nll_and_gradient(weights, training_batch_of(layout, pairs))
+        v2, g2 = crf.nll_and_gradient(weights, training_batch_of(layout, pairs + pairs))
         assert v2 == pytest.approx(2 * v1, rel=1e-12)
         assert np.allclose(g2, 2 * g1, rtol=1e-12, atol=1e-12)
 
@@ -310,15 +313,15 @@ class TestGradient:
         pairs = []
         for _ in range(7):
             T = int(rng.integers(1, 8))
-            pairs.append(crf.LabeledPair(
+            pairs.append((
                 rng.normal(0, 1, (T, 5)), rng.integers(0, 3, T).astype(np.intp)
             ))
         weights = rng.normal(0, 1, layout.n_features)
-        batched_v, batched_g = crf.nll_and_gradient(weights, pairs, layout)
+        batched_v, batched_g = crf.nll_and_gradient(weights, training_batch_of(layout, pairs))
         seq_v = 0.0
         seq_g = np.zeros(layout.n_features)
         for pair in pairs:
-            v, g = crf.nll_and_gradient(weights, [pair], layout)
+            v, g = crf.nll_and_gradient(weights, training_batch_of(layout, [pair]))
             seq_v += v
             seq_g += g
         assert batched_v == pytest.approx(seq_v, rel=1e-9)
@@ -330,9 +333,7 @@ SKEWED_LENGTHS = (300, 1, 2, 1, 3, 5, 1, 8, 13, 2, 40, 1, 120, 4)
 
 def random_pairs(rng, lengths, n_features, n_labels):
     return [
-        crf.LabeledPair(
-            rng.normal(0, 1, (T, n_features)), rng.integers(0, n_labels, T).astype(np.intp)
-        )
+        (rng.normal(0, 1, (T, n_features)), rng.integers(0, n_labels, T).astype(np.intp))
         for T in lengths
     ]
 
@@ -344,25 +345,22 @@ class TestPackedObjective:
         catalog = random_model(rng, n_labels, 6).catalog
         model = crf.CrfModel(catalog, rng.normal(0.0, 20.0, catalog.n_features))
         pairs = random_pairs(rng, SKEWED_LENGTHS, 6, n_labels)
-        value, grad = crf.nll_and_gradient(model.weights, pairs, catalog)
+        value, grad = crf.nll_and_gradient(model.weights, training_batch_of(catalog, pairs))
         expected = -sum(
-            crf.sequence_log_prob(model, p.observations, [model.labels[i] for i in p.labels])
-            for p in pairs
+            crf.sequence_log_prob(model, obs, [model.labels[i] for i in y]) for obs, y in pairs
         )
         assert value == pytest.approx(expected, rel=1e-12)
         # expected minus observed counts from the log-space marginals
         L, f_obs = catalog.n_labels, catalog.n_observation_features
         counts = np.zeros(catalog.n_features)
         trans = counts[f_obs:].reshape(L + 1, L)
-        for p in pairs:
-            node, edge = crf.posterior_marginals(model, p.observations)
-            onehot = np.eye(L)[p.labels]
+        for obs, y in pairs:
+            node, edge = crf.posterior_marginals(model, obs)
+            onehot = np.eye(L)[y]
             diff = node - onehot
-            counts[:f_obs] += np.einsum(
-                "tf,tf->f", p.observations, diff[:, catalog.observation_labels]
-            )
+            counts[:f_obs] += np.einsum("tf,tf->f", obs, diff[:, catalog.observation_labels])
             trans[:L] += edge.sum(axis=0)
-            np.add.at(trans, (p.labels[:-1], p.labels[1:]), -1.0)
+            np.add.at(trans, (y[:-1], y[1:]), -1.0)
             trans[L] += diff[0]
         assert np.allclose(grad, counts, rtol=1e-9, atol=1e-9)
 
@@ -372,10 +370,12 @@ class TestPackedObjective:
         model = random_model(rng, 2, 3)
         model.weights[:] = np.where(model.weights > 0, 1e3, -1e3)
         obs = rng.uniform(0, 1, (10_000, 3))
-        pair = crf.LabeledPair(obs, rng.integers(0, 2, 10_000).astype(np.intp))
+        batch = crf.TrainingBatch(
+            model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), [10_000]
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = crf.nll_and_gradient(model.weights, [pair], model.catalog)
+            value, _ = crf.nll_and_gradient(model.weights, batch)
         assert value == np.inf
 
     def test_subnormal_scale_factor_returns_plus_inf(self):
@@ -390,10 +390,10 @@ class TestPackedObjective:
         weights = np.zeros(catalog.n_features)
         weights[0] = 720.0  # emission of beta
         weights[-2] = 720.0  # begin-of-sequence -> alpha
-        pair = crf.LabeledPair(np.ones((1, 1)), np.array([0]))
+        batch = crf.TrainingBatch(catalog, np.ones((1, 1)), np.array([0]), [1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = crf.nll_and_gradient(weights, [pair], catalog)
+            value, _ = crf.nll_and_gradient(weights, batch)
         assert value == np.inf
 
     def test_batch_holds_one_row_per_event(self):
@@ -401,19 +401,14 @@ class TestPackedObjective:
         catalog = random_model(rng, 3, 4).catalog
         lengths = (0, 77, 3, 0, 12, 1, 5, 30, 2, 77)
         pairs = random_pairs(rng, lengths, 4, 3)
-        batch = crf.TrainingBatch(
-            catalog,
-            np.concatenate([p.observations for p in pairs]),
-            np.concatenate([p.labels for p in pairs]),
-            lengths,
-        )
-        live = sorted((p for p in pairs if len(p.labels)), key=lambda p: -len(p.labels))
+        batch = training_batch_of(catalog, pairs)
+        live = sorted((obs for obs, y in pairs if len(y)), key=lambda obs: -len(obs))
         assert batch.n == len(live) == 8
         assert batch.obs.shape == (sum(lengths), 4)
         # position t of the i-th longest trace sits at row offsets[t] + i
-        for i, p in enumerate(live):
-            rows = batch.offsets[: len(p.labels)] + i
-            assert np.array_equal(batch.obs[rows], p.observations)
+        for i, obs in enumerate(live):
+            rows = batch.offsets[: len(obs)] + i
+            assert np.array_equal(batch.obs[rows], obs)
         # nothing the batch holds grows with traces x longest trace
         padded = len(live) * max(lengths) * 4
         held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
@@ -530,19 +525,6 @@ class TestTraining:
         b = crf.train(log, catalog, l1_coefficient=0.05)
         assert np.array_equal(a.weights, b.weights)
 
-    def test_conflicting_optimizer_coefficient_is_refused(self):
-        # the L1 coefficient is set by the l1_coefficient argument; an
-        # optimizer config that names a different one must not be ignored
-        log = self.separable_log()
-        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1,)))
-        with pytest.raises(ValueError, match="l1_coefficient"):
-            crf.train(log, catalog, l1_coefficient=0.1,
-                      optimizer_config=OwlqnConfig(l1_coefficient=0.5))
-        agreeing = crf.train(log, catalog, l1_coefficient=0.5,
-                             optimizer_config=OwlqnConfig(l1_coefficient=0.5))
-        unset = crf.train(log, catalog, l1_coefficient=0.5, optimizer_config=OwlqnConfig())
-        assert np.array_equal(agreeing.weights, unset.weights)
-
     def test_weight_vector_length_checked(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, 2, 3)
@@ -577,7 +559,7 @@ class TestTwoLabelGauge:
         assert catalog.n_labels == 2
         pairs = crf.training_pairs(log, catalog)
         weights = np.random.default_rng(7).normal(0.0, 1.0, catalog.n_features)
-        return catalog, pairs, weights
+        return catalog, training_batch_of(catalog, pairs), [obs for obs, _ in pairs], weights
 
     @staticmethod
     def moved(catalog, weights, first, second, a):
@@ -595,9 +577,8 @@ class TestTwoLabelGauge:
         return out
 
     @staticmethod
-    def decodes(catalog, weights, pairs):
-        model = crf.CrfModel(catalog, weights)
-        return crf.viterbi_decode_many(model, [p.observations for p in pairs])
+    def decodes(catalog, weights, observations):
+        return crf.viterbi_decode_many(crf.CrfModel(catalog, weights), observations)
 
     @pytest.mark.parametrize("first, second", [
         (("concept_ngram", 1, ""), ("concept_ngram", 2, "")),
@@ -605,19 +586,20 @@ class TestTwoLabelGauge:
     ])
     @pytest.mark.parametrize("a", [0.1, 1.0, 5.0])
     def test_opposite_moves_on_two_families_are_flat(self, setup, first, second, a):
-        catalog, pairs, weights = setup
+        catalog, batch, observations, weights = setup
         shifted = self.moved(catalog, weights, first, second, a)
-        base, _ = crf.nll_and_gradient(weights, pairs, catalog)
-        value, _ = crf.nll_and_gradient(shifted, pairs, catalog)
+        base, _ = crf.nll_and_gradient(weights, batch)
+        value, _ = crf.nll_and_gradient(shifted, batch)
         assert abs(value - base) <= 1e-11 * abs(base)
-        assert self.decodes(catalog, shifted, pairs) == self.decodes(catalog, weights, pairs)
+        assert (self.decodes(catalog, shifted, observations)
+                == self.decodes(catalog, weights, observations))
 
     def test_a_bias_move_is_not_flat(self, setup):
         # bias is constant 1 in both columns, not a distribution over labels
-        catalog, pairs, weights = setup
+        catalog, batch, _, weights = setup
         shifted = self.moved(catalog, weights, ("bias", 0, ""), ("concept_ngram", 1, ""), 1.0)
-        base, _ = crf.nll_and_gradient(weights, pairs, catalog)
-        value, _ = crf.nll_and_gradient(shifted, pairs, catalog)
+        base, _ = crf.nll_and_gradient(weights, batch)
+        value, _ = crf.nll_and_gradient(shifted, batch)
         assert abs(value - base) > 1.0
 
 
@@ -637,14 +619,15 @@ class TestOptimumAgainstLbfgsb:
             obs = rng.normal(0, 1, (T, n_obs))
             node, _ = crf.posterior_marginals(model, obs)
             labels = [rng.choice(n_labels, p=p / p.sum()) for p in node]
-            pairs.append(crf.LabeledPair(obs, np.array(labels, dtype=np.intp)))
+            pairs.append((obs, np.array(labels, dtype=np.intp)))
         c = float(rng.uniform(0.05, 1.0))
+        batch = training_batch_of(model.catalog, pairs)
 
         def objective(w):
-            return crf.nll_and_gradient(w, pairs, model.catalog)
+            return crf.nll_and_gradient(w, batch)
 
         n = model.catalog.n_features
-        _, result = minimize(objective, n, OwlqnConfig(l1_coefficient=c))
+        _, result = minimize(objective, n, l1_coefficient=c)
         _, reference = l1_lbfgsb_reference(objective, n, c)
         assert result.objective <= reference * (1 + 1e-6)
 
@@ -658,8 +641,8 @@ class TestOptimumAgainstLbfgsb:
             log, CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
         )
         trained = crf.train(log, catalog, l1_coefficient=0.1)
-        pairs = crf.training_pairs(log, catalog)
+        batch = training_batch_of(catalog, crf.training_pairs(log, catalog))
         _, reference = l1_lbfgsb_reference(
-            lambda w: crf.nll_and_gradient(w, pairs, catalog), catalog.n_features, 0.1
+            lambda w: crf.nll_and_gradient(w, batch), catalog.n_features, 0.1
         )
         assert trained.training.objective <= reference * (1 + 2e-5)

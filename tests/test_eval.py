@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
-from eventabs.crf import (
-    LabeledPair,
-    fit_batch,
-    nll_and_gradient,
-    training_batch,
-    viterbi_decode_many,
-)
+from eventabs.crf import fit_batch, nll_and_gradient, training_batch, viterbi_decode_many
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -286,17 +280,13 @@ class TestWarmStart:
         ):
             catalog = warm.catalog
             rest = [t for t in range(interned.n_traces) if t not in fold]
-            cold = fit_batch(
-                training_batch(interned, catalog, observations, rest), c, self.CONFIG.optimizer
-            )
-            rows = interned.per_trace(observations)
-            labels = interned.per_trace(interned.label_indices(catalog.labels))
-            pairs = [LabeledPair(rows[t], labels[t]) for t in rest]
+            batch = training_batch(interned, catalog, observations, rest)
+            cold = fit_batch(batch, c, self.CONFIG.optimizer)
             _, optimum = l1_lbfgsb_reference(
-                lambda w: nll_and_gradient(w, pairs, catalog), catalog.n_features, c
+                lambda w: nll_and_gradient(w, batch), catalog.n_features, c
             )
             assert abs(warm.training.objective - optimum) <= 5e-4 * optimum
-            held = [rows[t] for t in fold]
+            held = [interned.per_trace(observations)[t] for t in fold]
             assert viterbi_decode_many(warm, held) == viterbi_decode_many(cold, held)
             warm_iterations += warm.training.iterations
             cold_iterations += cold.training.iterations

@@ -27,11 +27,11 @@ from eventabs.features import (
     pair_lifecycle_steps,
     view_coordinate,
 )
-from eventabs.stats import gmm_density, multinoulli_fit
+from eventabs.stats import MultinoulliTable, gmm_log_density
 from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
 
 from factories import BASE, make_event, make_log, sequence_trace
-from oracles import evaluate_observations_reference
+from oracles import evaluate_observations_reference, multinoulli_fit_reference
 
 
 def families(catalog: FeatureCatalog) -> set[str]:
@@ -85,13 +85,9 @@ class TestAvailability:
                            gap_seconds=600 + 60 * d)
             for d in range(6)
         ])
-        diagnostics: list[str] = []
-        catalog = build_catalog(
-            log, CatalogConfig(ngram_sizes=(1,), time_views=("day",)), diagnostics
-        )
+        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1,), time_views=("day",)))
         warning = "time_view day, label X: variance clamped to floor"
         assert catalog.notes.count(warning) == 1
-        assert warning in diagnostics
 
     def test_ngram_tables_skip_contexts_ending_in_missing(self):
         # org:resource is absent on some events; their contexts end in
@@ -109,7 +105,7 @@ class TestAvailability:
         catalog = build_catalog(log, config)
         tables = list(catalog.concept_tables.values()) + list(catalog.org_tables.values())
         assert catalog.org_tables
-        assert not [ctx for t in tables for ctx in t.counts if ctx[-1] == MISSING]
+        assert not [ctx for t in tables for ctx in t.contexts if ctx[-1] == MISSING]
 
         def counting_missing(n: int):
             observations = []
@@ -118,12 +114,14 @@ class TestAvailability:
                 observations += [
                     (tuple(symbols[t : t + n]), ev.label) for t, ev in enumerate(trace.events)
                 ]
-            return multinoulli_fit(observations, config.smoothing_alpha, catalog.labels)
+            return MultinoulliTable.from_dict(
+                multinoulli_fit_reference(observations, config.smoothing_alpha, catalog.labels)
+            )
 
         counted = replace(catalog, org_tables={
             (n, "resource"): counting_missing(n) for n in config.ngram_sizes
         })
-        assert any(ctx[-1] == MISSING for t in counted.org_tables.values() for ctx in t.counts)
+        assert any(ctx[-1] == MISSING for t in counted.org_tables.values() for ctx in t.contexts)
         for trace in log.traces:
             assert np.array_equal(
                 evaluate_observations(catalog, trace), evaluate_observations(counted, trace)
@@ -168,8 +166,7 @@ class TestEvaluate:
             log, CatalogConfig(ngram_sizes=(2,), smoothing_alpha=0.0)
         )
         table = catalog.concept_tables[2]
-        assert table.probability((BOT, "A"), "X") == 1.0
-        assert table.probability(("A", "A"), "Y") == 1.0
+        assert table.distributions([(BOT, "A"), ("A", "A")]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
         trace = Trace(
             {CONCEPT_NAME: AttributeValue.string("t")},
             [make_event("A"), make_event("A")],
@@ -407,6 +404,43 @@ class TestLifecyclePairing:
             load_model(io.StringIO(json.dumps(data)))
 
 
+class TestStoredTables:
+    """An n-gram table in a model file holds counts: non-negative integers
+    over the table's own labels. Anything else would load as rows that are
+    not distributions, so it is refused."""
+
+    @staticmethod
+    def model_data() -> dict:
+        log = make_log([sequence_trace([("A", "X"), ("B", "Y"), ("A", "X")])])
+        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1,), time_views=()))
+        buffer = io.StringIO()
+        save_model(CrfModel(catalog, np.zeros(catalog.n_features)), buffer)
+        data = json.loads(buffer.getvalue())
+        load_model(io.StringIO(json.dumps(data)))
+        return data
+
+    def refused(self, count: dict, match: str) -> None:
+        data = self.model_data()
+        table = data["catalog"]["concept_tables"]["1"]
+        assert table["counts"][0] == [["A"], {"X": 2}]
+        table["counts"][0][1] = count
+        with pytest.raises(ModelIOError, match=match):
+            load_model(io.StringIO(json.dumps(data)))
+
+    def test_label_outside_the_table_is_refused(self):
+        self.refused({"X": 2, "Q": 1}, "'Q' is not in")
+
+    def test_negative_count_is_refused(self):
+        self.refused({"X": 2, "Y": -1}, "-1 is not a non-negative integer")
+
+    def test_non_integer_count_is_refused(self):
+        for count in (1.5, 2.0, "2", True):
+            self.refused({"X": count}, "is not a non-negative integer")
+
+    def test_count_beyond_int64_is_refused(self):
+        self.refused({"X": 2**63}, "too large")
+
+
 # A random event: concept name, label, seconds since the previous event,
 # lifecycle step and resource; None drops the attribute (for the gap, the
 # timestamp).
@@ -463,7 +497,7 @@ class TestFamilyBlocks:
                 for s in (0.0, 1.0)
             ])
             joint = np.stack([
-                np.exp(bank.log_priors[l]) * gmm_density(bank.gmms[l], xs)
+                np.exp(bank.log_priors[l]) * np.exp(gmm_log_density(bank.gmms[l], xs))
                 if l in bank.gmms else np.zeros(len(xs))
                 for l in bank.labels
             ], axis=1)

@@ -44,7 +44,7 @@ class TestSoftThreshold:
         b = rng.normal(0, 2, dim)
         c = float(rng.uniform(0.05, 1.5))
         x, result = minimize(
-            shifted_quadratic(b), dim, OwlqnConfig(l1_coefficient=c)
+            shifted_quadratic(b), dim, l1_coefficient=c
         )
         assert np.abs(x - soft_threshold(b, c)).max() < 1e-6
         assert result.converged
@@ -52,7 +52,7 @@ class TestSoftThreshold:
     def test_dominating_penalty_returns_exact_zero(self):
         b = np.array([0.5, -1.0, 2.0])
         x, result = minimize(
-            shifted_quadratic(b), 3, OwlqnConfig(l1_coefficient=100.0)
+            shifted_quadratic(b), 3, l1_coefficient=100.0
         )
         assert np.array_equal(x, np.zeros(3))
         assert result.nonzero == 0
@@ -62,7 +62,7 @@ class TestSoftThreshold:
         b = rng.normal(0, 1, 40)
         previous_zeros = -1
         for c in [0.01, 0.1, 0.3, 0.6, 1.0, 2.0]:
-            x, _ = minimize(shifted_quadratic(b), 40, OwlqnConfig(l1_coefficient=c))
+            x, _ = minimize(shifted_quadratic(b), 40, l1_coefficient=c)
             zeros = int(np.sum(x == 0.0))
             assert zeros >= previous_zeros
             assert zeros == int(np.sum(np.abs(b) <= c))
@@ -97,7 +97,7 @@ class TestContracts:
         objective = shifted_quadratic(b)
         x0 = rng.normal(0, 2, 25)
         x, result = minimize(
-            objective, 25, OwlqnConfig(l1_coefficient=c), initial=x0
+            objective, 25, initial=x0, l1_coefficient=c
         )
         initial_composite = objective(x0)[0] + c * np.abs(x0).sum()
         assert result.objective <= initial_composite + 1e-12
@@ -105,9 +105,8 @@ class TestContracts:
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         b = rng.normal(0, 1, 30)
-        cfg = OwlqnConfig(l1_coefficient=0.2)
-        x1, _ = minimize(shifted_quadratic(b), 30, cfg)
-        x2, _ = minimize(shifted_quadratic(b), 30, cfg)
+        x1, _ = minimize(shifted_quadratic(b), 30, l1_coefficient=0.2)
+        x2, _ = minimize(shifted_quadratic(b), 30, l1_coefficient=0.2)
         assert np.array_equal(x1, x2)
 
     def test_non_finite_objective_raises(self):
@@ -150,7 +149,7 @@ class TestContracts:
         with pytest.raises(ValueError):
             OwlqnConfig(memory=0)
         with pytest.raises(ValueError):
-            OwlqnConfig(l1_coefficient=-1.0)
+            minimize(shifted_quadratic(np.zeros(2)), 2, l1_coefficient=-1.0)
         with pytest.raises(ValueError):
             OwlqnConfig(tolerance=0.0)
 
@@ -168,7 +167,7 @@ class TestStop:
     def test_stationary(self):
         # the penalty dominates the gradient at 0, so pg vanishes at once
         _, result = minimize(
-            shifted_quadratic(np.array([0.5, -1.0])), 2, OwlqnConfig(l1_coefficient=100.0)
+            shifted_quadratic(np.array([0.5, -1.0])), 2, l1_coefficient=100.0
         )
         assert result.stop == "stationary"
         assert result.converged and not result.line_search_failed
@@ -199,7 +198,7 @@ class TestStop:
             d = x - b
             return 0.5 * float(d @ d), -d
 
-        x, result = minimize(wrong_sign, 3, OwlqnConfig(l1_coefficient=0.1))
+        x, result = minimize(wrong_sign, 3, l1_coefficient=0.1)
         assert result.stop == "line_search_failed"
         assert result.line_search_failed and not result.converged
         assert np.array_equal(x, np.zeros(3))
@@ -218,7 +217,7 @@ class TestFixedOrthant:
         signs = np.sign(x_star)
         x, penalized = minimize(
             spd_quadratic(a, a @ x_star + c * signs), dim,
-            OwlqnConfig(l1_coefficient=c, tolerance=1e-10), initial=signs,
+            OwlqnConfig(tolerance=1e-10), initial=signs, l1_coefficient=c,
         )
         _, smooth = minimize(
             spd_quadratic(a, a @ x_star), dim, OwlqnConfig(tolerance=1e-10), initial=signs
@@ -247,7 +246,7 @@ class TestAgainstLbfgsb:
         m = rng.normal(0, 1, (dim, dim))
         objective = spd_quadratic(m @ m.T + 0.1 * np.eye(dim), rng.normal(0, 3, dim))
         c = float(rng.uniform(0.1, 2.0))
-        _, result = minimize(objective, dim, OwlqnConfig(l1_coefficient=c))
+        _, result = minimize(objective, dim, l1_coefficient=c)
         _, reference = l1_lbfgsb_reference(objective, dim, c)
         assert result.objective <= reference + 1e-6 * max(1.0, abs(reference))
 
@@ -274,7 +273,7 @@ class TestHeldAtZero:
         start = np.concatenate([x_star[:n_free] + delta, np.zeros(n_free)])
         x, penalized = minimize(
             spd_quadratic(a, b), 2 * n_free,
-            OwlqnConfig(l1_coefficient=c, tolerance=1e-10), initial=start,
+            OwlqnConfig(tolerance=1e-10), initial=start, l1_coefficient=c,
         )
         _, free_block = minimize(
             spd_quadratic(a[:n_free, :n_free], b[:n_free] - c * signs), n_free,

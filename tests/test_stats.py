@@ -14,56 +14,67 @@ from eventabs.stats import (
     Gmm,
     MultinoulliTable,
     _em_fits,
-    gmm_density,
     gmm_fit_em,
+    gmm_log_density,
     gmm_select_bic,
     gmm_select_bic_many,
-    multinoulli_fit,
 )
 
-from oracles import bic_select_reference, em_fit_reference
+from oracles import (
+    bic_select_reference,
+    em_fit_reference,
+    multinoulli_fit_reference,
+    multinoulli_rows_reference,
+)
+
+
+
+def counted(observations, alpha, labels=None) -> MultinoulliTable:
+    """``from_counts`` on the count matrix of (context, label) pairs."""
+    labels = tuple(sorted(labels or {label for _, label in observations}))
+    contexts = sorted({ctx for ctx, _ in observations})
+    counts = np.zeros((len(contexts), len(labels)), dtype=np.int64)
+    for ctx, label in observations:
+        counts[contexts.index(ctx), labels.index(label)] += 1
+    return MultinoulliTable.from_counts(len(contexts[0]), contexts, counts, labels, alpha)
+
+
+def dist(table: MultinoulliTable, context) -> dict[str, float]:
+    return dict(zip(table.labels, table.distributions([context])[0].tolist()))
 
 
 class TestMultinoulli:
     def test_hand_count(self):
-        table = multinoulli_fit(
-            [(("A",), "X")] * 3 + [(("A",), "Y")], alpha=0.0
-        )
-        assert table.probability(("A",), "X") == pytest.approx(0.75)
-        assert table.probability(("A",), "Y") == pytest.approx(0.25)
+        table = counted([(("A",), "X")] * 3 + [(("A",), "Y")], alpha=0.0)
+        assert dist(table, ("A",)) == {"X": pytest.approx(0.75), "Y": pytest.approx(0.25)}
 
     def test_single_observation_gets_probability_one(self):
-        table = multinoulli_fit([(("A", "B"), "X")], alpha=0.0)
-        assert table.probability(("A", "B"), "X") == 1.0
+        table = counted([(("A", "B"), "X")], alpha=0.0)
+        assert dist(table, ("A", "B"))["X"] == 1.0
 
     def test_large_alpha_approaches_uniform(self):
-        table = multinoulli_fit(
-            [(("A",), "X")] * 50 + [(("A",), "Y")], alpha=1e9, labels=["X", "Y"]
-        )
-        assert table.probability(("A",), "X") == pytest.approx(0.5, abs=1e-6)
-        assert table.probability(("A",), "Y") == pytest.approx(0.5, abs=1e-6)
+        table = counted([(("A",), "X")] * 50 + [(("A",), "Y")], alpha=1e9)
+        assert list(dist(table, ("A",)).values()) == pytest.approx([0.5, 0.5], abs=1e-6)
 
     def test_unseen_context_uniform(self):
-        table = multinoulli_fit([(("A",), "X")], alpha=1.0, labels=["X", "Y"])
-        assert table.probability(("zzz",), "X") == pytest.approx(0.5)
+        table = counted([(("A",), "X")], alpha=1.0, labels=["X", "Y"])
+        assert dist(table, ("zzz",))["X"] == pytest.approx(0.5)
 
     def test_probabilities_sum_to_one_per_context(self):
-        table = multinoulli_fit(
-            [(("A",), "X"), (("A",), "Y"), (("B",), "Y")], alpha=0.7,
-            labels=["X", "Y", "Z"],
+        table = counted(
+            [(("A",), "X"), (("A",), "Y"), (("B",), "Y")], alpha=0.7, labels=["X", "Y", "Z"],
         )
-        for ctx in [("A",), ("B",), ("unseen",)]:
-            assert sum(table.distribution(ctx).values()) == pytest.approx(1.0, abs=1e-12)
+        rows = table.distributions([("A",), ("B",), ("unseen",)])
+        assert rows.sum(axis=1) == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_distribution_hand_values(self):
-        table = multinoulli_fit(
+        table = counted(
             [(("A",), "X"), (("A",), "Y"), (("A",), "X"), (("B",), "Z")], alpha=0.3,
-            labels=["X", "Y", "Z"],
         )
-        # a context counted with no observations has denominator 0 at alpha 0
+        # a context stored with no counts has denominator 0 at alpha 0
         bare = MultinoulliTable(
             arity=1, labels=("X", "Y"), alpha=0.0,
-            counts={("A",): {"X": 2}, ("E",): {}}, context_totals={("A",): 2, ("E",): 0},
+            contexts=(("A",), ("E",)), counts=np.array([[2, 0], [0, 0]]),
         )
         cases = [
             (table, ("A",), [2.3 / 3.9, 1.3 / 3.9, 0.3 / 3.9]),
@@ -72,39 +83,38 @@ class TestMultinoulli:
             (bare, ("E",), [0.5, 0.5]),
         ]
         for t, ctx, expected in cases:
-            dist = t.distribution(ctx)
-            assert list(dist) == list(t.labels)
-            assert list(dist.values()) == pytest.approx(expected, rel=1e-12)
-            assert [t.probability(ctx, l) for l in t.labels] == list(dist.values())
+            assert list(dist(t, ctx).values()) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ValueError, match="arity"):
-            table.distribution(("A", "B"))
+            table.distributions([("A",), ("A", "B")])
 
     def test_empty_observations_rejected(self):
         with pytest.raises(EstimationError):
-            multinoulli_fit([], alpha=1.0)
+            multinoulli_fit_reference([], alpha=1.0)
 
     def test_mixed_arity_rejected(self):
         with pytest.raises(EstimationError, match="arit"):
-            multinoulli_fit([(("A",), "X"), (("A", "B"), "X")], alpha=0.0)
+            multinoulli_fit_reference([(("A",), "X"), (("A", "B"), "X")], alpha=0.0)
+        with pytest.raises(ValueError, match="arit"):
+            counted([(("A",), "X")], alpha=0.0).distributions([("A", "B")])
 
     @given(st.permutations(
         [(("A",), "X"), (("A",), "Y"), (("B",), "X"), (("A",), "X"), (("C",), "Y")]
     ))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance(self, observations):
-        reference = multinoulli_fit(
+        reference = counted(
             [(("A",), "X"), (("A",), "Y"), (("B",), "X"), (("A",), "X"), (("C",), "Y")],
             alpha=0.5,
         )
-        permuted = multinoulli_fit(observations, alpha=0.5)
-        for ctx in [("A",), ("B",), ("C",)]:
-            for label in ["X", "Y"]:
-                assert permuted.probability(ctx, label) == reference.probability(ctx, label)
+        permuted = counted(observations, alpha=0.5)
+        contexts = [("A",), ("B",), ("C",)]
+        assert np.array_equal(permuted.distributions(contexts), reference.distributions(contexts))
 
     def test_roundtrip_dict(self):
-        table = multinoulli_fit([(("A",), "X"), (("B",), "Y")], alpha=1.0)
+        table = counted([(("A",), "X"), (("B",), "Y")], alpha=1.0)
         again = MultinoulliTable.from_dict(table.to_dict())
-        assert again.probability(("A",), "X") == table.probability(("A",), "X")
+        assert again == table
+        assert dist(again, ("A",)) == dist(table, ("A",))
 
     @given(
         st.lists(st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC"),
@@ -115,23 +125,45 @@ class TestMultinoulli:
     def test_count_matrix_table_equals_the_fitted_table(self, rows, alpha):
         labels = ("X", "Y", "Z")
         observations = [((a, b), label) for a, b, label in rows]
-        fitted = multinoulli_fit(observations, alpha, labels)
+        fitted = multinoulli_fit_reference(observations, alpha, labels)
         contexts = sorted({ctx for ctx, _ in observations} | {("C", "A"), ("Q", "Q")})
         counts = np.zeros((len(contexts), len(labels)), dtype=np.int64)
         for ctx, label in observations:
             counts[contexts.index(ctx), labels.index(label)] += 1
         table = MultinoulliTable.from_counts(2, contexts, counts, labels, alpha)
-        assert table == fitted
+        assert table.to_dict() == fitted
         # every row by the smoothing formula, uniform for unseen contexts
-        rows_out = table.distributions(contexts)
-        for ctx, row in zip(contexts, rows_out):
-            per_label = fitted.counts.get(ctx)
-            if per_label is None:
-                expected = [1.0 / 3] * 3
-            else:
-                denom = fitted.context_totals[ctx] + alpha * 3
-                expected = [(per_label.get(l, 0) + alpha) / denom for l in labels]
-            assert row.tolist() == expected
+        assert table.distributions(contexts).tolist() == multinoulli_rows_reference(
+            fitted, contexts
+        )
+
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.tuples(
+            st.just("XYZ"[:k]),
+            st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from("XYZ"[:k])), max_size=12),
+        )),
+        st.lists(st.sampled_from("ABCD"), max_size=3),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distributions_equal_the_dict_reference(self, drawn, stored_empty, alpha):
+        # from_counts drops all-zero rows; a stored table may hold them
+        labels, rows = drawn
+        observations = [((a,), label) for a, label in rows]
+        queries = [(c,) for c in "ABCDE"]
+        counts = np.zeros((4, len(labels)), dtype=np.int64)
+        for (a,), label in observations:
+            counts["ABCD".index(a), labels.index(label)] += 1
+        table = MultinoulliTable.from_counts(1, queries[:4], counts, tuple(labels), alpha)
+        stored = table.to_dict()
+        stored["counts"] = sorted(stored["counts"] + [
+            [[c], {}] for c in sorted(set(stored_empty) - {a for (a,), _ in observations})
+        ])
+        if observations:
+            assert table.to_dict() == multinoulli_fit_reference(observations, alpha, labels)
+        for t, data in ((table, table.to_dict()), (MultinoulliTable.from_dict(stored), stored)):
+            assert t.distributions(queries).tolist() == multinoulli_rows_reference(data, queries)
+            assert MultinoulliTable.from_dict(data).to_dict() == data
 
 
 class TestGmmFit:
@@ -230,7 +262,7 @@ class TestGmmSelect:
 class TestDensity:
     def test_standard_normal_peak(self):
         g = Gmm(weights=(1.0,), means=(0.0,), variances=(1.0,), variance_floor=1e-9)
-        assert gmm_density(g, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
+        assert np.exp(gmm_log_density(g, 0.0)) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
 
     def test_symmetric_mixture_symmetric_density(self):
         g = Gmm(
@@ -238,7 +270,7 @@ class TestDensity:
             variance_floor=1e-9,
         )
         for x in [0.3, 1.0, 2.5, 4.0]:
-            assert gmm_density(g, x) == pytest.approx(gmm_density(g, -x), rel=1e-12)
+            assert np.exp(gmm_log_density(g, x)) == pytest.approx(np.exp(gmm_log_density(g, -x)), rel=1e-12)
 
     def test_density_integrates_to_one(self):
         g = Gmm(
@@ -248,7 +280,7 @@ class TestDensity:
         sigma = math.sqrt(max(g.variances))
         lo = min(g.means) - 50 * sigma
         hi = max(g.means) + 50 * sigma
-        total, _ = integrate.quad(lambda x: gmm_density(g, x), lo, hi, limit=200)
+        total, _ = integrate.quad(lambda x: np.exp(gmm_log_density(g, x)), lo, hi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_invariants_enforced(self):

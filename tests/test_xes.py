@@ -85,8 +85,7 @@ class TestParse:
                 for tr in log.traces
             ],
         )
-        notes: list[str] = []
-        build_catalog(annotated, diagnostics=notes)
+        notes = build_catalog(annotated).notes
         assert any("lifecycle extension absent" in n for n in notes)
 
     def test_malformed_xml_reports_position(self):
@@ -222,6 +221,43 @@ class TestModelInvariants:
     def test_classifier_must_reference_global_event_keys(self):
         with pytest.raises(XesValueError, match="classifier"):
             EventLog(classifiers={"Activity": (CONCEPT_NAME,)})
+
+
+def _classified(*keys: str) -> EventLog:
+    return EventLog(
+        classifiers={"C": keys},
+        global_event_attributes={k: AttributeValue.string("") for k in keys},
+    )
+
+
+def _carriable(key: str) -> bool:
+    """Whether the classifier keys syntax can carry ``key``: a key that must
+    be quoted (empty, holding whitespace or starting with a quote) cannot
+    hold a quote."""
+    return "'" not in key or (key[0] != "'" and not any(c.isspace() for c in key))
+
+
+class TestClassifierKeys:
+    def test_empty_quoted_key_parses(self):
+        log = parse_xes(
+            b"<log><global scope='event'><string key='' value=''/>"
+            b"<string key='concept:name' value=''/></global>"
+            b"<classifier name='C' keys=\"'' concept:name\"/></log>"
+        )
+        assert log.classifiers == {"C": ("", CONCEPT_NAME)}
+
+    @pytest.mark.parametrize("keys", [
+        ("",), ("a\tb",), ("a\nb", "c\rd"), ("a'b", "c d"), ("a'", "", "b"),
+    ])
+    def test_keys_round_trip(self, keys):
+        assert all(_carriable(k) for k in keys)
+        assert parse_xes(serialize_xes(_classified(*keys))).classifiers == {"C": keys}
+
+    @pytest.mark.parametrize("key", ["a' b", "'", "'a", "a\t'"])
+    def test_uncarriable_key_is_refused_at_write_time(self, key):
+        assert not _carriable(key)
+        with pytest.raises(XesValueError, match="cannot be written"):
+            serialize_xes(_classified(key))
 
 
 class TestSerialize:
@@ -439,7 +475,9 @@ def awkward_logs(draw, readable: bool = False) -> EventLog:
     """Logs of every attribute kind, nested, under awkward keys and values.
     Unless ``readable``, text may hold a lone surrogate (written as a
     character reference no XML parser reads back) and classifiers may name
-    any global key, which the quoted-key syntax cannot always carry."""
+    any global key, including keys the quoted-key syntax cannot carry
+    (which the writer refuses); readable logs name every global key it
+    can carry."""
     text = st.text(
         alphabet=st.sampled_from(_AWKWARD_CHARS + ([] if readable else ["\ud800"])),
         max_size=6,
@@ -471,7 +509,7 @@ def awkward_logs(draw, readable: bool = False) -> EventLog:
     global_event = draw(attributes)
     plain_keys = draw(st.sets(st.sampled_from([CONCEPT_NAME, "my key", "\u00e9 \u20ac"])))
     global_event.update((key, AttributeValue.string("")) for key in plain_keys)
-    keys = sorted(plain_keys if readable else global_event)
+    keys = sorted(k for k in global_event if _carriable(k) or not readable)
     classifiers = {
         draw(text): tuple(draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)))
         for _ in range(draw(st.integers(0, 2)) if keys else 0)
@@ -530,7 +568,11 @@ class TestWriterOracle:
     @given(awkward_logs())
     @settings(max_examples=120, deadline=None)
     def test_bytes_match_elementtree(self, log):
-        assert serialize_xes(log) == serialize_xes_reference(log)
+        if all(_carriable(k) for keys in log.classifiers.values() for k in keys):
+            assert serialize_xes(log) == serialize_xes_reference(log)
+        else:
+            with pytest.raises(XesValueError, match="cannot be written"):
+                serialize_xes(log)
 
     @pytest.mark.parametrize("log", _edge_logs(), ids=["empty", "no-events", "bare-event", "header"])
     def test_edge_logs(self, log):
@@ -605,6 +647,7 @@ class TestParserOracle:
     def test_serialized_logs(self, log):
         data = serialize_xes(log)
         assert _log_facts(parse_xes(data)) == _log_facts(parse_xes_reference(data))
+        assert parse_xes(data).classifiers == log.classifiers
 
     def test_generated_and_converted_logs(self):
         for log in (_household_log(), _sensor_log()):
