@@ -10,15 +10,16 @@ real-valued observation features, each attached to one candidate label:
 * ``time_view(v, l)``: responsibility of label ``l`` at the event's elapsed
   time within the day, the week, or the month, under per-label mixtures.
 * ``lifecycle_duration(c, l)``: responsibility of ``l`` given the elapsed
-  time since the FIFO-matched previous lifecycle step ``c`` of the same
-  activity, in the step chain of the training log (the catalog's
-  ``lifecycle_steps``, so a trace pairs the same way at prediction time).
+  time since the matched previous lifecycle step ``c`` of the same
+  activity (:meth:`InternedLog.durations`), in the step chain of the
+  training log (the catalog's ``lifecycle_steps``, so a trace pairs the
+  same way at prediction time).
 
-A log is read once, into an :class:`InternedLog`: trace offsets, label
-ids, symbol ids per string attribute, n-gram context ids, time-view
-coordinates and lifecycle durations, as columns over its events. Catalogs
-and observation matrices are computed from those columns. The catalogs of
-many cross-validation folds of one log are built together
+A log is read once, into an :class:`InternedLog`, the only reader of
+events: label, step and symbol ids and UTC milliseconds, then n-gram
+contexts, time-view coordinates and lifecycle durations, as columns over
+its events. Catalogs and observation matrices come from those columns.
+The catalogs of many cross-validation folds of one log are built together
 (:func:`fold_catalogs`): each fold's tables are the whole log's counts
 less the held-out traces', and the mixtures of many folds are fitted in
 one packed EM run. :func:`build_catalog` is the one-fold case.
@@ -43,10 +44,9 @@ distributions, and take no part in this gauge.
 
 from __future__ import annotations
 
-import calendar
 from collections import deque
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -74,8 +74,6 @@ __all__ = [
     "observation_matrix",
     "neutral_time_notes",
     "evaluate_observations",
-    "pair_lifecycle_steps",
-    "view_coordinate",
 ]
 
 BOT = "__BOT__"          # begin-of-trace padding symbol for n-gram contexts
@@ -85,8 +83,7 @@ TIME_VIEWS = ("day", "week", "month")
 
 ORG_KINDS = ("resource", "role", "group")
 
-# Linear order of the standard transactional lifecycle; the predecessor of a
-# step is the nearest earlier step actually observed in the log.
+# Linear order of the standard transactional lifecycle.
 _LIFECYCLE_CHAIN = ("schedule", "assign", "start", "suspend", "resume", "complete")
 
 
@@ -230,9 +227,18 @@ class FeatureCatalog:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels in alphabet")
         self.label_index = {l: i for i, l in enumerate(self.labels)}
-        bad = [d for d in self.observation_features if d.label not in self.label_index]
-        if bad:
-            raise ValueError(f"feature attached to unknown label: {bad[0]}")
+        steps = {step for _, step in self.duration_models}
+        for d in self.observation_features:
+            if d.label not in self.label_index:
+                raise ValueError(f"feature attached to unknown label: {d}")
+            if not {
+                "bias": True,
+                "concept_ngram": d.n in self.concept_tables,
+                "org_ngram": (d.n, d.org) in self.org_tables,
+                "time_view": d.view in self.time_models,
+                "lifecycle_duration": d.step in steps,
+            }.get(d.family, False):
+                raise ValueError(f"feature {d} has no table or bank in the catalog")
         # label index of each observation feature's weight column
         self.observation_labels = np.asarray(
             [self.label_index[d.label] for d in self.observation_features],
@@ -332,84 +338,6 @@ class FeatureCatalog:
         )
 
 
-# --- time coordinates --------------------------------------------------------
-
-_SECONDS_PER_DAY = 86_400.0
-
-
-def view_coordinate(view: str, ts: datetime) -> float:
-    """Elapsed position of a UTC timestamp within the day, week, or month.
-
-    Day and week are measured in seconds (periods 86400 and 604800);
-    month is the elapsed fraction of the calendar month in [0, 1).
-    """
-    ts = ts.astimezone(timezone.utc)
-    day_seconds = (
-        ts.hour * 3600.0 + ts.minute * 60.0 + ts.second + ts.microsecond / 1e6
-    )
-    if view == "day":
-        return day_seconds
-    if view == "week":
-        return ts.weekday() * _SECONDS_PER_DAY + day_seconds
-    if view == "month":
-        days_in_month = calendar.monthrange(ts.year, ts.month)[1]
-        elapsed = (ts.day - 1) * _SECONDS_PER_DAY + day_seconds
-        return elapsed / (days_in_month * _SECONDS_PER_DAY)
-    raise ValueError(f"unknown time view {view!r}")
-
-
-# --- lifecycle pairing -------------------------------------------------------
-
-
-def _lifecycle_step(event: Event) -> str | None:
-    step = event.lifecycle
-    return step.lower() if step is not None else None
-
-
-def pair_lifecycle_steps(
-    trace: Trace, observed_steps: Iterable[str] | None = None
-) -> list[int | None]:
-    """Match each event to the event of its predecessor lifecycle step.
-
-    Steps are matched FIFO per activity name: the i-th occurrence of a step
-    consumes the i-th unconsumed occurrence of its predecessor step, so the
-    first complete belongs to the first start. The predecessor of a step is
-    the nearest earlier step of the standard transactional order that is
-    actually observed (``observed_steps`` defaults to the steps in the
-    trace). Returns, per event index, the matched predecessor's index or
-    ``None``.
-    """
-    if observed_steps is None:
-        observed = {
-            s for ev in trace.events if (s := _lifecycle_step(ev)) is not None
-        }
-    else:
-        observed = {s.lower() for s in observed_steps}
-    predecessor: dict[str, str] = {}
-    seen_earlier: list[str] = []
-    for step in _LIFECYCLE_CHAIN:
-        if seen_earlier and step in observed:
-            predecessor[step] = seen_earlier[-1]
-        if step in observed:
-            seen_earlier.append(step)
-
-    queues: dict[tuple[str, str], deque[int]] = {}
-    matches: list[int | None] = []
-    for i, event in enumerate(trace.events):
-        step = _lifecycle_step(event)
-        activity = event.name
-        match: int | None = None
-        if step is not None and activity is not None:
-            pred = predecessor.get(step)
-            if pred is not None:
-                queue = queues.get((activity, pred))
-                if queue:
-                    match = queue.popleft()
-            queues.setdefault((activity, step), deque()).append(i)
-        matches.append(match)
-    return matches
-
-
 # --- the interned log ----------------------------------------------------------
 
 
@@ -429,22 +357,11 @@ def _intern(values: list) -> tuple[tuple, np.ndarray]:
     return vocabulary, np.fromiter((index[v] for v in values), dtype=np.intp, count=len(values))
 
 
-def _lifecycle_durations(
-    trace: Trace, steps: Iterable[str]
-) -> list[tuple[int, tuple[str, str], float]]:
-    """Matched lifecycle durations as (event index, (activity, predecessor
-    step), seconds since the matched predecessor), pairing by the chain of
-    ``steps``; pairs lacking a timestamp are left out."""
-    events = trace.events
-    return [
-        (i, (events[i].name, _lifecycle_step(events[j])),
-         (events[i].timestamp - events[j].timestamp).total_seconds())
-        for i, j in enumerate(pair_lifecycle_steps(trace, steps))
-        if j is not None and None not in (events[i].timestamp, events[j].timestamp)
-    ]  # type: ignore[misc]
-
-
 _STRING_KEYS = (CONCEPT_NAME,) + tuple(f"org:{o}" for o in ORG_KINDS)
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MILLISECOND = timedelta(milliseconds=1)
+_SECONDS_PER_DAY = 86_400.0
 
 
 class InternedLog:
@@ -455,21 +372,28 @@ class InternedLog:
     ``offsets[t]:offsets[t + 1]``. Labels and lower-cased lifecycle steps
     are interned into sorted vocabularies (id -1 where an event has none),
     and so is each string attribute the n-gram families read (MISSING
-    where an event lacks it). The columns that depend on a parameter,
-    n-gram contexts and their label counts per attribute and n, time-view
-    coordinates per view and lifecycle durations per step chain, are
-    computed on first use and kept.
+    where an event lacks it; ``named`` marks the events with a name).
+    Timestamps are int64 UTC milliseconds, valid where ``timed``. Columns
+    that depend on a parameter (n-gram contexts and their label counts per
+    attribute and n, time-view coordinates per view, lifecycle durations
+    per step chain) are computed on first use and kept.
     """
 
     def __init__(self, traces: Sequence[Trace]):
-        self.traces = list(traces)
-        self.lengths = np.asarray([len(t.events) for t in self.traces], dtype=np.intp)
+        self.case_ids = [t.case_id for t in traces]
+        self.lengths = np.asarray([len(t.events) for t in traces], dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)]).astype(np.intp)
-        events = [ev for t in self.traces for ev in t.events]
+        events = [ev for t in traces for ev in t.events]
         self.labels, self.label_ids = _intern([ev.label for ev in events])
-        self.steps, self.step_ids = _intern([_lifecycle_step(ev) for ev in events])
-        self.timestamps = [ev.timestamp for ev in events]
-        self.timed = np.asarray([ts is not None for ts in self.timestamps], dtype=bool)
+        self.steps, self.step_ids = _intern([
+            step.lower() if (step := ev.lifecycle) is not None else None for ev in events
+        ])
+        self.named = np.asarray([ev.name is not None for ev in events], dtype=bool)
+        stamps = [ev.timestamp for ev in events]
+        self.timed = np.asarray([ts is not None for ts in stamps], dtype=bool)
+        self.times = np.asarray(
+            [(ts - _EPOCH) // _MILLISECOND if ts is not None else 0 for ts in stamps], dtype=np.int64
+        )
         self.symbols = {
             key: _intern([_symbol(ev, key) for ev in events]) for key in _STRING_KEYS
         }
@@ -477,7 +401,7 @@ class InternedLog:
 
     @property
     def n_traces(self) -> int:
-        return len(self.traces)
+        return len(self.case_ids)
 
     @property
     def n_events(self) -> int:
@@ -495,7 +419,7 @@ class InternedLog:
 
     def describe(self, event: int) -> str:
         t = int(np.searchsorted(self.offsets, event, side="right")) - 1
-        return f"trace {self.traces[t].case_id!r} event {event - int(self.offsets[t])}"
+        return f"trace {self.case_ids[t]!r} event {event - int(self.offsets[t])}"
 
     def label_indices(
         self, alphabet: Sequence[str], events: np.ndarray | None = None
@@ -563,39 +487,65 @@ class InternedLog:
         return cells.reshape(len(contexts), L)
 
     def coordinates(self, view: str) -> np.ndarray:
-        """Each event's coordinate in a time view (:func:`view_coordinate`),
-        NaN where it has no timestamp."""
+        """Each event's elapsed position within the UTC day, week
+        (Monday-based) or month, NaN where it has no timestamp. Day and
+        week are measured in seconds (periods 86400 and 604800); month is
+        the elapsed fraction of the calendar month, in [0, 1)."""
+        if view not in TIME_VIEWS:
+            raise ValueError(f"unknown time view {view!r}")
         memo = ("coordinates", view)
         if memo not in self._memo:
-            out = np.full(self.n_events, np.nan)
-            out[self.timed] = [
-                view_coordinate(view, ts) for ts in self.timestamps if ts is not None
-            ]
-            self._memo[memo] = out
+            days, ms = np.divmod(self.times, 86_400_000)
+            x = (ms // 1000).astype(float) + (ms % 1000 * 1000) / 1e6
+            if view == "week":  # 1970-01-01 was a Thursday
+                x = ((days + 3) % 7) * _SECONDS_PER_DAY + x
+            elif view == "month":
+                dates = days.astype("datetime64[D]")
+                months = dates.astype("datetime64[M]")
+                length = (months + 1 - months.astype(dates.dtype)).astype(np.int64)
+                elapsed = (dates - months).astype(np.int64) * _SECONDS_PER_DAY + x
+                x = elapsed / (length * _SECONDS_PER_DAY)
+            self._memo[memo] = np.where(self.timed, x, np.nan)
         return self._memo[memo]
 
     def durations(
         self, steps: Iterable[str]
     ) -> tuple[np.ndarray, tuple[tuple[str, str], ...], np.ndarray, np.ndarray]:
-        """Matched lifecycle durations, pairing by the step chain of
-        ``steps`` (:func:`pair_lifecycle_steps`): the events they end at, in
-        log order, the sorted distinct (activity, predecessor step) bank
-        keys, each duration's key id, and its seconds. Pairs lacking a
-        timestamp are left out."""
+        """Matched lifecycle durations: the events they end at, in log
+        order, the sorted distinct (activity, predecessor step) bank keys,
+        each duration's key id, and its seconds. A step's predecessor is the
+        nearest earlier step of the transactional order in ``steps``
+        (case-insensitive). Within a trace, steps pair FIFO per activity
+        name: the i-th occurrence of a step consumes the i-th unconsumed
+        occurrence of its predecessor. An event without an activity name
+        never pairs; a pair lacking a timestamp is consumed, then left out."""
         observed = {s.lower() for s in steps}
         chain = tuple(s for s in _LIFECYCLE_CHAIN if s in observed)
         memo = ("durations", chain)
         if memo not in self._memo:
-            found = [
-                (int(self.offsets[t]) + i, key, seconds)
-                for t, trace in enumerate(self.traces)
-                for i, key, seconds in _lifecycle_durations(trace, chain)
-            ]
-            keys, key_ids = _intern([key for _, key, _ in found])
-            self._memo[memo] = (
-                np.asarray([e for e, _, _ in found], dtype=np.intp), keys, key_ids,
-                np.asarray([s for _, _, s in found], dtype=float),
-            )
+            index = {s: i for i, s in enumerate(self.steps)}
+            before = dict(zip(chain[1:], chain))
+            # each step id's predecessor step id, -1 where it has none in this log
+            predecessor = [index.get(before.get(s), -1) for s in self.steps]
+            names, name_ids = self.symbols[CONCEPT_NAME]
+            live = np.flatnonzero((self.step_ids >= 0) & self.named)
+            trace_ids = np.repeat(np.arange(self.n_traces), self.lengths)
+            columns = (live, trace_ids[live], name_ids[live], self.step_ids[live])
+            queues: dict[tuple[int, int, int], deque[int]] = {}
+            pairs = []  # (start, end) events
+            for e, t, a, s in zip(*(c.tolist() for c in columns)):
+                queue = queues.get((t, a, predecessor[s]))
+                if queue:
+                    pairs.append((queue.popleft(), e))
+                queues.setdefault((t, a, s), deque()).append(e)
+            pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+            starts, ends = pairs[self.timed[pairs].all(axis=1)].T
+            keys, key_ids = _intern([
+                (names[a], self.steps[s])
+                for a, s in zip(name_ids[ends].tolist(), self.step_ids[starts].tolist())
+            ])
+            seconds = (self.times[ends] - self.times[starts]) / 1000.0
+            self._memo[memo] = (ends, keys, key_ids, seconds)
         return self._memo[memo]
 
 

@@ -1,6 +1,6 @@
 """Orthant-Wise Limited-memory Quasi-Newton minimization of
 ``smooth_loss(x) + C * ||x||_1``. ``C`` is an argument of :func:`minimize`;
-:class:`OwlqnConfig` holds only the memory, the cap and the tolerance.
+:class:`OwlqnConfig` holds only the iteration cap and the tolerance.
 
 With ``C == 0`` the method is plain L-BFGS with a backtracking Armijo line
 search. With ``C > 0`` the subgradient at zero coordinates is resolved by
@@ -56,17 +56,16 @@ BACKTRACK_FACTOR = 0.5
 MAX_LINE_SEARCH_TRIALS = 50
 # least s.y for a curvature pair to enter the L-BFGS update
 CURVATURE_FLOOR = 1e-10
+# curvature pairs the L-BFGS update keeps
+MEMORY = 10
 
 
 @dataclass(frozen=True)
 class OwlqnConfig:
-    memory: int = 10
     max_iterations: int = 500
     tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -177,7 +176,7 @@ def minimize(
     g, composite = start
     # composites of the last six iterates, for the relative-decrease window
     recent: deque[float] = deque([composite], maxlen=6)
-    pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=config.memory)
+    pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
 
     stop = "iteration_cap"
     iterations = 0

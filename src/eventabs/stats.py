@@ -112,7 +112,8 @@ class MultinoulliTable:
     def from_dict(cls, data: dict) -> "MultinoulliTable":
         """The table written by :meth:`to_dict`. Raises ``ValueError`` for a
         count that is not a non-negative integer or that names a label
-        outside the table's labels."""
+        outside the table's labels, and for a context listed twice or of a
+        length other than the arity."""
         labels = tuple(data["labels"])
         column = {l: j for j, l in enumerate(labels)}
         counts = np.zeros((len(data["counts"]), len(labels)), dtype=np.int64)
@@ -124,6 +125,8 @@ class MultinoulliTable:
                     raise ValueError(f"context {ctx}: count {c!r} is not a non-negative integer")
                 row[column[label]] = c
         contexts = tuple(tuple(ctx) for ctx, _ in data["counts"])
+        if len(set(contexts)) < len(contexts) or {len(c) for c in contexts} - {data["arity"]}:
+            raise ValueError(f"contexts are not distinct and of length {data['arity']}")
         return cls(data["arity"], labels, data["alpha"], contexts, counts)
 
 

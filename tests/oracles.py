@@ -1,20 +1,25 @@
 """Independent oracles shared by the test modules. Everything here is
-deliberately brute-force and stays off the library's own code paths."""
+deliberately brute-force and stays off the library's own code paths: from
+``eventabs.features`` only the ``BOT`` and ``MISSING`` symbols are used.
+Lifecycle pairing and time-view coordinates are computed here per trace
+and per datetime, from the events themselves."""
 
 from __future__ import annotations
 
+import calendar
 import io
 import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
+from collections import deque
 from datetime import datetime, timezone
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from eventabs.features import BOT, MISSING, pair_lifecycle_steps, view_coordinate
+from eventabs.features import BOT, MISSING
 from eventabs.petri import LabeledPetriNet, Marking
 from eventabs.stats import EstimationError, Gmm
 from eventabs.xes import (
@@ -306,24 +311,85 @@ def multinoulli_rows_reference(table: dict, contexts) -> list[list[float]]:
     return rows
 
 
+# --- lifecycle pairing and time views, per trace and per datetime ------------
+
+# Linear order of the standard transactional lifecycle.
+_LIFECYCLE_CHAIN = ("schedule", "assign", "start", "suspend", "resume", "complete")
+
+
+def view_coordinate(view: str, ts: datetime) -> float:
+    """Elapsed position of a UTC timestamp within the day, week, or month,
+    from its calendar fields: seconds for day and week (Monday-based),
+    the elapsed fraction of the calendar month for month."""
+    ts = ts.astimezone(timezone.utc)
+    day_seconds = ts.hour * 3600.0 + ts.minute * 60.0 + ts.second + ts.microsecond / 1e6
+    if view == "day":
+        return day_seconds
+    if view == "week":
+        return ts.weekday() * 86_400.0 + day_seconds
+    if view == "month":
+        days_in_month = calendar.monthrange(ts.year, ts.month)[1]
+        elapsed = (ts.day - 1) * 86_400.0 + day_seconds
+        return elapsed / (days_in_month * 86_400.0)
+    raise ValueError(f"unknown time view {view!r}")
+
+
+def _step(event: Event) -> str | None:
+    return event.lifecycle.lower() if event.lifecycle is not None else None
+
+
+def pair_lifecycle_steps(trace: Trace, observed_steps) -> list[int | None]:
+    """Per event of one trace, the index of the event of its predecessor
+    lifecycle step that it consumes, or None: FIFO per activity name, the
+    predecessor being the nearest earlier step of the transactional order
+    in ``observed_steps``, case-insensitive. Events without a name or a
+    step neither consume nor wait."""
+    observed = {s.lower() for s in observed_steps}
+    chain = [s for s in _LIFECYCLE_CHAIN if s in observed]
+    predecessor = dict(zip(chain[1:], chain))
+    queues: dict = {}
+    matches: list[int | None] = []
+    for i, event in enumerate(trace.events):
+        step, activity, match = _step(event), event.name, None
+        if step is not None and activity is not None:
+            queue = queues.get((activity, predecessor.get(step)))
+            if queue:
+                match = queue.popleft()
+            queues.setdefault((activity, step), deque()).append(i)
+        matches.append(match)
+    return matches
+
+
+def lifecycle_durations_reference(traces, steps) -> list[tuple[int, tuple[str, str], float]]:
+    """(log-order event number, (activity, predecessor step), seconds) of
+    every pair :func:`pair_lifecycle_steps` matches under ``steps`` in
+    which both events have a timestamp."""
+    found, offset = [], 0
+    for trace in traces:
+        events = trace.events
+        for i, j in enumerate(pair_lifecycle_steps(trace, steps)):
+            if j is not None and None not in (events[i].timestamp, events[j].timestamp):
+                seconds = (events[i].timestamp - events[j].timestamp).total_seconds()
+                found.append((offset + i, (events[i].name, _step(events[j])), seconds))
+        offset += len(events)
+    return found
+
+
 def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndarray:
     """One trace's observation matrix, evaluated on its own: n-gram
-    contexts and lifecycle durations re-derived from its events, each
-    table row by the smoothing formula from the table's stored dict form
-    (``to_dict``, so not its in-memory layout), and one
-    ``responsibilities`` call per bank and trace. Pairing and view
-    coordinates use the public ``pair_lifecycle_steps`` and
-    ``view_coordinate``, which have tests of their own. The neutral row
-    1/|labels| stands where a family's data is missing; bias is 1."""
+    contexts re-derived from its events, each table row by the smoothing
+    formula from the table's stored dict form (``to_dict``, so not its
+    in-memory layout), lifecycle durations by
+    :func:`lifecycle_durations_reference` and view coordinates by
+    :func:`view_coordinate`, and one ``responsibilities`` call per bank
+    and trace. The neutral row 1/|labels| stands where a family's data is
+    missing; bias is 1."""
     events = trace.events
     T, L = len(events), catalog.n_labels
 
     def symbol(ev, key):
         av = ev.attributes.get(key)
         return av.value if av is not None and av.kind == "string" else MISSING
-
-    def step_of(ev):
-        return ev.lifecycle.lower() if ev.lifecycle is not None else None
 
     if catalog.time_models and diagnostics is not None:
         diagnostics.extend(
@@ -334,14 +400,13 @@ def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndar
         )
     durations: dict = {}
     if catalog.duration_models:
-        for i, j in enumerate(pair_lifecycle_steps(trace, catalog.lifecycle_steps)):
-            if j is None or events[i].timestamp is None or events[j].timestamp is None:
-                continue
-            bank_key = (events[i].name, step_of(events[j]))
+        for i, bank_key, seconds in lifecycle_durations_reference(
+            [trace], catalog.lifecycle_steps
+        ):
             if bank_key in catalog.duration_models:
                 indices, xs = durations.setdefault(bank_key, ([], []))
                 indices.append(i)
-                xs.append((events[i].timestamp - events[j].timestamp).total_seconds())
+                xs.append(seconds)
 
     slots: dict = {}
     columns = [

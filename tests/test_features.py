@@ -1,13 +1,15 @@
-"""Catalog construction, observation evaluation, and lifecycle pairing."""
+"""Catalog construction, observation evaluation, the interned log's time
+views and lifecycle pairing."""
 
+import calendar
 import io
 import json
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventabs.abstraction import ModelIOError, load_model, save_model
@@ -15,6 +17,7 @@ from eventabs.crf import CrfModel
 from eventabs.features import (
     BOT,
     MISSING,
+    TIME_VIEWS,
     CatalogConfig,
     FeatureCatalog,
     InternedLog,
@@ -24,14 +27,17 @@ from eventabs.features import (
     evaluate_observations,
     fold_catalogs,
     observation_matrix,
-    pair_lifecycle_steps,
-    view_coordinate,
 )
 from eventabs.stats import MultinoulliTable, gmm_log_density
 from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
 
 from factories import BASE, make_event, make_log, sequence_trace
-from oracles import evaluate_observations_reference, multinoulli_fit_reference
+from oracles import (
+    evaluate_observations_reference,
+    lifecycle_durations_reference,
+    multinoulli_fit_reference,
+    view_coordinate,
+)
 
 
 def families(catalog: FeatureCatalog) -> set[str]:
@@ -306,31 +312,42 @@ class TestLifecyclePairing:
         ]
         return Trace({CONCEPT_NAME: AttributeValue.string("t")}, events)
 
+    @staticmethod
+    def pairs(trace: Trace) -> list[int | None]:
+        """Per event, the event it is paired with by InternedLog.durations
+        under the trace's own step set (events are 10 s apart)."""
+        log = InternedLog([trace])
+        ends, _, _, seconds = log.durations(log.steps)
+        found: list[int | None] = [None] * log.n_events
+        for end, s in zip(ends.tolist(), seconds.tolist()):
+            found[end] = end - round(s / 10)
+        return found
+
     def test_fifo_double_start_complete(self):
         trace = self.trace([
             ("A", "start"), ("A", "start"), ("A", "complete"), ("A", "complete")
         ])
-        assert pair_lifecycle_steps(trace) == [None, None, 0, 1]
+        assert self.pairs(trace) == [None, None, 0, 1]
 
     def test_complete_without_start_unmatched(self):
         trace = self.trace([("A", "complete")])
-        assert pair_lifecycle_steps(trace) == [None]
+        assert self.pairs(trace) == [None]
 
     def test_interleaved_activities_matched_per_activity(self):
         trace = self.trace([
             ("A", "start"), ("B", "start"), ("A", "complete"), ("B", "complete")
         ])
-        assert pair_lifecycle_steps(trace) == [None, None, 0, 1]
+        assert self.pairs(trace) == [None, None, 0, 1]
 
     def test_chain_restricted_to_observed_steps(self):
         trace = self.trace([
             ("A", "schedule"), ("A", "start"), ("A", "complete")
         ])
-        assert pair_lifecycle_steps(trace) == [None, 0, 1]
+        assert self.pairs(trace) == [None, 0, 1]
 
     def test_case_insensitive_steps(self):
         trace = self.trace([("A", "Start"), ("A", "Complete")])
-        assert pair_lifecycle_steps(trace) == [None, 0]
+        assert self.pairs(trace) == [None, 0]
 
     def test_duration_features_sum_to_one(self):
         rows = []
@@ -439,6 +456,42 @@ class TestStoredTables:
 
     def test_count_beyond_int64_is_refused(self):
         self.refused({"X": 2**63}, "too large")
+
+    def test_context_listed_twice_is_refused(self):
+        data = self.model_data()
+        counts = data["catalog"]["concept_tables"]["1"]["counts"]
+        counts.append([["A"], {"Y": 1}])
+        with pytest.raises(ModelIOError, match="not distinct and of length 1"):
+            load_model(io.StringIO(json.dumps(data)))
+
+    def test_context_of_another_arity_is_refused(self):
+        data = self.model_data()
+        data["catalog"]["concept_tables"]["1"]["counts"][0][0] = ["B", "A"]
+        with pytest.raises(ModelIOError, match="not distinct and of length 1"):
+            load_model(io.StringIO(json.dumps(data)))
+
+
+class TestStoredBanks:
+    """Every feature of a model file reads a table or bank that the file
+    holds; a file without one is refused at load, not when annotating."""
+
+    @staticmethod
+    def refused(family: str, key: str) -> None:
+        log = make_log([sequence_trace([("A", "X"), ("B", "Y"), ("A", "X")])])
+        catalog = build_catalog(log, CatalogConfig(ngram_sizes=(1, 2), time_views=("day",)))
+        buffer = io.StringIO()
+        save_model(CrfModel(catalog, np.zeros(catalog.n_features)), buffer)
+        data = json.loads(buffer.getvalue())
+        load_model(io.StringIO(json.dumps(data)))
+        del data["catalog"][family][key]
+        with pytest.raises(ModelIOError, match="has no table or bank"):
+            load_model(io.StringIO(json.dumps(data)))
+
+    def test_missing_time_bank_is_refused(self):
+        self.refused("time_models", "day")
+
+    def test_missing_concept_table_is_refused(self):
+        self.refused("concept_tables", "2")
 
 
 # A random event: concept name, label, seconds since the previous event,
@@ -626,18 +679,91 @@ class TestFoldCatalogs:
 
 
 class TestViewCoordinate:
+    @staticmethod
+    def at(view: str) -> float:
+        return InternedLog(make_log([[make_event("A", "X", BASE)]]).traces).coordinates(view)[0]
+
     def test_day_seconds(self):
-        assert view_coordinate("day", BASE) == 8 * 3600
+        assert self.at("day") == 8 * 3600
 
     def test_week_offset(self):
         # 2015-11-03 is a Tuesday
-        assert view_coordinate("week", BASE) == 86_400 + 8 * 3600
+        assert self.at("week") == 86_400 + 8 * 3600
 
     def test_month_fraction_in_unit_interval(self):
-        x = view_coordinate("month", BASE)
+        x = self.at("month")
         assert 0.0 <= x < 1.0
         assert x == pytest.approx((2 * 86_400 + 8 * 3600) / (30 * 86_400))
 
     def test_unknown_view_rejected(self):
         with pytest.raises(ValueError):
-            view_coordinate("fortnight", BASE)
+            self.at("fortnight")
+
+
+def _utc(*fields: int) -> datetime:
+    return datetime(*fields, tzinfo=timezone.utc)
+
+
+# Timestamps from year 1 to 9999, biased towards the edges of the month
+# arithmetic: a month's first instant and 1 ms either side, and Feb 29.
+_TIMESTAMPS = st.one_of(
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999_999),
+                 timezones=st.just(timezone.utc)),
+    st.datetimes(datetime(1900, 1, 1), datetime(1970, 1, 2), timezones=st.just(timezone.utc)),
+    st.builds(lambda y, m, ms: _utc(y, m, 1) + timedelta(milliseconds=ms),
+              st.integers(2, 9999), st.integers(1, 12), st.sampled_from((-1, 0, 1))),
+    st.builds(lambda y, ms: _utc(y, 2, 29) + timedelta(milliseconds=ms),
+              st.integers(1, 2499).map(lambda k: 4 * k).filter(calendar.isleap),
+              st.integers(0, 86_399_999)),
+)
+
+# A random lifecycle event for _random_log: a name, also the literal MISSING
+# symbol, or none; any step of the chain in mixed case, a step outside it,
+# or none; a gap in milliseconds.
+_LIFECYCLE_EVENTS = st.tuples(
+    st.sampled_from(["A", "B", MISSING, None]),
+    st.just("X"),
+    st.one_of(st.none(), st.integers(0, 20_000_000).map(lambda ms: ms / 1000)),
+    st.sampled_from([
+        "schedule", "assign", "start", "Start", "suspend", "resume", "complete",
+        "COMPLETE", "ate_abort", None,
+    ]),
+    st.none(),
+)
+
+
+class TestInternedColumns:
+    """InternedLog computes time-view coordinates and lifecycle pairs on its
+    columns; the oracles compute them per datetime and per trace."""
+
+    @given(st.lists(st.one_of(st.none(), _TIMESTAMPS), max_size=12))
+    @example([_utc(1, 1, 1), _utc(1969, 12, 31, 23, 59, 59) + timedelta(milliseconds=999),
+              _utc(2000, 2, 29, 12), _utc(2100, 3, 1) - timedelta(milliseconds=1),
+              _utc(9999, 12, 31, 23, 59, 59) + timedelta(milliseconds=999), None])
+    @settings(max_examples=200, deadline=None)
+    def test_coordinates_equal_the_oracle_bitwise(self, stamps):
+        events = [make_event("A", "X", ts) for ts in stamps]
+        log = InternedLog(make_log([[ev] for ev in events]).traces)
+        for view in TIME_VIEWS:
+            expected = np.asarray([
+                np.nan if ev.timestamp is None else view_coordinate(view, ev.timestamp)
+                for ev in events
+            ], dtype=float)
+            assert log.coordinates(view).tobytes() == expected.tobytes()
+
+    @given(
+        st.lists(st.lists(_LIFECYCLE_EVENTS, max_size=10), max_size=4),
+        st.one_of(st.none(), st.sets(st.sampled_from(
+            ["schedule", "Assign", "start", "suspend", "RESUME", "complete", "ate_abort"]
+        ))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_durations_equal_the_oracle(self, rows, steps):
+        log = _random_log(rows)
+        interned = InternedLog(log.traces)
+        steps = interned.steps if steps is None else steps
+        ends, keys, key_ids, seconds = interned.durations(steps)
+        expected = lifecycle_durations_reference(log.traces, steps)
+        assert keys == tuple(sorted({key for _, key, _ in expected}))
+        found = zip(ends.tolist(), [keys[k] for k in key_ids.tolist()], seconds.tolist())
+        assert list(found) == expected

@@ -147,8 +147,6 @@ class TestContracts:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            OwlqnConfig(memory=0)
-        with pytest.raises(ValueError):
             minimize(shifted_quadratic(np.zeros(2)), 2, l1_coefficient=-1.0)
         with pytest.raises(ValueError):
             OwlqnConfig(tolerance=0.0)
