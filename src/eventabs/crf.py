@@ -13,6 +13,9 @@ forward-backward pass over it per objective evaluation, Viterbi one
 log-space max-plus pass for any number of traces. A :class:`TrainingBatch`,
 built from concatenated observation rows, label indices and sequence
 lengths, is the one training input of the objective (``nll_and_gradient``).
+It also owns the pass's work buffers and its per-step views into them,
+allocated once and overwritten by every evaluation, so one batch must not
+be evaluated concurrently.
 ``log_partition``, ``posterior_marginals`` and ``sequence_log_prob`` stay
 per-trace in log space: they must stay finite where the weights put more
 than about 700 nats between paths, and there the scaled pass returns
@@ -263,12 +266,19 @@ class TrainingBatch:
     quantities.
 
     Built from the sequences' (events, F_obs) observation rows and label
-    indices, concatenated sequence after sequence, and their lengths.
-    Position t of the i-th longest non-empty sequence is row
+    indices, concatenated sequence after sequence, and their lengths; raises
+    ``ValueError`` when the observations are not (sum of lengths, F_obs),
+    the labels not one integer in ``[0, n_labels)`` per event, or a length
+    negative. Position t of the i-th longest non-empty sequence is row
     ``offsets[t] + i``, so memory is O(events), with no padding. The
     observed feature counts are one vector over the whole weight layout,
     so the objective is ``sum log Z - w . observed`` and its gradient
     ``expected - observed``.
+
+    The batch also owns the work buffers of :func:`nll_and_gradient`, one
+    row per event each, and the views of every step's rows into them, so
+    an evaluation allocates neither. Evaluations therefore overwrite each
+    other's intermediates: one batch must not be evaluated concurrently.
     """
 
     def __init__(
@@ -278,11 +288,24 @@ class TrainingBatch:
         labels: np.ndarray,
         lengths: Sequence[int],
     ):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or (lengths < 0).any():
+            raise ValueError("lengths must be a sequence of non-negative integers")
+        L, events = catalog.n_labels, int(lengths.sum())
+        expected_shape = (events, catalog.n_observation_features)
+        if np.shape(observations) != expected_shape:
+            raise ValueError(
+                f"observations have shape {np.shape(observations)}, expected {expected_shape}"
+            )
+        labels = np.asarray(labels)
+        if labels.shape != (events,) or (events and not (
+            labels.dtype.kind in "iu" and 0 <= labels.min() and labels.max() < L
+        )):
+            raise ValueError(f"labels must be {events} integers in [0, {L})")
         self.catalog = catalog
         self.n, self.offsets, rows = _pack(lengths)
         if self.n == 0:
             return
-        L = catalog.n_labels
         self.obs = np.empty((len(rows), catalog.n_observation_features))
         self.obs[rows] = observations
         packed = np.empty(len(rows), dtype=np.intp)
@@ -297,6 +320,34 @@ class TrainingBatch:
             _observation_counts(self.obs, np.eye(L)[packed], catalog),
             observed_trans.ravel(),
         ])
+
+        # work buffers: p holds the shifted emission potentials, scale the
+        # forward scale factors as a column; a beta row at the last position
+        # of its trace is never written, so it stays 1
+        self.p = np.empty((len(rows), L))
+        self.alpha = np.empty_like(self.p)
+        self.q = np.empty_like(self.p)
+        self.beta = np.ones_like(self.p)
+        self.scale = np.empty((len(rows), 1))
+        # per step: this step's rows and the first rows of the previous step,
+        # those whose traces go on (none at step 0), in the order the passes
+        # use them; the previous step's view serves when every trace goes on
+        bounds = self.offsets.tolist()
+        steps = list(zip(bounds, bounds[1:]))
+        alphas = [self.alpha[s:e] for s, e in steps]
+        betas = [self.beta[s:e] for s, e in steps]
+
+        def head(views: list[np.ndarray], t: int, m: int) -> np.ndarray:
+            return views[t] if len(views[t]) == m else views[t][:m]
+
+        self.forward_steps = [
+            (head(alphas, t - 1, e - s) if t else None, alphas[t], self.p[s:e], self.scale[s:e])
+            for t, (s, e) in enumerate(steps)
+        ]
+        self.backward_steps = [
+            (self.q[s:e], betas[t], head(betas, t - 1, e - s))
+            for t, (s, e) in enumerate(steps) if t
+        ][::-1]
 
 
 def _observation_counts(
@@ -314,7 +365,8 @@ def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, 
     """Negative conditional log-likelihood of the batch and its gradient,
     expected minus observed feature counts: the smooth part of the training
     objective (the L1 penalty lives in the optimizer). Computed by scaled
-    forward-backward (Rabiner 1989) over the packed rows.
+    forward-backward (Rabiner 1989) over the packed rows, in the batch's
+    work buffers; the returned gradient is a fresh array.
 
     Potentials are exponentiated once, shifted by their maxima, and every
     row's forward vector is normalized by its scale factor ``c``, so log Z
@@ -327,35 +379,33 @@ def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, 
     catalog = batch.catalog
     if batch.n == 0:
         return 0.0, np.zeros(catalog.n_features)
-    L, n, offsets = catalog.n_labels, batch.n, batch.offsets.tolist()
+    L, n = catalog.n_labels, batch.n
+    p, alpha, q, beta, scale = batch.p, batch.alpha, batch.q, batch.beta, batch.scale
     weights = np.asarray(weights, dtype=float)
     w_obs, trans = catalog.split(weights)
     core_max, bos_max = trans[:L].max(), trans[L].max()
-    emissions = batch.obs @ _emission_weights(catalog, w_obs)
-    row_max = emissions.max(axis=1, keepdims=True)
+    np.matmul(batch.obs, _emission_weights(catalog, w_obs), out=p)
+    row_max = p.max(axis=1, keepdims=True)
 
     with np.errstate(all="ignore"):  # a degenerate pass is caught below
         e_core = np.exp(trans[:L] - core_max)
-        p = np.exp(emissions - row_max)
-        alpha = np.empty_like(p)
-        scale = np.empty(len(p))
+        np.subtract(p, row_max, out=p)
+        np.exp(p, out=p)
         np.multiply(np.exp(trans[L] - bos_max), p[:n], out=alpha[:n])
-        for t in range(len(offsets) - 1):
-            s, e = offsets[t], offsets[t + 1]
-            if t:
-                np.dot(alpha[offsets[t - 1]:offsets[t - 1] + e - s], e_core, out=alpha[s:e])
-                alpha[s:e] *= p[s:e]
-            np.add.reduce(alpha[s:e], axis=1, out=scale[s:e])
-            alpha[s:e] /= scale[s:e, None]
+        for prev, cur, p_cur, scale_cur in batch.forward_steps:
+            if prev is not None:
+                np.dot(prev, e_core, out=cur)
+                np.multiply(cur, p_cur, out=cur)
+            np.add.reduce(cur, axis=1, out=scale_cur, keepdims=True)
+            np.divide(cur, scale_cur, out=cur)
 
         # q: each row's potentials over its scale factor, times beta past step 0
-        q = p / scale[:, None]
-        beta = np.ones_like(p)
-        for t in range(len(offsets) - 2, 0, -1):
-            s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
-            q[s:e] *= beta[s:e]
-            np.dot(q[s:e], e_core.T, out=beta[ps:ps + e - s])
-        node = alpha * beta
+        np.divide(p, scale, out=q)
+        e_core_t = e_core.T
+        for q_cur, beta_cur, beta_prev in batch.backward_steps:
+            np.multiply(q_cur, beta_cur, out=q_cur)
+            np.dot(q_cur, e_core_t, out=beta_prev)
+        node = np.multiply(alpha, beta, out=p)  # the potentials are spent
         expected = np.concatenate([
             _observation_counts(batch.obs, node, catalog),
             (e_core * (alpha[batch.prev].T @ q[n:])).ravel(),

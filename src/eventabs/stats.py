@@ -230,6 +230,12 @@ def _em_group(
     segment, so a fit's result does not depend on the fits packed with it.
     A fit that meets its tolerance drops out and its rows are compacted
     away.
+
+    The rows' squared distances to their means are computed once per
+    iteration: the M-step's, for the means it has just set, are the next
+    E-step's. The E-step scores, shifts and exponentiates in that one
+    (k, rows) array, and the M-step divides it into responsibilities in
+    place.
     """
     n_fits = len(sample_sets)
     floor_of = np.empty(n_fits)
@@ -259,14 +265,18 @@ def _em_group(
         for f in ids[flags]:
             warnings[f].setdefault(message)
 
+    # each row's squared distance to its fit's means: the initial means'
+    # here, then each M-step's for the next E-step
+    sq = xs - np.repeat(means, lengths, axis=1)
+    sq **= 2
+    starts = np.cumsum(lengths) - lengths
     for it in range(max_iters + 1):
-        starts = np.cumsum(lengths) - lengths
-        diff = xs - np.repeat(means, lengths, axis=1)
-        scores = np.repeat(
+        scores = np.multiply(sq, np.repeat(-0.5 / variances, lengths, axis=1), out=sq)
+        scores += np.repeat(
             np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)), lengths, axis=1
-        ) + diff**2 * np.repeat(-0.5 / variances, lengths, axis=1)
+        )
         top = scores.max(axis=0)
-        expd = np.exp(scores - top)
+        expd = np.exp(np.subtract(scores, top, out=scores), out=scores)
         total = expd.sum(axis=0)
         ll = np.add.reduceat(top + np.log(total), starts)
         for f, value in zip(ids.tolist(), ll.tolist()):
@@ -298,7 +308,7 @@ def _em_group(
             starts = np.cumsum(lengths) - lengths
         ll_prev = ll
 
-        resp = expd / total
+        resp = np.divide(expd, total, out=expd)
         mass = np.add.reduceat(resp, starts, axis=1)
         degenerate = mass < 1e-12
         if degenerate.any():
@@ -309,8 +319,9 @@ def _em_group(
         means = np.where(
             degenerate, means, np.add.reduceat(resp * xs, starts, axis=1) / mass
         )
-        diff = xs - np.repeat(means, lengths, axis=1)
-        new_var = np.add.reduceat(resp * diff**2, starts, axis=1) / mass
+        sq = xs - np.repeat(means, lengths, axis=1)
+        sq **= 2
+        new_var = np.add.reduceat(resp * sq, starts, axis=1) / mass
         warn((new_var < floors).any(axis=0), "variance clamped to floor")
         variances = np.maximum(new_var, floors)
 

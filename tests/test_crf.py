@@ -1,14 +1,17 @@
 """Inference against exhaustive enumeration, gradients against finite
 differences, and training behavior."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eventabs import crf
 from eventabs.features import CatalogConfig, FeatureCatalog, FeatureDef, build_catalog
-from eventabs.owlqn import minimize
+from eventabs.owlqn import OwlqnConfig, minimize
 
 from factories import make_log, sequence_trace, training_batch_of
 from oracles import (
@@ -338,6 +341,14 @@ def random_pairs(rng, lengths, n_features, n_labels):
     ]
 
 
+def two_label_catalog() -> FeatureCatalog:
+    return FeatureCatalog(
+        labels=("alpha", "beta"),
+        observation_features=(FeatureDef("bias", "beta"),),
+        config=CatalogConfig(),
+    )
+
+
 class TestPackedObjective:
     @pytest.mark.parametrize("n_labels", [2, 7])
     def test_equals_per_trace_log_space(self, n_labels):
@@ -382,11 +393,7 @@ class TestPackedObjective:
         # after the max shifts, each label's begin-of-sequence factor times its
         # emission factor is exp(-720), so the one scale factor is
         # 2 * exp(-720): nonzero, but below the normal float range
-        catalog = FeatureCatalog(
-            labels=("alpha", "beta"),
-            observation_features=(FeatureDef("bias", "beta"),),
-            config=CatalogConfig(),
-        )
+        catalog = two_label_catalog()
         weights = np.zeros(catalog.n_features)
         weights[0] = 720.0  # emission of beta
         weights[-2] = 720.0  # begin-of-sequence -> alpha
@@ -413,6 +420,131 @@ class TestPackedObjective:
         padded = len(live) * max(lengths) * 4
         held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
         assert max(v.size for v in held) == batch.obs.size < padded / 2
+
+
+class TestBatchValidation:
+    """A 3-event trace on a 2-label catalog with one observation feature."""
+
+    def batch(self, observations=None, labels=None, lengths=(3,)):
+        return crf.TrainingBatch(
+            two_label_catalog(),
+            np.ones((3, 1)) if observations is None else observations,
+            np.array([0, 1, 1]) if labels is None else labels,
+            lengths,
+        )
+
+    def test_well_formed_input_is_accepted(self):
+        assert self.batch().n == 1
+
+    @pytest.mark.parametrize(
+        "observations", [np.ones((1, 1)), np.ones((3, 2)), np.ones(3), np.ones((4, 1))],
+        ids=["one-row", "two-features", "1-d", "extra-row"],
+    )
+    def test_observations_not_one_row_per_event_are_refused(self, observations):
+        with pytest.raises(ValueError, match="observations"):
+            self.batch(observations=observations)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([0, -1, 1]), np.array([0, 2, 1]), np.array([1]), np.array([0, 1, 1, 0]),
+         np.array([0.0, 1.0, 1.0]), np.array([[0, 1, 1]])],
+        ids=["minus-one", "n-labels", "one-label", "extra-label", "float", "2-d"],
+    )
+    def test_labels_not_one_index_per_event_are_refused(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            self.batch(labels=labels)
+
+    def test_negative_length_is_refused(self):
+        with pytest.raises(ValueError, match="lengths"):
+            self.batch(lengths=(4, -1))
+
+
+LENGTHS = st.one_of(
+    st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    st.tuples(st.integers(0, 6), st.integers(1, 5)).map(lambda c: [c[0]] * c[1]),
+    st.lists(st.integers(0, 1), min_size=1, max_size=5),  # at most a single step
+)
+
+
+class TestBufferReuse:
+    """A batch's work buffers carry nothing from one evaluation to the next:
+    every result equals a fresh batch's, bit for bit, including after an
+    evaluation that returns ``+inf``."""
+
+    @staticmethod
+    def bits(result):
+        value, grad = result
+        return np.float64(value).tobytes() + grad.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_labels=st.integers(2, 4),
+        lengths_a=LENGTHS,
+        lengths_b=LENGTHS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_labels=2, lengths_a=[0, 1, 0], lengths_b=[3, 3, 3], seed=0)
+    @example(n_labels=3, lengths_a=[1], lengths_b=[0], seed=1)
+    def test_results_equal_a_fresh_batch(self, n_labels, lengths_a, lengths_b, seed):
+        rng = np.random.default_rng(seed)
+        catalog = random_model(rng, n_labels, 3).catalog
+        inputs = []
+        for lengths in (lengths_a, lengths_b):
+            obs = rng.normal(0, 1, (sum(lengths), 3))
+            obs[:, 0] = 1.0  # a constant column, as the bias family's
+            inputs.append((obs, rng.integers(0, n_labels, sum(lengths)), lengths))
+        w1, w2 = rng.normal(0, 1.5, (2, catalog.n_features))
+        # the subnormal scale-factor case: after the max shifts, begin row
+        # times emission is exp(-720) for the two labels and 0 for the others
+        subnormal = np.zeros(catalog.n_features)
+        first = catalog.observation_labels[0]
+        subnormal[0] = 720.0
+        subnormal[catalog.n_features - n_labels + (first + 1) % n_labels] = 720.0
+        sequence = [w1, np.where(w1 > 0, 1e3, -1e3), subnormal, w2, w1]
+        batches = [crf.TrainingBatch(catalog, *args) for args in inputs]
+        infinite = 0
+        for weights in sequence:
+            for batch, args in zip(batches, inputs):
+                result = crf.nll_and_gradient(weights, batch)
+                fresh = crf.nll_and_gradient(weights, crf.TrainingBatch(catalog, *args))
+                assert self.bits(result) == self.bits(fresh)
+                held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+                assert not any(np.shares_memory(result[1], v) for v in held)
+                infinite += result[0] == np.inf
+        if sum(lengths_a) and sum(lengths_b):
+            assert infinite >= 2  # the subnormal case on both batches
+
+
+class TestMemory:
+    def test_training_peak_grows_linearly_with_one_long_trace(self):
+        # one trace of N events has N steps, so the batch's per-step views
+        # (about 0.8 kB a step) weigh as much as its rows. Measured peaks of
+        # building the batch plus three OWL-QN iterations (7 labels, 20
+        # features): 2.67 MB at N = 2000 and 5.03 MB at N = 4000, a ratio of
+        # 1.88; anything padded or quadratic in the trace length shows as
+        # about 4
+        labels = LABEL_POOL[:7]
+        catalog = FeatureCatalog(
+            labels=labels,
+            observation_features=tuple(FeatureDef("bias", labels[i % 7]) for i in range(20)),
+            config=CatalogConfig(),
+        )
+        rng = np.random.default_rng(23)
+
+        def peak(n_events: int) -> int:
+            obs = rng.normal(0, 1, (n_events, 20))
+            labels_of_events = rng.integers(0, 7, n_events)
+            tracemalloc.start()
+            try:
+                batch = crf.TrainingBatch(catalog, obs, labels_of_events, [n_events])
+                crf.fit_batch(batch, 0.1, OwlqnConfig(max_iterations=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm-up
+        short, long = peak(2000), peak(4000)
+        assert long <= 2.4 * short
 
 
 class TestViterbiMany:
