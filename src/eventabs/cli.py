@@ -237,8 +237,8 @@ def annotate(model_path: str, log_path: str, output: str, do_collapse: bool) -> 
 @main.command()
 @click.argument("log_path", type=click.Path(exists=True))
 @click.option("--protocol", type=click.Choice(["loocv", "kfold"]), required=True)
-@click.option("--folds", type=int, default=None, help="Fold count for kfold.")
-@click.option("--seed", type=int, default=None, help="Shuffle seed for kfold.")
+@click.option("--folds", type=int, default=None, help="Fold count for kfold only.")
+@click.option("--seed", type=int, default=None, help="Shuffle seed for kfold only.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--l1", type=float, default=None)
 @click.option("--ngrams", default=None)
@@ -250,6 +250,8 @@ def evaluate(log_path: str, protocol: str, folds: int | None, seed: int | None,
              config_path: str | None, l1: float | None, ngrams: str | None,
              kmax: int | None, similarity_mode: str | None, report_path: str | None) -> None:
     """Cross-validate abstraction quality on an annotated XES log."""
+    if protocol == "loocv" and (folds is not None or seed is not None):
+        raise click.UsageError("--folds and --seed apply to --protocol kfold only")
     values = _merged(
         config_path, l1=l1, ngrams=ngrams, kmax=kmax, folds=folds,
         seed=seed, similarity_mode=similarity_mode,

@@ -113,6 +113,25 @@ def recursive_edit_distance(a: tuple, b: tuple) -> int:
     return go(len(a), len(b))
 
 
+def levenshtein_distance_reference(a, b) -> int:
+    """Unit-cost edit distance by the two-row DP, one Python cell at a
+    time; the reference for the library's bit-vector kernel."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, sym_a in enumerate(a, start=1):
+        current = [i]
+        for j, sym_b in enumerate(b, start=1):
+            cost = 0 if sym_a == sym_b else 1
+            current.append(min(
+                previous[j - 1] + cost,  # substitution / match
+                previous[j] + 1,         # deletion
+                current[j - 1] + 1,      # insertion
+            ))
+        previous = current
+    return previous[-1]
+
+
 def is_valid_run(net: LabeledPetriNet, labels: list[str]) -> bool:
     """Whether a visible-label sequence is a firing sequence of the net
     that ends in a final marking, via exhaustive search with tau moves."""

@@ -265,6 +265,19 @@ class TestEvaluate:
         assert result.exit_code != 0
         assert "exceeds" in result.output
 
+    @pytest.mark.parametrize("flag", [["--folds", "3"], ["--seed", "5"]])
+    def test_loocv_refuses_kfold_flags(self, runner, tmp_path, trained, flag):
+        config, log_path, _, _ = trained
+        report_path = tmp_path / "r.json"
+        result = runner.invoke(
+            main,
+            ["evaluate", str(log_path), "--protocol", "loocv", *flag,
+             "--config", config, "--report", str(report_path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--protocol kfold only" in result.output
+        assert not report_path.exists()
+
     def test_loocv_on_two_traces_runs_two_folds(self, runner, tmp_path):
         config = write_config(tmp_path, "traces = 2\nseed = 3\nngrams = 1\nviews = day\nkmax = 1\nmax_iterations = 30\n")
         log_path = tmp_path / "two.xes"

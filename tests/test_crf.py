@@ -515,6 +515,14 @@ class TestBufferReuse:
             assert infinite >= 2  # the subnormal case on both batches
 
 
+# 7 labels and 20 bias features, for the memory tests
+LONG_TRACE_CATALOG = FeatureCatalog(
+    labels=LABEL_POOL,
+    observation_features=tuple(FeatureDef("bias", LABEL_POOL[i % 7]) for i in range(20)),
+    config=CatalogConfig(),
+)
+
+
 class TestMemory:
     def test_training_peak_grows_linearly_with_one_long_trace(self):
         # one trace of N events has N steps, so the batch's per-step views
@@ -523,12 +531,6 @@ class TestMemory:
         # features): 2.67 MB at N = 2000 and 5.03 MB at N = 4000, a ratio of
         # 1.88; anything padded or quadratic in the trace length shows as
         # about 4
-        labels = LABEL_POOL[:7]
-        catalog = FeatureCatalog(
-            labels=labels,
-            observation_features=tuple(FeatureDef("bias", labels[i % 7]) for i in range(20)),
-            config=CatalogConfig(),
-        )
         rng = np.random.default_rng(23)
 
         def peak(n_events: int) -> int:
@@ -536,8 +538,30 @@ class TestMemory:
             labels_of_events = rng.integers(0, 7, n_events)
             tracemalloc.start()
             try:
-                batch = crf.TrainingBatch(catalog, obs, labels_of_events, [n_events])
+                batch = crf.TrainingBatch(LONG_TRACE_CATALOG, obs, labels_of_events, [n_events])
                 crf.fit_batch(batch, 0.1, OwlqnConfig(max_iterations=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm-up
+        short, long = peak(2000), peak(4000)
+        assert long <= 2.4 * short
+
+    def test_decoding_peak_grows_linearly_with_one_long_trace(self):
+        # decoding keeps a few rows per event (emissions, delta, the
+        # labels). Measured peaks of decoding one trace of N events (7
+        # labels, 20 features): 0.37 MB at N = 2000 and 0.74 MB at N = 4000,
+        # a ratio of 1.99; anything quadratic in the trace length shows as
+        # about 4
+        rng = np.random.default_rng(29)
+        model = crf.CrfModel(LONG_TRACE_CATALOG, rng.normal(0, 1, LONG_TRACE_CATALOG.n_features))
+
+        def peak(n_events: int) -> int:
+            obs = rng.normal(0, 1, (n_events, 20))
+            tracemalloc.start()
+            try:
+                crf.viterbi_decode_many(model, [obs])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
@@ -28,7 +28,7 @@ from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import CONCEPT_NAME, AttributeValue, Event, TIME_TIMESTAMP, Trace
 
 from factories import make_log, sequence_trace
-from oracles import l1_lbfgsb_reference, recursive_edit_distance
+from oracles import l1_lbfgsb_reference, levenshtein_distance_reference, recursive_edit_distance
 
 FAST = EvalConfig(
     abstraction=AbstractionConfig(
@@ -38,6 +38,43 @@ FAST = EvalConfig(
 )
 
 SYMBOLS = st.lists(st.sampled_from("abcd"), max_size=8).map(tuple)
+
+# two sequences of up to 200 symbols over one alphabet of 1 to 6 symbols
+LONG_PAIRS = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(*[st.lists(st.sampled_from("abcdef"[:k]), max_size=200)] * 2)
+)
+
+
+def _cycle(symbols, n: int) -> tuple:
+    return tuple(symbols[i % len(symbols)] for i in range(n))
+
+
+# the bit-vector kernel's pattern is the shorter sequence: lengths at and
+# around one and two 64-bit words on either side
+WORD_BOUNDARY_PAIRS = [
+    (_cycle("abcab", n), _cycle("bacd", m))
+    for n in (63, 64, 65, 128, 129)
+    for m in (1, 64, 65)
+]
+EDGE_PAIRS = [
+    ((), _cycle("abc", 70)),
+    (_cycle("abc", 70), ()),
+    (_cycle("abcabd", 90), _cycle("abcabd", 90)),  # identical
+    (_cycle("ab", 80), _cycle("cde", 75)),  # disjoint alphabets
+    (("a",) * 70, ("a",) * 3),  # one-symbol alphabet
+    (_cycle("abcz", 70), _cycle("abc", 30)),  # "z" only in the longer one
+    (_cycle([1, 2, 3, 1, 2], 75), _cycle([2, 1, 3], 60)),
+    (_cycle([(0, 1), (1, 0)], 80), _cycle([(1, 0), (0, 1), (0, 0)], 66)),
+]
+
+
+def with_examples(pairs):
+    def decorate(test):
+        for pair in pairs:
+            test = example(pair)(test)
+        return test
+
+    return decorate
 
 
 class TestLevenshtein:
@@ -63,6 +100,26 @@ class TestLevenshtein:
     @settings(max_examples=100, deadline=None)
     def test_matches_recursive_oracle(self, a, b):
         assert levenshtein_distance(a, b) == recursive_edit_distance(a, b)
+
+    @given(LONG_PAIRS)
+    @with_examples(WORD_BOUNDARY_PAIRS + EDGE_PAIRS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_dp(self, pair):
+        a, b = pair
+        reference = levenshtein_distance_reference(a, b)
+        assert levenshtein_distance(a, b) == reference
+        longest = max(len(a), len(b))
+        expected = 1 - reference / longest if longest else 1.0
+        assert levenshtein_similarity(a, b) == expected
+
+    def test_long_pair_matches_the_reference_dp(self):
+        rng = random.Random(14)
+        a = [rng.choice("ABCDEFG") for _ in range(600)]
+        b = [rng.choice("ABCDEFG") if rng.random() < 0.3 else symbol for symbol in a]
+        del b[100:140]
+        reference = levenshtein_distance_reference(a, b)
+        assert 40 < reference < 300
+        assert levenshtein_distance(a, b) == reference
 
     @given(SYMBOLS, SYMBOLS)
     @settings(max_examples=60, deadline=None)
