@@ -252,9 +252,11 @@ def evaluate(log_path: str, protocol: str, folds: int | None, seed: int | None,
     """Cross-validate abstraction quality on an annotated XES log."""
     if protocol == "loocv" and (folds is not None or seed is not None):
         raise click.UsageError("--folds and --seed apply to --protocol kfold only")
+    # --seed shuffles the folds only; a config file's seed also seeds the
+    # sub-model fits, as it does for train
     values = _merged(
         config_path, l1=l1, ngrams=ngrams, kmax=kmax, folds=folds,
-        seed=seed, similarity_mode=similarity_mode,
+        similarity_mode=similarity_mode,
     )
     log = _load_log(log_path)
     config = evaluation.EvalConfig(
@@ -268,7 +270,7 @@ def evaluate(log_path: str, protocol: str, folds: int | None, seed: int | None,
             report = evaluation.k_fold(
                 log,
                 k=int(values.get("folds", 10)),
-                seed=int(values.get("seed", 0)),
+                seed=int(values.get("seed", 0)) if seed is None else seed,
                 config=config,
             )
     except ValueError as exc:

@@ -10,12 +10,20 @@ weight scores, and where the transition block starts); this module only
 asks it to split a weight vector. Training and decoding share one packing
 of traces into time-major rows (``_pack``): training runs one scaled
 forward-backward pass over it per objective evaluation, Viterbi one
-log-space max-plus pass for any number of traces. A :class:`TrainingBatch`,
-built from concatenated observation rows, label indices and sequence
-lengths, is the one training input of the objective (``nll_and_gradient``).
-It also owns the pass's work buffers and its per-step views into them,
-allocated once and overwritten by every evaluation, so one batch must not
-be evaluated concurrently.
+log-space max-plus pass for any number of traces. A :class:`TrainingBatch`
+is the one training input of the objective (:func:`nll_and_gradients`):
+one or more problems over one packing, each a catalog and the rows it
+trains on. A single fit is a batch of one problem, built from concatenated
+observation rows, label indices and sequence lengths. The folds of a
+cross-validation form a group (:func:`fold_batch`): one problem per fold
+over one packing of the whole log, with problem-major (B, rows, L)
+buffers, so one pass evaluates every fold at once. :func:`fit_group`,
+the one training driver, trains a batch's problems in lockstep
+(:func:`~eventabs.owlqn.minimize_lockstep`) and drops finished problems
+from the buffers; a single fit (:func:`fit_batch`) is a group of one.
+A batch owns the pass's work buffers and its per-step views into them,
+allocated once and overwritten by every evaluation, so one batch must
+not be evaluated concurrently.
 ``log_partition``, ``posterior_marginals`` and ``sequence_log_prob`` stay
 per-trace in log space: they must stay finite where the weights put more
 than about 700 nats between paths, and there the scaled pass returns
@@ -25,16 +33,18 @@ than about 700 nats between paths, and there the scaled pass returns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .features import FeatureCatalog, InternedLog, observation_matrix
-from .owlqn import OwlqnConfig, OwlqnResult, minimize
+from .owlqn import OptimizationError, OwlqnConfig, OwlqnResult, minimize_lockstep
 from .xes import EventLog
 
 # relative score difference below which two labelings tie in Viterbi
 TIE_TOLERANCE = 1e-9
+# the smallest normal float: a scale factor below it ends the scaled pass
+_TINY = np.finfo(float).tiny
 
 __all__ = [
     "CrfModel",
@@ -44,19 +54,31 @@ __all__ = [
     "viterbi_decode",
     "viterbi_decode_many",
     "nll_and_gradient",
+    "nll_and_gradients",
     "TrainingBatch",
     "training_batch",
+    "fold_batch",
     "fit_batch",
+    "fit_group",
     "training_pairs",
     "train",
 ]
 
 
-def _emission_weights(catalog: FeatureCatalog, w_obs: np.ndarray) -> np.ndarray:
+def _slots(catalog: FeatureCatalog) -> np.ndarray:
+    """The flat position of each observation weight in the (F_obs, L)
+    emission matrix: its own row, its label's column."""
+    return np.arange(catalog.n_observation_features) * catalog.n_labels + catalog.observation_labels
+
+
+def _emission_weights(
+    catalog: FeatureCatalog, w_obs: np.ndarray, slots: np.ndarray | None = None
+) -> np.ndarray:
     """(F_obs, L) matrix placing each observation weight in its label's
-    column, so emissions are ``observations @ matrix``."""
+    column, so emissions are ``observations @ matrix``; ``slots`` are the
+    catalog's :func:`_slots`, computed when not given."""
     w_matrix = np.zeros((len(w_obs), catalog.n_labels))
-    w_matrix[np.arange(len(w_obs)), catalog.observation_labels] = w_obs
+    w_matrix.reshape(-1)[_slots(catalog) if slots is None else slots] = w_obs
     return w_matrix
 
 
@@ -260,25 +282,91 @@ def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
 # --- training ----------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class _Problem:
+    """One objective of a :class:`TrainingBatch`: a catalog and the packed
+    rows it trains on. ``obs`` (rows, F_obs) and ``observed`` cover those
+    rows only, in packed order. ``keep`` lists them, ``n`` is how many of
+    them are at step 0, ``after`` lists the others and ``prev`` the row of
+    the same trace's previous position for each of those."""
+
+    catalog: FeatureCatalog
+    slots: np.ndarray
+    obs: np.ndarray
+    observed: np.ndarray
+    keep: np.ndarray
+    n: int
+    after: np.ndarray
+    prev: np.ndarray
+
+
+def _problem(
+    catalog: FeatureCatalog,
+    obs: np.ndarray,
+    labels: np.ndarray,
+    keep: np.ndarray,
+    n: int,
+    prev: np.ndarray,
+) -> _Problem:
+    """The problem training on the packed rows ``keep`` (increasing) of a
+    packing with ``n`` rows at step 0 and previous rows ``prev``, given the
+    observations and label indices of those rows in packed order."""
+    L = catalog.n_labels
+    own_n = int(np.searchsorted(keep, n))
+    after = keep[own_n:]
+    own_prev = prev[after - n]
+    prev_labels = labels[np.searchsorted(keep, own_prev)]
+    observed_trans = np.zeros((L + 1, L))
+    np.add.at(observed_trans, (prev_labels, labels[own_n:]), 1.0)
+    np.add.at(observed_trans[L], labels[:own_n], 1.0)
+    slots = _slots(catalog)
+    observed = np.concatenate([
+        _observation_counts(obs, np.eye(L)[labels], slots), observed_trans.ravel(),
+    ])
+    return _Problem(catalog, slots, obs, observed, keep, own_n, after, own_prev)
+
+
+def _previous_rows(n: int, offsets: np.ndarray) -> np.ndarray:
+    """The row of the same trace's previous position, for each row past
+    step 0 of a packing."""
+    active = np.diff(offsets)
+    return np.arange(n, offsets[-1]) - np.repeat(active[:-1], active[1:])
+
+
 class TrainingBatch:
-    """Training sequences packed time-major (:func:`_pack`), precomputed once
-    so repeated objective evaluations only touch weight-dependent
-    quantities.
+    """Training problems over one time-major packing of sequences
+    (:func:`_pack`), precomputed once so repeated objective evaluations
+    only touch weight-dependent quantities.
 
-    Built from the sequences' (events, F_obs) observation rows and label
-    indices, concatenated sequence after sequence, and their lengths; raises
-    ``ValueError`` when the observations are not (sum of lengths, F_obs),
-    the labels not one integer in ``[0, n_labels)`` per event, or a length
-    negative. Position t of the i-th longest non-empty sequence is row
-    ``offsets[t] + i``, so memory is O(events), with no padding. The
-    observed feature counts are one vector over the whole weight layout,
-    so the objective is ``sum log Z - w . observed`` and its gradient
-    ``expected - observed``.
+    The constructor builds one problem: the sequences' (events, F_obs)
+    observation rows and label indices, concatenated sequence after
+    sequence, and their lengths. It raises ``ValueError`` when the
+    observations are not (sum of lengths, F_obs), the labels not one
+    integer in ``[0, n_labels)`` per event, or a length negative. Position
+    t of the i-th longest non-empty sequence is row ``offsets[t] + i``, so
+    memory is O(events), with no padding. A problem's observed feature
+    counts are one vector over its whole weight layout, so its objective
+    is ``sum log Z - w . observed`` and its gradient ``expected -
+    observed``. With one problem, ``catalog``, ``obs`` (the packed
+    observation rows) and ``observed`` are its own; in a group they are
+    None.
 
-    The batch also owns the work buffers of :func:`nll_and_gradient`, one
-    row per event each, and the views of every step's rows into them, so
-    an evaluation allocates neither. Evaluations therefore overwrite each
-    other's intermediates: one batch must not be evaluated concurrently.
+    :func:`fold_batch` builds a group: one problem per cross-validation
+    fold, each with its own catalog, over one packing of the whole log. A
+    problem trains on its rows only; the rows of its held-out traces are
+    carried through the pass, which keeps every trace's rows apart, but
+    never summed. :meth:`subset` keeps some of the problems.
+
+    The batch also owns the work buffers of :func:`nll_and_gradients`: one
+    (rows, L) matrix per problem, problem-major as (B, rows, L) for B > 1,
+    and the views of every step's rows into them, so an evaluation
+    allocates little. Each step is then one stacked ``np.matmul`` and a few
+    ufunc calls for all B problems; every problem's slice gets the same BLAS
+    call and the same arithmetic as it would alone, so a problem's results
+    do not depend on the problems beside it. A batch of one problem has
+    2-D buffers and steps with ``np.dot``, which costs less per call than
+    ``np.matmul``. Evaluations overwrite each other's intermediates: one
+    batch must not be evaluated concurrently.
     """
 
     def __init__(
@@ -302,119 +390,234 @@ class TrainingBatch:
             labels.dtype.kind in "iu" and 0 <= labels.min() and labels.max() < L
         )):
             raise ValueError(f"labels must be {events} integers in [0, {L})")
-        self.catalog = catalog
-        self.n, self.offsets, rows = _pack(lengths)
-        if self.n == 0:
-            return
-        self.obs = np.empty((len(rows), catalog.n_observation_features))
-        self.obs[rows] = observations
+        n, offsets, rows = _pack(lengths)
+        prev = _previous_rows(n, offsets)
+        obs = np.empty((len(rows), catalog.n_observation_features))
+        obs[rows] = observations
         packed = np.empty(len(rows), dtype=np.intp)
         packed[rows] = labels
-        # the row of the same trace's previous position, for each row past step 0
-        active = np.diff(self.offsets)
-        self.prev = np.arange(self.n, len(rows)) - np.repeat(active[:-1], active[1:])
-        observed_trans = np.zeros((L + 1, L))
-        np.add.at(observed_trans, (packed[self.prev], packed[self.n:]), 1.0)
-        np.add.at(observed_trans[L], packed[:self.n], 1.0)
-        self.observed = np.concatenate([
-            _observation_counts(self.obs, np.eye(L)[packed], catalog),
-            observed_trans.ravel(),
-        ])
+        problem = _problem(catalog, obs, packed, np.arange(len(rows)), n, prev)
+        self._setup(n, offsets, prev, [problem])
 
-        # work buffers: p holds the shifted emission potentials, scale the
-        # forward scale factors as a column; a beta row at the last position
-        # of its trace is never written, so it stays 1
-        self.p = np.empty((len(rows), L))
-        self.alpha = np.empty_like(self.p)
-        self.q = np.empty_like(self.p)
-        self.beta = np.ones_like(self.p)
-        self.scale = np.empty((len(rows), 1))
+    def subset(self, problems: Sequence[int]) -> "TrainingBatch":
+        """A batch of the given problems, in that order, on the same
+        packing, with work buffers of its own."""
+        return _assembled(self.n, self.offsets, self.prev, [self.problems[i] for i in problems])
+
+    def _setup(
+        self, n: int, offsets: np.ndarray, prev: np.ndarray, problems: list[_Problem]
+    ) -> None:
+        self.n, self.offsets, self.prev, self.problems = n, offsets, prev, problems
+        only = problems[0] if len(problems) == 1 else None
+        self.catalog, self.obs, self.observed = (
+            (only.catalog, only.obs, only.observed) if only else (None, None, None)
+        )
+        if n == 0:
+            return
+        L = problems[0].catalog.n_labels
+        if any(problem.catalog.n_labels != L for problem in problems):
+            raise ValueError("the problems of a batch must share one label alphabet size")
+        B, R = len(problems), int(offsets[-1])
+        shape = (R, L) if only else (B, R, L)
+        self.matmul = np.dot if only else np.matmul
+        # p holds the shifted emission potentials (1 on rows no problem
+        # trains on), scale the forward scale factors as a column; a beta
+        # row at the last position of its trace is never written, so it
+        # stays 1
+        self.p = np.ones(shape)
+        self.alpha = np.empty(shape)
+        self.q = np.empty(shape)
+        self.beta = np.ones(shape)
+        self.scale = np.empty(shape[:-1] + (1,))
+        # the (B * rows, ...) views the gathers read
+        self.p_rows, self.alpha_rows, self.q_rows = (
+            a.reshape(-1, L) for a in (self.p, self.alpha, self.q)
+        )
+        self.scale_rows = self.scale.reshape(-1, 1)
+
+        # what each problem sums: its rows (kept), and its rows past step 0
+        # (after) with their previous rows; gathered from all problems at
+        # once into one buffer each, problem after problem
+        self.prev_rows = np.concatenate([b * R + pr.prev for b, pr in enumerate(problems)])
+        self.alpha_prev = np.empty((len(self.prev_rows), L))
+        self.keep = np.concatenate([b * R + pr.keep for b, pr in enumerate(problems)])
+        self.after = np.concatenate([b * R + pr.after for b, pr in enumerate(problems)])
+        # the scatter of emissions into p, by element: assigning whole
+        # rows by index costs a call per row
+        self.keep_elements = (self.keep[:, None] * L + np.arange(L)).ravel()
+        self.emit = np.empty((len(self.keep), L))
+        self.node = np.empty_like(self.emit)
+        self.scale_kept = np.empty((len(self.keep), 1))
+        self.q_after = np.empty((len(self.after), L))
+        self.row_max = np.empty_like(self.scale_kept)
+        self.log_scale = np.empty_like(self.scale_kept)
+        # column views: a ufunc call per label column runs one inner loop
+        # over all rows, where broadcasting a (rows, 1) column over (rows, L)
+        # runs one per row
+        self.emit_columns = [self.emit[:, l] for l in range(L)]
+        self.p_columns = [self.p_rows[:, l] for l in range(L)]
+        self.q_columns = [self.q_rows[:, l] for l in range(L)]
+        kept = np.cumsum([0] + [len(pr.obs) for pr in problems]).tolist()
+        after = np.cumsum([0] + [len(pr.prev) for pr in problems]).tolist()
+        self.views = [
+            (pr, *(a[k0:k1] for a in (self.emit, self.node, self.scale_kept, self.log_scale,
+                                       self.row_max)),
+             self.alpha_prev[a0:a1], self.q_after[a0:a1])
+            for pr, k0, k1, a0, a1 in zip(problems, kept, kept[1:], after, after[1:])
+        ]
+
         # per step: this step's rows and the first rows of the previous step,
         # those whose traces go on (none at step 0), in the order the passes
         # use them; the previous step's view serves when every trace goes on
-        bounds = self.offsets.tolist()
+        bounds = offsets.tolist()
         steps = list(zip(bounds, bounds[1:]))
-        alphas = [self.alpha[s:e] for s, e in steps]
-        betas = [self.beta[s:e] for s, e in steps]
+        alphas = [self.alpha[..., s:e, :] for s, e in steps]
+        betas = [self.beta[..., s:e, :] for s, e in steps]
 
         def head(views: list[np.ndarray], t: int, m: int) -> np.ndarray:
-            return views[t] if len(views[t]) == m else views[t][:m]
+            return views[t] if views[t].shape[-2] == m else views[t][..., :m, :]
 
+        # with two labels a row's sum is one addition, the same bits in any
+        # order, so it and the division run per column: a call each over
+        # all the step's rows, where add.reduce and a broadcast (rows, 1)
+        # divisor run an inner loop per row
         self.forward_steps = [
-            (head(alphas, t - 1, e - s) if t else None, alphas[t], self.p[s:e], self.scale[s:e])
+            (head(alphas, t - 1, e - s) if t else None, alphas[t],
+             self.p[..., s:e, :], self.scale[..., s:e, :],
+             (alphas[t][..., 0], alphas[t][..., 1], self.scale[..., s:e, 0]) if L == 2 else None)
             for t, (s, e) in enumerate(steps)
         ]
         self.backward_steps = [
-            (self.q[s:e], betas[t], head(betas, t - 1, e - s))
+            (self.q[..., s:e, :], betas[t], head(betas, t - 1, e - s))
             for t, (s, e) in enumerate(steps) if t
         ][::-1]
 
 
-def _observation_counts(
-    obs: np.ndarray, per_label: np.ndarray, catalog: FeatureCatalog
-) -> np.ndarray:
+def _assembled(
+    n: int, offsets: np.ndarray, prev: np.ndarray, problems: list[_Problem]
+) -> TrainingBatch:
+    """A batch of built problems on a packing, past the constructor's
+    checks of raw input."""
+    batch = object.__new__(TrainingBatch)
+    batch._setup(n, offsets, prev, problems)
+    return batch
+
+
+def _observation_counts(obs: np.ndarray, per_label: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Each observation feature's values summed over the rows, every row
-    weighted by its (rows, L) entry for the feature's label. The full
-    (F_obs, L) product is several times faster than gathering one column
-    per feature."""
-    counts = obs.T @ per_label
-    return counts[np.arange(len(counts)), catalog.observation_labels]
+    weighted by its (rows, L) entry for the feature's label (``slots``, see
+    :func:`_slots`). The full (F_obs, L) product is several times faster
+    than gathering one column per feature."""
+    return (obs.T @ per_label).reshape(-1)[slots]
 
 
-def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, np.ndarray]:
-    """Negative conditional log-likelihood of the batch and its gradient,
-    expected minus observed feature counts: the smooth part of the training
-    objective (the L1 penalty lives in the optimizer). Computed by scaled
-    forward-backward (Rabiner 1989) over the packed rows, in the batch's
-    work buffers; the returned gradient is a fresh array.
+def nll_and_gradients(
+    weights: Sequence[np.ndarray], batch: TrainingBatch
+) -> list[tuple[float, np.ndarray]]:
+    """Per problem of the batch, at its weight vector: the negative
+    conditional log-likelihood and its gradient, expected minus observed
+    feature counts. This is the smooth part of the training objective (the
+    L1 penalty lives in the optimizer). Computed by one scaled
+    forward-backward pass (Rabiner 1989) over the packed rows for all
+    problems, in the batch's work buffers; the returned gradients are
+    fresh arrays.
 
     Potentials are exponentiated once, shifted by their maxima, and every
     row's forward vector is normalized by its scale factor ``c``, so log Z
     is the sum of the logs of the factors plus the shifts; the backward
     pass reuses the factors. A factor below the smallest normal float (or
-    an overflow) means the weights put about 700 nats between paths; the
-    value is then ``+inf`` and the gradient NaN, which the optimizer
-    backtracks from.
+    an overflow) means the weights put about 700 nats between paths; that
+    problem's value is then ``+inf`` and its gradient NaN, which the
+    optimizer backtracks from. Only the problem's own rows are checked and
+    summed, each as it would be in a batch of that problem alone.
     """
-    catalog = batch.catalog
+    problems = batch.problems
+    weights = [np.asarray(w, dtype=float) for w in weights]
+    if len(weights) != len(problems):
+        raise ValueError(f"{len(weights)} weight vectors for {len(problems)} problems")
     if batch.n == 0:
-        return 0.0, np.zeros(catalog.n_features)
-    L, n = catalog.n_labels, batch.n
+        return [(0.0, np.zeros(problem.catalog.n_features)) for problem in problems]
+    L, n = problems[0].catalog.n_labels, batch.n
     p, alpha, q, beta, scale = batch.p, batch.alpha, batch.q, batch.beta, batch.scale
-    weights = np.asarray(weights, dtype=float)
-    w_obs, trans = catalog.split(weights)
-    core_max, bos_max = trans[:L].max(), trans[L].max()
-    np.matmul(batch.obs, _emission_weights(catalog, w_obs), out=p)
-    row_max = p.max(axis=1, keepdims=True)
+    splits = [problem.catalog.split(w) for problem, w in zip(problems, weights)]
+    trans = np.stack([t for _, t in splits])
+    core_max = trans[:, :L].max(axis=(1, 2))
+    bos_max = trans[:, L].max(axis=1)
+    for (problem, emit, *_), (w_obs, _) in zip(batch.views, splits):
+        np.matmul(problem.obs, _emission_weights(problem.catalog, w_obs, problem.slots), out=emit)
 
     with np.errstate(all="ignore"):  # a degenerate pass is caught below
-        e_core = np.exp(trans[:L] - core_max)
-        np.subtract(p, row_max, out=p)
-        np.exp(p, out=p)
-        np.multiply(np.exp(trans[L] - bos_max), p[:n], out=alpha[:n])
-        for prev, cur, p_cur, scale_cur in batch.forward_steps:
+        e_core = np.exp(trans[:, :L] - core_max[:, None, None])
+        bos = np.exp(trans[:, L:] - bos_max[:, None, None])
+        step_core, bos = (e_core[0], bos[0]) if len(problems) == 1 else (e_core, bos)
+        # each row's maximum (exact in any order) subtracted column by column
+        maxima, columns = batch.row_max[:, 0], batch.emit_columns
+        np.maximum(columns[0], columns[-1], out=maxima)
+        for column in columns[1:-1]:
+            np.maximum(maxima, column, out=maxima)
+        for column in columns:
+            np.subtract(column, maxima, out=column)
+        np.exp(batch.emit, out=batch.emit)
+        batch.p.reshape(-1)[batch.keep_elements] = batch.emit.reshape(-1)
+        np.multiply(bos, p[..., :n, :], out=alpha[..., :n, :])
+        dot = batch.matmul
+        for prev, cur, p_cur, scale_cur, pair in batch.forward_steps:
             if prev is not None:
-                np.dot(prev, e_core, out=cur)
+                dot(prev, step_core, out=cur)
                 np.multiply(cur, p_cur, out=cur)
-            np.add.reduce(cur, axis=1, out=scale_cur, keepdims=True)
-            np.divide(cur, scale_cur, out=cur)
+            if pair is None:
+                np.add.reduce(cur, axis=-1, out=scale_cur, keepdims=True)
+                np.divide(cur, scale_cur, out=cur)
+            else:
+                first, second, total = pair
+                np.add(first, second, out=total)
+                np.divide(first, total, out=first)
+                np.divide(second, total, out=second)
 
         # q: each row's potentials over its scale factor, times beta past step 0
-        np.divide(p, scale, out=q)
-        e_core_t = e_core.T
+        for p_column, q_column in zip(batch.p_columns, batch.q_columns):
+            np.divide(p_column, batch.scale_rows[:, 0], out=q_column)
+        step_core_t = np.swapaxes(step_core, -1, -2)
         for q_cur, beta_cur, beta_prev in batch.backward_steps:
             np.multiply(q_cur, beta_cur, out=q_cur)
-            np.dot(q_cur, e_core_t, out=beta_prev)
-        node = np.multiply(alpha, beta, out=p)  # the potentials are spent
-        expected = np.concatenate([
-            _observation_counts(batch.obs, node, catalog),
-            (e_core * (alpha[batch.prev].T @ q[n:])).ravel(),
-            node[:n].sum(axis=0),
-        ])
-    if not (scale.min() >= np.finfo(float).tiny and np.all(np.isfinite(expected))):
-        return np.inf, np.full(catalog.n_features, np.nan)
-    log_z = np.log(scale).sum() + row_max.sum() + n * bos_max + (len(p) - n) * core_max
-    return float(log_z - weights @ batch.observed), expected - batch.observed
+            dot(q_cur, step_core_t, out=beta_prev)
+        np.take(batch.alpha_rows, batch.prev_rows, axis=0, out=batch.alpha_prev)
+        np.take(batch.q_rows, batch.after, axis=0, out=batch.q_after)
+        np.multiply(alpha, beta, out=q)
+        np.take(batch.q_rows, batch.keep, axis=0, out=batch.node)
+        np.take(batch.scale_rows, batch.keep, axis=0, out=batch.scale_kept)
+        np.log(batch.scale_kept, out=batch.log_scale)
+
+        results = []
+        for b, (problem, _, node, scale_b, log_scale, row_max, alpha_prev, q_after) in enumerate(
+            batch.views
+        ):
+            catalog = problem.catalog
+            expected = np.concatenate([
+                _observation_counts(problem.obs, node, problem.slots),
+                (e_core[b] * (alpha_prev.T @ q_after)).ravel(),
+                node[:problem.n].sum(axis=0),
+            ])
+            if problem.n == 0:
+                results.append((0.0, np.zeros(catalog.n_features)))
+            elif not (scale_b.min() >= _TINY and np.isfinite(expected).all()):
+                results.append((np.inf, np.full(catalog.n_features, np.nan)))
+            else:
+                log_z = (
+                    log_scale.sum() + row_max.sum() + problem.n * bos_max[b]
+                    + (len(node) - problem.n) * core_max[b]
+                )
+                results.append((
+                    float(log_z - weights[b] @ problem.observed), expected - problem.observed
+                ))
+    return results
+
+
+def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, np.ndarray]:
+    """:func:`nll_and_gradients` of a batch of one problem."""
+    if len(batch.problems) != 1:
+        raise ValueError(f"the batch holds {len(batch.problems)} problems, not one")
+    return nll_and_gradients([weights], batch)[0]
 
 
 def training_batch(
@@ -439,6 +642,39 @@ def training_batch(
     )
 
 
+def fold_batch(
+    log: InternedLog,
+    folds: Sequence[Iterable[int]],
+    catalogs: Sequence[FeatureCatalog],
+    observations: Iterable[np.ndarray],
+) -> TrainingBatch:
+    """A group batch over one packing of the whole interned, annotated log,
+    with one problem per fold: the log less the fold's traces, under
+    ``catalogs[b]``, whose observation matrix over the whole log (log
+    order) is the b-th of ``observations``. The matrices are read one at
+    a time, and the batch keeps a packed copy of each fold's training rows
+    only. The catalogs must share one label alphabet size. Only the
+    training events' labels are read."""
+    n, offsets, rows = _pack(log.lengths)
+    prev = _previous_rows(n, offsets)
+    problems = []
+    for fold, catalog, matrix in zip(folds, catalogs, observations):
+        expected_shape = (log.n_events, catalog.n_observation_features)
+        if np.shape(matrix) != expected_shape:
+            raise ValueError(
+                f"observations have shape {np.shape(matrix)}, expected {expected_shape}"
+            )
+        held = np.zeros(log.n_traces, dtype=bool)
+        held[list(fold)] = True
+        events = np.flatnonzero(~np.repeat(held, log.lengths))
+        events = events[np.argsort(rows[events])]  # in packed order
+        problems.append(_problem(
+            catalog, matrix[events], log.label_indices(catalog.labels, events),
+            rows[events], n, prev,
+        ))
+    return _assembled(n, offsets, prev, problems)
+
+
 def training_pairs(
     log: EventLog, catalog: FeatureCatalog
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -456,27 +692,58 @@ def fit_batch(
     objective_hook: Callable[[float], None] | None = None,
     initial: np.ndarray | None = None,
 ) -> CrfModel:
-    """Fit CRF weights on a packed batch by minimizing NLL + C * ||lambda||_1
-    with OWL-QN, C = ``l1_coefficient``, from ``initial`` (in the batch
-    catalog's layout; default zero). Deterministic: identical inputs
-    produce identical weight vectors."""
-    catalog = batch.catalog
+    """Fit CRF weights on a batch of one problem by minimizing NLL + C *
+    ||lambda||_1 with OWL-QN, C = ``l1_coefficient``, from ``initial`` (in
+    the batch catalog's layout; default zero): :func:`fit_group` on a
+    group of one. Raises the :class:`OptimizationError` of a non-finite
+    start point. Deterministic: identical inputs produce identical weight
+    vectors."""
+    if len(batch.problems) != 1:
+        raise ValueError(f"the batch holds {len(batch.problems)} problems, not one")
+    [model] = fit_group(batch, l1_coefficient, optimizer_config, [initial], objective_hook)
+    if isinstance(model, OptimizationError):
+        raise model
+    return model
 
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = nll_and_gradient(w, batch)
+
+def fit_group(
+    batch: TrainingBatch,
+    l1_coefficient: float = 0.1,
+    optimizer_config: OwlqnConfig | None = None,
+    initials: Sequence[np.ndarray | None] | None = None,
+    objective_hook: Callable[[float], None] | None = None,
+) -> list[CrfModel | OptimizationError]:
+    """Fit every problem of a batch in lockstep (:func:`minimize_lockstep`):
+    each round, one pass of :func:`nll_and_gradients` evaluates the pending
+    point of every problem still running, and a finished problem is
+    dropped from the buffers (:meth:`TrainingBatch.subset`) before the next
+    round. Each problem starts from ``initials[b]`` (in its catalog's
+    layout; default zero). ``objective_hook``, if given, is called with
+    every value the pass returns. Per problem: the model fitted on that
+    problem alone, or the :class:`OptimizationError` of its start point."""
+    current, live = batch, list(range(len(batch.problems)))
+
+    def objective(problems: list[int], points: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
+        nonlocal current, live
+        if problems != live:
+            current, live = batch.subset(problems), problems
+        results = nll_and_gradients(points, current)
         if objective_hook is not None:
-            objective_hook(value)
-        return value, grad
+            for value, _ in results:
+                objective_hook(value)
+        return results
 
-    weights, result = minimize(
-        objective, catalog.n_features, optimizer_config or OwlqnConfig(), initial, l1_coefficient
+    outcomes = minimize_lockstep(
+        objective, [problem.catalog.n_features for problem in batch.problems],
+        optimizer_config or OwlqnConfig(), initials, l1_coefficient,
     )
-    return CrfModel(
-        catalog=catalog,
-        weights=weights,
-        l1_coefficient=l1_coefficient,
-        training=result,
-    )
+    return [
+        outcome if isinstance(outcome, OptimizationError) else CrfModel(
+            catalog=problem.catalog, weights=outcome[0], l1_coefficient=l1_coefficient,
+            training=outcome[1],
+        )
+        for problem, outcome in zip(batch.problems, outcomes)
+    ]
 
 
 def train(

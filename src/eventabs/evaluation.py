@@ -12,7 +12,9 @@ A cross-validation reads the log once, into an :class:`InternedLog`, and
 fits the whole log once, before any worker starts. The folds are cut into
 ``n_jobs`` contiguous shares; each share builds its folds' catalogs
 together (count subtraction plus packed EM, see :func:`fold_catalogs`),
-then trains and decodes its folds one at a time. Every fold's OWL-QN run
+then trains its folds in lockstep groups, where one forward-backward pass
+evaluates a pending point of every fold of the group (:func:`fit_folds`),
+and decodes each fold's held-out traces. Every fold's OWL-QN run
 starts from the whole-log weights, mapped into the fold catalog's layout
 (:meth:`FeatureCatalog.weights_from`). A fold's training set differs from
 the whole log only by its held-out traces, so the fit takes far fewer
@@ -25,7 +27,8 @@ gauge of the ``features`` docstring, a constant added to the label-to-
 label transitions) change no p(y|x) on any trace. ``tests/test_eval.py``
 checks sampled warm folds' composite objectives against an independent
 optimizer, and their decodes against fits from zero. No fold starts from
-another fold's result, so results are merged in fold order and the report
+another fold's result, and a fold's fit does not depend on the folds
+trained beside it, so results are merged in fold order and the report
 does not depend on ``n_jobs``. The report records each fold's optimizer
 run (:class:`FoldRecord`).
 """
@@ -283,9 +286,8 @@ def _run_share(
     diagnostics and its optimizer record."""
     outcomes = []
     fitted = fit_folds(log, folds, config.abstraction, start)
-    for fold, (model, observations) in zip(folds, fitted):
-        rows = log.per_trace(observations)
-        decoded = viterbi_decode_many(model, [rows[t] for t in fold])
+    for fold, (model, held_out) in zip(folds, fitted):
+        decoded = viterbi_decode_many(model, held_out)
         run = model.training
         outcomes.append((
             decoded,

@@ -27,19 +27,39 @@ pseudo-gradient vanishes), ``"stalled"`` (the composite fell by less than
 ``tolerance`` relative per iteration over the last five iterations),
 ``"iteration_cap"`` or ``"line_search_failed"``. ``converged`` counts the
 first two.
+
+The method is written once, as a generator (``_iterate``): it yields
+each point it needs evaluated and receives the point's ``(value,
+gradient)``. One driver, :func:`minimize_lockstep`, advances several
+runs: each round it collects the one pending point of every live run and
+evaluates them all with a single call, so a caller that can evaluate many
+problems in one pass (the CRF's folds of a cross-validation) pays for one
+pass per round. :func:`minimize` is that driver on one problem. A run's
+points and results do not depend on the runs beside it, so each
+problem's outcome equals :func:`minimize` on it alone, bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-__all__ = ["OwlqnConfig", "OwlqnResult", "OptimizationError", "minimize"]
+__all__ = [
+    "OwlqnConfig",
+    "OwlqnResult",
+    "OptimizationError",
+    "minimize",
+    "minimize_lockstep",
+]
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# the objective of several problems: their indices and pending points in,
+# one (value, gradient) per point out
+GroupObjective = Callable[[list[int], list[np.ndarray]], list[tuple[float, np.ndarray]]]
+Run = Generator[np.ndarray, tuple[float, np.ndarray], tuple[np.ndarray, "OwlqnResult"]]
 
 
 class OptimizationError(Exception):
@@ -130,24 +150,15 @@ def _two_loop_direction(
     return d
 
 
-def minimize(
-    objective: Objective,
+def _iterate(
     dim: int,
     config: OwlqnConfig = OwlqnConfig(),
     initial: np.ndarray | None = None,
     l1_coefficient: float = 0.0,
-) -> tuple[np.ndarray, OwlqnResult]:
-    """Minimize ``objective``'s smooth part plus ``l1_coefficient *
-    ||x||_1``, starting from ``initial`` (default zero).
-
-    ``objective(x)`` must return the smooth loss value and its gradient.
-    Returns the weight vector and run diagnostics; fully deterministic.
-    Raises :class:`OptimizationError` if the value or gradient at the start
-    point is non-finite. A line-search trial with a non-finite value or
-    gradient counts as an evaluation and is rejected, so the step
-    backtracks; a failed line search ends the run at the last accepted
-    iterate with ``stop == "line_search_failed"``.
-    """
+) -> Run:
+    """One OWL-QN run as a generator: yields every point to evaluate, is
+    sent the point's smooth loss value and gradient, and returns the
+    weight vector and run diagnostics (see :func:`minimize`)."""
     if l1_coefficient < 0:
         raise ValueError("l1_coefficient must be non-negative")
     c = l1_coefficient
@@ -155,19 +166,17 @@ def minimize(
     if x.shape != (dim,):
         raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")
 
-    evaluations = 0
-
-    def evaluate(point: np.ndarray) -> tuple[np.ndarray, float] | None:
+    def composite_of(
+        point: np.ndarray, value: float, grad: np.ndarray
+    ) -> tuple[np.ndarray, float] | None:
         """Gradient and composite, or None where either is non-finite."""
-        nonlocal evaluations
-        evaluations += 1
-        value, grad = objective(point)
         grad = np.asarray(grad, dtype=float)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             return None
         return grad, value + c * float(np.abs(point).sum())
 
-    start = evaluate(x)
+    evaluations = 1
+    start = composite_of(x, *(yield x))
     if start is None:
         raise OptimizationError(
             f"non-finite objective or gradient at the start point with "
@@ -206,7 +215,8 @@ def minimize(
             x_new = x + step * d
             if c > 0:
                 x_new = np.where(x_new * orthant > 0, x_new, 0.0)
-            trial = evaluate(x_new)
+            evaluations += 1
+            trial = composite_of(x_new, *(yield x_new))
             if trial is not None:
                 g_new, composite_new = trial
                 gain = float(pg @ (x_new - x))
@@ -239,3 +249,74 @@ def minimize(
         stop=stop,
     )
     return x, result
+
+
+def minimize(
+    objective: Objective,
+    dim: int,
+    config: OwlqnConfig = OwlqnConfig(),
+    initial: np.ndarray | None = None,
+    l1_coefficient: float = 0.0,
+) -> tuple[np.ndarray, OwlqnResult]:
+    """Minimize ``objective``'s smooth part plus ``l1_coefficient *
+    ||x||_1``, starting from ``initial`` (default zero): a
+    :func:`minimize_lockstep` run of this one problem.
+
+    ``objective(x)`` must return the smooth loss value and its gradient.
+    Returns the weight vector and run diagnostics; fully deterministic.
+    Raises :class:`OptimizationError` if the value or gradient at the start
+    point is non-finite. A line-search trial with a non-finite value or
+    gradient counts as an evaluation and is rejected, so the step
+    backtracks; a failed line search ends the run at the last accepted
+    iterate with ``stop == "line_search_failed"``.
+    """
+    [outcome] = minimize_lockstep(
+        lambda _, points: [objective(points[0])], [dim], config, [initial], l1_coefficient
+    )
+    if isinstance(outcome, OptimizationError):
+        raise outcome
+    return outcome
+
+
+def minimize_lockstep(
+    objective: GroupObjective,
+    dims: Sequence[int],
+    config: OwlqnConfig = OwlqnConfig(),
+    initials: Sequence[np.ndarray | None] | None = None,
+    l1_coefficient: float = 0.0,
+) -> list[tuple[np.ndarray, OwlqnResult] | OptimizationError]:
+    """Minimize one problem per entry of ``dims`` (from ``initials``,
+    default zero each) in lockstep rounds. Each round calls
+    ``objective(problems, points)`` once, with the indices of the problems
+    still running, in increasing order, and the point each needs
+    evaluated; it must return their ``(value, gradient)`` in the same
+    order. A finished problem is not passed again.
+
+    Returns, per problem, what :func:`minimize` would on that problem
+    alone: the weight vector and diagnostics, equal bit for bit, or the
+    :class:`OptimizationError` it would raise, in which case the other
+    problems run on.
+    """
+    runs = [
+        _iterate(dim, config, None if initials is None else initials[i], l1_coefficient)
+        for i, dim in enumerate(dims)
+    ]
+    outcomes: list = [None] * len(runs)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, evaluated: tuple[float, np.ndarray] | None) -> None:
+        try:
+            pending[i] = runs[i].send(evaluated)
+        except StopIteration as done:
+            outcomes[i] = done.value
+        except OptimizationError as error:
+            outcomes[i] = error
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        live = sorted(pending)
+        results = objective(live, [pending.pop(i) for i in live])
+        for i, result in zip(live, results):
+            advance(i, result)
+    return outcomes

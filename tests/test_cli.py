@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from eventabs import evaluation
 from eventabs.cli import main
 from eventabs.xes import parse_xes, serialize_xes, EventLog
 
@@ -254,6 +255,28 @@ class TestEvaluate:
             assert result.exit_code == 0, result.output
             outputs.append(path.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_seed_flag_shuffles_without_reseeding_the_mixtures(
+        self, runner, trained, monkeypatch
+    ):
+        config, log_path, _, _ = trained
+        calls = []
+
+        def capture(log, k, seed, config):
+            calls.append((seed, config.abstraction.catalog.gmm_seed))
+            raise ValueError("captured")
+
+        monkeypatch.setattr(evaluation, "k_fold", capture)
+        for extra in ([], ["--seed", "5"]):
+            result = runner.invoke(
+                main,
+                ["evaluate", str(log_path), "--protocol", "kfold", "--folds", "3",
+                 "--config", config, *extra],
+            )
+            assert "captured" in result.output
+        (_, gmm_seed_without), (shuffle_seed, gmm_seed_with) = calls
+        assert shuffle_seed == 5
+        assert gmm_seed_with == gmm_seed_without == 7  # the config file's seed
 
     def test_invalid_fold_count(self, runner, tmp_path, trained):
         config, log_path, _, _ = trained

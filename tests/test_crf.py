@@ -10,10 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventabs import crf
-from eventabs.features import CatalogConfig, FeatureCatalog, FeatureDef, build_catalog
-from eventabs.owlqn import OwlqnConfig, minimize
+from eventabs.features import (
+    CatalogConfig,
+    FeatureCatalog,
+    FeatureDef,
+    InternedLog,
+    build_catalog,
+)
+from eventabs.owlqn import OptimizationError, OwlqnConfig, minimize
 
-from factories import make_log, sequence_trace, training_batch_of
+from factories import make_event, make_log, sequence_trace, training_batch_of
 from oracles import (
     argmax_lexicographic,
     enumerate_sequence_scores,
@@ -513,6 +519,179 @@ class TestBufferReuse:
                 infinite += result[0] == np.inf
         if sum(lengths_a) and sum(lengths_b):
             assert infinite >= 2  # the subnormal case on both batches
+
+
+def subnormal_weights(catalog: FeatureCatalog) -> np.ndarray:
+    """Weights whose first scale factor is 2 * exp(-720), below the normal
+    float range, on observations with a constant first column: after the
+    max shifts, begin row times emission is exp(-720) for two labels and 0
+    for the others."""
+    weights = np.zeros(catalog.n_features)
+    first = catalog.observation_labels[0]
+    weights[0] = 720.0
+    weights[catalog.n_features - catalog.n_labels + (first + 1) % catalog.n_labels] = 720.0
+    return weights
+
+
+FOLD_KINDS = st.sampled_from(["one", "longest", "all_but_one", "several", "infinite"])
+
+
+class TestFoldGroups:
+    """A group batch (one packing of the whole log, one problem per fold)
+    gives every fold the bits that fold gets alone, whatever the group
+    holds and after the group is compacted; and the value and gradient of
+    the fold's own batch, bit for bit unless the fold's own packing has a
+    one-row step where the whole log's has more rows (BLAS computes a
+    one-row product by another routine)."""
+
+    bits = staticmethod(TestBufferReuse.bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_labels=st.integers(2, 4),
+        lengths=st.lists(st.integers(0, 7), min_size=2, max_size=7),
+        kinds=st.lists(FOLD_KINDS, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_labels=2, lengths=[3, 7, 5, 6], kinds=["longest", "one", "infinite"], seed=0)
+    @example(n_labels=4, lengths=[7, 2, 6, 0, 6], kinds=["longest", "all_but_one"], seed=1)
+    @example(n_labels=3, lengths=[4, 4, 1, 6, 3, 5], kinds=["several"] * 3, seed=2)
+    @example(n_labels=2, lengths=[2, 5], kinds=["infinite", "one", "several"], seed=3)
+    def test_a_fold_gets_the_same_bits_in_any_group(self, n_labels, lengths, kinds, seed):
+        rng = np.random.default_rng(seed)
+        labels = LABEL_POOL[:n_labels]
+        log = InternedLog(make_log([
+            [make_event(name="a", label=labels[rng.integers(n_labels)]) for _ in range(T)]
+            for T in lengths
+        ]).traces)
+        n_traces = len(lengths)
+        folds, catalogs, observations, weights = [], [], [], []
+        for kind in kinds:
+            if kind == "longest":
+                fold = [int(np.argmax(lengths))]
+            elif kind == "all_but_one":
+                kept = int(rng.integers(n_traces))
+                fold = [t for t in range(n_traces) if t != kept]
+            elif kind == "several":  # a k-fold-style share of the traces
+                size = int(rng.integers(2, n_traces)) if n_traces > 2 else 1
+                fold = sorted(rng.choice(n_traces, size, replace=False).tolist())
+            else:
+                fold = [int(rng.integers(n_traces))]
+            catalog = FeatureCatalog(
+                labels=labels,
+                observation_features=tuple(
+                    FeatureDef("bias", labels[rng.integers(n_labels)])
+                    for _ in range(int(rng.integers(1, 5)))
+                ),
+                config=CatalogConfig(),
+            )
+            matrix = rng.normal(0, 1, (log.n_events, catalog.n_observation_features))
+            matrix[:, 0] = 1.0
+            folds.append(fold)
+            catalogs.append(catalog)
+            observations.append(matrix)
+            weights.append(
+                subnormal_weights(catalog) if kind == "infinite"
+                else rng.normal(0, 1.5, catalog.n_features)
+            )
+
+        group = crf.fold_batch(log, folds, catalogs, observations)
+        results = crf.nll_and_gradients(weights, group)
+        together = [self.bits(r) for r in results]
+        for b in range(len(folds)):
+            alone = crf.fold_batch(log, folds[b:b + 1], catalogs[b:b + 1], observations[b:b + 1])
+            assert self.bits(crf.nll_and_gradient(weights[b], alone)) == together[b]
+
+        # compacted: every other fold, evaluated after a pass at other weights
+        kept = list(range(len(folds)))[1::2] or [0]
+        compacted = group.subset(kept)
+        crf.nll_and_gradients([0.5 * weights[b] for b in kept], compacted)
+        again = crf.nll_and_gradients([weights[b] for b in kept], compacted)
+        assert [self.bits(r) for r in again] == [together[b] for b in kept]
+        assert [self.bits(r) for r in crf.nll_and_gradients(weights, group)] == together
+
+        whole_log_steps = np.diff(group.offsets)
+        for b, (fold, kind, (group_value, group_grad)) in enumerate(zip(folds, kinds, results)):
+            rest = [t for t in range(n_traces) if t not in fold]
+            own = crf.training_batch(log, catalogs[b], observations[b], rest)
+            value, grad = crf.nll_and_gradient(weights[b], own)
+            if kind == "infinite" and own.n:
+                assert group_value == np.inf
+            own_steps = np.diff(own.offsets)
+            if not np.any((own_steps == 1) & (whole_log_steps[:len(own_steps)] > 1)):
+                assert self.bits((value, grad)) == together[b]
+            elif value == np.inf:
+                assert group_value == np.inf
+            else:
+                assert abs(group_value - value) <= 1e-12 * max(1.0, abs(value))
+                assert np.abs(group_grad - grad).max() <= 1e-12 * max(1.0, np.abs(grad).max())
+
+    def test_a_group_fits_each_fold_as_alone(self):
+        rng = np.random.default_rng(5)
+        log = InternedLog(make_log([
+            [make_event(name="a", label=("alpha", "beta")[rng.integers(2)]) for _ in range(T)]
+            for T in (5, 3, 6, 4, 2)
+        ]).traces)
+        folds = [[0], [1, 2], [3], [4]]
+        catalogs = [
+            FeatureCatalog(
+                labels=("alpha", "beta"),
+                observation_features=tuple(
+                    FeatureDef("bias", ("alpha", "beta")[i % 2]) for i in range(k)
+                ),
+                config=CatalogConfig(),
+            )
+            for k in (1, 3, 2, 2)
+        ]
+        observations = []
+        for catalog in catalogs:
+            matrix = rng.normal(0, 1, (log.n_events, catalog.n_observation_features))
+            matrix[:, 0] = 1.0
+            observations.append(matrix)
+        # the third fold starts where its objective is +inf
+        initials = [None, rng.normal(0, 0.5, catalogs[1].n_features),
+                    subnormal_weights(catalogs[2]), None]
+        config = OwlqnConfig(max_iterations=40)
+        group = crf.fold_batch(log, folds, catalogs, observations)
+        values = []
+        outcomes = crf.fit_group(group, 0.05, config, initials, values.append)
+
+        assert isinstance(outcomes[2], OptimizationError)
+        with pytest.raises(OptimizationError):
+            crf.fit_batch(group.subset([2]), 0.05, config, initial=initials[2])
+        for b in (0, 1, 3):
+            alone_values = []
+            alone = crf.fit_batch(
+                group.subset([b]), 0.05, config, alone_values.append, initials[b]
+            )
+            assert len(alone_values) == alone.training.evaluations
+            assert outcomes[b].catalog is catalogs[b]
+            assert outcomes[b].weights.tobytes() == alone.weights.tobytes()
+            assert outcomes[b].training == alone.training
+        # the folds stop in different rounds, so the group was compacted
+        assert len({outcomes[b].training.evaluations for b in (0, 1, 3)}) > 1
+        # every value of every pass reaches the hook: one start value for
+        # the fold that failed, every evaluation of the others
+        assert len(values) == 1 + sum(outcomes[b].training.evaluations for b in (0, 1, 3))
+        with pytest.raises(ValueError, match="problems"):
+            crf.fit_batch(group)
+
+    def test_a_group_is_not_one_objective(self):
+        log = InternedLog(make_log([[make_event(name="a", label="alpha")]] * 2).traces)
+        catalog = two_label_catalog()
+        group = crf.fold_batch(log, [[0], [1]], [catalog] * 2, [np.ones((2, 1))] * 2)
+        with pytest.raises(ValueError, match="problems"):
+            crf.nll_and_gradient(np.zeros(catalog.n_features), group)
+
+    def test_folds_must_share_a_label_count(self):
+        log = InternedLog(make_log([[make_event(name="a", label="alpha")]] * 2).traces)
+        three = FeatureCatalog(
+            labels=("alpha", "beta", "gamma"),
+            observation_features=(FeatureDef("bias", "beta"),),
+            config=CatalogConfig(),
+        )
+        with pytest.raises(ValueError, match="label"):
+            crf.fold_batch(log, [[0], [1]], [two_label_catalog(), three], [np.ones((2, 1))] * 2)
 
 
 # 7 labels and 20 bias features, for the memory tests

@@ -22,7 +22,7 @@ from eventabs.evaluation import (
     levenshtein_distance,
     levenshtein_similarity,
 )
-from eventabs.features import CatalogConfig, InternedLog
+from eventabs.features import CatalogConfig, InternedLog, observation_matrix
 from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import CONCEPT_NAME, AttributeValue, Event, TIME_TIMESTAMP, Trace
@@ -332,18 +332,20 @@ class TestWarmStart:
         folds = [[t] for t in random.Random(3).sample(range(interned.n_traces), 4)]
         c = self.CONFIG.l1_coefficient
         warm_iterations = cold_iterations = 0
-        for fold, (warm, observations) in zip(
+        for fold, (warm, held) in zip(
             folds, fit_folds(interned, folds, self.CONFIG, start)
         ):
             catalog = warm.catalog
             rest = [t for t in range(interned.n_traces) if t not in fold]
-            batch = training_batch(interned, catalog, observations, rest)
+            batch = training_batch(interned, catalog, traces=rest)
+            whole = interned.per_trace(observation_matrix(catalog, interned))
+            assert len(held) == len(fold)
+            assert all(np.array_equal(rows, whole[t]) for rows, t in zip(held, fold))
             cold = fit_batch(batch, c, self.CONFIG.optimizer)
             _, optimum = l1_lbfgsb_reference(
                 lambda w: nll_and_gradient(w, batch), catalog.n_features, c
             )
             assert abs(warm.training.objective - optimum) <= 5e-4 * optimum
-            held = [interned.per_trace(observations)[t] for t in fold]
             assert viterbi_decode_many(warm, held) == viterbi_decode_many(cold, held)
             warm_iterations += warm.training.iterations
             cold_iterations += cold.training.iterations
@@ -367,6 +369,34 @@ class TestMemory:
                 catalog=CatalogConfig(
                     ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=1
                 ),
+                optimizer=OwlqnConfig(max_iterations=3),
+            )
+        )
+        leave_one_trace_out(replace(log, traces=log.traces[:3]), config)  # warm-up
+        peaks = []
+        for traces in (log.traces, log.traces + copies):
+            tracemalloc.start()
+            try:
+                leave_one_trace_out(replace(log, traces=traces), config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.5 * peaks[0]
+
+    def test_loocv_peak_grows_linearly_without_mixtures(self):
+        # without time views there are no mixtures, so the EM budget of
+        # fold_catalogs bounds nothing: only the lockstep group size keeps
+        # every fold's observation matrix from being held at once. Measured
+        # ratios: 1.99 with groups of 16 folds, 3.76 with every fold in one
+        # group
+        log = generate_annotated_log(medicine_eating_process(), 20, seed=11)
+        copies = [
+            Trace({CONCEPT_NAME: AttributeValue.string(f"{t.case_id}-copy")}, t.events)
+            for t in log.traces
+        ]
+        config = EvalConfig(
+            abstraction=AbstractionConfig(
+                catalog=CatalogConfig(ngram_sizes=(1, 2, 3), time_views=()),
                 optimizer=OwlqnConfig(max_iterations=3),
             )
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eventabs.owlqn import OptimizationError, OwlqnConfig, minimize
+from eventabs.owlqn import OptimizationError, OwlqnConfig, minimize, minimize_lockstep
 
 from oracles import l1_lbfgsb_reference
 
@@ -279,3 +279,86 @@ class TestHeldAtZero:
         )
         assert penalized.iterations <= free_block.iterations + 1
         assert np.abs(x - x_star).max() < 1e-6
+
+
+class TestLockstep:
+    """minimize_lockstep evaluates the pending points of all running
+    problems with one call per round; every problem's outcome must equal
+    minimize on it alone, bit for bit."""
+
+    C = 0.05
+
+    @staticmethod
+    def walled(rejected: list):
+        # finite only inside a ball around b, so the first unit step of the
+        # line search lands on +inf and backtracks
+        b = np.array([0.2, -0.1, 0.2])
+
+        def objective(x):
+            d = x - b
+            if float(d @ d) > 0.5**2:
+                rejected.append(1)
+                return float("inf"), np.full(3, np.nan)
+            return 5.0 * float(d @ d), 10.0 * d
+        return objective
+
+    def problems(self, rejected: list):
+        """(objective, dim, initial) of six L1 quadratics."""
+        rng = np.random.default_rng(71)
+
+        def broken(x):
+            return float("nan"), np.zeros(4)
+
+        return [
+            (spd_quadratic(random_spd(rng, 8), rng.normal(0, 1, 8)), 8, None),
+            (spd_quadratic(ill_conditioned_spd(rng, 10), rng.normal(0, 1, 10)), 10, None),
+            (self.walled(rejected), 3, None),
+            (broken, 4, None),  # non-finite at the start point
+            (shifted_quadratic(np.array([0.01, -0.02])), 2, None),  # stationary at once
+            (shifted_quadratic(rng.normal(0, 2, 6)), 6, rng.normal(0, 2, 6)),
+        ]
+
+    def test_each_problem_matches_minimize_alone(self):
+        rejected: list = []
+        problems = self.problems(rejected)
+        rounds: list[list[int]] = []
+
+        def objective(indices, points):
+            rounds.append(list(indices))
+            return [problems[i][0](x) for i, x in zip(indices, points)]
+
+        config = OwlqnConfig()
+        outcomes = minimize_lockstep(
+            objective, [dim for _, dim, _ in problems], config,
+            [initial for *_, initial in problems], self.C,
+        )
+        assert rejected
+        evaluations = []
+        for (f, dim, initial), outcome in zip(problems, outcomes):
+            try:
+                x, result = minimize(f, dim, config, initial, self.C)
+            except OptimizationError as error:
+                assert isinstance(outcome, OptimizationError)
+                assert str(outcome) == str(error)
+                evaluations.append(1)
+                continue
+            lockstep_x, lockstep_result = outcome
+            assert lockstep_x.tobytes() == x.tobytes()
+            assert np.float64(lockstep_result.objective).tobytes() == np.float64(
+                result.objective
+            ).tobytes()
+            assert (lockstep_result.iterations, lockstep_result.evaluations, lockstep_result.stop,
+                    lockstep_result.nonzero) == (
+                result.iterations, result.evaluations, result.stop, result.nonzero
+            )
+            evaluations.append(result.evaluations)
+        # one evaluation per round while a problem runs, none after it ends
+        assert [sum(i in r for r in rounds) for i in range(len(problems))] == evaluations
+        assert len(rounds) == max(evaluations)
+        assert all(r == sorted(r) for r in rounds)
+        assert len(set(evaluations)) >= 4  # the problems stop in different rounds
+        assert isinstance(outcomes[3], OptimizationError)
+
+    def test_no_problems(self):
+        assert minimize_lockstep(lambda indices, points: [], [], OwlqnConfig()) == []
+
