@@ -88,8 +88,14 @@ def fit_folds(
     mapped into the fold catalog's layout
     (:meth:`FeatureCatalog.weights_from`), or from zero. A fold whose start
     point is non-finite raises :class:`OptimizationError` when its turn to
-    be yielded comes."""
+    be yielded comes. Raises ``ValueError`` when a fold names a trace
+    outside ``[0, n_traces)`` or one trace twice."""
     folds = [list(fold) for fold in folds]
+    for b, fold in enumerate(folds):
+        if not all(isinstance(t, (int, np.integer)) and 0 <= t < log.n_traces for t in fold):
+            raise ValueError(f"fold {b} is {fold}, not trace indices in [0, {log.n_traces})")
+        if len(set(fold)) != len(fold):
+            raise ValueError(f"fold {b} is {fold}, which names a trace twice")
     group: list[tuple[list[int], FeatureCatalog]] = []
     for fold, catalog in zip(folds, fold_catalogs(log, folds, config.catalog)):
         if group and (

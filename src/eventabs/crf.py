@@ -11,19 +11,18 @@ asks it to split a weight vector. Training and decoding share one packing
 of traces into time-major rows (``_pack``): training runs one scaled
 forward-backward pass over it per objective evaluation, Viterbi one
 log-space max-plus pass for any number of traces. A :class:`TrainingBatch`
-is the one training input of the objective (:func:`nll_and_gradients`):
-one or more problems over one packing, each a catalog and the rows it
-trains on. A single fit is a batch of one problem, built from concatenated
-observation rows, label indices and sequence lengths. The folds of a
-cross-validation form a group (:func:`fold_batch`): one problem per fold
-over one packing of the whole log, with problem-major (B, rows, L)
-buffers, so one pass evaluates every fold at once. :func:`fit_group`,
+is the one training input of the objective (:func:`nll_and_gradients`),
+and its constructor the one place that packs and checks training input:
+one or more problems over one packing, each a catalog and the traces it
+trains on, with problem-major (B, rows, L) buffers, so one pass
+evaluates every problem at once. :func:`fold_batch` turns the folds of a
+cross-validation into such a group over the whole log; a single fit
+(:func:`train`) is the fold that holds nothing out. :func:`fit_group`,
 the one training driver, trains a batch's problems in lockstep
 (:func:`~eventabs.owlqn.minimize_lockstep`) and drops finished problems
-from the buffers; a single fit (:func:`fit_batch`) is a group of one.
-A batch owns the pass's work buffers and its per-step views into them,
-allocated once and overwritten by every evaluation, so one batch must
-not be evaluated concurrently.
+from the buffers. A batch owns the pass's work buffers and its per-step
+views into them, allocated once and overwritten by every evaluation, so
+one batch must not be evaluated concurrently.
 ``log_partition``, ``posterior_marginals`` and ``sequence_log_prob`` stay
 per-trace in log space: they must stay finite where the weights put more
 than about 700 nats between paths, and there the scaled pass returns
@@ -32,8 +31,9 @@ than about 700 nats between paths, and there the scaled pass returns
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,9 +56,7 @@ __all__ = [
     "nll_and_gradient",
     "nll_and_gradients",
     "TrainingBatch",
-    "training_batch",
     "fold_batch",
-    "fit_batch",
     "fit_group",
     "training_pairs",
     "train",
@@ -338,24 +336,29 @@ class TrainingBatch:
     (:func:`_pack`), precomputed once so repeated objective evaluations
     only touch weight-dependent quantities.
 
-    The constructor builds one problem: the sequences' (events, F_obs)
-    observation rows and label indices, concatenated sequence after
-    sequence, and their lengths. It raises ``ValueError`` when the
-    observations are not (sum of lengths, F_obs), the labels not one
-    integer in ``[0, n_labels)`` per event, or a length negative. Position
-    t of the i-th longest non-empty sequence is row ``offsets[t] + i``, so
-    memory is O(events), with no padding. A problem's observed feature
-    counts are one vector over its whole weight layout, so its objective
-    is ``sum log Z - w . observed`` and its gradient ``expected -
-    observed``. With one problem, ``catalog``, ``obs`` (the packed
-    observation rows) and ``observed`` are its own; in a group they are
-    None.
+    The constructor is the one place that packs and checks training input.
+    It takes the lengths of every sequence of the packing and the
+    problems, read one at a time: each is ``(catalog, observations,
+    labels, traces)``, where ``traces`` are the indices of the sequences it
+    trains on (None: all), and ``observations`` (events, F_obs) and
+    ``labels`` (label indices) are those sequences' rows, concatenated in
+    ``traces`` order. It raises ``ValueError``, naming the problem, when
+    the trace indices are not distinct indices into ``lengths``, the
+    observations not one row of F_obs per event of the traces, or the
+    labels not one integer in ``[0, n_labels)`` per event; and when a
+    length is negative or the problems' label alphabet sizes differ.
+    Position t of the i-th longest non-empty sequence is row ``offsets[t]
+    + i``, so memory is O(events), with no padding. A problem keeps a
+    packed copy of its own rows only, and its observed feature counts as
+    one vector over its whole weight layout, so its objective is ``sum
+    log Z - w . observed`` and its gradient ``expected - observed``. The
+    rows of sequences a problem does not train on are carried through the
+    pass, which keeps every sequence's rows apart, but never summed.
+    :meth:`subset` keeps some of the problems.
 
-    :func:`fold_batch` builds a group: one problem per cross-validation
-    fold, each with its own catalog, over one packing of the whole log. A
-    problem trains on its rows only; the rows of its held-out traces are
-    carried through the pass, which keeps every trace's rows apart, but
-    never summed. :meth:`subset` keeps some of the problems.
+    :func:`fold_batch` builds the group of a cross-validation: one problem
+    per fold, each with its own catalog, over one packing of the whole
+    log; a single fit is the one fold that holds nothing out.
 
     The batch also owns the work buffers of :func:`nll_and_gradients`: one
     (rows, L) matrix per problem, problem-major as (B, rows, L) for B > 1,
@@ -371,53 +374,70 @@ class TrainingBatch:
 
     def __init__(
         self,
-        catalog: FeatureCatalog,
-        observations: np.ndarray,
-        labels: np.ndarray,
         lengths: Sequence[int],
+        problems: Iterable[
+            tuple[FeatureCatalog, np.ndarray, np.ndarray, Sequence[int] | None]
+        ],
     ):
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.ndim != 1 or (lengths < 0).any():
             raise ValueError("lengths must be a sequence of non-negative integers")
-        L, events = catalog.n_labels, int(lengths.sum())
-        expected_shape = (events, catalog.n_observation_features)
-        if np.shape(observations) != expected_shape:
-            raise ValueError(
-                f"observations have shape {np.shape(observations)}, expected {expected_shape}"
-            )
-        labels = np.asarray(labels)
-        if labels.shape != (events,) or (events and not (
-            labels.dtype.kind in "iu" and 0 <= labels.min() and labels.max() < L
-        )):
-            raise ValueError(f"labels must be {events} integers in [0, {L})")
-        n, offsets, rows = _pack(lengths)
-        prev = _previous_rows(n, offsets)
-        obs = np.empty((len(rows), catalog.n_observation_features))
-        obs[rows] = observations
-        packed = np.empty(len(rows), dtype=np.intp)
-        packed[rows] = labels
-        problem = _problem(catalog, obs, packed, np.arange(len(rows)), n, prev)
-        self._setup(n, offsets, prev, [problem])
+        self.n, self.offsets, rows = _pack(lengths)
+        self.prev = _previous_rows(self.n, self.offsets)
+        starts = np.cumsum(lengths) - lengths
+        built = []
+        for b, (catalog, observations, labels, traces) in enumerate(problems):
+            traces = np.arange(len(lengths)) if traces is None else np.asarray(traces)
+            if traces.ndim != 1 or len(traces) and not (
+                traces.dtype.kind in "iu" and 0 <= traces.min() and traces.max() < len(lengths)
+                and np.bincount(traces).max() == 1
+            ):
+                raise ValueError(
+                    f"problem {b}: traces must be distinct indices in [0, {len(lengths)})"
+                )
+            traces = traces.astype(np.intp)  # an empty list reads as floats
+            spans = lengths[traces]
+            L, events = catalog.n_labels, int(spans.sum())
+            expected_shape = (events, catalog.n_observation_features)
+            if np.shape(observations) != expected_shape:
+                raise ValueError(
+                    f"problem {b}: observations have shape {np.shape(observations)}, "
+                    f"expected {expected_shape}"
+                )
+            labels = np.asarray(labels)
+            if labels.shape != (events,) or (events and not (
+                labels.dtype.kind in "iu" and 0 <= labels.min() and labels.max() < L
+            )):
+                raise ValueError(f"problem {b}: labels must be {events} integers in [0, {L})")
+            # each input row's packed row, then the rows in packed order
+            packed = rows[np.repeat(starts[traces] - np.cumsum(spans) + spans, spans)
+                          + np.arange(events)]
+            order = np.argsort(packed)
+            built.append(_problem(
+                catalog, np.asarray(observations, dtype=float)[order], labels[order],
+                packed[order], self.n, self.prev,
+            ))
+        self._setup(built)
 
     def subset(self, problems: Sequence[int]) -> "TrainingBatch":
         """A batch of the given problems, in that order, on the same
         packing, with work buffers of its own."""
-        return _assembled(self.n, self.offsets, self.prev, [self.problems[i] for i in problems])
+        batch = copy.copy(self)
+        batch._setup([self.problems[i] for i in problems])
+        return batch
 
-    def _setup(
-        self, n: int, offsets: np.ndarray, prev: np.ndarray, problems: list[_Problem]
-    ) -> None:
-        self.n, self.offsets, self.prev, self.problems = n, offsets, prev, problems
-        only = problems[0] if len(problems) == 1 else None
-        self.catalog, self.obs, self.observed = (
-            (only.catalog, only.obs, only.observed) if only else (None, None, None)
-        )
+    def _setup(self, problems: list[_Problem]) -> None:
+        """Build the work buffers and step views of ``problems`` on the
+        batch's packing."""
+        self.problems = problems
+        n, offsets = self.n, self.offsets
         if n == 0:
             return
         L = problems[0].catalog.n_labels
         if any(problem.catalog.n_labels != L for problem in problems):
             raise ValueError("the problems of a batch must share one label alphabet size")
         B, R = len(problems), int(offsets[-1])
+        only = B == 1
         shape = (R, L) if only else (B, R, L)
         self.matmul = np.dot if only else np.matmul
         # p holds the shifted emission potentials (1 on rows no problem
@@ -491,16 +511,6 @@ class TrainingBatch:
             (self.q[..., s:e, :], betas[t], head(betas, t - 1, e - s))
             for t, (s, e) in enumerate(steps) if t
         ][::-1]
-
-
-def _assembled(
-    n: int, offsets: np.ndarray, prev: np.ndarray, problems: list[_Problem]
-) -> TrainingBatch:
-    """A batch of built problems on a packing, past the constructor's
-    checks of raw input."""
-    batch = object.__new__(TrainingBatch)
-    batch._setup(n, offsets, prev, problems)
-    return batch
 
 
 def _observation_counts(obs: np.ndarray, per_label: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -620,28 +630,6 @@ def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, 
     return nll_and_gradients([weights], batch)[0]
 
 
-def training_batch(
-    log: InternedLog,
-    catalog: FeatureCatalog,
-    observations: np.ndarray | None = None,
-    traces: Sequence[int] | None = None,
-) -> TrainingBatch:
-    """The packed batch of the given traces of an interned, annotated log
-    (default: all). ``observations`` is the catalog's observation matrix
-    over the whole log, evaluated here when not given."""
-    if observations is None:
-        observations = observation_matrix(catalog, log)
-    if traces is None:
-        return TrainingBatch(
-            catalog, observations, log.label_indices(catalog.labels), log.lengths
-        )
-    events = log.events(traces)
-    return TrainingBatch(
-        catalog, observations[events], log.label_indices(catalog.labels, events),
-        log.lengths[list(traces)],
-    )
-
-
 def fold_batch(
     log: InternedLog,
     folds: Sequence[Iterable[int]],
@@ -653,26 +641,19 @@ def fold_batch(
     ``catalogs[b]``, whose observation matrix over the whole log (log
     order) is the b-th of ``observations``. The matrices are read one at
     a time, and the batch keeps a packed copy of each fold's training rows
-    only. The catalogs must share one label alphabet size. Only the
-    training events' labels are read."""
-    n, offsets, rows = _pack(log.lengths)
-    prev = _previous_rows(n, offsets)
-    problems = []
-    for fold, catalog, matrix in zip(folds, catalogs, observations):
-        expected_shape = (log.n_events, catalog.n_observation_features)
-        if np.shape(matrix) != expected_shape:
-            raise ValueError(
-                f"observations have shape {np.shape(matrix)}, expected {expected_shape}"
-            )
-        held = np.zeros(log.n_traces, dtype=bool)
-        held[list(fold)] = True
-        events = np.flatnonzero(~np.repeat(held, log.lengths))
-        events = events[np.argsort(rows[events])]  # in packed order
-        problems.append(_problem(
-            catalog, matrix[events], log.label_indices(catalog.labels, events),
-            rows[events], n, prev,
-        ))
-    return _assembled(n, offsets, prev, problems)
+    only. Only the training events' labels are read."""
+
+    def problems() -> Iterator[tuple[FeatureCatalog, np.ndarray, np.ndarray, np.ndarray]]:
+        for fold, catalog, matrix in zip(folds, catalogs, observations):
+            kept = np.ones(log.n_traces, dtype=bool)
+            kept[list(fold)] = False
+            events = np.flatnonzero(np.repeat(kept, log.lengths))
+            # a fold that holds nothing out trains on the matrix as it is,
+            # so a single fit holds no third copy of its rows
+            rows = matrix if kept.all() else matrix[events]
+            yield catalog, rows, log.label_indices(catalog.labels, events), np.flatnonzero(kept)
+
+    return TrainingBatch(log.lengths, problems())
 
 
 def training_pairs(
@@ -683,27 +664,6 @@ def training_pairs(
     observations = observation_matrix(catalog, interned)
     labels = interned.label_indices(catalog.labels)
     return list(zip(interned.per_trace(observations), interned.per_trace(labels)))
-
-
-def fit_batch(
-    batch: TrainingBatch,
-    l1_coefficient: float = 0.1,
-    optimizer_config: OwlqnConfig | None = None,
-    objective_hook: Callable[[float], None] | None = None,
-    initial: np.ndarray | None = None,
-) -> CrfModel:
-    """Fit CRF weights on a batch of one problem by minimizing NLL + C *
-    ||lambda||_1 with OWL-QN, C = ``l1_coefficient``, from ``initial`` (in
-    the batch catalog's layout; default zero): :func:`fit_group` on a
-    group of one. Raises the :class:`OptimizationError` of a non-finite
-    start point. Deterministic: identical inputs produce identical weight
-    vectors."""
-    if len(batch.problems) != 1:
-        raise ValueError(f"the batch holds {len(batch.problems)} problems, not one")
-    [model] = fit_group(batch, l1_coefficient, optimizer_config, [initial], objective_hook)
-    if isinstance(model, OptimizationError):
-        raise model
-    return model
 
 
 def fit_group(
@@ -753,9 +713,16 @@ def train(
     optimizer_config: OwlqnConfig | None = None,
     objective_hook: Callable[[float], None] | None = None,
 ) -> CrfModel:
-    """Fit CRF weights on an annotated log (:func:`fit_batch` on its
-    :func:`training_batch`)."""
-    return fit_batch(
-        training_batch(InternedLog(annotated.traces), catalog),
-        l1_coefficient, optimizer_config, objective_hook,
-    )
+    """Fit CRF weights on an annotated log by minimizing NLL + C *
+    ||lambda||_1 with OWL-QN from zero, C = ``l1_coefficient``:
+    :func:`fit_group` on the :func:`fold_batch` of the one fold that holds
+    nothing out. ``objective_hook``, if given, is called with every
+    objective value. Raises the :class:`OptimizationError` of a
+    non-finite start point. Deterministic: identical inputs produce
+    identical weight vectors."""
+    log = InternedLog(annotated.traces)
+    batch = fold_batch(log, [()], [catalog], [observation_matrix(catalog, log)])
+    [model] = fit_group(batch, l1_coefficient, optimizer_config, None, objective_hook)
+    if isinstance(model, OptimizationError):
+        raise model
+    return model

@@ -69,6 +69,6 @@ def training_batch_of(catalog, pairs) -> TrainingBatch:
     per sequence, in order."""
     observations, labels = zip(*pairs)
     return TrainingBatch(
-        catalog, np.concatenate(observations), np.concatenate(labels),
         [len(y) for y in labels],
+        [(catalog, np.concatenate(observations), np.concatenate(labels), None)],
     )

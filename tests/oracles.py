@@ -199,41 +199,49 @@ def em_fit_reference(
     warnings: list[str] = []
     trajectory: list[float] = []
 
-    def log_resp() -> tuple[np.ndarray, float]:
-        scores = np.stack([
-            np.log(weights[j])
-            - 0.5 * (math.log(2.0 * math.pi) + math.log(variances[j])
-                     + (xs - means[j]) ** 2 / variances[j])
-            for j in range(k)
-        ], axis=1)
-        top = scores.max(axis=1, keepdims=True)
-        log_norm = top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))
-        return scores - log_norm[:, None], float(log_norm.sum())
+    # EM amplifies rounding where a component's weight collapses: a last
+    # bit at iteration 3 grows to 1e-9 relative in a weight or variance by
+    # iteration 40. So the arithmetic is that of the packed kernel, one
+    # contiguous row array per component: a score is the squared distance
+    # times -1 / (2 var) plus one term per component, a responsibility is
+    # an exponential over the sum of all (not exp(score - log norm)), sums
+    # over the components run in component order, and a sum over the rows
+    # is np.add.reduceat's, which adds the first row to the sum of the
+    # others (np.sum groups the rows otherwise)
+    def rows_sum(values: np.ndarray) -> float:
+        return np.add.reduceat(values, [0])[0]
+
+    def e_step() -> tuple[list[np.ndarray], float]:
+        terms = np.log(weights) - 0.5 * (math.log(2.0 * math.pi) + np.log(variances))
+        scores = [(xs - means[j]) ** 2 * (-0.5 / variances[j]) + terms[j] for j in range(k)]
+        top = np.maximum.reduce(scores)
+        expd = [np.exp(score - top) for score in scores]
+        total = sum(expd)
+        return [e / total for e in expd], float(rows_sum(top + np.log(total)))
 
     ll_prev = -math.inf
     for _ in range(max_iters):
-        log_r, ll = log_resp()
+        resp, ll = e_step()
         trajectory.append(ll)
         if ll - ll_prev <= tol * (1.0 + abs(ll)) and len(trajectory) > 1:
             break
         ll_prev = ll
-        resp = np.exp(log_r)
-        mass = resp.sum(axis=0)
+        mass = np.array([rows_sum(r) for r in resp])
         degenerate = mass < 1e-12
         if degenerate.any():
             warnings.append("degenerate cluster: responsibility mass vanished")
             mass = np.where(degenerate, 1e-12, mass)
-        weights = np.maximum(mass / mass.sum(), 1e-300)
-        weights = weights / weights.sum()
-        means = np.where(degenerate, means, (resp * xs[:, None]).sum(axis=0) / mass)
-        new_var = (resp * (xs[:, None] - means[None, :]) ** 2).sum(axis=0) / mass
+        weights = np.maximum(mass / sum(mass), 1e-300)
+        weights = weights / sum(weights)
+        means = np.where(degenerate, means, np.array([rows_sum(r * xs) for r in resp]) / mass)
+        new_var = np.array([rows_sum(r * (xs - m) ** 2) for r, m in zip(resp, means)]) / mass
         if np.any(new_var < floor):
             warnings.append("variance clamped to floor")
         variances = np.maximum(new_var, floor)
     else:
         warnings.append("EM stopped at the iteration cap")
 
-    _, ll_final = log_resp()
+    _, ll_final = e_step()
     trajectory.append(ll_final)
     return Gmm(
         weights=tuple(float(w) for w in weights),

@@ -14,11 +14,12 @@ from eventabs.abstraction import (
     annotate,
     collapse,
     fit,
+    fit_folds,
     load_model,
     save_model,
     strip_labels,
 )
-from eventabs.features import CatalogConfig
+from eventabs.features import CatalogConfig, InternedLog
 from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import (
@@ -66,6 +67,21 @@ class TestFit:
         a = fit(log, SMALL_CONFIG)
         b = fit(log, SMALL_CONFIG)
         assert np.array_equal(a.weights, b.weights)
+
+
+class TestFitFolds:
+    @pytest.mark.parametrize(
+        "folds, problem",
+        [([[-1]], "not trace indices"), ([[10]], "not trace indices"),
+         ([[2], [9, 9]], "twice"), ([[1.0]], "not trace indices")],
+        ids=["minus-one", "past-the-end", "repeated", "float"],
+    )
+    def test_bad_trace_indices_are_refused(self, folds, problem):
+        # read as numpy indices, [-1] would train without trace 9 yet yield
+        # none of its rows, and [9, 9] would yield its rows twice
+        log = InternedLog(synthetic_log(10, seed=3).traces)
+        with pytest.raises(ValueError, match=problem):
+            next(fit_folds(log, folds, SMALL_CONFIG))
 
 
 class TestAnnotate:

@@ -388,7 +388,7 @@ class TestPackedObjective:
         model.weights[:] = np.where(model.weights > 0, 1e3, -1e3)
         obs = rng.uniform(0, 1, (10_000, 3))
         batch = crf.TrainingBatch(
-            model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), [10_000]
+            [10_000], [(model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), None)]
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -403,7 +403,7 @@ class TestPackedObjective:
         weights = np.zeros(catalog.n_features)
         weights[0] = 720.0  # emission of beta
         weights[-2] = 720.0  # begin-of-sequence -> alpha
-        batch = crf.TrainingBatch(catalog, np.ones((1, 1)), np.array([0]), [1])
+        batch = crf.TrainingBatch([1], [(catalog, np.ones((1, 1)), np.array([0]), None)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, _ = crf.nll_and_gradient(weights, batch)
@@ -417,38 +417,59 @@ class TestPackedObjective:
         batch = training_batch_of(catalog, pairs)
         live = sorted((obs for obs, y in pairs if len(y)), key=lambda obs: -len(obs))
         assert batch.n == len(live) == 8
-        assert batch.obs.shape == (sum(lengths), 4)
+        [problem] = batch.problems
+        assert problem.obs.shape == (sum(lengths), 4)
         # position t of the i-th longest trace sits at row offsets[t] + i
         for i, obs in enumerate(live):
             rows = batch.offsets[: len(obs)] + i
-            assert np.array_equal(batch.obs[rows], obs)
+            assert np.array_equal(problem.obs[rows], obs)
         # nothing the batch holds grows with traces x longest trace
         padded = len(live) * max(lengths) * 4
-        held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
-        assert max(v.size for v in held) == batch.obs.size < padded / 2
+        held = [
+            v for v in [*vars(batch).values(), *vars(problem).values()]
+            if isinstance(v, np.ndarray)
+        ]
+        assert max(v.size for v in held) == problem.obs.size < padded / 2
 
 
 class TestBatchValidation:
-    """A 3-event trace on a 2-label catalog with one observation feature."""
+    """A 3-event trace on a 2-label catalog with one observation feature:
+    alone (problem 0), or as problem 1 of a group over traces of lengths 3
+    and 2, after a sound problem on both. A faulty problem is refused by
+    name."""
 
-    def batch(self, observations=None, labels=None, lengths=(3,)):
-        return crf.TrainingBatch(
+    def batch(self, observations=None, labels=None, traces=None, lengths=(3,)):
+        return crf.TrainingBatch(lengths, [self.problem(observations, labels, traces)])
+
+    def group(self, observations=None, labels=None, traces=(0,)):
+        sound = (two_label_catalog(), np.ones((5, 1)), np.array([0, 1, 1, 0, 1]), None)
+        return crf.TrainingBatch((3, 2), [sound, self.problem(observations, labels, traces)])
+
+    @staticmethod
+    def problem(observations, labels, traces):
+        return (
             two_label_catalog(),
             np.ones((3, 1)) if observations is None else observations,
             np.array([0, 1, 1]) if labels is None else labels,
-            lengths,
+            traces,
         )
 
     def test_well_formed_input_is_accepted(self):
         assert self.batch().n == 1
+        group = self.group()
+        assert group.n == len(group.problems) == 2
+        # trace 0 holds rows 0, 2 and 4 of the (3, 2) packing
+        assert group.problems[1].keep.tolist() == [0, 2, 4]
 
     @pytest.mark.parametrize(
         "observations", [np.ones((1, 1)), np.ones((3, 2)), np.ones(3), np.ones((4, 1))],
         ids=["one-row", "two-features", "1-d", "extra-row"],
     )
     def test_observations_not_one_row_per_event_are_refused(self, observations):
-        with pytest.raises(ValueError, match="observations"):
+        with pytest.raises(ValueError, match="problem 0: observations"):
             self.batch(observations=observations)
+        with pytest.raises(ValueError, match="problem 1: observations"):
+            self.group(observations=observations)
 
     @pytest.mark.parametrize(
         "labels",
@@ -457,12 +478,40 @@ class TestBatchValidation:
         ids=["minus-one", "n-labels", "one-label", "extra-label", "float", "2-d"],
     )
     def test_labels_not_one_index_per_event_are_refused(self, labels):
-        with pytest.raises(ValueError, match="labels"):
+        with pytest.raises(ValueError, match="problem 0: labels"):
             self.batch(labels=labels)
+        with pytest.raises(ValueError, match="problem 1: labels"):
+            self.group(labels=labels)
+
+    @pytest.mark.parametrize(
+        "traces", [[-1], [5], [0, 0], [0.0], [[0]]],
+        ids=["minus-one", "past-the-end", "repeated", "float", "2-d"],
+    )
+    def test_traces_not_distinct_indices_are_refused(self, traces):
+        with pytest.raises(ValueError, match="problem 0: traces"):
+            self.batch(traces=traces)
+        with pytest.raises(ValueError, match="problem 1: traces"):
+            self.group(traces=traces)
 
     def test_negative_length_is_refused(self):
         with pytest.raises(ValueError, match="lengths"):
             self.batch(lengths=(4, -1))
+
+    def test_rows_follow_the_order_of_the_traces(self):
+        rng = np.random.default_rng(8)
+        catalog = random_model(rng, 3, 2).catalog
+        lengths = (3, 2, 4)
+        obs = [rng.normal(0, 1, (T, 2)) for T in lengths]
+        labels = [rng.integers(0, 3, T) for T in lengths]
+        batch = crf.TrainingBatch(lengths, [
+            (catalog, np.concatenate([obs[t] for t in order]),
+             np.concatenate([labels[t] for t in order]), order)
+            for order in ([0, 2], [2, 0])
+        ])
+        weights = rng.normal(0, 1, catalog.n_features)
+        forward, backward = crf.nll_and_gradients([weights] * 2, batch)
+        assert forward[0] == backward[0]
+        assert np.array_equal(forward[1], backward[1])
 
 
 LENGTHS = st.one_of(
@@ -507,12 +556,15 @@ class TestBufferReuse:
         subnormal[0] = 720.0
         subnormal[catalog.n_features - n_labels + (first + 1) % n_labels] = 720.0
         sequence = [w1, np.where(w1 > 0, 1e3, -1e3), subnormal, w2, w1]
-        batches = [crf.TrainingBatch(catalog, *args) for args in inputs]
+        batches = [crf.TrainingBatch(lengths, [(catalog, obs, y, None)])
+                   for obs, y, lengths in inputs]
         infinite = 0
         for weights in sequence:
-            for batch, args in zip(batches, inputs):
+            for batch, (obs, y, lengths) in zip(batches, inputs):
                 result = crf.nll_and_gradient(weights, batch)
-                fresh = crf.nll_and_gradient(weights, crf.TrainingBatch(catalog, *args))
+                fresh = crf.nll_and_gradient(
+                    weights, crf.TrainingBatch(lengths, [(catalog, obs, y, None)])
+                )
                 assert self.bits(result) == self.bits(fresh)
                 held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
                 assert not any(np.shares_memory(result[1], v) for v in held)
@@ -613,7 +665,11 @@ class TestFoldGroups:
         whole_log_steps = np.diff(group.offsets)
         for b, (fold, kind, (group_value, group_grad)) in enumerate(zip(folds, kinds, results)):
             rest = [t for t in range(n_traces) if t not in fold]
-            own = crf.training_batch(log, catalogs[b], observations[b], rest)
+            events = log.events(rest)
+            own = crf.TrainingBatch(log.lengths[rest], [(
+                catalogs[b], observations[b][events],
+                log.label_indices(catalogs[b].labels, events), None,
+            )])
             value, grad = crf.nll_and_gradient(weights[b], own)
             if kind == "infinite" and own.n:
                 assert group_value == np.inf
@@ -657,12 +713,12 @@ class TestFoldGroups:
         outcomes = crf.fit_group(group, 0.05, config, initials, values.append)
 
         assert isinstance(outcomes[2], OptimizationError)
-        with pytest.raises(OptimizationError):
-            crf.fit_batch(group.subset([2]), 0.05, config, initial=initials[2])
+        [failed] = crf.fit_group(group.subset([2]), 0.05, config, [initials[2]])
+        assert isinstance(failed, OptimizationError)
         for b in (0, 1, 3):
             alone_values = []
-            alone = crf.fit_batch(
-                group.subset([b]), 0.05, config, alone_values.append, initials[b]
+            [alone] = crf.fit_group(
+                group.subset([b]), 0.05, config, [initials[b]], alone_values.append
             )
             assert len(alone_values) == alone.training.evaluations
             assert outcomes[b].catalog is catalogs[b]
@@ -673,8 +729,6 @@ class TestFoldGroups:
         # every value of every pass reaches the hook: one start value for
         # the fold that failed, every evaluation of the others
         assert len(values) == 1 + sum(outcomes[b].training.evaluations for b in (0, 1, 3))
-        with pytest.raises(ValueError, match="problems"):
-            crf.fit_batch(group)
 
     def test_a_group_is_not_one_objective(self):
         log = InternedLog(make_log([[make_event(name="a", label="alpha")]] * 2).traces)
@@ -717,8 +771,10 @@ class TestMemory:
             labels_of_events = rng.integers(0, 7, n_events)
             tracemalloc.start()
             try:
-                batch = crf.TrainingBatch(LONG_TRACE_CATALOG, obs, labels_of_events, [n_events])
-                crf.fit_batch(batch, 0.1, OwlqnConfig(max_iterations=3))
+                batch = crf.TrainingBatch(
+                    [n_events], [(LONG_TRACE_CATALOG, obs, labels_of_events, None)]
+                )
+                crf.fit_group(batch, 0.1, OwlqnConfig(max_iterations=3))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
-from eventabs.crf import fit_batch, nll_and_gradient, training_batch, viterbi_decode_many
+from eventabs.crf import fit_group, fold_batch, nll_and_gradient, viterbi_decode_many
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -336,12 +336,12 @@ class TestWarmStart:
             folds, fit_folds(interned, folds, self.CONFIG, start)
         ):
             catalog = warm.catalog
-            rest = [t for t in range(interned.n_traces) if t not in fold]
-            batch = training_batch(interned, catalog, traces=rest)
-            whole = interned.per_trace(observation_matrix(catalog, interned))
+            matrix = observation_matrix(catalog, interned)
+            batch = fold_batch(interned, [fold], [catalog], [matrix])
+            whole = interned.per_trace(matrix)
             assert len(held) == len(fold)
             assert all(np.array_equal(rows, whole[t]) for rows, t in zip(held, fold))
-            cold = fit_batch(batch, c, self.CONFIG.optimizer)
+            [cold] = fit_group(batch, c, self.CONFIG.optimizer)
             _, optimum = l1_lbfgsb_reference(
                 lambda w: nll_and_gradient(w, batch), catalog.n_features, c
             )
