@@ -65,6 +65,10 @@ class AbstractionConfig:
     l1_coefficient: float = 0.1
     optimizer: OwlqnConfig = OwlqnConfig()
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.l1_coefficient < np.inf:
+            raise ValueError("l1_coefficient must be non-negative and finite")
+
 
 def fit_folds(
     log: InternedLog,

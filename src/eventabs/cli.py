@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from datetime import time
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import click
 
@@ -23,6 +24,8 @@ CONFIG_KEYS = {
     "stop_probability", "l1", "ngrams", "kmax", "alpha", "views", "folds",
     "similarity_mode", "max_iterations",
 }
+
+T = TypeVar("T")
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -51,38 +54,41 @@ def _merged(config_path: str | None, **overrides: object) -> dict[str, str]:
     return values
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(",", " ").split())
-
-
-def _catalog_config(values: dict[str, str]) -> CatalogConfig:
-    kwargs: dict = {}
-    if "ngrams" in values:
-        kwargs["ngram_sizes"] = _parse_ints(values["ngrams"])
-    if "views" in values:
-        views = tuple(v for v in values["views"].replace(",", " ").split())
-        kwargs["time_views"] = views
-    if "alpha" in values:
-        kwargs["smoothing_alpha"] = float(values["alpha"])
-    if "kmax" in values:
-        kwargs["gmm_max_components"] = int(values["kmax"])
-    if "seed" in values:
-        kwargs["gmm_seed"] = int(values["seed"])
+def _parsed(values: dict[str, str], key: str, parse: Callable[[str], T], default: T) -> T:
+    """``parse`` of the value of ``key``, or ``default`` when it is unset; a
+    value that ``parse`` refuses ends the command with an error."""
+    if key not in values:
+        return default
     try:
-        return CatalogConfig(**kwargs)
+        return parse(values[key])
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise click.ClickException(f"bad {key} value {values[key]!r}") from exc
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in _words(text))
 
 
 def _abstraction_config(values: dict[str, str]) -> abstraction.AbstractionConfig:
-    optimizer = OwlqnConfig(
-        max_iterations=int(values.get("max_iterations", 500)),
-    )
-    return abstraction.AbstractionConfig(
-        catalog=_catalog_config(values),
-        l1_coefficient=float(values.get("l1", 0.1)),
-        optimizer=optimizer,
-    )
+    defaults = CatalogConfig()
+    try:
+        return abstraction.AbstractionConfig(
+            catalog=CatalogConfig(
+                ngram_sizes=_parsed(values, "ngrams", _parse_ints, defaults.ngram_sizes),
+                time_views=_parsed(values, "views", _words, defaults.time_views),
+                smoothing_alpha=_parsed(values, "alpha", float, defaults.smoothing_alpha),
+                gmm_max_components=_parsed(values, "kmax", int, defaults.gmm_max_components),
+                gmm_seed=_parsed(values, "seed", int, defaults.gmm_seed),
+            ),
+            l1_coefficient=_parsed(values, "l1", float, 0.1),
+            optimizer=OwlqnConfig(max_iterations=_parsed(values, "max_iterations", int, 500)),
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 def _load_process(values: dict[str, str]) -> petri.HierarchicalProcess:
@@ -143,14 +149,13 @@ def generate(config_path: str | None, output: str, traces: int | None, seed: int
     """Generate an annotated low-level XES log from a hierarchical process."""
     values = _merged(config_path, traces=traces, seed=seed)
     proc = _load_process(values)
-    n = int(values.get("traces", 100))
     try:
         log = petri.generate_annotated_log(
             proc,
-            num_traces=n,
-            seed=int(values.get("seed", 0)),
-            timestamp_model=petri.ExponentialDelays(float(values.get("delay_mean", 60.0))),
-            stop_probability=float(values.get("stop_probability", 0.5)),
+            num_traces=_parsed(values, "traces", int, 100),
+            seed=_parsed(values, "seed", int, 0),
+            timestamp_model=petri.ExponentialDelays(_parsed(values, "delay_mean", float, 60.0)),
+            stop_probability=_parsed(values, "stop_probability", float, 0.5),
         )
     except petri.PetriNetError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -192,11 +197,12 @@ def train(log_path: str, model_path: str, config_path: str | None,
           l1: float | None, ngrams: str | None, kmax: int | None, seed: int | None) -> None:
     """Train an abstraction model on a fully annotated XES log."""
     values = _merged(config_path, l1=l1, ngrams=ngrams, kmax=kmax, seed=seed)
+    config = _abstraction_config(values)
     log = _load_log(log_path)
     from .features import TrainingError
 
     try:
-        model = abstraction.fit(log, _abstraction_config(values))
+        model = abstraction.fit(log, config)
     except TrainingError as exc:
         raise click.ClickException(str(exc)) from exc
     _emit_diagnostics(model.catalog.notes)
@@ -258,19 +264,22 @@ def evaluate(log_path: str, protocol: str, folds: int | None, seed: int | None,
         config_path, l1=l1, ngrams=ngrams, kmax=kmax, folds=folds,
         similarity_mode=similarity_mode,
     )
+    try:
+        config = evaluation.EvalConfig(
+            abstraction=_abstraction_config(values),
+            similarity_on=values.get("similarity_mode", "events"),
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     log = _load_log(log_path)
-    config = evaluation.EvalConfig(
-        abstraction=_abstraction_config(values),
-        similarity_on=values.get("similarity_mode", "events"),
-    )
     try:
         if protocol == "loocv":
             report = evaluation.leave_one_trace_out(log, config)
         else:
             report = evaluation.k_fold(
                 log,
-                k=int(values.get("folds", 10)),
-                seed=int(values.get("seed", 0)) if seed is None else seed,
+                k=_parsed(values, "folds", int, 10),
+                seed=_parsed(values, "seed", int, 0) if seed is None else seed,
                 config=config,
             )
     except ValueError as exc:

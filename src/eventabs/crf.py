@@ -340,13 +340,13 @@ class TrainingBatch:
     It takes the lengths of every sequence of the packing and the
     problems, read one at a time: each is ``(catalog, observations,
     labels, traces)``, where ``traces`` are the indices of the sequences it
-    trains on (None: all), and ``observations`` (events, F_obs) and
-    ``labels`` (label indices) are those sequences' rows, concatenated in
-    ``traces`` order. It raises ``ValueError``, naming the problem, when
-    the trace indices are not distinct indices into ``lengths``, the
-    observations not one row of F_obs per event of the traces, or the
-    labels not one integer in ``[0, n_labels)`` per event; and when a
-    length is negative or the problems' label alphabet sizes differ.
+    trains on, and ``observations`` (events, F_obs) and ``labels`` (label
+    indices) are those sequences' rows, concatenated in ``traces`` order.
+    It raises ``ValueError``, naming the problem, when the trace indices
+    are not distinct indices into ``lengths``, the observations not one row
+    of F_obs per event of the traces, or the labels not one integer in
+    ``[0, n_labels)`` per event; and when a length is negative or the
+    problems' label alphabet sizes differ.
     Position t of the i-th longest non-empty sequence is row ``offsets[t]
     + i``, so memory is O(events), with no padding. A problem keeps a
     packed copy of its own rows only, and its observed feature counts as
@@ -376,7 +376,7 @@ class TrainingBatch:
         self,
         lengths: Sequence[int],
         problems: Iterable[
-            tuple[FeatureCatalog, np.ndarray, np.ndarray, Sequence[int] | None]
+            tuple[FeatureCatalog, np.ndarray, np.ndarray, Sequence[int]]
         ],
     ):
         lengths = np.asarray(lengths, dtype=np.intp)
@@ -387,7 +387,7 @@ class TrainingBatch:
         starts = np.cumsum(lengths) - lengths
         built = []
         for b, (catalog, observations, labels, traces) in enumerate(problems):
-            traces = np.arange(len(lengths)) if traces is None else np.asarray(traces)
+            traces = np.asarray(traces)
             if traces.ndim != 1 or len(traces) and not (
                 traces.dtype.kind in "iu" and 0 <= traces.min() and traces.max() < len(lengths)
                 and np.bincount(traces).max() == 1

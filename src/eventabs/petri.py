@@ -56,7 +56,8 @@ class FiringError(PetriNetError):
 
 
 class PlayoutError(PetriNetError):
-    """A playout deadlocked in a non-final marking."""
+    """A playout deadlocked in a non-final marking, or did not end within
+    ``MAX_PLAYOUT_STEPS`` firings."""
 
 
 class NetFormatError(PetriNetError):
@@ -231,15 +232,14 @@ def fire(net: LabeledPetriNet, marking: Marking, transition: str) -> Marking:
     return Marking(counts)
 
 
-def _playout(
-    net: LabeledPetriNet,
-    rng: random.Random,
-    max_steps: int,
-    stop_probability: float,
-) -> list[str]:
+# firings after which a playout that has not ended fails
+MAX_PLAYOUT_STEPS = 10_000
+
+
+def _playout(net: LabeledPetriNet, rng: random.Random, stop_probability: float) -> list[str]:
     marking = net.initial_marking
     emitted: list[str] = []
-    for _ in range(max_steps):
+    for _ in range(MAX_PLAYOUT_STEPS):
         enabled = sorted(enabled_transitions(net, marking))
         if marking in net.final_markings:
             if not enabled or rng.random() < stop_probability:
@@ -251,25 +251,20 @@ def _playout(
         label = net.label_of(transition)
         if label is not None:
             emitted.append(label)
-    return emitted
+    raise PlayoutError(f"playout did not end within {MAX_PLAYOUT_STEPS} steps")
 
 
-def random_playout(
-    net: LabeledPetriNet,
-    seed: int,
-    max_steps: int = 10_000,
-    stop_probability: float = 0.5,
-) -> list[str]:
+def random_playout(net: LabeledPetriNet, seed: int) -> list[str]:
     """Play the token game from the initial marking, firing a uniformly
     random enabled transition each step.
 
-    At every visit to a final marking the playout stops with
-    ``stop_probability`` (always, if nothing is enabled). Invisible
-    transitions fire but emit nothing. Deterministic for a fixed seed.
+    At every visit to a final marking the playout stops with probability
+    0.5 (always, if nothing is enabled). Invisible transitions fire but
+    emit nothing. Raises :class:`PlayoutError` on a deadlock in a
+    non-final marking and when ``MAX_PLAYOUT_STEPS`` firings do not end
+    the playout. Deterministic for a fixed seed.
     """
-    if max_steps <= 0:
-        raise PetriNetError("max_steps must be positive")
-    return _playout(net, random.Random(seed), max_steps, stop_probability)
+    return _playout(net, random.Random(seed), 0.5)
 
 
 @dataclass(frozen=True)
@@ -293,6 +288,10 @@ class ExponentialDelays:
 
     mean_seconds: float = 60.0
 
+    def __post_init__(self) -> None:
+        if not self.mean_seconds > 0:
+            raise ProcessConfigError(f"mean delay {self.mean_seconds} is not positive")
+
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean_seconds)
 
@@ -306,7 +305,6 @@ def generate_annotated_log(
     seed: int,
     timestamp_model: ExponentialDelays | None = None,
     stop_probability: float = 0.5,
-    max_steps: int = 10_000,
 ) -> EventLog:
     """Generate an annotated low-level log by playing out the hierarchy.
 
@@ -315,22 +313,26 @@ def generate_annotated_log(
     emitted low-level event carries its low-level name as ``concept:name``,
     its high-level activity as ``label``, and a monotone timestamp drawn
     from the delay model. Trace ``i`` starts ``i`` days after a fixed
-    epoch. Fully reproducible from the seed.
+    epoch. Each playout stops at a final marking with ``stop_probability``,
+    which must lie in [0, 1], and fails as :func:`random_playout` does.
+    Fully reproducible from the seed.
     """
     if num_traces <= 0:
         raise ProcessConfigError("num_traces must be positive")
+    if not 0.0 <= stop_probability <= 1.0:
+        raise ProcessConfigError(f"stop_probability {stop_probability} is not in [0, 1]")
     delays = timestamp_model or ExponentialDelays()
     rng = random.Random(seed)
     traces = []
     for i in range(num_traces):
-        high_sequence = _playout(proc.high_level_net, rng, max_steps, stop_probability)
+        high_sequence = _playout(proc.high_level_net, rng, stop_probability)
         clock = _GENERATOR_EPOCH + timedelta(days=i)
         events = []
         for high_label in high_sequence:
             subnet = proc.subprocess_map.get(high_label)
             if subnet is None:
                 raise ProcessConfigError(f"no subprocess for label {high_label!r}")
-            for low_label in _playout(subnet, rng, max_steps, stop_probability):
+            for low_label in _playout(subnet, rng, stop_probability):
                 clock = clock + timedelta(seconds=delays.sample(rng))
                 events.append(Event({
                     CONCEPT_NAME: AttributeValue.string(low_label),

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# every EM fit stops after at most this many iterations, or once an
+# iteration gains at most EM_TOLERANCE * (1 + |log L|)
+EM_MAX_ITERATIONS = 200
+EM_TOLERANCE = 1e-8
 
 
 class EstimationError(Exception):
@@ -217,8 +221,6 @@ def _em_group(
     sample_sets: list[np.ndarray],
     k: int,
     seeds: list[int],
-    max_iters: int,
-    tol: float,
 ) -> list[Gmm]:
     """EM for fits that share the component count ``k``, packed.
 
@@ -270,7 +272,7 @@ def _em_group(
     sq = xs - np.repeat(means, lengths, axis=1)
     sq **= 2
     starts = np.cumsum(lengths) - lengths
-    for it in range(max_iters + 1):
+    for it in range(EM_MAX_ITERATIONS + 1):
         scores = np.multiply(sq, np.repeat(-0.5 / variances, lengths, axis=1), out=sq)
         scores += np.repeat(
             np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)), lengths, axis=1
@@ -281,11 +283,11 @@ def _em_group(
         ll = np.add.reduceat(top + np.log(total), starts)
         for f, value in zip(ids.tolist(), ll.tolist()):
             trajectories[f].append(value)
-        if it == max_iters:  # this E-step only scored the final parameters
+        if it == EM_MAX_ITERATIONS:  # this E-step only scored the final parameters
             stop = np.ones(len(ids), dtype=bool)
             warn(stop, "EM stopped at the iteration cap")
         else:
-            stop = (ll - ll_prev <= tol * (1.0 + np.abs(ll))) & (it > 0)
+            stop = (ll - ll_prev <= EM_TOLERANCE * (1.0 + np.abs(ll))) & (it > 0)
             # a converged fit keeps its parameters, so this log-likelihood
             # is also its final one
             for f, value in zip(ids[stop].tolist(), ll[stop].tolist()):
@@ -342,11 +344,7 @@ def _em_group(
 
 
 def _em_fits(
-    sample_sets: list[np.ndarray],
-    ks: list[int],
-    seeds: list[int],
-    max_iters: int,
-    tol: float,
+    sample_sets: list[np.ndarray], ks: list[int], seeds: list[int]
 ) -> list[Gmm]:
     """Fit one mixture per (samples, k, seed) by EM, with the fits of each
     component count packed into one :func:`_em_group` run, so no component
@@ -355,28 +353,22 @@ def _em_fits(
     for k in sorted(set(ks)):
         members = [i for i, k_i in enumerate(ks) if k_i == k]
         group = _em_group(
-            [sample_sets[i] for i in members], k, [seeds[i] for i in members],
-            max_iters, tol,
+            [sample_sets[i] for i in members], k, [seeds[i] for i in members]
         )
         for i, fit in zip(members, group):
             fits[i] = fit
     return fits
 
 
-def gmm_fit_em(
-    samples: Sequence[float],
-    k: int,
-    seed: int = 0,
-    max_iters: int = 200,
-    tol: float = 1e-8,
-) -> Gmm:
+def gmm_fit_em(samples: Sequence[float], k: int, seed: int = 0) -> Gmm:
     """Fit a k-component univariate mixture by EM.
 
     Initialization is k-means++-style seeding of the means with uniform
     weights and the global variance; deterministic for a fixed seed. The
     per-iteration log-likelihood trajectory is recorded and non-decreasing.
-    EM stops once an iteration gains at most ``tol * (1 + |log L|)``, or
-    after ``max_iters`` iterations, which is recorded as a warning.
+    EM stops once an iteration gains at most ``EM_TOLERANCE * (1 + |log
+    L|)``, or after ``EM_MAX_ITERATIONS`` iterations, which is recorded as
+    a warning.
     Variances are clamped to a floor of 1e-6 of the sample variance
     (absolute floor 1e-9); clamping is recorded as a warning.
     """
@@ -385,15 +377,13 @@ def gmm_fit_em(
     xs = _finite_samples(samples)
     if k > len(xs):
         raise EstimationError(f"cannot fit {k} components on {len(xs)} samples")
-    return _em_fits([xs], [k], [seed], max_iters, tol)[0]
+    return _em_fits([xs], [k], [seed])[0]
 
 
 def gmm_select_bic_many(
     sample_sets: Sequence[Sequence[float]],
     k_max: int,
     seeds: Sequence[int],
-    max_iters: int = 200,
-    tol: float = 1e-8,
 ) -> list[Gmm]:
     """:func:`gmm_select_bic` of every sample set with its seed, with the
     candidate mixtures of all sets fitted in one packed EM run. Each
@@ -412,7 +402,7 @@ def gmm_select_bic_many(
     ]
     fits = iter(_em_fits(
         [xs for xs, _, _ in candidates], [k for _, k, _ in candidates],
-        [seed for _, _, seed in candidates], max_iters, tol,
+        [seed for _, _, seed in candidates],
     ))
     selected: list[Gmm] = []
     for xs in arrays:
@@ -426,16 +416,10 @@ def gmm_select_bic_many(
     return selected
 
 
-def gmm_select_bic(
-    samples: Sequence[float],
-    k_max: int,
-    seed: int = 0,
-    max_iters: int = 200,
-    tol: float = 1e-8,
-) -> Gmm:
+def gmm_select_bic(samples: Sequence[float], k_max: int, seed: int = 0) -> Gmm:
     """Fit mixtures with 1..min(k_max, n) components and return the one
     minimizing BIC = -2 log L + p ln n with p = 3k - 1 free parameters.
 
     Ties keep the smaller k.
     """
-    return gmm_select_bic_many([samples], k_max, [seed], max_iters, tol)[0]
+    return gmm_select_bic_many([samples], k_max, [seed])[0]

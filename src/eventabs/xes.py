@@ -633,7 +633,9 @@ def sensor_series_to_log(
     1-to-0 change. Events are grouped into one trace per calendar day,
     where a day runs from ``day_boundary`` to the next ``day_boundary``.
     A sensor left on at the end of a day produces no synthetic complete;
-    the trace is flagged in ``diagnostics`` instead.
+    the trace is flagged in ``diagnostics`` instead. Raises
+    :class:`SensorSeriesError` for a value other than 0 or 1, and for a
+    series that does not alternate or whose timestamps decrease.
     """
     boundary = timedelta(
         hours=day_boundary.hour,
@@ -652,7 +654,12 @@ def sensor_series_to_log(
                 raise SensorSeriesError(
                     f"sensor {sensor!r}: series does not alternate at index {i}"
                 )
-            stamped.append((_to_utc_ms(ts), sensor, value))
+            stamp = _to_utc_ms(ts)
+            if i > 0 and stamp < stamped[-1][0]:
+                raise SensorSeriesError(
+                    f"sensor {sensor!r}: timestamp at index {i} is before the one at index {i - 1}"
+                )
+            stamped.append((stamp, sensor, value))
 
     by_day: dict[date, list[tuple[datetime, str, int]]] = {}
     for ts, sensor, value in sorted(stamped, key=lambda rec: (rec[0], rec[1])):

@@ -70,5 +70,5 @@ def training_batch_of(catalog, pairs) -> TrainingBatch:
     observations, labels = zip(*pairs)
     return TrainingBatch(
         [len(y) for y in labels],
-        [(catalog, np.concatenate(observations), np.concatenate(labels), None)],
+        [(catalog, np.concatenate(observations), np.concatenate(labels), range(len(labels)))],
     )

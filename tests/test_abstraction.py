@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventabs import abstraction
 from eventabs.abstraction import (
+    LOCKSTEP_FOLDS,
     AbstractionConfig,
     ModelIOError,
     annotate,
@@ -19,6 +21,7 @@ from eventabs.abstraction import (
     save_model,
     strip_labels,
 )
+from eventabs.crf import fit_group
 from eventabs.features import CatalogConfig, InternedLog
 from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
@@ -62,6 +65,11 @@ class TestFit:
         result = annotate(model, strip_labels(log))
         assert {ev.label for tr in result.traces for ev in tr.events} == {"Only"}
 
+    @pytest.mark.parametrize("c", [-0.1, float("nan"), float("inf")])
+    def test_l1_coefficient_not_finite_and_non_negative_refused(self, c):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            AbstractionConfig(l1_coefficient=c)
+
     def test_fit_deterministic(self):
         log = synthetic_log(10, seed=4)
         a = fit(log, SMALL_CONFIG)
@@ -82,6 +90,37 @@ class TestFitFolds:
         log = InternedLog(synthetic_log(10, seed=3).traces)
         with pytest.raises(ValueError, match=problem):
             next(fit_folds(log, folds, SMALL_CONFIG))
+
+    def test_lockstep_groups_fit_each_fold_as_alone(self, monkeypatch):
+        # trace 2 holds the only events of "Napping", so its fold has one
+        # label fewer; the 20 leave-one-out folds then train in groups cut by
+        # the label count and by LOCKSTEP_FOLDS
+        pairs = [[(ev.name, ev.label) for ev in tr.events] for tr in synthetic_log(19, seed=5).traces]
+        pairs.insert(2, [("MC", "Napping"), ("W", "Napping"), ("D", "Napping")])
+        log = InternedLog(make_log([sequence_trace(p) for p in pairs]).traces)
+        folds = [[t] for t in range(log.n_traces)]
+        config = AbstractionConfig(
+            catalog=SMALL_CONFIG.catalog, optimizer=OwlqnConfig(max_iterations=40)
+        )
+        group_sizes = []
+
+        def recording(batch, *args):
+            group_sizes.append(len(batch.problems))
+            return fit_group(batch, *args)
+
+        start, _ = next(fit_folds(log, [()], config))
+        for initial in (None, start):
+            group_sizes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(abstraction, "fit_group", recording)
+                together = list(fit_folds(log, folds, config, initial))
+            assert group_sizes == [2, 1, LOCKSTEP_FOLDS, 1]
+            for fold, (model, held) in zip(folds, together, strict=True):
+                [(alone, alone_held)] = fit_folds(log, [fold], config, initial)
+                assert model.labels == alone.labels
+                assert model.weights.tobytes() == alone.weights.tobytes()
+                assert model.training == alone.training
+                assert [rows.tobytes() for rows in held] == [rows.tobytes() for rows in alone_held]
 
 
 class TestAnnotate:

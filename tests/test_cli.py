@@ -6,7 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from eventabs import evaluation
+from eventabs import abstraction, evaluation
 from eventabs.cli import main
 from eventabs.xes import parse_xes, serialize_xes, EventLog
 
@@ -137,6 +137,70 @@ def trained(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     return config, log_path, model_path, result
+
+
+class TestBadValues:
+    """A value that cannot be read ends the command with an ``Error:`` line
+    (a ``SystemExit`` from click), not a Python traceback."""
+
+    @pytest.fixture
+    def log_path(self, tmp_path):
+        path = tmp_path / "g.xes"
+        path.write_bytes(serialize_xes(make_log([sequence_trace([("A", "X"), ("B", "Y")])])))
+        return str(path)
+
+    @staticmethod
+    def assert_error(result, message):
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code != 0
+        assert "Error:" in result.output and message in result.output, result.output
+
+    def test_bad_ngrams_flag_for_train(self, runner, tmp_path, log_path):
+        result = runner.invoke(main, ["train", log_path, str(tmp_path / "m.json"), "--ngrams", "a"])
+        self.assert_error(result, "ngrams")
+
+    def test_bad_ngrams_flag_for_kfold(self, runner, log_path):
+        result = runner.invoke(
+            main, ["evaluate", log_path, "--protocol", "kfold", "--ngrams", "x"]
+        )
+        self.assert_error(result, "ngrams")
+
+    @pytest.mark.parametrize("line", ["l1 = abc", "kmax = 2.5", "max_iterations = many",
+                                      "alpha = ?", "seed = x"])
+    def test_bad_config_value_for_train(self, runner, tmp_path, log_path, line):
+        config = write_config(tmp_path, line + "\n")
+        result = runner.invoke(
+            main, ["train", log_path, str(tmp_path / "m.json"), "--config", config]
+        )
+        self.assert_error(result, line.split()[0])
+
+    def test_bad_fold_count_in_config(self, runner, tmp_path, log_path):
+        config = write_config(tmp_path, "folds = three\n")
+        result = runner.invoke(
+            main, ["evaluate", log_path, "--protocol", "kfold", "--config", config]
+        )
+        self.assert_error(result, "folds")
+
+    def test_negative_l1_is_refused_before_training(self, runner, tmp_path, log_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("trained with a negative L1 coefficient")
+
+        monkeypatch.setattr(abstraction, "fit", never)
+        result = runner.invoke(main, ["train", log_path, str(tmp_path / "m.json"), "--l1", "-1"])
+        self.assert_error(result, "l1_coefficient must be non-negative and finite")
+
+    @pytest.mark.parametrize("line, message", [
+        ("traces = many", "traces"), ("delay_mean = slow", "delay_mean"),
+        ("delay_mean = 0", "mean delay"),
+        ("stop_probability = half", "stop_probability"),
+        ("stop_probability = 1.5", "stop_probability"),
+    ])
+    def test_bad_generator_value(self, runner, tmp_path, line, message):
+        config = write_config(tmp_path, line + "\n")
+        result = runner.invoke(
+            main, ["generate", "--config", config, "-o", str(tmp_path / "x.xes")]
+        )
+        self.assert_error(result, message)
 
 
 class TestTrain:

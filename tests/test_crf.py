@@ -388,7 +388,7 @@ class TestPackedObjective:
         model.weights[:] = np.where(model.weights > 0, 1e3, -1e3)
         obs = rng.uniform(0, 1, (10_000, 3))
         batch = crf.TrainingBatch(
-            [10_000], [(model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), None)]
+            [10_000], [(model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), [0])]
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -403,7 +403,7 @@ class TestPackedObjective:
         weights = np.zeros(catalog.n_features)
         weights[0] = 720.0  # emission of beta
         weights[-2] = 720.0  # begin-of-sequence -> alpha
-        batch = crf.TrainingBatch([1], [(catalog, np.ones((1, 1)), np.array([0]), None)])
+        batch = crf.TrainingBatch([1], [(catalog, np.ones((1, 1)), np.array([0]), [0])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, _ = crf.nll_and_gradient(weights, batch)
@@ -438,11 +438,11 @@ class TestBatchValidation:
     and 2, after a sound problem on both. A faulty problem is refused by
     name."""
 
-    def batch(self, observations=None, labels=None, traces=None, lengths=(3,)):
+    def batch(self, observations=None, labels=None, traces=(0,), lengths=(3,)):
         return crf.TrainingBatch(lengths, [self.problem(observations, labels, traces)])
 
     def group(self, observations=None, labels=None, traces=(0,)):
-        sound = (two_label_catalog(), np.ones((5, 1)), np.array([0, 1, 1, 0, 1]), None)
+        sound = (two_label_catalog(), np.ones((5, 1)), np.array([0, 1, 1, 0, 1]), (0, 1))
         return crf.TrainingBatch((3, 2), [sound, self.problem(observations, labels, traces)])
 
     @staticmethod
@@ -556,14 +556,14 @@ class TestBufferReuse:
         subnormal[0] = 720.0
         subnormal[catalog.n_features - n_labels + (first + 1) % n_labels] = 720.0
         sequence = [w1, np.where(w1 > 0, 1e3, -1e3), subnormal, w2, w1]
-        batches = [crf.TrainingBatch(lengths, [(catalog, obs, y, None)])
+        batches = [crf.TrainingBatch(lengths, [(catalog, obs, y, range(len(lengths)))])
                    for obs, y, lengths in inputs]
         infinite = 0
         for weights in sequence:
             for batch, (obs, y, lengths) in zip(batches, inputs):
                 result = crf.nll_and_gradient(weights, batch)
                 fresh = crf.nll_and_gradient(
-                    weights, crf.TrainingBatch(lengths, [(catalog, obs, y, None)])
+                    weights, crf.TrainingBatch(lengths, [(catalog, obs, y, range(len(lengths)))])
                 )
                 assert self.bits(result) == self.bits(fresh)
                 held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
@@ -668,7 +668,7 @@ class TestFoldGroups:
             events = log.events(rest)
             own = crf.TrainingBatch(log.lengths[rest], [(
                 catalogs[b], observations[b][events],
-                log.label_indices(catalogs[b].labels, events), None,
+                log.label_indices(catalogs[b].labels, events), range(len(rest)),
             )])
             value, grad = crf.nll_and_gradient(weights[b], own)
             if kind == "infinite" and own.n:
@@ -772,7 +772,7 @@ class TestMemory:
             tracemalloc.start()
             try:
                 batch = crf.TrainingBatch(
-                    [n_events], [(LONG_TRACE_CATALOG, obs, labels_of_events, None)]
+                    [n_events], [(LONG_TRACE_CATALOG, obs, labels_of_events, [0])]
                 )
                 crf.fit_group(batch, 0.1, OwlqnConfig(max_iterations=3))
                 return tracemalloc.get_traced_memory()[1]

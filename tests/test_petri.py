@@ -6,6 +6,7 @@ import re
 import pytest
 
 from eventabs.petri import (
+    MAX_PLAYOUT_STEPS,
     ExponentialDelays,
     FiringError,
     HierarchicalProcess,
@@ -162,6 +163,15 @@ class TestPlayout:
         with pytest.raises(PlayoutError, match="deadlock"):
             random_playout(net, seed=0)
 
+    def test_a_playout_that_never_ends_fails_at_the_step_cap(self):
+        # a two-transition cycle that never reaches its final marking
+        net = LabeledPetriNet.of(
+            ["a", "b", "c"], ["ab", "ba"], [("a", "ab"), ("ab", "b"), ("b", "ba"), ("ba", "a")],
+            {"ab": "x", "ba": "y"}, {"a": 1}, [{"c": 1}],
+        )
+        with pytest.raises(PlayoutError, match=f"within {MAX_PLAYOUT_STEPS} steps"):
+            random_playout(net, seed=0)
+
 
 class TestGenerator:
     def test_label_runs_are_contiguous_blocks(self):
@@ -221,6 +231,24 @@ class TestGenerator:
     def test_zero_traces_rejected(self):
         with pytest.raises(ProcessConfigError, match="positive"):
             generate_annotated_log(medicine_eating_process(), 0, seed=1)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_stop_probability_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ProcessConfigError, match="stop_probability"):
+            generate_annotated_log(medicine_eating_process(), 1, seed=1, stop_probability=p)
+
+    @pytest.mark.parametrize("mean", [0.0, -30.0, float("nan")])
+    def test_non_positive_mean_delay_rejected(self, mean):
+        # a zero mean would divide by zero, and a negative one would run
+        # timestamps backwards
+        with pytest.raises(ProcessConfigError, match="mean delay"):
+            ExponentialDelays(mean)
+
+    def test_a_process_that_never_stops_fails_at_the_step_cap(self):
+        # the household nets reach their final markings with transitions
+        # still enabled, so a zero stop probability never ends a playout
+        with pytest.raises(PlayoutError, match="steps"):
+            generate_annotated_log(medicine_eating_process(), 1, seed=1, stop_probability=0.0)
 
 
 NET_TEXT = """

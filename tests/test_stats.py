@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from eventabs import stats
 from eventabs.stats import (
     EstimationError,
     Gmm,
@@ -209,10 +210,12 @@ class TestGmmFit:
         b = gmm_fit_em(xs, k=2, seed=7)
         assert a.means == b.means and a.weights == b.weights
 
-    def test_iteration_cap_is_a_warning(self):
+    def test_iteration_cap_is_a_warning(self, monkeypatch):
         rng = np.random.default_rng(7)
         xs = np.concatenate([rng.normal(0, 1, 50), rng.normal(6, 1, 50)])
-        capped = gmm_fit_em(xs, k=2, seed=0, max_iters=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "EM_MAX_ITERATIONS", 2)
+            capped = gmm_fit_em(xs, k=2, seed=0)
         assert "EM stopped at the iteration cap" in capped.warnings
         assert len(capped.ll_trajectory) == 3
         converged = gmm_fit_em(xs, k=1, seed=0)
@@ -346,7 +349,7 @@ class TestPackedEm:
     def test_packed_fits_match_the_reference(self, fits):
         got = _em_fits(
             [np.asarray(xs, dtype=float) for xs, _, _ in fits],
-            [k for _, k, _ in fits], [seed for _, _, seed in fits], 200, 1e-8,
+            [k for _, k, _ in fits], [seed for _, _, seed in fits],
         )
         for g, (xs, k, seed) in zip(got, fits, strict=True):
             assert_matches_reference(g, em_fit_reference(xs, k, seed), xs)
@@ -376,7 +379,7 @@ class TestPackedEm:
             assert got == gmm_select_bic(xs, 5, seed=seed)
         candidates = [(xs, k) for xs in sets for k in range(1, min(5, len(xs)) + 1)]
         fits = _em_fits([xs for xs, _ in candidates], [k for _, k in candidates],
-                        [9] * len(candidates), 200, 1e-8)
+                        [9] * len(candidates))
         for got, (xs, k) in zip(fits, candidates, strict=True):
             assert replace(got, bic=0.0) == replace(gmm_fit_em(xs, k, seed=9), bic=0.0)
 

@@ -369,6 +369,19 @@ class TestSensorConversion:
         with pytest.raises(SensorSeriesError, match="door.*index 1"):
             sensor_series_to_log(series)
 
+    def test_series_going_back_in_time_rejected(self):
+        # alternating in list order, but sorted it would read start, start,
+        # complete
+        series = {
+            "door": [
+                (ts("2015-11-03T08:01:00Z"), 1),
+                (ts("2015-11-03T08:03:00Z"), 0),
+                (ts("2015-11-03T08:02:00Z"), 1),
+            ]
+        }
+        with pytest.raises(SensorSeriesError, match="door.*index 2 is before"):
+            sensor_series_to_log(series)
+
     def test_dangling_start_flagged(self):
         series = {"door": [(ts("2015-11-03T08:00:00Z"), 1)]}
         diagnostics: list[str] = []
