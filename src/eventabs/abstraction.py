@@ -31,6 +31,7 @@ from .xes import (
     AttributeValue,
     Event,
     EventLog,
+    SharedStrings,
 )
 
 __all__ = [
@@ -152,15 +153,6 @@ def fit(
     return next(fit_folds(InternedLog(annotated.traces), [()], config))[0]
 
 
-class _SharedStrings(dict):
-    """One string :class:`AttributeValue` per distinct text; the value is
-    frozen, so every event may hold the same one."""
-
-    def __missing__(self, text: str) -> AttributeValue:
-        value = self[text] = AttributeValue.string(text)
-        return value
-
-
 def annotate(
     model: CrfModel,
     unannotated: EventLog,
@@ -178,7 +170,7 @@ def annotate(
     decoded = viterbi_decode_many(
         model, log.per_trace(observation_matrix(model.catalog, log))
     )
-    values = _SharedStrings()
+    values = SharedStrings()
     traces = [
         replace(trace, events=[
             Event({**event.attributes, LABEL: values[label]})
@@ -212,7 +204,7 @@ def collapse(annotated: EventLog) -> EventLog:
     Runs never merge across trace boundaries. Every input event must carry
     both a label and a timestamp.
     """
-    values = _SharedStrings()
+    values = SharedStrings()
     traces = []
     for trace in annotated.traces:
         for i, event in enumerate(trace.events):

@@ -1,6 +1,7 @@
 """Orthant-Wise Limited-memory Quasi-Newton minimization of
 ``smooth_loss(x) + C * ||x||_1``. ``C`` is an argument of :func:`minimize`;
-:class:`OwlqnConfig` holds only the iteration cap and the tolerance.
+:class:`OwlqnConfig` holds only the iteration cap, a positive ``int``, and
+the tolerance, positive and finite; other values raise ``ValueError``.
 
 With ``C == 0`` the method is plain L-BFGS with a backtracking Armijo line
 search. With ``C > 0`` the subgradient at zero coordinates is resolved by
@@ -86,8 +87,12 @@ class OwlqnConfig:
     tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # isinstance counts a bool as an int; True is no iteration cap
+        cap = self.max_iterations
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {cap!r}")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass

@@ -6,6 +6,22 @@ alternating "Taking medicine" and "Eating", each expanded by a low-level
 subprocess over the alphabet {MC, DCC, W, CD, D}. The two subprocesses
 share the DCC event type, so no per-event-type lookup can recover the
 high-level activity; context is required.
+
+Each net is compiled once, when it is constructed: places and transitions
+are numbered in sorted name order, and presets, postsets, labels, the
+initial marking and the final markings become tuples over those numbers.
+A playout runs on markings that are tuples of place counts, and looks up
+each marking's enabled transitions and finality in a memo that lives for
+one call of :func:`random_playout` or :func:`generate_annotated_log`. So
+memory grows with the markings one call visits, even on an unbounded net,
+and is freed when the call returns. :func:`enabled_transitions` and
+:func:`fire` are the same token game behind :class:`Marking` objects.
+
+Playouts draw from the generator in a fixed order: at a final marking
+with transitions enabled, one ``rng.random()`` for the stop decision; then
+one ``rng.randrange`` over the enabled transitions sorted by name; then,
+in the generator, one delay draw per emitted low-level event. A seed
+therefore fixes every generated log byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +40,7 @@ from .xes import (
     AttributeValue,
     Event,
     EventLog,
+    SharedStrings,
     Trace,
 )
 
@@ -115,6 +132,54 @@ class Marking:
 TAU = None  # labeling value for invisible transitions
 
 
+class _TokenGame:
+    """A net's token game on count tuples.
+
+    Places and transitions are numbered in sorted name order, so a marking
+    is a tuple of counts over the places, and enabled transitions come out
+    in the name order that playouts draw from.
+    """
+
+    __slots__ = ("places", "transitions", "index", "presets", "postsets",
+                 "labels", "initial", "finals")
+
+    def __init__(self, net: "LabeledPetriNet") -> None:
+        self.places = tuple(sorted(net.places))
+        self.transitions = tuple(sorted(net.transitions))
+        self.index = {t: i for i, t in enumerate(self.transitions)}
+        place_index = {p: i for i, p in enumerate(self.places)}
+        self.presets = tuple(
+            tuple(place_index[p] for p in net.preset(t)) for t in self.transitions
+        )
+        self.postsets = tuple(
+            tuple(place_index[p] for p in net.postset(t)) for t in self.transitions
+        )
+        self.labels = tuple(net.label_of(t) for t in self.transitions)
+        self.initial = self.counts(net.initial_marking)
+        self.finals = frozenset(self.counts(m) for m in net.final_markings)
+
+    def counts(self, marking: Marking) -> tuple[int, ...]:
+        return tuple(marking.count(p) for p in self.places)
+
+    def marking(self, counts: tuple[int, ...]) -> Marking:
+        return Marking(zip(self.places, counts))
+
+    def enabled(self, counts: tuple[int, ...]) -> tuple[int, ...]:
+        """Indices of the transitions whose every input place holds a token."""
+        return tuple(
+            t for t, inputs in enumerate(self.presets) if all(counts[p] for p in inputs)
+        )
+
+    def fire(self, counts: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """The counts after firing enabled transition ``t``."""
+        after = list(counts)
+        for p in self.presets[t]:
+            after[p] -= 1
+        for p in self.postsets[t]:
+            after[p] += 1
+        return tuple(after)
+
+
 @dataclass(frozen=True)
 class LabeledPetriNet:
     """A labeled Petri net with an initial marking and final markings.
@@ -132,6 +197,7 @@ class LabeledPetriNet:
     final_markings: frozenset[Marking]
     _preset: dict[str, tuple[str, ...]] = field(repr=False, compare=False, default_factory=dict)
     _postset: dict[str, tuple[str, ...]] = field(repr=False, compare=False, default_factory=dict)
+    _game: _TokenGame = field(init=False, repr=False, compare=False)
 
     @classmethod
     def of(
@@ -190,6 +256,7 @@ class LabeledPetriNet:
         object.__setattr__(
             self, "_postset", {n: tuple(sorted(v)) for n, v in postset.items()}
         )
+        object.__setattr__(self, "_game", _TokenGame(self))
 
     def preset(self, node: str) -> tuple[str, ...]:
         return self._preset[node]
@@ -207,48 +274,55 @@ class LabeledPetriNet:
 
 def enabled_transitions(net: LabeledPetriNet, marking: Marking) -> frozenset[str]:
     """Transitions whose every input place holds at least one token."""
-    return frozenset(
-        t
-        for t in net.transitions
-        if all(marking.count(p) >= 1 for p in net.preset(t))
-    )
+    game = net._game
+    return frozenset(game.transitions[t] for t in game.enabled(game.counts(marking)))
 
 
 def fire(net: LabeledPetriNet, marking: Marking, transition: str) -> Marking:
     """Fire ``transition``: remove one token per input place, add one per
     output place. Raises :class:`FiringError` if the transition is disabled.
     """
-    if transition not in net.transitions:
+    game = net._game
+    t = game.index.get(transition)
+    if t is None:
         raise FiringError(f"unknown transition {transition!r}")
-    counts = dict(marking.items())
-    for p in net.preset(transition):
-        if counts.get(p, 0) < 1:
-            raise FiringError(
-                f"transition {transition!r} is not enabled in marking {marking}"
-            )
-        counts[p] -= 1
-    for p in net.postset(transition):
-        counts[p] = counts.get(p, 0) + 1
-    return Marking(counts)
+    counts = game.counts(marking)
+    if t not in game.enabled(counts):
+        raise FiringError(
+            f"transition {transition!r} is not enabled in marking {marking}"
+        )
+    # tokens on places outside the net stay where they are
+    return Marking({**dict(marking.items()), **dict(zip(game.places, game.fire(counts, t)))})
 
 
 # firings after which a playout that has not ended fails
 MAX_PLAYOUT_STEPS = 10_000
 
+# marking -> (its enabled transitions in name order, whether it is final)
+_Memo = dict[tuple[int, ...], tuple[tuple[int, ...], bool]]
 
-def _playout(net: LabeledPetriNet, rng: random.Random, stop_probability: float) -> list[str]:
-    marking = net.initial_marking
+
+def _playout(
+    net: LabeledPetriNet, rng: random.Random, stop_probability: float, memo: _Memo
+) -> list[str]:
+    """One playout of ``net``. ``memo`` belongs to ``net`` and to one call
+    of a public function, so it holds at most the markings that call visits."""
+    game = net._game
+    marking = game.initial
     emitted: list[str] = []
     for _ in range(MAX_PLAYOUT_STEPS):
-        enabled = sorted(enabled_transitions(net, marking))
-        if marking in net.final_markings:
+        state = memo.get(marking)
+        if state is None:
+            state = memo[marking] = (game.enabled(marking), marking in game.finals)
+        enabled, final = state
+        if final:
             if not enabled or rng.random() < stop_probability:
                 return emitted
         elif not enabled:
-            raise PlayoutError(f"deadlock in non-final marking {marking}")
-        transition = enabled[rng.randrange(len(enabled))]
-        marking = fire(net, marking, transition)
-        label = net.label_of(transition)
+            raise PlayoutError(f"deadlock in non-final marking {game.marking(marking)}")
+        t = enabled[rng.randrange(len(enabled))]
+        marking = game.fire(marking, t)
+        label = game.labels[t]
         if label is not None:
             emitted.append(label)
     raise PlayoutError(f"playout did not end within {MAX_PLAYOUT_STEPS} steps")
@@ -264,7 +338,7 @@ def random_playout(net: LabeledPetriNet, seed: int) -> list[str]:
     non-final marking and when ``MAX_PLAYOUT_STEPS`` firings do not end
     the playout. Deterministic for a fixed seed.
     """
-    return _playout(net, random.Random(seed), 0.5)
+    return _playout(net, random.Random(seed), 0.5, {})
 
 
 @dataclass(frozen=True)
@@ -323,21 +397,24 @@ def generate_annotated_log(
         raise ProcessConfigError(f"stop_probability {stop_probability} is not in [0, 1]")
     delays = timestamp_model or ExponentialDelays()
     rng = random.Random(seed)
+    high_memo: _Memo = {}
+    memos: dict[str, _Memo] = {label: {} for label in proc.subprocess_map}
+    values = SharedStrings()
     traces = []
     for i in range(num_traces):
-        high_sequence = _playout(proc.high_level_net, rng, stop_probability)
+        high_sequence = _playout(proc.high_level_net, rng, stop_probability, high_memo)
         clock = _GENERATOR_EPOCH + timedelta(days=i)
         events = []
         for high_label in high_sequence:
             subnet = proc.subprocess_map.get(high_label)
             if subnet is None:
                 raise ProcessConfigError(f"no subprocess for label {high_label!r}")
-            for low_label in _playout(subnet, rng, stop_probability):
+            for low_label in _playout(subnet, rng, stop_probability, memos[high_label]):
                 clock = clock + timedelta(seconds=delays.sample(rng))
                 events.append(Event({
-                    CONCEPT_NAME: AttributeValue.string(low_label),
+                    CONCEPT_NAME: values[low_label],
                     TIME_TIMESTAMP: AttributeValue.date(clock),
-                    LABEL: AttributeValue.string(high_label),
+                    LABEL: values[high_label],
                 }))
         traces.append(Trace(
             {CONCEPT_NAME: AttributeValue.string(f"case_{i + 1}")}, events
@@ -413,13 +490,15 @@ def medicine_eating_process() -> HierarchicalProcess:
 #   arc <src> <dst>
 #   final <place>[*<count>] ...
 #
-# Transitions without a label line are invisible. Each "final" line declares
-# one final marking. Lines starting with "#" and blank lines are ignored.
+# Transitions without a label line are invisible. Each place and transition
+# is declared once. Each "final" line declares one final marking. Lines
+# starting with "#" and blank lines are ignored.
 
 
 def parse_net(text: str) -> LabeledPetriNet:
-    places: list[str] = []
-    transitions: list[str] = []
+    # name -> line of its declaration
+    places: dict[str, int] = {}
+    transitions: dict[str, int] = {}
     labeling: dict[str, str | None] = {}
     arcs: list[tuple[str, str]] = []
     initial: dict[str, int] = {}
@@ -434,7 +513,11 @@ def parse_net(text: str) -> LabeledPetriNet:
         try:
             if keyword == "place":
                 name, *opts = rest.split()
-                places.append(name)
+                if name in places:
+                    raise NetFormatError(
+                        f"place {name!r} is already declared on line {places[name]}"
+                    )
+                places[name] = lineno
                 for opt in opts:
                     if opt.startswith("init="):
                         initial[name] = int(opt[5:])
@@ -444,7 +527,11 @@ def parse_net(text: str) -> LabeledPetriNet:
                 name, _, tail = rest.partition(" ")
                 if not name:
                     raise NetFormatError("transition needs a name")
-                transitions.append(name)
+                if name in transitions:
+                    raise NetFormatError(
+                        f"transition {name!r} is already declared on line {transitions[name]}"
+                    )
+                transitions[name] = lineno
                 tail = tail.strip()
                 if tail.startswith("label="):
                     labeling[name] = tail[6:]

@@ -49,6 +49,7 @@ __all__ = [
     "ORG_GROUP",
     "LABEL",
     "AttributeValue",
+    "SharedStrings",
     "Event",
     "Trace",
     "EventLog",
@@ -199,6 +200,15 @@ class AttributeValue:
     @staticmethod
     def boolean(v: bool) -> "AttributeValue":
         return AttributeValue("boolean", bool(v))
+
+
+class SharedStrings(dict):
+    """One string :class:`AttributeValue` per distinct text; the value is
+    frozen, so every event may hold the same one."""
+
+    def __missing__(self, text: str) -> AttributeValue:
+        value = self[text] = AttributeValue.string(text)
+        return value
 
 
 _TYPED_EVENT_KEYS = {

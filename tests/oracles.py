@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from eventabs.features import BOT, MISSING
-from eventabs.petri import LabeledPetriNet, Marking
+from eventabs.petri import MAX_PLAYOUT_STEPS, LabeledPetriNet, Marking, PlayoutError
 from eventabs.stats import EstimationError, Gmm
 from eventabs.xes import (
     _STANDARD_EXTENSIONS,
@@ -132,20 +132,44 @@ def levenshtein_distance_reference(a, b) -> int:
     return previous[-1]
 
 
+def _is_enabled(net: LabeledPetriNet, marking: Marking, t: str) -> bool:
+    return all(marking.count(p) >= 1 for p in net.preset(t))
+
+
+def _fire(net: LabeledPetriNet, marking: Marking, t: str) -> Marking:
+    counts = dict(marking.items())
+    for p in net.preset(t):
+        counts[p] -= 1
+    for p in net.postset(t):
+        counts[p] = counts.get(p, 0) + 1
+    return Marking({k: v for k, v in counts.items() if v > 0})
+
+
+def playout_reference(net: LabeledPetriNet, rng, stop_probability: float) -> list[str]:
+    """One playout of the token game on :class:`Marking` objects, drawing
+    from ``rng`` in the generator's order: at a final marking one
+    ``rng.random()`` (none if nothing is enabled), then one
+    ``rng.randrange`` over the enabled transitions sorted by name."""
+    marking = net.initial_marking
+    emitted: list[str] = []
+    for _ in range(MAX_PLAYOUT_STEPS):
+        enabled = sorted(t for t in net.transitions if _is_enabled(net, marking, t))
+        if marking in net.final_markings:
+            if not enabled or rng.random() < stop_probability:
+                return emitted
+        elif not enabled:
+            raise PlayoutError(f"deadlock in non-final marking {marking}")
+        transition = enabled[rng.randrange(len(enabled))]
+        marking = _fire(net, marking, transition)
+        label = net.label_of(transition)
+        if label is not None:
+            emitted.append(label)
+    raise PlayoutError(f"playout did not end within {MAX_PLAYOUT_STEPS} steps")
+
+
 def is_valid_run(net: LabeledPetriNet, labels: list[str]) -> bool:
     """Whether a visible-label sequence is a firing sequence of the net
     that ends in a final marking, via exhaustive search with tau moves."""
-
-    def preset_ok(marking: Marking, t: str) -> bool:
-        return all(marking.count(p) >= 1 for p in net.preset(t))
-
-    def fire(marking: Marking, t: str) -> Marking:
-        counts = dict(marking.items())
-        for p in net.preset(t):
-            counts[p] -= 1
-        for p in net.postset(t):
-            counts[p] = counts.get(p, 0) + 1
-        return Marking({k: v for k, v in counts.items() if v > 0})
 
     seen: set[tuple[Marking, int]] = set()
 
@@ -156,14 +180,14 @@ def is_valid_run(net: LabeledPetriNet, labels: list[str]) -> bool:
         if pos == len(labels) and marking in net.final_markings:
             return True
         for t in sorted(net.transitions):
-            if not preset_ok(marking, t):
+            if not _is_enabled(net, marking, t):
                 continue
             label = net.label_of(t)
             if label is None:
-                if search(fire(marking, t), pos):
+                if search(_fire(net, marking, t), pos):
                     return True
             elif pos < len(labels) and label == labels[pos]:
-                if search(fire(marking, t), pos + 1):
+                if search(_fire(net, marking, t), pos + 1):
                     return True
         return False
 

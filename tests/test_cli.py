@@ -153,7 +153,8 @@ class TestBadValues:
     def assert_error(result, message):
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code != 0
-        assert "Error:" in result.output and message in result.output, result.output
+        assert result.output.count("Error:") == 1 and message in result.output, result.output
+        assert "Traceback" not in result.output
 
     def test_bad_ngrams_flag_for_train(self, runner, tmp_path, log_path):
         result = runner.invoke(main, ["train", log_path, str(tmp_path / "m.json"), "--ngrams", "a"])
@@ -166,6 +167,7 @@ class TestBadValues:
         self.assert_error(result, "ngrams")
 
     @pytest.mark.parametrize("line", ["l1 = abc", "kmax = 2.5", "max_iterations = many",
+                                      "max_iterations = -5", "max_iterations = 0",
                                       "alpha = ?", "seed = x"])
     def test_bad_config_value_for_train(self, runner, tmp_path, log_path, line):
         config = write_config(tmp_path, line + "\n")
@@ -173,6 +175,7 @@ class TestBadValues:
             main, ["train", log_path, str(tmp_path / "m.json"), "--config", config]
         )
         self.assert_error(result, line.split()[0])
+        assert not (tmp_path / "m.json").exists()
 
     def test_bad_fold_count_in_config(self, runner, tmp_path, log_path):
         config = write_config(tmp_path, "folds = three\n")
@@ -201,6 +204,19 @@ class TestBadValues:
             main, ["generate", "--config", config, "-o", str(tmp_path / "x.xes")]
         )
         self.assert_error(result, message)
+
+    def test_net_file_declaring_a_place_twice(self, runner, tmp_path):
+        net = tmp_path / "twice.net"
+        net.write_text("place p init=1\nplace p init=3\ntransition t label=A\narc p t\nfinal p\n")
+        config = write_config(
+            tmp_path,
+            f"process = from-files\nhigh_net = {net}\nsubprocesses = A={net}\n",
+        )
+        result = runner.invoke(
+            main, ["generate", "--config", config, "-o", str(tmp_path / "x.xes")]
+        )
+        self.assert_error(result, "line 2: place 'p' is already declared on line 1")
+        assert not (tmp_path / "x.xes").exists()
 
 
 class TestTrain:

@@ -151,6 +151,16 @@ class TestContracts:
         with pytest.raises(ValueError):
             OwlqnConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize("cap", [-5, 0, 2.5, True, "500"])
+    def test_iteration_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
+            OwlqnConfig(max_iterations=cap)
+
+    @pytest.mark.parametrize("tolerance", [-1e-7, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            OwlqnConfig(tolerance=tolerance)
+
     def test_iteration_cap_respected(self):
         rng = np.random.default_rng(9)
         a = random_spd(rng, 30)

@@ -1,10 +1,14 @@
 """Token-game semantics, playout, and the hierarchical generator."""
 
+import hashlib
 import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from eventabs import petri
 from eventabs.petri import (
     MAX_PLAYOUT_STEPS,
     ExponentialDelays,
@@ -24,8 +28,9 @@ from eventabs.petri import (
     parse_net,
     random_playout,
 )
+from eventabs.xes import serialize_xes
 
-from oracles import is_valid_run
+from oracles import is_valid_run, playout_reference
 
 
 def medicine_net() -> LabeledPetriNet:
@@ -173,7 +178,76 @@ class TestPlayout:
             random_playout(net, seed=0)
 
 
+@st.composite
+def random_nets(draw) -> LabeledPetriNet:
+    """Small nets with tau transitions, self-loops (an arc each way between
+    a place and a transition), several final markings, deadlocks, and
+    transitions without inputs, which fill their output places forever."""
+    places = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    transitions = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    arcs = draw(st.sets(st.sampled_from(
+        [(p, t) for p in places for t in transitions]
+        + [(t, p) for p in places for t in transitions]
+    )))
+    labeling = {t: draw(st.sampled_from([None, "a", "b"])) for t in transitions}
+    markings = st.dictionaries(st.sampled_from(places), st.integers(0, 2))
+    return LabeledPetriNet.of(
+        places, transitions, arcs, labeling,
+        draw(markings), draw(st.lists(markings, min_size=1, max_size=3)),
+    )
+
+
+def playouts(play, seed: int) -> tuple[list, object]:
+    """Three playouts from one generator, or those before the first
+    failure and its type and message; and the generator's state after."""
+    rng = random.Random(seed)
+    runs: list = []
+    try:
+        for _ in range(3):
+            runs.append(play(rng))
+    except PlayoutError as exc:
+        runs.append((type(exc), str(exc)))
+    return runs, rng.getstate()
+
+
+# a transition without inputs fills q until the step cap
+_GROWING = LabeledPetriNet.of(["p", "q"], ["t"], [("t", "q")], {"t": "a"}, {"p": 1}, [{"p": 2}])
+# a tau step into a marking that enables nothing and is not final
+_DEADLOCK = LabeledPetriNet.of(
+    ["p", "q", "r"], ["t"], [("p", "t"), ("t", "q")], {"t": None}, {"p": 1}, [{"r": 1}]
+)
+# a self-loop on a final marking, which only the stop draw ends
+_LOOP = LabeledPetriNet.of(
+    ["p"], ["u"], [("p", "u"), ("u", "p")], {"u": "a"}, {"p": 1}, [{"p": 1}, {"p": 2}]
+)
+
+
+class TestCompiledPlayout:
+    @given(random_nets(), st.sampled_from([0.3, 0.5, 1.0]), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    @example(_GROWING, 0.5, 0)
+    @example(_DEADLOCK, 0.5, 0)
+    @example(_LOOP, 0.3, 0)
+    @example(_LOOP, 0.0, 0)
+    def test_matches_the_marking_reference(self, net, stop_probability, seed):
+        # one memo across the playouts of a call, as the generator keeps it
+        memo = {}
+        compiled = playouts(lambda rng: petri._playout(net, rng, stop_probability, memo), seed)
+        reference = playouts(lambda rng: playout_reference(net, rng, stop_probability), seed)
+        assert compiled == reference
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("n_traces, seed, digest", [
+        (40, 7, "ecc4e200f7a79ae9adeafabcdcd85eaea6b8ad0ec5792e89ae705456a3ffd105"),
+        (300, 5, "6c0f4ef2ff841f6134427f71147b521133733f5702c53b61e8151a6ac5e668e5"),
+    ])
+    def test_output_bytes_are_pinned(self, n_traces, seed, digest):
+        # every benchmark input and the criterion-7 log come from these
+        # playouts; a change that moves one RNG draw alters them all
+        data = serialize_xes(generate_annotated_log(medicine_eating_process(), n_traces, seed))
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_label_runs_are_contiguous_blocks(self):
         log = generate_annotated_log(medicine_eating_process(), 1, seed=42)
         labels = [ev.label for ev in log.traces[0].events]
@@ -289,3 +363,12 @@ class TestNetFormat:
     def test_final_with_multiplicity(self):
         net = parse_net("place p0 init=2\nfinal p0*2\n")
         assert Marking({"p0": 2}) in net.final_markings
+
+    def test_place_declared_twice_rejected(self):
+        with pytest.raises(NetFormatError, match="line 2: place 'p0' is already declared on line 1"):
+            parse_net("place p0 init=1\nplace p0 init=3\nfinal p0\n")
+
+    def test_transition_declared_twice_rejected(self):
+        text = "place p0 init=1\ntransition t label=A\ntransition t label=B\nfinal p0\n"
+        with pytest.raises(NetFormatError, match="line 3: transition 't' is already declared"):
+            parse_net(text)
