@@ -234,7 +234,10 @@ def annotate(model_path: str, log_path: str, output: str, do_collapse: bool) -> 
     log = _load_log(log_path)
     diagnostics: list[str] = []
     annotated = abstraction.annotate(model, log, diagnostics)
-    result = abstraction.collapse(annotated) if do_collapse else annotated
+    try:
+        result = abstraction.collapse(annotated) if do_collapse else annotated
+    except ValueError as exc:
+        raise click.ClickException(f"{log_path}: cannot collapse: {exc}") from exc
     _emit_diagnostics(diagnostics)
     _write(output, xes.serialize_xes(result))
     click.echo(f"wrote {len(result.traces)} traces, {result.event_count()} events to {output}")

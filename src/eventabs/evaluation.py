@@ -271,8 +271,10 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.similarity_on not in ("events", "runs"):
             raise ValueError("similarity_on must be 'events' or 'runs'")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
+        # isinstance counts a bool as an int; True is no worker count
+        n_jobs = self.n_jobs
+        if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
+            raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
 
 
 _FoldOutcome = tuple[list[list[str]], list[str], FoldRecord]
@@ -398,8 +400,8 @@ def k_fold(
     """Shuffle traces deterministically into k near-equal folds; per fold,
     train on the rest and predict the fold."""
     n = len(log.traces)
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValueError(f"k must be an integer at least 2, got {k!r}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of traces ({n})")
     indices = list(range(n))

@@ -100,15 +100,19 @@ class CatalogConfig:
     gmm_seed: int = 0
 
     def __post_init__(self) -> None:
-        if any(n < 1 for n in self.ngram_sizes):
-            raise ValueError("n-gram sizes must be at least 1")
+        # isinstance counts a bool as an int; True is no size or count
+        if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in self.ngram_sizes):
+            raise ValueError(f"n-gram sizes must be positive integers, got {self.ngram_sizes!r}")
         unknown = set(self.time_views) - set(TIME_VIEWS)
         if unknown:
             raise ValueError(f"unknown time views: {sorted(unknown)}")
-        if self.smoothing_alpha < 0:
-            raise ValueError("smoothing alpha must be non-negative")
-        if self.gmm_max_components < 1:
-            raise ValueError("gmm_max_components must be at least 1")
+        if not 0 <= self.smoothing_alpha < np.inf:
+            raise ValueError(
+                f"smoothing alpha must be non-negative and finite, got {self.smoothing_alpha!r}"
+            )
+        k = self.gmm_max_components
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"gmm_max_components must be a positive integer, got {k!r}")
 
     def to_dict(self) -> dict:
         return {

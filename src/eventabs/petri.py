@@ -491,8 +491,10 @@ def medicine_eating_process() -> HierarchicalProcess:
 #   final <place>[*<count>] ...
 #
 # Transitions without a label line are invisible. Each place and transition
-# is declared once. Each "final" line declares one final marking. Lines
-# starting with "#" and blank lines are ignored.
+# is declared once, a place line holds at most one init=, and each arc is
+# declared once. Each "final" line declares one final marking and names each
+# of its places once (q*2, not q q, puts two tokens on q). Lines starting
+# with "#" and blank lines are ignored.
 
 
 def parse_net(text: str) -> LabeledPetriNet:
@@ -500,7 +502,7 @@ def parse_net(text: str) -> LabeledPetriNet:
     places: dict[str, int] = {}
     transitions: dict[str, int] = {}
     labeling: dict[str, str | None] = {}
-    arcs: list[tuple[str, str]] = []
+    arcs: dict[tuple[str, str], int] = {}  # arc -> line of its declaration
     initial: dict[str, int] = {}
     finals: list[dict[str, int]] = []
 
@@ -520,6 +522,8 @@ def parse_net(text: str) -> LabeledPetriNet:
                 places[name] = lineno
                 for opt in opts:
                     if opt.startswith("init="):
+                        if name in initial:
+                            raise NetFormatError(f"place {name!r} has more than one init=")
                         initial[name] = int(opt[5:])
                     else:
                         raise NetFormatError(f"unknown place option {opt!r}")
@@ -541,11 +545,19 @@ def parse_net(text: str) -> LabeledPetriNet:
                     labeling[name] = None
             elif keyword == "arc":
                 src, dst = rest.split()
-                arcs.append((src, dst))
+                if (src, dst) in arcs:
+                    raise NetFormatError(
+                        f"arc {src!r} -> {dst!r} is already declared on line {arcs[src, dst]}"
+                    )
+                arcs[src, dst] = lineno
             elif keyword == "final":
                 marking: dict[str, int] = {}
                 for token in rest.split():
                     name, _, count = token.partition("*")
+                    if name in marking:
+                        raise NetFormatError(
+                            f"place {name!r} is named twice in one final marking"
+                        )
                     marking[name] = int(count) if count else 1
                 finals.append(marking)
             else:

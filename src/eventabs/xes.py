@@ -17,16 +17,16 @@ what UTF-8 cannot encode. The ElementTree writer is kept as a test oracle
 (``tests/oracles.serialize_xes_reference``), and a property test holds the
 two byte-identical.
 
-``parse_xes`` reads the tree ``ET.parse`` builds, with two fast paths that
-change no result (``tests/oracles.parse_xes_reference`` is the plain walk
-they are tested against). A timestamp already in ``format_timestamp``'s
-form, ``YYYY-MM-DDTHH:MM:SS.fff+00:00``, goes straight to
-``datetime.fromisoformat``; every other form goes through
-``parse_timestamp``. A childless attribute other than a date is read once
-per distinct (tag, key, value) within one parse and its frozen
-``AttributeValue`` shared, which pays because logs draw their values from
-small alphabets. A list's items, held in its ``<values>`` element, become
-its children.
+``parse_xes`` reads the document in one streaming pass of expat: its
+start and end handlers keep a stack of the open elements and build each
+attribute, event, trace and the log as its element closes, so no element
+tree is built. A timestamp already in ``format_timestamp``'s form goes
+straight to ``datetime.fromisoformat``, and a childless attribute other
+than a date is read once per distinct (tag, key, value) within one parse
+and its frozen ``AttributeValue`` shared, which pays because logs draw
+their values from small alphabets. A list's items, held in its
+``<values>`` element, become its children. The plain ElementTree walk
+``tests/oracles.parse_xes_reference`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from __future__ import annotations
 import csv
 import io
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import IO
+from xml.parsers import expat
 
 __all__ = [
     "CONCEPT_NAME",
@@ -332,14 +332,6 @@ _CANONICAL_TIMESTAMP = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}\+00:00"
 )
 
-# (tag, raw key, raw value) -> (key, value) of a childless non-date
-# attribute, shared within one parse
-_Shared = dict[tuple[str, str, str], tuple[str, AttributeValue]]
-
-
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1] if tag[0] == "{" else tag
-
 
 def _read_timestamp(raw: str) -> datetime:
     if _CANONICAL_TIMESTAMP.fullmatch(raw):
@@ -348,38 +340,6 @@ def _read_timestamp(raw: str) -> datetime:
         except ValueError:
             pass  # an out-of-range field: parse_timestamp words the error
     return parse_timestamp(raw)
-
-
-def _attribute_children(el: ET.Element, tag: str) -> list[ET.Element]:
-    """The attribute elements nested in ``el``; a list holds its items in
-    a ``<values>`` element."""
-    nested = []
-    for child in el:
-        child_tag = _local(child.tag)
-        if child_tag in _ATTR_TAGS:
-            nested.append(child)
-        elif child_tag == "values" and tag == "list":
-            nested.extend(c for c in child if _local(c.tag) in _ATTR_TAGS)
-    return nested
-
-
-def _parse_attribute(
-    el: ET.Element, tag: str, shared: _Shared
-) -> tuple[str, AttributeValue]:
-    attrib = el.attrib
-    raw_key = attrib.get("key", "")
-    raw = attrib.get("value", "")
-    if not len(el) and tag != "date":
-        memo = (tag, raw_key, raw)
-        hit = shared.get(memo)
-        if hit is None:
-            hit = shared[memo] = _read_attribute(tag, raw_key, raw, ())
-        return hit
-    children = tuple(
-        _parse_attribute(child, _local(child.tag), shared)
-        for child in _attribute_children(el, tag)
-    )
-    return _read_attribute(tag, raw_key, raw, children)
 
 
 def _read_attribute(
@@ -405,16 +365,6 @@ def _read_attribute(
     return key, value
 
 
-def _attributes(el: ET.Element, shared: _Shared) -> dict[str, AttributeValue]:
-    attributes: dict[str, AttributeValue] = {}
-    for child in el:
-        tag = _local(child.tag)
-        if tag in _ATTR_TAGS:
-            key, value = _parse_attribute(child, tag, shared)
-            attributes[key] = value
-    return attributes
-
-
 def _split_classifier_keys(spec: str) -> tuple[str, ...]:
     # Keys are whitespace-separated; see _join_classifier_keys for quoting.
     return tuple(
@@ -438,80 +388,99 @@ def _join_classifier_keys(name: str, keys: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
+# Roles of the open elements of a parse. An element the XES grammar does
+# not place where it stands is skipped with its whole subtree.
+_SKIP, _LOG, _GLOBAL, _TRACE, _EVENT, _ATTRIBUTE, _VALUES = range(7)
+_SKIPPED = (_SKIP, None, None)
+
+
 def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
     """Parse an XES document into an :class:`EventLog`.
 
     ``source`` may be raw bytes, a filesystem path, or a binary file
     object. Unknown attribute keys are retained verbatim; standard
     extension keys are normalized to their canonical lowercase form.
+    The document is read in one pass, so of several faults the first in
+    document order is raised: a bad value before malformed XML raises
+    :class:`XesValueError`, and a root other than ``<log>`` is refused
+    before anything after its start tag is read.
     """
-    if isinstance(source, bytes):
-        stream: IO[bytes] = io.BytesIO(source)
-    elif isinstance(source, (str, Path)):
-        stream = open(source, "rb")
-    else:
-        stream = source
-    try:
-        try:
-            root = ET.parse(stream).getroot()
-        except ET.ParseError as exc:
-            line, col = exc.position
-            raise XesParseError(
-                f"malformed XML at line {line}, column {col}: {exc.msg}"
-            ) from exc
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
-
-    if _local(root.tag) != "log":
-        raise XesParseError(f"expected <log> root element, got <{_local(root.tag)}>")
-
-    shared: _Shared = {}
-    attributes: dict[str, AttributeValue] = {}
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:
+            return parse_xes(stream)
+    # (tag, raw key, raw value) -> (key, value) of a childless non-date attribute
+    shared: dict[tuple[str, str, str], tuple[str, AttributeValue]] = {}
     extensions: set[str] = set()
     classifiers: dict[str, tuple[str, ...]] = {}
-    global_trace: dict[str, AttributeValue] = {}
-    global_event: dict[str, AttributeValue] = {}
+    scopes: dict[str, dict[str, AttributeValue]] = {"trace": {}, "event": {}}
     traces: list[Trace] = []
+    logs: list[EventLog] = []
+    # One (role, pairs, extra) per open element: pairs gathers the (key, value)
+    # of its attribute children in document order, into the list's own for a
+    # <values>; extra is an attribute's (tag, raw key, raw value), a trace's
+    # events or a global's target.
+    stack: list[tuple] = []
 
-    for el in root:
-        tag = _local(el.tag)
-        if tag == "extension":
-            extensions.add(el.attrib.get("name", ""))
-        elif tag == "global":
-            scope = el.attrib.get("scope", "event")
-            target = global_trace if scope == "trace" else global_event
-            target.update(_attributes(el, shared))
-        elif tag == "classifier":
-            name = el.attrib.get("name", "")
-            classifiers[name] = _split_classifier_keys(el.attrib.get("keys", ""))
-        elif tag == "trace":
-            traces.append(_parse_trace(el, shared))
+    def start(name: str, attrib: dict[str, str]) -> None:
+        tag = name.rpartition("}")[2]
+        if not stack:
+            if tag != "log":
+                raise XesParseError(f"expected <log> root element, got <{tag}>")
+            stack.append((_LOG, [], None))
+            return
+        role, pairs, extra = stack[-1]
+        if role == _SKIP:
+            frame = _SKIPPED
         elif tag in _ATTR_TAGS:
-            key, value = _parse_attribute(el, tag, shared)
-            attributes[key] = value
+            frame = (_ATTRIBUTE, [], (tag, attrib.get("key", ""), attrib.get("value", "")))
+        elif role == _LOG and tag == "trace":
+            frame = (_TRACE, [], [])
+        elif role == _LOG and tag == "global":
+            frame = (_GLOBAL, [], scopes["trace" if attrib.get("scope") == "trace" else "event"])
+        elif role == _TRACE and tag == "event":
+            frame = (_EVENT, [], None)
+        elif role == _ATTRIBUTE and tag == "values" and extra[0] == "list":
+            frame = (_VALUES, pairs, None)
+        else:
+            if role == _LOG and tag == "extension":
+                extensions.add(attrib.get("name", ""))
+            elif role == _LOG and tag == "classifier":
+                keys = _split_classifier_keys(attrib.get("keys", ""))
+                classifiers[attrib.get("name", "")] = keys
+            frame = _SKIPPED
+        stack.append(frame)
 
-    return EventLog(
-        attributes=attributes,
-        extensions=extensions,
-        classifiers=classifiers,
-        global_trace_attributes=global_trace,
-        global_event_attributes=global_event,
-        traces=traces,
-    )
+    def end(name: str) -> None:
+        role, pairs, extra = stack.pop()
+        if role == _ATTRIBUTE:
+            if pairs or extra[0] == "date":
+                pair = _read_attribute(*extra, tuple(pairs))
+            else:
+                pair = shared.get(extra)
+                if pair is None:
+                    pair = shared[extra] = _read_attribute(*extra, ())
+            stack[-1][1].append(pair)
+        elif role == _EVENT:
+            stack[-1][2].append(Event(dict(pairs)))
+        elif role == _TRACE:
+            traces.append(Trace(dict(pairs), extra))
+        elif role == _GLOBAL:
+            extra.update(pairs)
+        elif role == _LOG:
+            logs.append(EventLog(
+                dict(pairs), extensions, classifiers, scopes["trace"], scopes["event"], traces
+            ))
 
-
-def _parse_trace(el: ET.Element, shared: _Shared) -> Trace:
-    attributes: dict[str, AttributeValue] = {}
-    events: list[Event] = []
-    for child in el:
-        tag = _local(child.tag)
-        if tag == "event":
-            events.append(Event(_attributes(child, shared)))
-        elif tag in _ATTR_TAGS:
-            key, value = _parse_attribute(child, tag, shared)
-            attributes[key] = value
-    return Trace(attributes, events)
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    try:
+        parser.ParseFile(io.BytesIO(source) if isinstance(source, bytes) else source)
+    except expat.ExpatError as exc:
+        raise XesParseError(
+            f"malformed XML at line {exc.lineno}, column {exc.offset}: {exc}"
+        ) from exc
+    return logs[0]
 
 
 # --- XML serialization ------------------------------------------------------

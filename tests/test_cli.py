@@ -168,7 +168,8 @@ class TestBadValues:
 
     @pytest.mark.parametrize("line", ["l1 = abc", "kmax = 2.5", "max_iterations = many",
                                       "max_iterations = -5", "max_iterations = 0",
-                                      "alpha = ?", "seed = x"])
+                                      "alpha = ?", "alpha = nan", "alpha = inf",
+                                      "seed = x"])
     def test_bad_config_value_for_train(self, runner, tmp_path, log_path, line):
         config = write_config(tmp_path, line + "\n")
         result = runner.invoke(
@@ -294,6 +295,21 @@ class TestAnnotate:
             main, ["annotate", str(model_path), str(once), str(twice)]
         ).exit_code == 0
         assert once.read_bytes() == twice.read_bytes()
+
+    def test_collapse_of_an_untimed_event_is_an_error_line(self, runner, tmp_path, trained):
+        config, log_path, model_path, _ = trained
+        untimed = tmp_path / "untimed.xes"
+        untimed.write_bytes(re.sub(rb' *<date key="time:timestamp"[^>]*/>\n', b"",
+                                   log_path.read_bytes()))
+        out = tmp_path / "out.xes"
+        plain = runner.invoke(main, ["annotate", str(model_path), str(untimed), str(out)])
+        assert plain.exit_code == 0, plain.output
+        assert "warning:" in plain.output
+        result = runner.invoke(
+            main, ["annotate", str(model_path), str(untimed), str(tmp_path / "c.xes"), "--collapse"]
+        )
+        TestBadValues.assert_error(result, "trace 'case_1' event 0 has no timestamp")
+        assert not (tmp_path / "c.xes").exists()
 
 
 class TestEvaluate:

@@ -216,6 +216,11 @@ class TestKFold:
         with pytest.raises(ValueError, match="at least 2"):
             k_fold(learnable_log(3), k=1, seed=0, config=FAST)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_k_not_an_integer_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            k_fold(learnable_log(3), k=k, seed=0, config=FAST)
+
     def test_reproducible_for_fixed_seed(self):
         a = k_fold(learnable_log(8), k=3, seed=11, config=FAST)
         b = k_fold(learnable_log(8), k=3, seed=11, config=FAST)
@@ -311,6 +316,11 @@ class TestParallelReport:
             assert held_out == list(range(len(log.traces)))
         untimed = f"trace {log.traces[3].case_id!r} event 1: no timestamp"
         assert sum(d.startswith(untimed) for d in sequential.diagnostics) == 1
+
+    @pytest.mark.parametrize("n_jobs", [0, 1.5, True, "2"])
+    def test_worker_count_must_be_a_positive_integer(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs must be a positive integer"):
+            EvalConfig(n_jobs=n_jobs)
 
 
 class TestWarmStart:

@@ -767,3 +767,20 @@ class TestInternedColumns:
         assert keys == tuple(sorted({key for _, key, _ in expected}))
         found = zip(ends.tolist(), [keys[k] for k in key_ids.tolist()], seconds.tolist())
         assert list(found) == expected
+
+
+class TestCatalogConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("smoothing_alpha", float("nan"), "smoothing alpha"),
+        ("smoothing_alpha", float("inf"), "smoothing alpha"),
+        ("smoothing_alpha", -0.5, "smoothing alpha"),
+        ("gmm_max_components", 2.5, "gmm_max_components"),
+        ("gmm_max_components", True, "gmm_max_components"),
+        ("gmm_max_components", 0, "gmm_max_components"),
+        ("ngram_sizes", (2.5,), "n-gram sizes"),
+        ("ngram_sizes", (1, True), "n-gram sizes"),
+        ("ngram_sizes", (0,), "n-gram sizes"),
+    ])
+    def test_bad_numbers_are_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CatalogConfig(**{field: value})

@@ -372,3 +372,18 @@ class TestNetFormat:
         text = "place p0 init=1\ntransition t label=A\ntransition t label=B\nfinal p0\n"
         with pytest.raises(NetFormatError, match="line 3: transition 't' is already declared"):
             parse_net(text)
+
+    def test_repeated_init_rejected(self):
+        with pytest.raises(NetFormatError, match="line 1: place 'p0' has more than one init="):
+            parse_net("place p0 init=1 init=3\nfinal p0\n")
+
+    def test_place_repeated_in_one_final_rejected(self):
+        with pytest.raises(NetFormatError, match="line 2: place 'p0' is named twice"):
+            parse_net("place p0 init=2\nfinal p0 p0\n")
+
+    def test_arc_declared_twice_rejected(self):
+        text = "place p0 init=1\ntransition t\narc p0 t\narc p0 t\nfinal p0\n"
+        with pytest.raises(
+            NetFormatError, match="line 4: arc 'p0' -> 't' is already declared on line 3"
+        ):
+            parse_net(text)

@@ -1,7 +1,9 @@
 """Event log model: typed attributes, parse/serialize round trips, and
 sensor change-point conversion."""
 
+import io
 import math
+import tracemalloc
 from datetime import datetime, time, timedelta, timezone
 
 import pytest
@@ -709,3 +711,83 @@ class TestParserOracle:
         assert ours == theirs
         assert ours.tzinfo is theirs.tzinfo is UTC
         assert ours.microsecond == theirs.microsecond
+
+
+# Attribute tags that stand inside an element the XES grammar does not place
+# there: every one of them, at every level, must be skipped.
+_GHOSTS = "<string key='ghost' value='g'/><int key='ghost:n' value='1'/>"
+_UNPLACED_DOC = (
+    "<log{xmlns}>"
+    "<unknown>{g}<trace><string key='concept:name' value='ghost trace'/></trace></unknown>"
+    "<extension name='Concept'>{g}</extension>"
+    "<global scope='event'><string key='concept:name' value=''/><unknown>{g}</unknown></global>"
+    "<classifier name='A' keys='concept:name'>{g}</classifier>"
+    "<string key='log:name' value='l'><unknown>{g}</unknown></string>"
+    "<trace><string key='concept:name' value='c'/><unknown>{g}<event>{g}</event></unknown>"
+    "<global scope='trace'>{g}</global>"
+    "<event><string key='concept:name' value='A'/><unknown>{g}</unknown><trace>{g}</trace>"
+    "<list key='l'><values><int key='i' value='4'/><unknown>{g}</unknown>"
+    "<values>{g}</values></values><string key='s' value='x'/></list>"
+    "<string key='plain' value='p'><values>{g}</values></string>"
+    "</event></trace></log>"
+)
+
+
+class TestStreamingParse:
+    def test_peak_memory_near_the_returned_log(self):
+        """No element tree: the parse's peak stays near the size of the log
+        it returns (1.03 here; an ElementTree build and walk reads 5.6)."""
+        data = serialize_xes(
+            petri.generate_annotated_log(petri.medicine_eating_process(), 150, seed=3)
+        )
+        parse_xes(SIMPLE_DOC)  # first-call caches stay out of the reading
+        tracemalloc.start()
+        try:
+            log = parse_xes(data)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.event_count() > 1000
+        assert peak <= 1.25 * size, (size, peak)
+
+    def test_a_bad_value_before_malformed_xml_is_reported(self):
+        data = (
+            b"<log><trace><string key='concept:name' value='c'/>"
+            b"<event><int key='n' value='x'/></event></trace></wrong></log>"
+        )
+        with pytest.raises(XesValueError, match="attribute 'n'"):
+            parse_xes(data)
+        with pytest.raises(XesParseError, match="mismatched tag"):
+            parse_xes_reference(data)  # a tree is built before any value is read
+
+    def test_a_wrong_root_before_malformed_xml_is_reported(self):
+        data = b"<trace><event></trace>"
+        with pytest.raises(XesParseError, match=r"^expected <log> root element, got <trace>$"):
+            parse_xes(data)
+        with pytest.raises(XesParseError, match="mismatched tag"):
+            parse_xes_reference(data)
+
+    @pytest.mark.parametrize("xmlns", ["", " xmlns='http://www.xes-standard.org/'"])
+    def test_unplaced_attribute_tags_are_skipped_at_every_level(self, xmlns):
+        data = _UNPLACED_DOC.format(xmlns=xmlns, g=_GHOSTS).encode()
+        log = parse_xes(data)
+        assert _log_facts(log) == _log_facts(parse_xes_reference(data))
+        assert "ghost" not in repr(_log_facts(log))
+        assert log.extensions == {"Concept"} and log.classifiers == {"A": (CONCEPT_NAME,)}
+        assert list(log.attributes) == ["log:name"] and not log.global_trace_attributes
+        (trace,) = log.traces
+        (event,) = trace.events
+        assert list(event.attributes) == [CONCEPT_NAME, "l", "plain"]
+        assert [key for key, _ in event.attributes["l"].children] == ["i", "s"]
+        assert event.attributes["plain"].children == ()
+
+    def test_paths_bytes_and_streams_parse_alike(self, tmp_path):
+        data = serialize_xes(_household_log())
+        path = tmp_path / "log.xes"
+        path.write_bytes(data)
+        expected = _log_facts(parse_xes(data))
+        assert _log_facts(parse_xes(path)) == expected
+        assert _log_facts(parse_xes(str(path))) == expected
+        assert _log_facts(parse_xes(io.BytesIO(data))) == expected
+        with open(path, "rb") as stream:
+            assert _log_facts(parse_xes(stream)) == expected
