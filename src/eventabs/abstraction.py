@@ -23,6 +23,7 @@ from .features import (
     observation_matrix,
 )
 from .owlqn import OptimizationError, OwlqnConfig
+from .stats import EstimationError
 from .xes import (
     CONCEPT_NAME,
     LABEL,
@@ -40,6 +41,7 @@ __all__ = [
     "fit",
     "fit_folds",
     "annotate",
+    "prune",
     "collapse",
     "strip_labels",
     "save_model",
@@ -153,6 +155,23 @@ def fit(
     return next(fit_folds(InternedLog(annotated.traces), [()], config))[0]
 
 
+def prune(model: CrfModel) -> CrfModel:
+    """The model restricted to the observation features with a nonzero
+    weight, and the tables and banks they read
+    (:meth:`FeatureCatalog.restrict`), with the whole transition block. The
+    weights are laid out anew (:meth:`FeatureCatalog.weights_from`); a
+    dropped feature adds zero to every emission, so the pruned model scores
+    every labeling as ``model`` does."""
+    catalog = model.catalog
+    w_obs, _ = catalog.split(model.weights)
+    pruned = catalog.restrict(
+        d for d, w in zip(catalog.observation_features, w_obs.tolist()) if w != 0.0
+    )
+    return CrfModel(
+        pruned, pruned.weights_from(catalog, model.weights), model.l1_coefficient, model.training
+    )
+
+
 def annotate(
     model: CrfModel,
     unannotated: EventLog,
@@ -162,11 +181,14 @@ def annotate(
 
     All other attributes are untouched; trace and event counts are
     preserved. Events lacking attributes a feature family needs are scored
-    with neutral feature values (recorded in ``diagnostics``).
+    with neutral feature values (recorded in ``diagnostics``, under the
+    whole catalog). Decoding evaluates only the features that L1 left a
+    nonzero weight (:func:`prune`).
     """
     log = InternedLog(unannotated.traces)
     if diagnostics is not None:
         diagnostics.extend(neutral_time_notes(model.catalog, log, range(log.n_traces)))
+    model = prune(model)
     decoded = viterbi_decode_many(
         model, log.per_trace(observation_matrix(model.catalog, log))
     )
@@ -268,8 +290,9 @@ def save_model(model: CrfModel, sink: str | Path | IO[str]) -> None:
 def load_model(source: str | Path | IO[str]) -> CrfModel:
     """Load a model written by :func:`save_model`.
 
-    Raises :class:`ModelIOError` on corruption or version mismatch; a
-    failed load never yields a partial model.
+    Raises :class:`ModelIOError` on corruption or version mismatch, and
+    when a part of the payload, or a table or mixture in it, fails its own
+    checks; a failed load never yields a partial model.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -297,6 +320,10 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
             weights=weights,
             l1_coefficient=data["l1_coefficient"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelIOError(f"malformed model payload: {exc}") from exc
+    except (
+        KeyError, TypeError, ValueError, OverflowError, AttributeError, EstimationError
+    ) as exc:
+        # a part of the wrong shape or type, or a sub-model that fails its
+        # own checks, such as mixture weights that do not sum to 1
+        raise ModelIOError(f"malformed model payload ({type(exc).__name__}): {exc}") from exc
     return model

@@ -26,11 +26,15 @@ one packed EM run. :func:`build_catalog` is the one-fold case.
 
 Each family instance is evaluated as one (events x labels) block over the
 whole interned log; feature columns are gathered from these blocks by
-label. Except for the constant bias block, every block row is a
-distribution over labels: missing data degrades to the neutral row
-1/|labels|, never to zero. The catalog owns the whole weight layout: the
-observation features, then the label-transition indicator block, and the
-split of a weight vector into the two.
+label. Only the instances a catalog's features read are evaluated, so a
+catalog restricted to the features L1 kept
+(:meth:`FeatureCatalog.restrict`, as ``abstraction.prune`` does for
+annotation) skips the tables and mixture banks of the dropped ones.
+Except for the constant bias block, every block row is a distribution
+over labels: missing data degrades to the neutral row 1/|labels|, never
+to zero. The catalog owns the whole weight layout: the observation
+features, then the label-transition indicator block, and the split of a
+weight vector into the two.
 
 With two labels E and T, every non-bias block row satisfies p(T) = 1 -
 p(E). Moving a family's weights by +a on E and -a on T therefore adds
@@ -45,7 +49,7 @@ distributions, and take no part in this gauge.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -57,7 +61,7 @@ from .stats import (
     gmm_log_density,
     gmm_select_bic_many,
 )
-from .xes import CONCEPT_NAME, Event, EventLog, Trace
+from .xes import CONCEPT_NAME, LABEL, LIFECYCLE_TRANSITION, TIME_TIMESTAMP, EventLog, Trace
 
 __all__ = [
     "BOT",
@@ -295,6 +299,27 @@ class FeatureCatalog:
             np.append(w_obs, 0.0)[gather], padded[np.ix_(rows, columns)].ravel()
         ])
 
+    def restrict(self, features: Iterable[FeatureDef]) -> "FeatureCatalog":
+        """This catalog with only the given observation features, in their
+        order here, and only the tables and banks they read: a duration
+        bank is kept when its step is the step of a kept
+        ``lifecycle_duration`` feature. Labels, lifecycle steps, config
+        and notes are kept, so every kept column evaluates as here."""
+        wanted = set(features)
+        kept = tuple(d for d in self.observation_features if d in wanted)
+        ngrams = {d.n for d in kept if d.family == "concept_ngram"}
+        orgs = {(d.n, d.org) for d in kept if d.family == "org_ngram"}
+        views = {d.view for d in kept if d.family == "time_view"}
+        steps = {d.step for d in kept if d.family == "lifecycle_duration"}
+        return replace(
+            self,
+            observation_features=kept,
+            concept_tables={n: t for n, t in self.concept_tables.items() if n in ngrams},
+            org_tables={k: t for k, t in self.org_tables.items() if k in orgs},
+            time_models={v: b for v, b in self.time_models.items() if v in views},
+            duration_models={k: b for k, b in self.duration_models.items() if k[1] in steps},
+        )
+
     def to_dict(self) -> dict:
         return {
             "labels": list(self.labels),
@@ -345,20 +370,13 @@ class FeatureCatalog:
 # --- the interned log ----------------------------------------------------------
 
 
-def _symbol(event: Event, key: str) -> str:
-    av = event.attributes.get(key)
-    if av is None or av.kind != "string":
-        return MISSING
-    return av.value  # type: ignore[return-value]
-
-
 def _intern(values: list) -> tuple[tuple, np.ndarray]:
     """The sorted vocabulary of the values other than None, and each
     value's index in it (-1 for None)."""
-    vocabulary = tuple(sorted({v for v in values if v is not None}))
+    vocabulary = tuple(sorted(set(values) - {None}))
     index = {v: i for i, v in enumerate(vocabulary)}
     index[None] = -1
-    return vocabulary, np.fromiter((index[v] for v in values), dtype=np.intp, count=len(values))
+    return vocabulary, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
 
 _STRING_KEYS = (CONCEPT_NAME,) + tuple(f"org:{o}" for o in ORG_KINDS)
@@ -387,20 +405,28 @@ class InternedLog:
         self.case_ids = [t.case_id for t in traces]
         self.lengths = np.asarray([len(t.events) for t in traces], dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)]).astype(np.intp)
-        events = [ev for t in traces for ev in t.events]
-        self.labels, self.label_ids = _intern([ev.label for ev in events])
+        attributes = [ev.attributes for t in traces for ev in t.events]
+
+        def column(key: str) -> list:
+            # an Event checks the kind of each key read here, so a value
+            # present is a string (a datetime for the timestamp)
+            return [av.value if (av := a.get(key)) is not None else None for a in attributes]
+
+        self.labels, self.label_ids = _intern(column(LABEL))
         self.steps, self.step_ids = _intern([
-            step.lower() if (step := ev.lifecycle) is not None else None for ev in events
+            step.lower() if step is not None else None for step in column(LIFECYCLE_TRANSITION)
         ])
-        self.named = np.asarray([ev.name is not None for ev in events], dtype=bool)
-        stamps = [ev.timestamp for ev in events]
+        stamps = column(TIME_TIMESTAMP)
         self.timed = np.asarray([ts is not None for ts in stamps], dtype=bool)
         self.times = np.asarray(
             [(ts - _EPOCH) // _MILLISECOND if ts is not None else 0 for ts in stamps], dtype=np.int64
         )
-        self.symbols = {
-            key: _intern([_symbol(ev, key) for ev in events]) for key in _STRING_KEYS
-        }
+        self.symbols = {}
+        for key in _STRING_KEYS:
+            values = column(key)
+            if key == CONCEPT_NAME:
+                self.named = np.asarray([v is not None for v in values], dtype=bool)
+            self.symbols[key] = _intern([MISSING if v is None else v for v in values])
         self._memo: dict = {}
 
     @property
@@ -456,23 +482,33 @@ class InternedLog:
 
     def contexts(self, key: str, n: int) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
         """The n-gram contexts of attribute ``key``: the distinct contexts,
-        each event's context id, and whether each context ends in a value
+        in lexicographic order of their vocabulary ids (BOT last), each
+        event's context id, and whether each context ends in a value
         (contexts ending in MISSING are neither counted nor looked up). The
         context at an event is the last ``n`` values of the attribute, BOT
-        before the trace start."""
+        before the trace start. Windows are told apart by integer keys, one
+        1-D sort per context position."""
         memo = ("contexts", key, n)
         if memo not in self._memo:
             vocabulary, ids = self.symbols[key]
+            base = len(vocabulary) + 1  # values and BOT
             position = np.arange(self.n_events) - np.repeat(self.offsets[:-1], self.lengths)
             window = np.full((self.n_events, n), len(vocabulary), dtype=np.intp)  # BOT
             for lag in range(n):
                 reach = np.flatnonzero(position >= lag)
                 window[reach, n - 1 - lag] = ids[reach - lag]
-            distinct, inverse = np.unique(window, axis=0, return_inverse=True)
+            # each event's rank among the distinct windows, in lexicographic
+            # order: extended by one column at a time and re-ranked, so a key
+            # stays below events * base whatever n is
+            rank = np.zeros(self.n_events, dtype=np.intp)
+            for values in window.T:
+                keys, rank = np.unique(rank * base + values, return_inverse=True)
+            distinct = np.empty((len(keys), n), dtype=np.intp)
+            distinct[rank] = window  # the windows of one rank are equal
             names = vocabulary + (BOT,)
             contexts = [tuple(names[i] for i in row) for row in distinct.tolist()]
             live = np.asarray([c[-1] != MISSING for c in contexts], dtype=bool)
-            self._memo[memo] = (contexts, inverse.reshape(-1), live)
+            self._memo[memo] = (contexts, rank, live)
         return self._memo[memo]
 
     def context_counts(self, key: str, n: int, events: np.ndarray | None = None) -> np.ndarray:

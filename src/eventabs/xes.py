@@ -471,7 +471,9 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
                 dict(pairs), extensions, classifiers, scopes["trace"], scopes["event"], traces
             ))
 
+    declared: list[str | None] = []
     parser = expat.ParserCreate(namespace_separator="}")
+    parser.XmlDeclHandler = lambda version, encoding, standalone: declared.append(encoding)
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     try:
@@ -480,6 +482,13 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
         raise XesParseError(
             f"malformed XML at line {exc.lineno}, column {exc.offset}: {exc}"
         ) from exc
+    except (LookupError, ValueError) as exc:
+        # expat looks up a declared encoding it does not know itself after
+        # the declaration and before the root element; raised anywhere
+        # else, the error is a fault of this module, not of the document
+        if stack or logs or not declared:
+            raise
+        raise XesParseError(f"cannot read the declared encoding {declared[0]!r}: {exc}") from exc
     return logs[0]
 
 

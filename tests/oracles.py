@@ -426,6 +426,27 @@ def lifecycle_durations_reference(traces, steps) -> list[tuple[int, tuple[str, s
     return found
 
 
+def contexts_reference(vocabulary, ids, lengths, n: int):
+    """The n-gram contexts of one interned attribute column (``ids`` into
+    ``vocabulary``, traces of the given lengths in order), as
+    ``InternedLog.contexts`` returns them: each event's window of the last
+    ``n`` ids, BOT (id ``len(vocabulary)``) before the trace start, built
+    trace by trace; the distinct windows by a row-wise ``np.unique``, so in
+    lexicographic order; each event's window index; and whether each
+    context ends in a value rather than MISSING."""
+    bot, windows, start = len(vocabulary), [], 0
+    for length in lengths:
+        for i in range(length):
+            windows.append([ids[start + i - lag] if i >= lag else bot for lag in reversed(range(n))])
+        start += length
+    distinct, inverse = np.unique(
+        np.asarray(windows, dtype=np.intp).reshape(-1, n), axis=0, return_inverse=True
+    )
+    names = tuple(vocabulary) + (BOT,)
+    contexts = [tuple(names[i] for i in row) for row in distinct.tolist()]
+    return contexts, inverse.reshape(-1), np.asarray([c[-1] != MISSING for c in contexts], dtype=bool)
+
+
 def evaluate_observations_reference(catalog, trace, diagnostics=None) -> np.ndarray:
     """One trace's observation matrix, evaluated on its own: n-gram
     contexts re-derived from its events, each table row by the smoothing

@@ -18,11 +18,12 @@ from eventabs.abstraction import (
     fit,
     fit_folds,
     load_model,
+    prune,
     save_model,
     strip_labels,
 )
-from eventabs.crf import fit_group
-from eventabs.features import CatalogConfig, InternedLog
+from eventabs.crf import CrfModel, fit_group, viterbi_decode_many
+from eventabs.features import CatalogConfig, InternedLog, build_catalog, observation_matrix
 from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import (
@@ -39,7 +40,7 @@ from eventabs.xes import (
 )
 
 from factories import make_event, make_log, sequence_trace
-from test_features import _EVENTS, _random_log
+from test_features import _EVENTS, _PAIRED_EVENTS, _random_log
 from test_xes import annotated_household_trace
 
 SMALL_CONFIG = AbstractionConfig(
@@ -162,6 +163,97 @@ class TestAnnotate:
         assert diagnostics
 
 
+# every family a random log can carry: n-grams, a time view, lifecycle durations
+PRUNE_CATALOG = CatalogConfig(ngram_sizes=(1, 2), time_views=("day",), gmm_max_components=2)
+
+
+def _sparse_model(catalog, seed: int, zero_fraction: float = 0.6) -> CrfModel:
+    """A model of the catalog with random weights, most observation weights
+    zero, as L1 leaves them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=catalog.n_features)
+    f_obs = catalog.n_observation_features
+    weights[:f_obs][rng.random(f_obs) < zero_fraction] = 0.0
+    return CrfModel(catalog, weights)
+
+
+def _model_without(catalog, family: str) -> CrfModel:
+    """A model of the catalog with every weight one, except a zero for
+    each feature of the family."""
+    return CrfModel(catalog, np.asarray(
+        [float(d.family != family) for d in catalog.observation_features]
+        + [1.0] * catalog.n_transition_features
+    ))
+
+
+def _whole_model_labels(model: CrfModel, log: EventLog) -> list[list[str]]:
+    """Viterbi over every feature of the model's catalog, nothing pruned."""
+    interned = InternedLog(log.traces)
+    return viterbi_decode_many(
+        model, interned.per_trace(observation_matrix(model.catalog, interned))
+    )
+
+
+def _labels(log: EventLog) -> list[list[str]]:
+    return [[ev.label for ev in trace.events] for trace in log.traces]
+
+
+class TestPrunedDecode:
+    """annotate decodes through the features L1 kept (prune), exactly as
+    the whole model would."""
+
+    @given(
+        st.lists(st.lists(_PAIRED_EVENTS, min_size=1, max_size=6), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_annotate_equals_the_whole_model_decode(self, rows, seed):
+        log = _random_log(rows)
+        model = _sparse_model(build_catalog(log, PRUNE_CATALOG), seed)
+        unlabeled = strip_labels(log)
+        assert _labels(annotate(model, unlabeled)) == _whole_model_labels(model, unlabeled)
+        pruned = prune(model)
+        w_obs, transitions = model.catalog.split(model.weights)
+        assert pruned.catalog.observation_features == tuple(
+            d for d, w in zip(model.catalog.observation_features, w_obs) if w != 0
+        )
+        assert np.array_equal(pruned.catalog.split(pruned.weights)[1], transitions)
+
+    def test_a_model_without_observation_weights_still_annotates(self):
+        log = synthetic_log(10, seed=17)
+        catalog = build_catalog(log, PRUNE_CATALOG)
+        model = _sparse_model(catalog, seed=3, zero_fraction=1.0)
+        assert prune(model).catalog.n_observation_features == 0
+        unlabeled = strip_labels(log)
+        assert _labels(annotate(model, unlabeled)) == _whole_model_labels(model, unlabeled)
+
+    def test_zero_org_weights_drop_the_org_tables(self):
+        log = make_log([
+            [make_event("A", "X", org={"resource": "r1"}), make_event("B", "Y", org={"resource": "r2"})],
+            [make_event("B", "Y", org={"resource": "r2"}), make_event("A", "X")],
+        ])
+        catalog = build_catalog(log, PRUNE_CATALOG)
+        assert catalog.org_tables
+        model = _model_without(catalog, "org_ngram")
+        pruned = prune(model).catalog
+        assert pruned.org_tables == {}
+        assert pruned.concept_tables.keys() == catalog.concept_tables.keys()
+        assert {d.family for d in pruned.observation_features} == {"bias", "concept_ngram"}
+        unlabeled = strip_labels(log)
+        assert _labels(annotate(model, unlabeled)) == _whole_model_labels(model, unlabeled)
+
+    def test_an_untimed_event_is_noted_when_no_time_view_weight_survives(self):
+        catalog = build_catalog(synthetic_log(10, seed=18), PRUNE_CATALOG)
+        model = _model_without(catalog, "time_view")
+        assert catalog.time_models and not prune(model).catalog.time_models
+        diagnostics: list[str] = []
+        annotate(model, make_log([[make_event("MC"), make_event("W")]]), diagnostics)
+        assert diagnostics == [
+            f"trace 'case_0' event {i}: no timestamp, neutral time_view values used"
+            for i in range(2)
+        ]
+
+
 def expected_household_high_level() -> Trace:
     rows = [
         ("2015-11-03T08:45:23Z", "Taking medicine", "start"),
@@ -270,6 +362,19 @@ class TestCollapse:
         assert names(predicted) == names(truth)
 
 
+# Edits of a stored catalog that each break one sub-model's own checks.
+def _scale_a_mixture_weight(catalog: dict) -> None:
+    next(iter(catalog["time_models"]["day"]["gmms"].values()))["weights"][0] *= 1.5
+
+
+def _negate_a_variance(catalog: dict) -> None:
+    next(iter(catalog["time_models"]["day"]["gmms"].values()))["variances"][0] = -1.0
+
+
+def _put_a_number_for_the_tables(catalog: dict) -> None:
+    catalog["concept_tables"] = 2.0
+
+
 class TestPersistence:
     def test_roundtrip_identical_predictions(self, tmp_path):
         log = synthetic_log(20, seed=12)
@@ -313,6 +418,24 @@ class TestPersistence:
         path.write_text('{"something": "else"}')
         with pytest.raises(ModelIOError, match="recognizable"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_scale_a_mixture_weight, "mixture weights must sum to 1"),
+            (_negate_a_variance, "variance below floor"),
+            (_put_a_number_for_the_tables, "AttributeError"),
+        ],
+        ids=lambda value: value.__name__.strip("_") if callable(value) else None,
+    )
+    def test_a_malformed_sub_model_is_a_model_io_error(self, edit, message):
+        model = fit(synthetic_log(8, seed=16), SMALL_CONFIG)
+        buffer = io.StringIO()
+        save_model(model, buffer)
+        payload = json.loads(buffer.getvalue())
+        edit(payload["catalog"])
+        with pytest.raises(ModelIOError, match=f"malformed model payload.*{message}"):
+            load_model(io.StringIO(json.dumps(payload)))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelIOError):

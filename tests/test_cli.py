@@ -156,6 +156,12 @@ class TestBadValues:
         assert result.output.count("Error:") == 1 and message in result.output, result.output
         assert "Traceback" not in result.output
 
+    def test_unreadable_declared_encoding_for_train(self, runner, tmp_path):
+        path = tmp_path / "bogus.xes"
+        path.write_bytes(b"<?xml version='1.0' encoding='bogus'?><log/>")
+        result = runner.invoke(main, ["train", str(path), str(tmp_path / "m.json")])
+        self.assert_error(result, "declared encoding 'bogus'")
+
     def test_bad_ngrams_flag_for_train(self, runner, tmp_path, log_path):
         result = runner.invoke(main, ["train", log_path, str(tmp_path / "m.json"), "--ngrams", "a"])
         self.assert_error(result, "ngrams")
@@ -310,6 +316,19 @@ class TestAnnotate:
         )
         TestBadValues.assert_error(result, "trace 'case_1' event 0 has no timestamp")
         assert not (tmp_path / "c.xes").exists()
+
+
+    def test_a_model_whose_mixture_weights_do_not_sum_to_one_is_an_error_line(
+        self, runner, tmp_path, trained
+    ):
+        config, log_path, model_path, _ = trained
+        payload = json.loads(model_path.read_text())
+        [gmm, *_] = payload["catalog"]["time_models"]["day"]["gmms"].values()
+        gmm["weights"][0] *= 1.5
+        model_path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["annotate", str(model_path), str(log_path), str(tmp_path / "o.xes")])
+        TestBadValues.assert_error(result, "mixture weights must sum to 1")
+        assert not (tmp_path / "o.xes").exists()
 
 
 class TestEvaluate:

@@ -33,6 +33,7 @@ from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
 
 from factories import BASE, make_event, make_log, sequence_trace
 from oracles import (
+    contexts_reference,
     evaluate_observations_reference,
     lifecycle_durations_reference,
     multinoulli_fit_reference,
@@ -732,6 +733,16 @@ _LIFECYCLE_EVENTS = st.tuples(
 )
 
 
+# Events for the n-gram context oracle: a name from the edges of a vocabulary
+# of 5,100 values, or none (MISSING), and a resource or none.
+_WIDE_NAMES = [f"v{i:05d}" for i in range(5_100)]
+_WIDE_TRACE = [make_event(name, "X") for name in _WIDE_NAMES]
+_WINDOW_EVENTS = st.tuples(
+    st.one_of(st.none(), st.sampled_from(_WIDE_NAMES[:3] + _WIDE_NAMES[-3:])),
+    st.sampled_from(["r1", "r2", None]),
+)
+
+
 class TestInternedColumns:
     """InternedLog computes time-view coordinates and lifecycle pairs on its
     columns; the oracles compute them per datetime and per trace."""
@@ -767,6 +778,32 @@ class TestInternedColumns:
         assert keys == tuple(sorted({key for _, key, _ in expected}))
         found = zip(ends.tolist(), [keys[k] for k in key_ids.tolist()], seconds.tolist())
         assert list(found) == expected
+
+
+    @given(
+        st.lists(st.lists(_WINDOW_EVENTS, max_size=7), min_size=1, max_size=5),
+        st.one_of(st.none(), st.integers(0, 5)),
+        st.integers(1, 6),
+        st.sampled_from([CONCEPT_NAME, "org:resource"]),
+    )
+    @example([[(None, None)], [("v05099", "r1")]], 0, 6, CONCEPT_NAME)
+    @settings(max_examples=100, deadline=None)
+    def test_contexts_equal_the_row_wise_oracle(self, rows, wide_at, n, key):
+        traces = [
+            [make_event(name, "X", org=None if resource is None else {"resource": resource})
+             for name, resource in trace_rows]
+            for trace_rows in rows
+        ]
+        if wide_at is not None:  # a vocabulary of over 5,000 values
+            traces.insert(min(wide_at, len(traces)), _WIDE_TRACE)
+        log = InternedLog(make_log(traces).traces)
+        contexts, ids, live = log.contexts(key, n)
+        expected_contexts, expected_ids, expected_live = contexts_reference(
+            *log.symbols[key], log.lengths.tolist(), n
+        )
+        assert contexts == expected_contexts
+        assert ids.tolist() == expected_ids.tolist()
+        assert live.tolist() == expected_live.tolist()
 
 
 class TestCatalogConfig:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import parse_xes_reference, serialize_xes_reference, to_utc_ms_reference
 
-from eventabs import petri
+from eventabs import petri, xes
 from eventabs.xes import (
     CONCEPT_NAME,
     LABEL,
@@ -766,6 +766,28 @@ class TestStreamingParse:
             parse_xes(data)
         with pytest.raises(XesParseError, match="mismatched tag"):
             parse_xes_reference(data)
+
+    @pytest.mark.parametrize(
+        "encoding, reason",
+        [("bogus", "unknown encoding"), ("utf-32", "multi-byte"), ("rot13", "not a text encoding")],
+    )
+    def test_an_unreadable_declared_encoding_is_a_parse_error(self, encoding, reason):
+        data = f"<?xml version='1.0' encoding='{encoding}'?><log/>".encode()
+        with pytest.raises(XesParseError, match=f"declared encoding '{encoding}': .*{reason}"):
+            parse_xes(data)
+
+    def test_a_single_byte_declared_encoding_is_read(self):
+        data = "<?xml version='1.0' encoding='cp1252'?><log><string key='k' value='\u20ac'/></log>"
+        assert parse_xes(data.encode("cp1252")).attributes["k"].value == "\u20ac"
+
+    def test_a_lookup_error_inside_the_document_is_not_read_as_an_encoding(self, monkeypatch):
+        # raised while an element is open, it is a fault of the reader
+        def broken(*args):
+            raise KeyError("reader fault")
+
+        monkeypatch.setattr(xes, "_read_attribute", broken)
+        with pytest.raises(KeyError, match="reader fault"):
+            parse_xes(SIMPLE_DOC)
 
     @pytest.mark.parametrize("xmlns", ["", " xmlns='http://www.xes-standard.org/'"])
     def test_unplaced_attribute_tags_are_skipped_at_every_level(self, xmlns):
