@@ -3,6 +3,7 @@ high-level activity labels on annotated traces, apply it to unannotated
 traces, and collapse the result into a high-level start/complete log.
 """
 
+from .errors import EventabsError, InputError
 from .xes import (
     AttributeValue,
     Event,
@@ -41,6 +42,8 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "EventabsError",
+    "InputError",
     "AttributeValue",
     "Event",
     "EventLog",

@@ -14,6 +14,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .crf import CrfModel, fit_group, fold_batch, viterbi_decode_many
+from .errors import EventabsError, InputError, read_text
 from .features import (
     CatalogConfig,
     FeatureCatalog,
@@ -58,7 +59,7 @@ MODEL_VERSION = 1
 LOCKSTEP_FOLDS = 16
 
 
-class ModelIOError(Exception):
+class ModelIOError(EventabsError):
     """A model file is missing, corrupt, or of an unsupported version."""
 
 
@@ -70,7 +71,7 @@ class AbstractionConfig:
 
     def __post_init__(self) -> None:
         if not 0 <= self.l1_coefficient < np.inf:
-            raise ValueError("l1_coefficient must be non-negative and finite")
+            raise InputError("l1_coefficient must be non-negative and finite")
 
 
 def fit_folds(
@@ -224,19 +225,20 @@ def collapse(annotated: EventLog) -> EventLog:
     The run's label becomes the ``concept:name`` of a "start" event at the
     run's first timestamp and a "complete" event at its last timestamp.
     Runs never merge across trace boundaries. Every input event must carry
-    both a label and a timestamp.
+    both a label and a timestamp; an event without one raises
+    :class:`InputError`.
     """
     values = SharedStrings()
     traces = []
     for trace in annotated.traces:
         for i, event in enumerate(trace.events):
             if event.label is None:
-                raise ValueError(
-                    f"trace {trace.case_id!r} event {i} has no label attribute"
+                raise InputError(
+                    f"cannot collapse: trace {trace.case_id!r} event {i} has no label attribute"
                 )
             if event.timestamp is None:
-                raise ValueError(
-                    f"trace {trace.case_id!r} event {i} has no timestamp"
+                raise InputError(
+                    f"cannot collapse: trace {trace.case_id!r} event {i} has no timestamp"
                 )
         events = []
         run_start = 0
@@ -296,7 +298,7 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
     """
     if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
+            text = read_text(source, ModelIOError)
         except OSError as exc:
             raise ModelIOError(f"cannot read model file: {exc}") from exc
     else:

@@ -3,7 +3,10 @@ convert sensor data, train, annotate, collapse, and evaluate.
 
 Configuration is a plain ``key = value`` file; command-line flags override
 file values. Summaries go to stdout, warnings to stderr, artifacts to
-files. Every command is deterministic given its inputs and seeds.
+files. Every command is deterministic given its inputs and seeds. A
+command that fails on its input, with an ``OSError`` or an error of the
+package's family (:mod:`eventabs.errors`), ends in one ``Error:`` line;
+any other exception is a fault of the program and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, TypeVar
 import click
 
 from . import abstraction, evaluation, petri, xes
+from .errors import EventabsError, read_text
 from .features import CatalogConfig
 from .owlqn import OwlqnConfig
 
@@ -32,7 +36,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -75,20 +79,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _abstraction_config(values: dict[str, str]) -> abstraction.AbstractionConfig:
     defaults = CatalogConfig()
-    try:
-        return abstraction.AbstractionConfig(
-            catalog=CatalogConfig(
-                ngram_sizes=_parsed(values, "ngrams", _parse_ints, defaults.ngram_sizes),
-                time_views=_parsed(values, "views", _words, defaults.time_views),
-                smoothing_alpha=_parsed(values, "alpha", float, defaults.smoothing_alpha),
-                gmm_max_components=_parsed(values, "kmax", int, defaults.gmm_max_components),
-                gmm_seed=_parsed(values, "seed", int, defaults.gmm_seed),
-            ),
-            l1_coefficient=_parsed(values, "l1", float, 0.1),
-            optimizer=OwlqnConfig(max_iterations=_parsed(values, "max_iterations", int, 500)),
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    return abstraction.AbstractionConfig(
+        catalog=CatalogConfig(
+            ngram_sizes=_parsed(values, "ngrams", _parse_ints, defaults.ngram_sizes),
+            time_views=_parsed(values, "views", _words, defaults.time_views),
+            smoothing_alpha=_parsed(values, "alpha", float, defaults.smoothing_alpha),
+            gmm_max_components=_parsed(values, "kmax", int, defaults.gmm_max_components),
+            gmm_seed=_parsed(values, "seed", int, defaults.gmm_seed),
+        ),
+        l1_coefficient=_parsed(values, "l1", float, 0.1),
+        optimizer=OwlqnConfig(max_iterations=_parsed(values, "max_iterations", int, 500)),
+    )
 
 
 def _load_process(values: dict[str, str]) -> petri.HierarchicalProcess:
@@ -104,30 +105,14 @@ def _load_process(values: dict[str, str]) -> petri.HierarchicalProcess:
         raise click.ClickException(
             "process = from-files needs high_net= and subprocesses= entries"
         )
-    try:
-        high = petri.load_net(values["high_net"])
-        submap = {}
-        for entry in values["subprocesses"].split(";"):
-            label, sep, net_path = entry.partition("=")
-            if not sep:
-                raise click.ClickException(
-                    f"bad subprocesses entry {entry!r}; expected 'label=path'"
-                )
-            submap[label.strip()] = petri.load_net(net_path.strip())
-        return petri.HierarchicalProcess(high, submap)
-    except (OSError, petri.PetriNetError) as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
-def _write(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
-
-
-def _load_log(path: str) -> xes.EventLog:
-    try:
-        return xes.parse_xes(Path(path))
-    except (OSError, xes.XesError) as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
+    high = petri.load_net(values["high_net"])
+    submap = {}
+    for entry in values["subprocesses"].split(";"):
+        label, sep, net_path = entry.partition("=")
+        if not sep:
+            raise click.ClickException(f"bad subprocesses entry {entry!r}; expected 'label=path'")
+        submap[label.strip()] = petri.load_net(net_path.strip())
+    return petri.HierarchicalProcess(high, submap)
 
 
 def _emit_diagnostics(diagnostics: tuple[str, ...] | list[str]) -> None:
@@ -135,7 +120,19 @@ def _emit_diagnostics(diagnostics: tuple[str, ...] | list[str]) -> None:
         click.echo(f"warning: {message}", err=True)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group, and the one place that turns an error of the
+    package's family, or an ``OSError`` such as a missing output
+    directory, into an ``Error:`` line."""
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except (OSError, EventabsError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Supervised abstraction of low-level event logs."""
 
@@ -148,18 +145,14 @@ def main() -> None:
 def generate(config_path: str | None, output: str, traces: int | None, seed: int | None) -> None:
     """Generate an annotated low-level XES log from a hierarchical process."""
     values = _merged(config_path, traces=traces, seed=seed)
-    proc = _load_process(values)
-    try:
-        log = petri.generate_annotated_log(
-            proc,
-            num_traces=_parsed(values, "traces", int, 100),
-            seed=_parsed(values, "seed", int, 0),
-            timestamp_model=petri.ExponentialDelays(_parsed(values, "delay_mean", float, 60.0)),
-            stop_probability=_parsed(values, "stop_probability", float, 0.5),
-        )
-    except petri.PetriNetError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _write(output, xes.serialize_xes(log))
+    log = petri.generate_annotated_log(
+        _load_process(values),
+        num_traces=_parsed(values, "traces", int, 100),
+        seed=_parsed(values, "seed", int, 0),
+        timestamp_model=petri.ExponentialDelays(_parsed(values, "delay_mean", float, 60.0)),
+        stop_probability=_parsed(values, "stop_probability", float, 0.5),
+    )
+    Path(output).write_bytes(xes.serialize_xes(log))
     click.echo(f"wrote {len(log.traces)} traces, {log.event_count()} events to {output}")
 
 
@@ -175,13 +168,9 @@ def convert(sensor_csv: str, output: str, day_boundary: str) -> None:
     except ValueError as exc:
         raise click.ClickException(f"bad day boundary {day_boundary!r}") from exc
     diagnostics: list[str] = []
-    try:
-        series = xes.read_sensor_csv(sensor_csv)
-        log = xes.sensor_series_to_log(series, boundary, diagnostics)
-    except xes.XesError as exc:
-        raise click.ClickException(str(exc)) from exc
+    log = xes.sensor_series_to_log(xes.read_sensor_csv(sensor_csv), boundary, diagnostics)
     _emit_diagnostics(diagnostics)
-    _write(output, xes.serialize_xes(log))
+    Path(output).write_bytes(xes.serialize_xes(log))
     click.echo(f"wrote {len(log.traces)} traces, {log.event_count()} events to {output}")
 
 
@@ -198,13 +187,8 @@ def train(log_path: str, model_path: str, config_path: str | None,
     """Train an abstraction model on a fully annotated XES log."""
     values = _merged(config_path, l1=l1, ngrams=ngrams, kmax=kmax, seed=seed)
     config = _abstraction_config(values)
-    log = _load_log(log_path)
-    from .features import TrainingError
-
-    try:
-        model = abstraction.fit(log, config)
-    except TrainingError as exc:
-        raise click.ClickException(str(exc)) from exc
+    log = xes.parse_xes(log_path)
+    model = abstraction.fit(log, config)
     _emit_diagnostics(model.catalog.notes)
     abstraction.save_model(model, model_path)
     total = len(model.weights)
@@ -227,19 +211,12 @@ def train(log_path: str, model_path: str, config_path: str | None,
               help="Write the collapsed high-level start/complete log.")
 def annotate(model_path: str, log_path: str, output: str, do_collapse: bool) -> None:
     """Annotate a low-level XES log with predicted high-level labels."""
-    try:
-        model = abstraction.load_model(model_path)
-    except abstraction.ModelIOError as exc:
-        raise click.ClickException(str(exc)) from exc
-    log = _load_log(log_path)
+    model = abstraction.load_model(model_path)
     diagnostics: list[str] = []
-    annotated = abstraction.annotate(model, log, diagnostics)
-    try:
-        result = abstraction.collapse(annotated) if do_collapse else annotated
-    except ValueError as exc:
-        raise click.ClickException(f"{log_path}: cannot collapse: {exc}") from exc
+    annotated = abstraction.annotate(model, xes.parse_xes(log_path), diagnostics)
+    result = abstraction.collapse(annotated) if do_collapse else annotated
     _emit_diagnostics(diagnostics)
-    _write(output, xes.serialize_xes(result))
+    Path(output).write_bytes(xes.serialize_xes(result))
     click.echo(f"wrote {len(result.traces)} traces, {result.event_count()} events to {output}")
 
 
@@ -267,26 +244,20 @@ def evaluate(log_path: str, protocol: str, folds: int | None, seed: int | None,
         config_path, l1=l1, ngrams=ngrams, kmax=kmax, folds=folds,
         similarity_mode=similarity_mode,
     )
-    try:
-        config = evaluation.EvalConfig(
-            abstraction=_abstraction_config(values),
-            similarity_on=values.get("similarity_mode", "events"),
+    config = evaluation.EvalConfig(
+        abstraction=_abstraction_config(values),
+        similarity_on=values.get("similarity_mode", "events"),
+    )
+    log = xes.parse_xes(log_path)
+    if protocol == "loocv":
+        report = evaluation.leave_one_trace_out(log, config)
+    else:
+        report = evaluation.k_fold(
+            log,
+            k=_parsed(values, "folds", int, 10),
+            seed=_parsed(values, "seed", int, 0) if seed is None else seed,
+            config=config,
         )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    log = _load_log(log_path)
-    try:
-        if protocol == "loocv":
-            report = evaluation.leave_one_trace_out(log, config)
-        else:
-            report = evaluation.k_fold(
-                log,
-                k=_parsed(values, "folds", int, 10),
-                seed=_parsed(values, "seed", int, 0) if seed is None else seed,
-                config=config,
-            )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
     _emit_diagnostics(report.diagnostics)
     if report_path is not None:
         Path(report_path).write_text(report.to_json())

@@ -46,6 +46,7 @@ import numpy as np
 
 from .abstraction import AbstractionConfig, fit_folds
 from .crf import CrfModel, viterbi_decode_many
+from .errors import InputError
 from .features import InternedLog, neutral_time_notes
 from .xes import EventLog
 
@@ -270,11 +271,11 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         if self.similarity_on not in ("events", "runs"):
-            raise ValueError("similarity_on must be 'events' or 'runs'")
+            raise InputError("similarity_on must be 'events' or 'runs'")
         # isinstance counts a bool as an int; True is no worker count
         n_jobs = self.n_jobs
         if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
-            raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
+            raise InputError(f"n_jobs must be a positive integer, got {n_jobs!r}")
 
 
 _FoldOutcome = tuple[list[list[str]], list[str], FoldRecord]
@@ -320,7 +321,7 @@ def _evaluate_folds(
     interned = InternedLog(log.traces)
     unlabeled = np.flatnonzero(interned.label_ids < 0)
     if len(unlabeled):
-        raise ValueError(f"{interned.describe(int(unlabeled[0]))} has no ground-truth label")
+        raise InputError(f"{interned.describe(int(unlabeled[0]))} has no ground-truth label")
     names = np.asarray(interned.labels, dtype=object)
     truth = [names[ids].tolist() for ids in interned.per_trace(interned.label_ids)]
     start, _ = next(fit_folds(interned, [()], config.abstraction))
@@ -389,7 +390,7 @@ def leave_one_trace_out(log: EventLog, config: EvalConfig = EvalConfig()) -> Abs
     """For each trace: train on all others, predict it with labels
     stripped, and score against the ground truth."""
     if len(log.traces) < 2:
-        raise ValueError("leave-one-trace-out needs at least 2 annotated traces")
+        raise InputError("leave-one-trace-out needs at least 2 annotated traces")
     folds = [[i] for i in range(len(log.traces))]
     return _evaluate_folds(log, folds, config)
 
@@ -401,9 +402,9 @@ def k_fold(
     train on the rest and predict the fold."""
     n = len(log.traces)
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"k must be an integer at least 2, got {k!r}")
+        raise InputError(f"k must be an integer at least 2, got {k!r}")
     if k > n:
-        raise ValueError(f"k={k} exceeds the number of traces ({n})")
+        raise InputError(f"k={k} exceeds the number of traces ({n})")
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
     folds = [[int(i) for i in part] for part in np.array_split(indices, k)]

@@ -55,6 +55,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .errors import EventabsError, InputError
 from .stats import (
     Gmm,
     MultinoulliTable,
@@ -91,7 +92,7 @@ ORG_KINDS = ("resource", "role", "group")
 _LIFECYCLE_CHAIN = ("schedule", "assign", "start", "suspend", "resume", "complete")
 
 
-class TrainingError(Exception):
+class TrainingError(EventabsError):
     """The training input violates the annotation contract."""
 
 
@@ -106,17 +107,17 @@ class CatalogConfig:
     def __post_init__(self) -> None:
         # isinstance counts a bool as an int; True is no size or count
         if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in self.ngram_sizes):
-            raise ValueError(f"n-gram sizes must be positive integers, got {self.ngram_sizes!r}")
+            raise InputError(f"n-gram sizes must be positive integers, got {self.ngram_sizes!r}")
         unknown = set(self.time_views) - set(TIME_VIEWS)
         if unknown:
-            raise ValueError(f"unknown time views: {sorted(unknown)}")
+            raise InputError(f"unknown time views: {sorted(unknown)}")
         if not 0 <= self.smoothing_alpha < np.inf:
-            raise ValueError(
+            raise InputError(
                 f"smoothing alpha must be non-negative and finite, got {self.smoothing_alpha!r}"
             )
         k = self.gmm_max_components
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"gmm_max_components must be a positive integer, got {k!r}")
+            raise InputError(f"gmm_max_components must be a positive integer, got {k!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -162,7 +163,7 @@ class FeatureDef:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureDef":
-        return cls(**data)
+        return cls(**{**data, "n": int(data.get("n", 0))})
 
 
 @dataclass(frozen=True)
@@ -200,11 +201,13 @@ class LabelGmmBank:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LabelGmmBank":
-        return cls(
-            labels=tuple(data["labels"]),
-            gmms={l: Gmm.from_dict(g) for l, g in data["gmms"].items()},
-            log_priors=dict(data["log_priors"]),
-        )
+        """The bank written by :meth:`to_dict`. Raises ``ValueError`` for a
+        mixture without a finite log prior."""
+        gmms = {l: Gmm.from_dict(g) for l, g in data["gmms"].items()}
+        log_priors = {l: float(p) for l, p in data["log_priors"].items()}
+        if not all(np.isfinite(log_priors.get(l, np.nan)) for l in gmms):
+            raise ValueError("a mixture lacks a finite log prior")
+        return cls(labels=tuple(data["labels"]), gmms=gmms, log_priors=log_priors)
 
 
 @dataclass
@@ -235,6 +238,15 @@ class FeatureCatalog:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels in alphabet")
         self.label_index = {l: i for i, l in enumerate(self.labels)}
+        for part in (
+            *self.concept_tables.values(), *self.org_tables.values(),
+            *self.time_models.values(), *self.duration_models.values(),
+        ):
+            if part.labels != self.labels:
+                raise ValueError(f"a table or bank is over labels {part.labels}, not the catalog's")
+        ngrams = [*self.concept_tables.items(), *((n, t) for (n, _), t in self.org_tables.items())]
+        if any(table.arity != n for n, table in ngrams):
+            raise ValueError("an n-gram table's arity is not its n")
         steps = {step for _, step in self.duration_models}
         for d in self.observation_features:
             if d.label not in self.label_index:

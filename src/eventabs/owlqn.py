@@ -48,6 +48,8 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
+from .errors import EventabsError, InputError
+
 __all__ = [
     "OwlqnConfig",
     "OwlqnResult",
@@ -63,7 +65,7 @@ GroupObjective = Callable[[list[int], list[np.ndarray]], list[tuple[float, np.nd
 Run = Generator[np.ndarray, tuple[float, np.ndarray], tuple[np.ndarray, "OwlqnResult"]]
 
 
-class OptimizationError(Exception):
+class OptimizationError(EventabsError):
     """The objective produced a non-finite value or gradient at the start
     point."""
 
@@ -90,9 +92,9 @@ class OwlqnConfig:
         # isinstance counts a bool as an int; True is no iteration cap
         cap = self.max_iterations
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ValueError(f"max_iterations must be a positive integer, got {cap!r}")
+            raise InputError(f"max_iterations must be a positive integer, got {cap!r}")
         if not 0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+            raise InputError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass

@@ -26,6 +26,7 @@ therefore fixes every generated log byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -33,6 +34,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .errors import EventabsError, read_text
 from .xes import (
     CONCEPT_NAME,
     LABEL,
@@ -64,7 +66,7 @@ __all__ = [
 ]
 
 
-class PetriNetError(Exception):
+class PetriNetError(EventabsError):
     """Base class for Petri net errors."""
 
 
@@ -363,8 +365,8 @@ class ExponentialDelays:
     mean_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if not self.mean_seconds > 0:
-            raise ProcessConfigError(f"mean delay {self.mean_seconds} is not positive")
+        if not 0 < self.mean_seconds < math.inf:
+            raise ProcessConfigError(f"mean delay {self.mean_seconds} is not positive and finite")
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean_seconds)
@@ -388,7 +390,8 @@ def generate_annotated_log(
     its high-level activity as ``label``, and a monotone timestamp drawn
     from the delay model. Trace ``i`` starts ``i`` days after a fixed
     epoch. Each playout stops at a final marking with ``stop_probability``,
-    which must lie in [0, 1], and fails as :func:`random_playout` does.
+    which must lie in [0, 1], and fails as :func:`random_playout` does. A
+    timestamp past the year 9999 raises :class:`ProcessConfigError`.
     Fully reproducible from the seed.
     """
     if num_traces <= 0:
@@ -410,7 +413,13 @@ def generate_annotated_log(
             if subnet is None:
                 raise ProcessConfigError(f"no subprocess for label {high_label!r}")
             for low_label in _playout(subnet, rng, stop_probability, memos[high_label]):
-                clock = clock + timedelta(seconds=delays.sample(rng))
+                try:
+                    clock = clock + timedelta(seconds=delays.sample(rng))
+                except OverflowError as exc:
+                    raise ProcessConfigError(
+                        f"timestamps run past the year 9999 at a mean delay of "
+                        f"{delays.mean_seconds} s"
+                    ) from exc
                 events.append(Event({
                     CONCEPT_NAME: values[low_label],
                     TIME_TIMESTAMP: AttributeValue.date(clock),
@@ -576,4 +585,4 @@ def parse_net(text: str) -> LabeledPetriNet:
 
 
 def load_net(path: str | Path) -> LabeledPetriNet:
-    return parse_net(Path(path).read_text())
+    return parse_net(read_text(path, NetFormatError))

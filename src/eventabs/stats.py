@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import EventabsError
+
 __all__ = [
     "EstimationError",
     "MultinoulliTable",
@@ -40,7 +42,7 @@ EM_MAX_ITERATIONS = 200
 EM_TOLERANCE = 1e-8
 
 
-class EstimationError(Exception):
+class EstimationError(EventabsError):
     """An estimator received data it cannot be fitted on."""
 
 
@@ -116,8 +118,12 @@ class MultinoulliTable:
     def from_dict(cls, data: dict) -> "MultinoulliTable":
         """The table written by :meth:`to_dict`. Raises ``ValueError`` for a
         count that is not a non-negative integer or that names a label
-        outside the table's labels, and for a context listed twice or of a
-        length other than the arity."""
+        outside the table's labels, for a context listed twice or of a
+        length other than the arity, and for an alpha that is negative or
+        not finite."""
+        arity, alpha = int(data["arity"]), float(data["alpha"])
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha {alpha!r} is not non-negative and finite")
         labels = tuple(data["labels"])
         column = {l: j for j, l in enumerate(labels)}
         counts = np.zeros((len(data["counts"]), len(labels)), dtype=np.int64)
@@ -129,9 +135,9 @@ class MultinoulliTable:
                     raise ValueError(f"context {ctx}: count {c!r} is not a non-negative integer")
                 row[column[label]] = c
         contexts = tuple(tuple(ctx) for ctx, _ in data["counts"])
-        if len(set(contexts)) < len(contexts) or {len(c) for c in contexts} - {data["arity"]}:
-            raise ValueError(f"contexts are not distinct and of length {data['arity']}")
-        return cls(data["arity"], labels, data["alpha"], contexts, counts)
+        if len(set(contexts)) < len(contexts) or {len(c) for c in contexts} - {arity}:
+            raise ValueError(f"contexts are not distinct and of length {arity}")
+        return cls(arity, labels, alpha, contexts, counts)
 
 
 @dataclass(frozen=True)
@@ -153,12 +159,17 @@ class Gmm:
         k = len(self.weights)
         if k == 0 or len(self.means) != k or len(self.variances) != k:
             raise EstimationError("mixture parameter lengths disagree")
-        if any(w <= 0 for w in self.weights):
+        # written so that a NaN fails each test
+        if not all(w > 0 for w in self.weights):
             raise EstimationError("mixture weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise EstimationError("mixture weights must sum to 1")
-        if any(v < self.variance_floor * (1 - 1e-12) for v in self.variances):
-            raise EstimationError("variance below floor")
+        if not all(math.isfinite(m) for m in self.means):
+            raise EstimationError("mixture means must be finite")
+        if not 0 < self.variance_floor < math.inf:
+            raise EstimationError("variance floor must be positive and finite")
+        if not all(self.variance_floor * (1 - 1e-12) <= v < math.inf for v in self.variances):
+            raise EstimationError("variance below floor or infinite")
 
     @property
     def n_components(self) -> int:
@@ -175,10 +186,10 @@ class Gmm:
     @classmethod
     def from_dict(cls, data: dict) -> "Gmm":
         return cls(
-            weights=tuple(data["weights"]),
-            means=tuple(data["means"]),
-            variances=tuple(data["variances"]),
-            variance_floor=data["variance_floor"],
+            weights=tuple(float(w) for w in data["weights"]),
+            means=tuple(float(m) for m in data["means"]),
+            variances=tuple(float(v) for v in data["variances"]),
+            variance_floor=float(data["variance_floor"]),
         )
 
 
@@ -248,7 +259,8 @@ def _em_group(
     for f, (xs, seed) in enumerate(zip(sample_sets, seeds)):
         sample_var = float(np.var(xs))
         floor_of[f] = max(1e-6 * sample_var, 1e-9)
-        means[:, f] = _kmeanspp_centers(xs, k, np.random.default_rng(seed))
+        # a seed is any integer; numpy's generators take non-negative ones
+        means[:, f] = _kmeanspp_centers(xs, k, np.random.default_rng(seed % 2**64))
         variances[:, f] = max(sample_var, floor_of[f])
     weights = np.full((k, n_fits), 1.0 / k)
 

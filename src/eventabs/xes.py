@@ -40,6 +40,8 @@ from pathlib import Path
 from typing import IO
 from xml.parsers import expat
 
+from .errors import EventabsError, read_text
+
 __all__ = [
     "CONCEPT_NAME",
     "TIME_TIMESTAMP",
@@ -99,7 +101,7 @@ _STANDARD_EXTENSIONS = {
 }
 
 
-class XesError(Exception):
+class XesError(EventabsError):
     """Base class for event log model errors."""
 
 
@@ -403,11 +405,15 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
     The document is read in one pass, so of several faults the first in
     document order is raised: a bad value before malformed XML raises
     :class:`XesValueError`, and a root other than ``<log>`` is refused
-    before anything after its start tag is read.
+    before anything after its start tag is read. The message of an error
+    in a file read from a path starts with that path.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
-            return parse_xes(stream)
+            try:
+                return parse_xes(stream)
+            except XesError as exc:
+                raise type(exc)(f"{source}: {exc}") from exc
     # (tag, raw key, raw value) -> (key, value) of a childless non-date attribute
     shared: dict[tuple[str, str, str], tuple[str, AttributeValue]] = {}
     extensions: set[str] = set()
@@ -696,17 +702,17 @@ def read_sensor_csv(source: str | Path | IO[str]) -> dict[str, list[tuple[dateti
     """Read a sensor series CSV with columns sensor,timestamp,value.
 
     Rows may arrive in any order; each sensor's series is sorted by
-    timestamp before alternation is checked downstream.
+    timestamp before alternation is checked downstream. A file that is not
+    UTF-8 or not CSV, and a row that lacks a column or holds a bad
+    timestamp or value, raise :class:`SensorSeriesError`.
     """
     if isinstance(source, (str, Path)):
-        fh: IO[str] = open(source, newline="")
-        close = True
-    else:
-        fh, close = source, False
+        source = io.StringIO(read_text(source, SensorSeriesError), newline="")
     series: dict[str, list[tuple[datetime, int]]] = {}
+    # a short row's missing columns read as empty, which no value parses from
+    reader = csv.DictReader(source, restval="")
+    required = {"sensor", "timestamp", "value"}
     try:
-        reader = csv.DictReader(fh)
-        required = {"sensor", "timestamp", "value"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise SensorSeriesError(
                 "CSV header must declare columns sensor,timestamp,value"
@@ -715,12 +721,11 @@ def read_sensor_csv(source: str | Path | IO[str]) -> dict[str, list[tuple[dateti
             try:
                 ts = parse_timestamp(row["timestamp"])
                 value = int(row["value"])
-            except (XesValueError, TypeError, ValueError) as exc:
+            except (XesValueError, ValueError) as exc:
                 raise SensorSeriesError(f"CSV row {row_number}: {exc}") from exc
             series.setdefault(row["sensor"], []).append((ts, value))
-    finally:
-        if close:
-            fh.close()
+    except csv.Error as exc:
+        raise SensorSeriesError(f"unreadable CSV: {exc}") from exc
     for sensor in series:
         series[sensor].sort(key=lambda pair: pair[0])
     return series

@@ -375,6 +375,18 @@ def _put_a_number_for_the_tables(catalog: dict) -> None:
     catalog["concept_tables"] = 2.0
 
 
+def _put_a_string_for_an_alpha(catalog: dict) -> None:
+    catalog["concept_tables"]["1"]["alpha"] = "x"
+
+
+def _put_a_list_for_a_mixture_mean(catalog: dict) -> None:
+    next(iter(catalog["time_models"]["day"]["gmms"].values()))["means"][0] = [1.0]
+
+
+def _put_a_dict_for_a_bank_label(catalog: dict) -> None:
+    catalog["time_models"]["day"]["labels"][0] = {"a": 1}
+
+
 class TestPersistence:
     def test_roundtrip_identical_predictions(self, tmp_path):
         log = synthetic_log(20, seed=12)
@@ -425,6 +437,9 @@ class TestPersistence:
             (_scale_a_mixture_weight, "mixture weights must sum to 1"),
             (_negate_a_variance, "variance below floor"),
             (_put_a_number_for_the_tables, "AttributeError"),
+            (_put_a_string_for_an_alpha, "could not convert string to float: 'x'"),
+            (_put_a_list_for_a_mixture_mean, "TypeError"),
+            (_put_a_dict_for_a_bank_label, "not the catalog's"),
         ],
         ids=lambda value: value.__name__.strip("_") if callable(value) else None,
     )

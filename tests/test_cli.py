@@ -1,13 +1,17 @@
 """End-to-end command-line pipeline runs."""
 
 import json
+import random
 import re
 
 import pytest
 from click.testing import CliRunner
 
-from eventabs import abstraction, evaluation
+from eventabs import abstraction, evaluation, petri
 from eventabs.cli import main
+from eventabs.errors import EventabsError
+from eventabs.features import CatalogConfig
+from eventabs.owlqn import OwlqnConfig
 from eventabs.xes import parse_xes, serialize_xes, EventLog
 
 from factories import make_log, sequence_trace
@@ -28,6 +32,13 @@ kmax = 2
 l1 = 0.1
 max_iterations = 60
 """
+
+
+# one n-gram size, no time views, one mixture component: a fit in milliseconds
+TINY_CONFIG = abstraction.AbstractionConfig(
+    catalog=CatalogConfig(ngram_sizes=(1,), time_views=(), gmm_max_components=1),
+    optimizer=OwlqnConfig(max_iterations=20),
+)
 
 
 def write_config(tmp_path, text=FAST_CONFIG):
@@ -225,6 +236,32 @@ class TestBadValues:
         self.assert_error(result, "line 2: place 'p' is already declared on line 1")
         assert not (tmp_path / "x.xes").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["generate", "--traces", "2", "-o", "{tmp}/missing/g.xes"], "No such file or directory"),
+        (["train", "{log}", "{tmp}/missing/m.json", "--ngrams", "1"], "No such file or directory"),
+        (["annotate", "{model}", "{log}", "{tmp}/missing/a.xes"], "No such file or directory"),
+        (["evaluate", "{log}", "--protocol", "loocv", "--ngrams", "1", "--kmax", "1",
+          "--report", "{tmp}/missing/r.json"], "No such file or directory"),
+        (["train", "{log}", "{tmp}/m.json", "--config", "{tmp}"], "Is a directory"),
+        (["train", "{log}", "{tmp}/m.json", "--config", "{tmp}/latin1.cfg"],
+         "latin1.cfg:2: not UTF-8 text"),
+        (["convert", "{tmp}", "{tmp}/s.xes"], "Is a directory"),
+        (["convert", "{tmp}/latin1.csv", "{tmp}/s.xes"], "latin1.csv:3: not UTF-8 text"),
+    ])
+    def test_an_unusable_path_is_an_error_line(self, runner, tmp_path, args, message):
+        log = make_log([sequence_trace([("A", "X"), ("B", "Y")]),
+                        sequence_trace([("B", "Y"), ("A", "X")])])
+        (tmp_path / "g.xes").write_bytes(serialize_xes(log))
+        abstraction.save_model(abstraction.fit(log, TINY_CONFIG), tmp_path / "model.json")
+        (tmp_path / "latin1.cfg").write_bytes("# settings\nviews = d\xe9j\xe0\n".encode("latin-1"))
+        (tmp_path / "latin1.csv").write_bytes(
+            "sensor,timestamp,value\ndoor,2015-11-03T08:00:00Z,1\nd\xf6r,2015-11-03T08:05:00Z,1\n"
+            .encode("latin-1")
+        )
+        paths = {"tmp": tmp_path, "log": tmp_path / "g.xes", "model": tmp_path / "model.json"}
+        result = runner.invoke(main, [arg.format(**paths) for arg in args])
+        self.assert_error(result, message)
+
 
 class TestTrain:
     def test_summary_reports_sparsity(self, trained):
@@ -379,7 +416,7 @@ class TestEvaluate:
 
         def capture(log, k, seed, config):
             calls.append((seed, config.abstraction.catalog.gmm_seed))
-            raise ValueError("captured")
+            raise EventabsError("captured")
 
         monkeypatch.setattr(evaluation, "k_fold", capture)
         for extra in ([], ["--seed", "5"]):
@@ -430,3 +467,269 @@ class TestEvaluate:
         )
         assert result.exit_code == 0, result.output
         assert len(json.loads(report_path.read_text())["per_trace"]) == 2
+
+
+
+def _mutated(rng: random.Random, data: bytes, tokens: list[bytes]) -> bytes:
+    """``data`` after one to three byte-level edits: a short span deleted,
+    repeated, or replaced by one of ``tokens``, or a token inserted."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(out) + 1)
+        span = slice(i, i + rng.randint(1, 12))
+        edit = rng.randrange(4)
+        if edit == 0:
+            del out[span]
+        elif edit == 1:
+            out[i:i] = out[span]
+        elif edit == 2:
+            out[span] = rng.choice(tokens)
+        else:
+            out[i:i] = rng.choice(tokens)
+    return bytes(out)
+
+
+def _lines_edited(rng: random.Random, data: bytes, fields: bytes, values: list[bytes]) -> bytes:
+    """``data`` after one to three line-level edits: a line deleted or
+    repeated elsewhere, or the first match of the regular expression
+    ``fields`` on a line replaced by one of ``values``."""
+    lines = data.split(b"\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(i, rng.choice(lines))
+        else:
+            lines[i] = re.sub(fields, rng.choice(values), lines[i], count=1)
+        if not lines:
+            lines = [b""]
+    return b"\n".join(lines)
+
+
+XES_TOKENS = [
+    b"<", b">", b"/>", b'"', b"'", b"&", b"\x00", b"\xff", b"9", b"-",
+    b"<event>", b"</event>", b"<trace>", b"</trace>", b"<log>",
+    b'<string key="label" value="L"/>', b'<int key="n" value="x"/>',
+    b'<list key="l"><values>', b"</values></list>",
+    b"<?xml version='1.0' encoding='latin-1'?>",
+]
+XES_VALUES = [
+    b'value=""', b'value="x"', b'value="-1"', b'value="1e308"', b'value="nan"',
+    b'value="start"', b'value="complete"', b'value="Eating"',
+    b'value="9999-12-31T23:59:59.999+00:00"', b'value="0001-01-01T00:00:00-14:00"',
+    b'value="2015-11-03T08:00:00+14:00"', b'value="2015-02-30T00:00:00"',
+    b'key="org:resource"', b'key="lifecycle:transition"', b'key="label"',
+    b'key="time:timestamp"', b'key="concept:name"',
+]
+# stand-ins for one value of a model file: other types, and non-finite and
+# extreme numbers
+MODEL_VALUES = [
+    "x", "", 1.5, -1.0, 0, 2, -3, None, True, [], {}, [1.0], ["a"], {"a": 1},
+    10**30, 1e308, -1e308, 1e-300, float("nan"), float("inf"), -float("inf"),
+]
+CONFIG_VALUES = {
+    "traces": ["2", "0", "-1", "x", "3.5"],
+    "seed": ["1", "-4", "x", ""],
+    "delay_mean": ["60", "0", "-1", "1e300", "nan", "inf", "x"],
+    "stop_probability": ["0.5", "1", "0", "2", "nan", "x"],
+    "l1": ["0.1", "0", "-1", "inf", "nan", "x"],
+    "ngrams": ["1", "1,2", "0", "a", "", "1 1"],
+    "kmax": ["1", "2", "0", "-2", "1.5"],
+    "alpha": ["1", "0", "-1", "nan", "inf", "x"],
+    "views": ["day", "week month", "bogus", "", "day day"],
+    "folds": ["2", "0", "x"],
+    "similarity_mode": ["events", "runs", "x"],
+    "max_iterations": ["1", "3", "0", "-5", "x"],
+    "process": ["medicine-eating", "from-files", "x"],
+    "high_net": ["absent.net", "."],
+    "subprocesses": ["A=absent.net", "x", ""],
+}
+# the settings every fuzzed config starts from, so that a run takes milliseconds
+FUZZ_BASE_CONFIG = "traces = 2\nngrams = 1\nviews = day\nkmax = 1\nmax_iterations = 5\n"
+HIGH_NET = b"place h0 init=1\nplace h1\ntransition t label=Step\narc h0 t\narc t h1\nfinal h1\n"
+SUB_NET = (b"place s0 init=1\nplace s1\ntransition u label=leaf\ntransition v\n"
+           b"arc s0 u\narc u s1\narc s1 v\narc v s0\nfinal s1\n")
+NET_TOKENS = [
+    b"place", b"transition", b"arc", b"final", b"init=", b"init=2", b"init=-1", b"label=",
+    b"label=Step", b"s1*2", b"s1*0", b"h0", b"h1", b"s0", b"t", b"u", b"x", b"#", b"=", b"\xff",
+]
+
+SENSOR_CSV = (
+    "sensor,timestamp,value\n"
+    "door,2015-11-03T08:00:00Z,1\ndoor,2015-11-03T08:05:00.250+01:00,0\n"
+    "tap,2015-11-04T03:59:00Z,1\ntap,2015-11-04T04:01:00Z,0\ndoor,2015-11-04T09:00:00,1\n"
+)
+CSV_FIELDS = [
+    b"", b"0", b"1", b"2", b"-1", b"door", b'"a,b"', b"2015-11-03T08:00:00Z",
+    b"9999-12-31T23:59:59-14:00", b"0001-01-01T00:00:00+14:00", b"2015-11-04T03:59:59.9999999",
+]
+
+
+def _model_edit(rng: random.Random, payload: dict) -> None:
+    """One random edit of a parsed model file, in place: a value replaced
+    by one of ``MODEL_VALUES``, a key or item deleted, or an item repeated
+    or wrapped in a list."""
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        if isinstance(node, (dict, list)):
+            for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(child, path + (key,))
+
+    walk(payload, ())
+    *parents, key = rng.choice(paths[1:])
+    node = payload
+    for step in parents:
+        node = node[step]
+    edit = rng.randrange(4)
+    if edit == 0:
+        node[key] = rng.choice(MODEL_VALUES)
+    elif edit == 1:
+        del node[key]
+    elif edit == 2 and isinstance(node, list):
+        node.insert(key, node[key])
+    else:
+        node[key] = [node[key]]
+
+
+class TestErrorBoundary:
+    """A seeded fuzz of the command line's one error boundary: every run on
+    mutated XES bytes, model files, config files and net files ends with
+    exit 0 or in exactly one ``Error:`` line, with no exception other than
+    ``SystemExit``. A fault of the program keeps its traceback."""
+
+    CASES = 300
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        log = petri.generate_annotated_log(petri.medicine_eating_process(), 3, seed=5)
+        (root / "g.xes").write_bytes(serialize_xes(log))
+        model = abstraction.fit(log, abstraction.AbstractionConfig(
+            catalog=CatalogConfig(ngram_sizes=(1, 2), gmm_max_components=2),
+            optimizer=OwlqnConfig(max_iterations=30),
+        ))
+        abstraction.save_model(model, root / "model.json")
+        (root / "base.cfg").write_text(FUZZ_BASE_CONFIG)
+        return root
+
+    @staticmethod
+    def held(result) -> bool:
+        if result.exception is None:
+            return result.exit_code == 0
+        return (isinstance(result.exception, SystemExit)
+                and result.output.count("Error:") == 1 and "Traceback" not in result.output)
+
+    def fuzz(self, runner, seed, case):
+        """Run ``case(rng, i)`` for each case number ``i``; it writes its
+        inputs and returns the command line. Returns the cases whose
+        outcome broke the boundary, with their exception."""
+        rng = random.Random(seed)
+        broken = []
+        for i in range(self.CASES):
+            result = runner.invoke(main, [str(arg) for arg in case(rng, i)])
+            if not self.held(result):
+                broken.append((i, repr(result.exception), result.output[-300:]))
+        return broken
+
+    def test_mutated_xes(self, runner, files):
+        data = (files / "g.xes").read_bytes()
+
+        def case(rng, i):
+            if i % 2:
+                mutated = _lines_edited(rng, data, rb'(key|value)="[^"]*"', XES_VALUES)
+            else:
+                mutated = _mutated(rng, data, XES_TOKENS)
+            (files / "x.xes").write_bytes(mutated)
+            base = ["--config", files / "base.cfg"]
+            return [
+                ["train", files / "x.xes", files / "o.json", *base],
+                ["annotate", files / "model.json", files / "x.xes", files / "o.xes"],
+                ["annotate", files / "model.json", files / "x.xes", files / "o.xes", "--collapse"],
+                ["evaluate", files / "x.xes", "--protocol", "kfold", "--folds", "2", *base],
+            ][i // 2 % 4]
+
+        assert self.fuzz(runner, 1, case) == []
+
+    def test_mutated_model(self, runner, files):
+        text = (files / "model.json").read_text()
+
+        def case(rng, i):
+            payload = json.loads(text)
+            for _ in range(rng.randint(1, 2)):
+                _model_edit(rng, payload)
+            data = json.dumps(payload).encode()
+            if i % 5 == 0:
+                data = _mutated(rng, data, [b"{", b"]", b",", b'"', b"\xff", b"-", b"e9"])
+            (files / "m.json").write_bytes(data)
+            return ["annotate", files / "m.json", files / "g.xes", files / "o.xes"]
+
+        assert self.fuzz(runner, 2, case) == []
+
+    def test_mutated_config(self, runner, files):
+        def case(rng, i):
+            keys = rng.sample(sorted(CONFIG_VALUES), rng.randint(1, 4))
+            lines = [f"{key} = {rng.choice(CONFIG_VALUES[key])}" for key in keys]
+            data = (FUZZ_BASE_CONFIG + "\n".join(lines) + "\n").encode()
+            if i % 4 == 0:
+                data = _mutated(rng, data, [b"=", b"\n", b"#", b"\xff", b" = ", b"traces"])
+            (files / "f.cfg").write_bytes(data)
+            if i % 2:
+                return ["generate", "--config", files / "f.cfg", "-o", files / "o.xes"]
+            return ["train", files / "g.xes", files / "o.json", "--config", files / "f.cfg"]
+
+        assert self.fuzz(runner, 3, case) == []
+
+    def test_mutated_nets(self, runner, files):
+        (files / "nets.cfg").write_text(
+            f"process = from-files\nhigh_net = {files}/h.net\nsubprocesses = Step={files}/s.net\n"
+        )
+
+        def case(rng, i):
+            nets = {"h.net": HIGH_NET, "s.net": SUB_NET}
+            for _ in range(rng.randint(1, 2)):
+                name = rng.choice(sorted(nets))
+                if rng.randrange(2):
+                    nets[name] = _lines_edited(rng, nets[name], rb"\S+", NET_TOKENS)
+                else:
+                    nets[name] = _mutated(rng, nets[name], [b" " + t for t in NET_TOKENS])
+            for name, data in nets.items():
+                (files / name).write_bytes(data)
+            return ["generate", "--config", files / "nets.cfg", "--traces", "2",
+                    "--seed", i, "-o", files / "o.xes"]
+
+        assert self.fuzz(runner, 4, case) == []
+
+    def test_mutated_sensor_csv(self, runner, files):
+        data = SENSOR_CSV.encode()
+
+        def case(rng, i):
+            if i % 2:
+                mutated = _lines_edited(rng, data, rb"[^,]+", CSV_FIELDS)
+            else:
+                mutated = _mutated(rng, data, CSV_FIELDS + [b",", b"\n", b'"', b"\r", b"\x00", b"\xff"])
+            (files / "s.csv").write_bytes(mutated)
+            return ["convert", files / "s.csv", files / "o.xes", "--day-boundary", "04:00"]
+
+        assert self.fuzz(runner, 5, case) == []
+
+    @pytest.mark.parametrize("module, name, args", [
+        (evaluation, "leave_one_trace_out", ["evaluate", "{log}", "--protocol", "loocv"]),
+        (abstraction, "fit", ["train", "{log}", "{tmp}/m.json"]),
+    ])
+    def test_a_fault_of_the_program_keeps_its_traceback(
+        self, runner, tmp_path, monkeypatch, module, name, args
+    ):
+        boom = ValueError("boom")
+
+        def fail(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(module, name, fail)
+        log = tmp_path / "g.xes"
+        log.write_bytes(serialize_xes(make_log([sequence_trace([("A", "X")])] * 2)))
+        result = runner.invoke(main, [arg.format(log=log, tmp=tmp_path) for arg in args])
+        assert result.exception is boom

@@ -469,6 +469,19 @@ def test_read_sensor_csv_reports_row(tmp_path):
         read_sensor_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sensor,timestamp,value\ndoor,2015-11-03T08:00:00Z\n", "CSV row 2"),
+    ('sensor,timestamp,value\n"door,2015-11-03T08:00:00Z,1\n', "row 2: unparseable timestamp"),
+    ('sensor,timestamp,value\n"' + "a" * 200_000 + '",2015-11-03T08:00:00Z,1\n',
+     "unreadable CSV: field larger than field limit"),
+], ids=["short row", "open quote", "long field"])
+def test_read_sensor_csv_refuses_a_row_it_cannot_read(tmp_path, text, message):
+    path = tmp_path / "sensors.csv"
+    path.write_text(text)
+    with pytest.raises(SensorSeriesError, match=message):
+        read_sensor_csv(path)
+
+
 # --- the writer and the parser against their oracles ------------------------
 
 # Characters ElementTree escapes in attribute values, the quote it leaves
