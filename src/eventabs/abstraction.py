@@ -13,7 +13,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .crf import CrfModel, fit_group, fold_batch, viterbi_decode_many
+from .crf import CrfModel, TrainingBatch, fit_group, viterbi_decode_many
 from .errors import EventabsError, InputError, read_text
 from .features import (
     CatalogConfig,
@@ -87,13 +87,14 @@ def fit_folds(
     (:func:`fold_catalogs`). Consecutive folds whose catalogs share a
     label alphabet size are trained in lockstep, at most
     ``LOCKSTEP_FOLDS`` at a time, on one batch over the whole log
-    (:func:`fold_batch`, :func:`fit_group`), so one forward-backward pass
-    serves an objective evaluation of every fold of the group. A group's
-    whole-log observation matrices are built one at a time and dropped
-    once the batch has packed the fold's training rows, so a group holds
-    one copy of each fold's rows. A fold's model does not depend on the
-    folds trained beside it. Each fit starts from ``start``'s weights
-    mapped into the fold catalog's layout
+    (:class:`TrainingBatch`, :func:`fit_group`): one problem per fold,
+    whose trace mask leaves out the fold's traces, so one forward-backward
+    pass serves an objective evaluation of every fold of the group. A
+    group's whole-log observation matrices are built one at a time and
+    dropped once the batch has gathered the fold's training rows, so a
+    group holds one copy of each fold's rows. A fold's model does not
+    depend on the folds trained beside it. Each fit starts from
+    ``start``'s weights mapped into the fold catalog's layout
     (:meth:`FeatureCatalog.weights_from`), or from zero. A fold whose start
     point is non-finite raises :class:`OptimizationError` when its turn to
     be yielded comes. Raises ``ValueError`` when a fold names a trace
@@ -122,22 +123,27 @@ def _fit_lockstep(
     config: AbstractionConfig,
     start: CrfModel | None,
 ) -> Iterator[tuple[CrfModel, list[np.ndarray]]]:
-    folds, catalogs = zip(*group)
     held: list[list[np.ndarray]] = []
 
-    def matrices() -> Iterator[np.ndarray]:
-        # one whole-log matrix at a time: fold_batch copies the fold's
+    def problems() -> Iterator[tuple[FeatureCatalog, np.ndarray, np.ndarray, np.ndarray]]:
+        # one whole-log matrix at a time: the batch gathers the fold's
         # training rows from it, and decoding needs only its held-out rows
         for fold, catalog in group:
             matrix = observation_matrix(catalog, log)
             held.append([matrix[log.offsets[t]:log.offsets[t + 1]].copy() for t in fold])
-            yield matrix
+            kept = np.ones(log.n_traces, dtype=bool)
+            kept[fold] = False
+            # held-out labels may be missing or outside the fold's alphabet
+            labels = np.zeros(log.n_events, dtype=np.intp)
+            events = np.flatnonzero(np.repeat(kept, log.lengths))
+            labels[events] = log.label_indices(catalog.labels, events)
+            yield catalog, matrix, labels, kept
 
     initials = [
         None if start is None else catalog.weights_from(start.catalog, start.weights)
-        for catalog in catalogs
+        for _, catalog in group
     ]
-    batch = fold_batch(log, folds, catalogs, matrices())
+    batch = TrainingBatch(log.lengths, problems())
     models = fit_group(batch, config.l1_coefficient, config.optimizer, initials)
     del batch  # its buffers and packed rows are not held while the models are used
     for model, rows in zip(models, held):

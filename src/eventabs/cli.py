@@ -78,17 +78,20 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _abstraction_config(values: dict[str, str]) -> abstraction.AbstractionConfig:
-    defaults = CatalogConfig()
+    defaults = abstraction.AbstractionConfig()
+    catalog = defaults.catalog
     return abstraction.AbstractionConfig(
         catalog=CatalogConfig(
-            ngram_sizes=_parsed(values, "ngrams", _parse_ints, defaults.ngram_sizes),
-            time_views=_parsed(values, "views", _words, defaults.time_views),
-            smoothing_alpha=_parsed(values, "alpha", float, defaults.smoothing_alpha),
-            gmm_max_components=_parsed(values, "kmax", int, defaults.gmm_max_components),
-            gmm_seed=_parsed(values, "seed", int, defaults.gmm_seed),
+            ngram_sizes=_parsed(values, "ngrams", _parse_ints, catalog.ngram_sizes),
+            time_views=_parsed(values, "views", _words, catalog.time_views),
+            smoothing_alpha=_parsed(values, "alpha", float, catalog.smoothing_alpha),
+            gmm_max_components=_parsed(values, "kmax", int, catalog.gmm_max_components),
+            gmm_seed=_parsed(values, "seed", int, catalog.gmm_seed),
         ),
-        l1_coefficient=_parsed(values, "l1", float, 0.1),
-        optimizer=OwlqnConfig(max_iterations=_parsed(values, "max_iterations", int, 500)),
+        l1_coefficient=_parsed(values, "l1", float, defaults.l1_coefficient),
+        optimizer=OwlqnConfig(max_iterations=_parsed(
+            values, "max_iterations", int, defaults.optimizer.max_iterations
+        )),
     )
 
 
@@ -149,7 +152,9 @@ def generate(config_path: str | None, output: str, traces: int | None, seed: int
         _load_process(values),
         num_traces=_parsed(values, "traces", int, 100),
         seed=_parsed(values, "seed", int, 0),
-        timestamp_model=petri.ExponentialDelays(_parsed(values, "delay_mean", float, 60.0)),
+        timestamp_model=petri.ExponentialDelays(_parsed(
+            values, "delay_mean", float, petri.ExponentialDelays().mean_seconds
+        )),
         stop_probability=_parsed(values, "stop_probability", float, 0.5),
     )
     Path(output).write_bytes(xes.serialize_xes(log))

@@ -13,11 +13,12 @@ forward-backward pass over it per objective evaluation, Viterbi one
 log-space max-plus pass for any number of traces. A :class:`TrainingBatch`
 is the one training input of the objective (:func:`nll_and_gradients`),
 and its constructor the one place that packs and checks training input:
-one or more problems over one packing, each a catalog and the traces it
+one or more problems over one packing, each a catalog, its observations
+and labels over every trace of the packing, and a mask of the traces it
 trains on, with problem-major (B, rows, L) buffers, so one pass
-evaluates every problem at once. :func:`fold_batch` turns the folds of a
-cross-validation into such a group over the whole log; a single fit
-(:func:`train`) is the fold that holds nothing out. :func:`fit_group`,
+evaluates every problem at once. The folds of a cross-validation are
+such a group over the whole log; a single fit (:func:`train`) is the one
+problem whose mask is all true. :func:`fit_group`,
 the one training driver, trains a batch's problems in lockstep
 (:func:`~eventabs.owlqn.minimize_lockstep`) and drops finished problems
 from the buffers. A batch owns the pass's work buffers and its per-step
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import EventabsError
 from .features import FeatureCatalog, InternedLog, observation_matrix
 from .owlqn import OptimizationError, OwlqnConfig, OwlqnResult, minimize_lockstep
 from .xes import EventLog
@@ -56,7 +58,6 @@ __all__ = [
     "nll_and_gradient",
     "nll_and_gradients",
     "TrainingBatch",
-    "fold_batch",
     "fit_group",
     "training_pairs",
     "train",
@@ -223,7 +224,10 @@ def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> 
     slack its chosen prefix leaves under the best score, and takes the
     smallest label whose best completion stays within it. Emissions are one
     product per sequence, as in :meth:`CrfModel.potentials`, so a sequence
-    decodes the same whatever it is batched with."""
+    decodes the same whatever it is batched with. Raises
+    :class:`EventabsError` naming the first sequence whose best score is
+    not finite, as when the weights are so large that the scores
+    overflow."""
     lengths = [len(obs) for obs in observations]
     n, offsets, rows = _pack(lengths)
     if n == 0:
@@ -232,22 +236,30 @@ def viterbi_decode_many(model: CrfModel, observations: Sequence[np.ndarray]) -> 
     core = trans[:-1]
     w_matrix = _emission_weights(model.catalog, w_obs)
     emissions = np.empty((len(rows), len(core)))
-    emissions[rows] = np.concatenate([
-        np.asarray(obs, dtype=float) @ w_matrix for obs in observations if len(obs)
-    ])
     # delta[r, l]: best score of the rest of row r's sequence given label l
     # at row r; ahead = emissions + delta, the best score from row r on,
     # filled in place once a step's delta is final
     delta = np.zeros_like(emissions)
     ahead = emissions
     offsets = offsets.tolist()
-    for t in range(len(offsets) - 2, 0, -1):
-        s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
-        ahead[s:e] += delta[s:e]
-        delta[ps:ps + e - s] = np.maximum.reduce(core + ahead[s:e][:, None, :], axis=2)
-    ahead[:n] += delta[:n]
-    total = trans[-1] + ahead[:n]
-    best = total.max(axis=1)
+    # scores that overflow give a best score that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        emissions[rows] = np.concatenate([
+            np.asarray(obs, dtype=float) @ w_matrix for obs in observations if len(obs)
+        ])
+        for t in range(len(offsets) - 2, 0, -1):
+            s, e, ps = offsets[t], offsets[t + 1], offsets[t - 1]
+            ahead[s:e] += delta[s:e]
+            delta[ps:ps + e - s] = np.maximum.reduce(core + ahead[s:e][:, None, :], axis=2)
+        ahead[:n] += delta[:n]
+        total = trans[-1] + ahead[:n]
+        best = total.max(axis=1)
+    overflow = np.flatnonzero(~np.isfinite(best))
+    if len(overflow):
+        sequence = int(np.argsort(-np.asarray(lengths), kind="stable")[overflow].min())
+        raise EventabsError(
+            f"sequence {sequence} has no labeling with a finite score: the model's scores overflow"
+        )
     # need[i]: the least score the rest of sequence i must reach for its
     # labeling to stay within the tie tolerance of the best score
     need = (best - TIE_TOLERANCE * np.maximum(1.0, np.abs(best)))[:, None]
@@ -339,26 +351,28 @@ class TrainingBatch:
     The constructor is the one place that packs and checks training input.
     It takes the lengths of every sequence of the packing and the
     problems, read one at a time: each is ``(catalog, observations,
-    labels, traces)``, where ``traces`` are the indices of the sequences it
-    trains on, and ``observations`` (events, F_obs) and ``labels`` (label
-    indices) are those sequences' rows, concatenated in ``traces`` order.
-    It raises ``ValueError``, naming the problem, when the trace indices
-    are not distinct indices into ``lengths``, the observations not one row
-    of F_obs per event of the traces, or the labels not one integer in
-    ``[0, n_labels)`` per event; and when a length is negative or the
-    problems' label alphabet sizes differ.
+    labels, kept)``, where ``observations`` (events, F_obs) and ``labels``
+    (label indices) cover every event of the packing, sequence by sequence
+    in input order, and ``kept`` holds one bool per sequence, true for the
+    sequences the problem trains on. The rows and labels of the other
+    sequences are never read. It raises ``ValueError``, naming the
+    problem, when the observations are not one row of F_obs per event,
+    ``kept`` not one bool per sequence, or the labels not one integer per
+    event with the kept ones in ``[0, n_labels)``; and when a length is
+    negative or the problems' label alphabet sizes differ.
     Position t of the i-th longest non-empty sequence is row ``offsets[t]
     + i``, so memory is O(events), with no padding. A problem keeps a
-    packed copy of its own rows only, and its observed feature counts as
-    one vector over its whole weight layout, so its objective is ``sum
-    log Z - w . observed`` and its gradient ``expected - observed``. The
-    rows of sequences a problem does not train on are carried through the
-    pass, which keeps every sequence's rows apart, but never summed.
-    :meth:`subset` keeps some of the problems.
+    packed copy of its own rows only, gathered from ``observations`` in
+    one step, and its observed feature counts as one vector over its whole
+    weight layout, so its objective is ``sum log Z - w . observed`` and
+    its gradient ``expected - observed``. The rows of sequences a problem
+    does not train on are carried through the pass, which keeps every
+    sequence's rows apart, but never summed. :meth:`subset` keeps some of
+    the problems.
 
-    :func:`fold_batch` builds the group of a cross-validation: one problem
-    per fold, each with its own catalog, over one packing of the whole
-    log; a single fit is the one fold that holds nothing out.
+    The group of a cross-validation has one problem per fold, each with
+    its own catalog, over one packing of the whole log, and masks out the
+    fold's traces; a single fit is the one problem whose mask is all true.
 
     The batch also owns the work buffers of :func:`nll_and_gradients`: one
     (rows, L) matrix per problem, problem-major as (B, rows, L) for B > 1,
@@ -375,47 +389,40 @@ class TrainingBatch:
     def __init__(
         self,
         lengths: Sequence[int],
-        problems: Iterable[
-            tuple[FeatureCatalog, np.ndarray, np.ndarray, Sequence[int]]
-        ],
+        problems: Iterable[tuple[FeatureCatalog, np.ndarray, np.ndarray, np.ndarray]],
     ):
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.ndim != 1 or (lengths < 0).any():
             raise ValueError("lengths must be a sequence of non-negative integers")
         self.n, self.offsets, rows = _pack(lengths)
         self.prev = _previous_rows(self.n, self.offsets)
-        starts = np.cumsum(lengths) - lengths
+        # each packed row's input row, and the trace that row belongs to
+        source = np.empty_like(rows)
+        source[rows] = np.arange(len(rows))
+        traces = np.repeat(np.arange(len(lengths)), lengths)[source]
+        events = len(rows)
         built = []
-        for b, (catalog, observations, labels, traces) in enumerate(problems):
-            traces = np.asarray(traces)
-            if traces.ndim != 1 or len(traces) and not (
-                traces.dtype.kind in "iu" and 0 <= traces.min() and traces.max() < len(lengths)
-                and np.bincount(traces).max() == 1
-            ):
-                raise ValueError(
-                    f"problem {b}: traces must be distinct indices in [0, {len(lengths)})"
-                )
-            traces = traces.astype(np.intp)  # an empty list reads as floats
-            spans = lengths[traces]
-            L, events = catalog.n_labels, int(spans.sum())
+        for b, (catalog, observations, labels, kept) in enumerate(problems):
+            L = catalog.n_labels
             expected_shape = (events, catalog.n_observation_features)
             if np.shape(observations) != expected_shape:
                 raise ValueError(
                     f"problem {b}: observations have shape {np.shape(observations)}, "
                     f"expected {expected_shape}"
                 )
+            kept = np.asarray(kept)
+            if kept.shape != lengths.shape or kept.dtype != bool:
+                raise ValueError(f"problem {b}: kept must be {len(lengths)} bools, one per trace")
             labels = np.asarray(labels)
-            if labels.shape != (events,) or (events and not (
-                labels.dtype.kind in "iu" and 0 <= labels.min() and labels.max() < L
-            )):
-                raise ValueError(f"problem {b}: labels must be {events} integers in [0, {L})")
-            # each input row's packed row, then the rows in packed order
-            packed = rows[np.repeat(starts[traces] - np.cumsum(spans) + spans, spans)
-                          + np.arange(events)]
-            order = np.argsort(packed)
+            if labels.shape != (events,) or labels.dtype.kind not in "iu":
+                raise ValueError(f"problem {b}: labels must be {events} integers")
+            keep = np.flatnonzero(kept[traces])
+            own = labels[source[keep]]
+            if len(own) and not (0 <= own.min() and own.max() < L):
+                raise ValueError(f"problem {b}: labels of kept traces must be in [0, {L})")
             built.append(_problem(
-                catalog, np.asarray(observations, dtype=float)[order], labels[order],
-                packed[order], self.n, self.prev,
+                catalog, np.asarray(observations, dtype=float)[source[keep]], own, keep,
+                self.n, self.prev,
             ))
         self._setup(built)
 
@@ -630,32 +637,6 @@ def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, 
     return nll_and_gradients([weights], batch)[0]
 
 
-def fold_batch(
-    log: InternedLog,
-    folds: Sequence[Iterable[int]],
-    catalogs: Sequence[FeatureCatalog],
-    observations: Iterable[np.ndarray],
-) -> TrainingBatch:
-    """A group batch over one packing of the whole interned, annotated log,
-    with one problem per fold: the log less the fold's traces, under
-    ``catalogs[b]``, whose observation matrix over the whole log (log
-    order) is the b-th of ``observations``. The matrices are read one at
-    a time, and the batch keeps a packed copy of each fold's training rows
-    only. Only the training events' labels are read."""
-
-    def problems() -> Iterator[tuple[FeatureCatalog, np.ndarray, np.ndarray, np.ndarray]]:
-        for fold, catalog, matrix in zip(folds, catalogs, observations):
-            kept = np.ones(log.n_traces, dtype=bool)
-            kept[list(fold)] = False
-            events = np.flatnonzero(np.repeat(kept, log.lengths))
-            # a fold that holds nothing out trains on the matrix as it is,
-            # so a single fit holds no third copy of its rows
-            rows = matrix if kept.all() else matrix[events]
-            yield catalog, rows, log.label_indices(catalog.labels, events), np.flatnonzero(kept)
-
-    return TrainingBatch(log.lengths, problems())
-
-
 def training_pairs(
     log: EventLog, catalog: FeatureCatalog
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -715,13 +696,16 @@ def train(
 ) -> CrfModel:
     """Fit CRF weights on an annotated log by minimizing NLL + C *
     ||lambda||_1 with OWL-QN from zero, C = ``l1_coefficient``:
-    :func:`fit_group` on the :func:`fold_batch` of the one fold that holds
-    nothing out. ``objective_hook``, if given, is called with every
+    :func:`fit_group` on the batch of one problem that trains on every
+    trace. ``objective_hook``, if given, is called with every
     objective value. Raises the :class:`OptimizationError` of a
     non-finite start point. Deterministic: identical inputs produce
     identical weight vectors."""
     log = InternedLog(annotated.traces)
-    batch = fold_batch(log, [()], [catalog], [observation_matrix(catalog, log)])
+    batch = TrainingBatch(log.lengths, [(
+        catalog, observation_matrix(catalog, log), log.label_indices(catalog.labels),
+        np.ones(log.n_traces, dtype=bool),
+    )])
     [model] = fit_group(batch, l1_coefficient, optimizer_config, None, objective_hook)
     if isinstance(model, OptimizationError):
         raise model

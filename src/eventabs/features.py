@@ -406,7 +406,9 @@ class InternedLog:
     ``offsets[t]:offsets[t + 1]``. Labels and lower-cased lifecycle steps
     are interned into sorted vocabularies (id -1 where an event has none),
     and so is each string attribute the n-gram families read (MISSING
-    where an event lacks it; ``named`` marks the events with a name).
+    where an event lacks it). A value equal to BOT or MISSING raises
+    :class:`InputError`, as it would be taken for padding or for a missing
+    value.
     Timestamps are int64 UTC milliseconds, valid where ``timed``. Columns
     that depend on a parameter (n-gram contexts and their label counts per
     attribute and n, time-view coordinates per view, lifecycle durations
@@ -436,8 +438,12 @@ class InternedLog:
         self.symbols = {}
         for key in _STRING_KEYS:
             values = column(key)
-            if key == CONCEPT_NAME:
-                self.named = np.asarray([v is not None for v in values], dtype=bool)
+            if BOT in values or MISSING in values:
+                event = next(i for i, v in enumerate(values) if v in (BOT, MISSING))
+                raise InputError(
+                    f"{self.describe(event)} has {key} {values[event]!r}, "
+                    "a value reserved for n-gram contexts"
+                )
             self.symbols[key] = _intern([MISSING if v is None else v for v in values])
         self._memo: dict = {}
 
@@ -580,7 +586,7 @@ class InternedLog:
             # each step id's predecessor step id, -1 where it has none in this log
             predecessor = [index.get(before.get(s), -1) for s in self.steps]
             names, name_ids = self.symbols[CONCEPT_NAME]
-            live = np.flatnonzero((self.step_ids >= 0) & self.named)
+            live = np.flatnonzero((self.step_ids >= 0) & self.present(CONCEPT_NAME))
             trace_ids = np.repeat(np.arange(self.n_traces), self.lengths)
             columns = (live, trace_ids[live], name_ids[live], self.step_ids[live])
             queues: dict[tuple[int, int, int], deque[int]] = {}

@@ -197,8 +197,8 @@ class LabeledPetriNet:
     labeling: Mapping[str, str | None]
     initial_marking: Marking
     final_markings: frozenset[Marking]
-    _preset: dict[str, tuple[str, ...]] = field(repr=False, compare=False, default_factory=dict)
-    _postset: dict[str, tuple[str, ...]] = field(repr=False, compare=False, default_factory=dict)
+    _preset: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _postset: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _game: _TokenGame = field(init=False, repr=False, compare=False)
 
     @classmethod
@@ -585,4 +585,10 @@ def parse_net(text: str) -> LabeledPetriNet:
 
 
 def load_net(path: str | Path) -> LabeledPetriNet:
-    return parse_net(read_text(path, NetFormatError))
+    """:func:`parse_net` of the file at ``path``; the message of a
+    :class:`NetFormatError` starts with that path."""
+    text = read_text(path, NetFormatError)
+    try:
+        return parse_net(text)
+    except NetFormatError as exc:
+        raise NetFormatError(f"{path}: {exc}") from exc

@@ -70,5 +70,22 @@ def training_batch_of(catalog, pairs) -> TrainingBatch:
     observations, labels = zip(*pairs)
     return TrainingBatch(
         [len(y) for y in labels],
-        [(catalog, np.concatenate(observations), np.concatenate(labels), range(len(labels)))],
+        [(catalog, np.concatenate(observations), np.concatenate(labels),
+          np.ones(len(labels), dtype=bool))],
     )
+
+
+def fold_batch_of(log, folds, catalogs, observations) -> TrainingBatch:
+    """The cross-validation batch over one packing of an interned, annotated
+    log: one problem per fold, training on the log less the fold's traces
+    under ``catalogs[b]``, whose whole-log observation matrix is the b-th
+    of ``observations``."""
+    problems = []
+    for fold, catalog, matrix in zip(folds, catalogs, observations):
+        kept = np.ones(log.n_traces, dtype=bool)
+        kept[list(fold)] = False
+        labels = np.zeros(log.n_events, dtype=np.intp)
+        events = np.flatnonzero(np.repeat(kept, log.lengths))
+        labels[events] = log.label_indices(catalog.labels, events)
+        problems.append((catalog, matrix, labels, kept))
+    return TrainingBatch(log.lengths, problems)

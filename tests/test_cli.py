@@ -3,12 +3,13 @@
 import json
 import random
 import re
+from dataclasses import dataclass
 
 import pytest
 from click.testing import CliRunner
 
 from eventabs import abstraction, evaluation, petri
-from eventabs.cli import main
+from eventabs.cli import _abstraction_config, main
 from eventabs.errors import EventabsError
 from eventabs.features import CatalogConfig
 from eventabs.owlqn import OwlqnConfig
@@ -106,6 +107,37 @@ class TestGenerate:
         log = parse_xes(out.read_bytes())
         assert {ev.name for tr in log.traces for ev in tr.events} == {"leaf"}
         assert {ev.label for tr in log.traces for ev in tr.events} == {"Step"}
+
+
+class TestDefaults:
+    """A setting left unset takes the library's own default, so a default
+    changed there changes the command line too."""
+
+    def test_abstraction_settings(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Other(abstraction.AbstractionConfig):
+            l1_coefficient: float = 0.25
+            optimizer: OwlqnConfig = OwlqnConfig(max_iterations=7)
+
+        monkeypatch.setattr(abstraction, "AbstractionConfig", Other)
+        assert _abstraction_config({}) == Other()
+
+    def test_generator_delay(self, runner, tmp_path, monkeypatch):
+        @dataclass(frozen=True)
+        class Other(petri.ExponentialDelays):
+            mean_seconds: float = 5.0
+
+        real, models = petri.generate_annotated_log, []
+
+        def generate(*args, **kwargs):
+            models.append(kwargs["timestamp_model"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(petri, "ExponentialDelays", Other)
+        monkeypatch.setattr(petri, "generate_annotated_log", generate)
+        result = runner.invoke(main, ["generate", "--traces", "1", "-o", str(tmp_path / "g.xes")])
+        assert result.exit_code == 0, result.output
+        assert models == [Other()]
 
 
 class TestConvert:
@@ -233,7 +265,7 @@ class TestBadValues:
         result = runner.invoke(
             main, ["generate", "--config", config, "-o", str(tmp_path / "x.xes")]
         )
-        self.assert_error(result, "line 2: place 'p' is already declared on line 1")
+        self.assert_error(result, f"{net}: line 2: place 'p' is already declared on line 1")
         assert not (tmp_path / "x.xes").exists()
 
     @pytest.mark.parametrize("args, message", [
@@ -715,6 +747,16 @@ class TestErrorBoundary:
             return ["convert", files / "s.csv", files / "o.xes", "--day-boundary", "04:00"]
 
         assert self.fuzz(runner, 5, case) == []
+
+    def test_a_model_whose_scores_overflow_is_an_error_line(self, runner, files, tmp_path):
+        payload = json.loads((files / "model.json").read_text())
+        payload["weights"] = [1e308] * len(payload["weights"])
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        result = runner.invoke(
+            main, ["annotate", str(tmp_path / "m.json"), str(files / "g.xes"), str(tmp_path / "o.xes")]
+        )
+        TestBadValues.assert_error(result, "the model's scores overflow")
+        assert not (tmp_path / "o.xes").exists()
 
     @pytest.mark.parametrize("module, name, args", [
         (evaluation, "leave_one_trace_out", ["evaluate", "{log}", "--protocol", "loocv"]),

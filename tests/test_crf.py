@@ -19,7 +19,7 @@ from eventabs.features import (
 )
 from eventabs.owlqn import OptimizationError, OwlqnConfig, minimize
 
-from factories import make_event, make_log, sequence_trace, training_batch_of
+from factories import fold_batch_of, make_event, make_log, sequence_trace, training_batch_of
 from oracles import (
     argmax_lexicographic,
     enumerate_sequence_scores,
@@ -388,7 +388,7 @@ class TestPackedObjective:
         model.weights[:] = np.where(model.weights > 0, 1e3, -1e3)
         obs = rng.uniform(0, 1, (10_000, 3))
         batch = crf.TrainingBatch(
-            [10_000], [(model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), [0])]
+            [10_000], [(model.catalog, obs, rng.integers(0, 2, 10_000).astype(np.intp), [True])]
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -403,7 +403,7 @@ class TestPackedObjective:
         weights = np.zeros(catalog.n_features)
         weights[0] = 720.0  # emission of beta
         weights[-2] = 720.0  # begin-of-sequence -> alpha
-        batch = crf.TrainingBatch([1], [(catalog, np.ones((1, 1)), np.array([0]), [0])])
+        batch = crf.TrainingBatch([1], [(catalog, np.ones((1, 1)), np.array([0]), [True])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, _ = crf.nll_and_gradient(weights, batch)
@@ -433,37 +433,50 @@ class TestPackedObjective:
 
 
 class TestBatchValidation:
-    """A 3-event trace on a 2-label catalog with one observation feature:
-    alone (problem 0), or as problem 1 of a group over traces of lengths 3
-    and 2, after a sound problem on both. A faulty problem is refused by
-    name."""
+    """A 2-label catalog with one observation feature, over a packing of
+    traces of lengths 3 and 2: a problem training on the first trace,
+    alone (problem 0) or as problem 1 of a group after a sound problem on
+    both. A faulty problem is refused by name."""
 
-    def batch(self, observations=None, labels=None, traces=(0,), lengths=(3,)):
-        return crf.TrainingBatch(lengths, [self.problem(observations, labels, traces)])
+    def batch(self, observations=None, labels=None, kept=None, lengths=(3, 2)):
+        return crf.TrainingBatch(lengths, [self.problem(observations, labels, kept)])
 
-    def group(self, observations=None, labels=None, traces=(0,)):
-        sound = (two_label_catalog(), np.ones((5, 1)), np.array([0, 1, 1, 0, 1]), (0, 1))
-        return crf.TrainingBatch((3, 2), [sound, self.problem(observations, labels, traces)])
+    def group(self, observations=None, labels=None, kept=None):
+        sound = (two_label_catalog(), np.ones((5, 1)), np.array([0, 1, 1, 0, 1]), [True, True])
+        return crf.TrainingBatch((3, 2), [sound, self.problem(observations, labels, kept)])
 
     @staticmethod
-    def problem(observations, labels, traces):
+    def problem(observations, labels, kept):
         return (
             two_label_catalog(),
-            np.ones((3, 1)) if observations is None else observations,
-            np.array([0, 1, 1]) if labels is None else labels,
-            traces,
+            np.ones((5, 1)) if observations is None else observations,
+            np.array([0, 1, 1, 0, 1]) if labels is None else labels,
+            np.array([True, False]) if kept is None else kept,
         )
 
     def test_well_formed_input_is_accepted(self):
-        assert self.batch().n == 1
+        assert self.batch().n == 2
         group = self.group()
         assert group.n == len(group.problems) == 2
         # trace 0 holds rows 0, 2 and 4 of the (3, 2) packing
         assert group.problems[1].keep.tolist() == [0, 2, 4]
 
+    def test_rows_of_traces_not_kept_are_never_read(self):
+        rng = np.random.default_rng(8)
+        observations = rng.normal(0, 1, (5, 1))
+        junk = observations.copy()
+        junk[3:] = np.nan  # the rows of trace 1
+        weights = rng.normal(0, 1, two_label_catalog().n_features)
+        clean = crf.nll_and_gradient(weights, self.batch(observations))
+        dirty = crf.nll_and_gradient(
+            weights, self.batch(junk, labels=np.array([0, 1, 1, -1, 7]))
+        )
+        assert TestBufferReuse.bits(dirty) == TestBufferReuse.bits(clean)
+
     @pytest.mark.parametrize(
-        "observations", [np.ones((1, 1)), np.ones((3, 2)), np.ones(3), np.ones((4, 1))],
-        ids=["one-row", "two-features", "1-d", "extra-row"],
+        "observations", [np.ones((1, 1)), np.ones((5, 2)), np.ones(5), np.ones((6, 1)),
+                         np.ones((3, 1))],
+        ids=["one-row", "two-features", "1-d", "extra-row", "kept-rows-only"],
     )
     def test_observations_not_one_row_per_event_are_refused(self, observations):
         with pytest.raises(ValueError, match="problem 0: observations"):
@@ -473,9 +486,11 @@ class TestBatchValidation:
 
     @pytest.mark.parametrize(
         "labels",
-        [np.array([0, -1, 1]), np.array([0, 2, 1]), np.array([1]), np.array([0, 1, 1, 0]),
-         np.array([0.0, 1.0, 1.0]), np.array([[0, 1, 1]])],
-        ids=["minus-one", "n-labels", "one-label", "extra-label", "float", "2-d"],
+        [np.array([0, -1, 1, 0, 1]), np.array([0, 2, 1, 0, 1]), np.array([1]),
+         np.array([0, 1, 1, 0, 1, 0]), np.array([0.0, 1.0, 1.0, 0.0, 1.0]),
+         np.array([[0, 1, 1, 0, 1]]), np.array([0, 1, 1])],
+        ids=["minus-one", "n-labels", "one-label", "extra-label", "float", "2-d",
+             "kept-labels-only"],
     )
     def test_labels_not_one_index_per_event_are_refused(self, labels):
         with pytest.raises(ValueError, match="problem 0: labels"):
@@ -484,34 +499,19 @@ class TestBatchValidation:
             self.group(labels=labels)
 
     @pytest.mark.parametrize(
-        "traces", [[-1], [5], [0, 0], [0.0], [[0]]],
-        ids=["minus-one", "past-the-end", "repeated", "float", "2-d"],
+        "kept",
+        [[0], [1, 0], [True], [True, False, True], [[True, False]], [1.0, 0.0]],
+        ids=["indices", "ints", "one-short", "one-extra", "2-d", "float"],
     )
-    def test_traces_not_distinct_indices_are_refused(self, traces):
-        with pytest.raises(ValueError, match="problem 0: traces"):
-            self.batch(traces=traces)
-        with pytest.raises(ValueError, match="problem 1: traces"):
-            self.group(traces=traces)
+    def test_kept_not_one_bool_per_trace_is_refused(self, kept):
+        with pytest.raises(ValueError, match="problem 0: kept"):
+            self.batch(kept=kept)
+        with pytest.raises(ValueError, match="problem 1: kept"):
+            self.group(kept=kept)
 
     def test_negative_length_is_refused(self):
         with pytest.raises(ValueError, match="lengths"):
             self.batch(lengths=(4, -1))
-
-    def test_rows_follow_the_order_of_the_traces(self):
-        rng = np.random.default_rng(8)
-        catalog = random_model(rng, 3, 2).catalog
-        lengths = (3, 2, 4)
-        obs = [rng.normal(0, 1, (T, 2)) for T in lengths]
-        labels = [rng.integers(0, 3, T) for T in lengths]
-        batch = crf.TrainingBatch(lengths, [
-            (catalog, np.concatenate([obs[t] for t in order]),
-             np.concatenate([labels[t] for t in order]), order)
-            for order in ([0, 2], [2, 0])
-        ])
-        weights = rng.normal(0, 1, catalog.n_features)
-        forward, backward = crf.nll_and_gradients([weights] * 2, batch)
-        assert forward[0] == backward[0]
-        assert np.array_equal(forward[1], backward[1])
 
 
 LENGTHS = st.one_of(
@@ -556,15 +556,16 @@ class TestBufferReuse:
         subnormal[0] = 720.0
         subnormal[catalog.n_features - n_labels + (first + 1) % n_labels] = 720.0
         sequence = [w1, np.where(w1 > 0, 1e3, -1e3), subnormal, w2, w1]
-        batches = [crf.TrainingBatch(lengths, [(catalog, obs, y, range(len(lengths)))])
-                   for obs, y, lengths in inputs]
+
+        def fresh_batch(obs, y, lengths):
+            return crf.TrainingBatch(lengths, [(catalog, obs, y, np.ones(len(lengths), dtype=bool))])
+
+        batches = [fresh_batch(*args) for args in inputs]
         infinite = 0
         for weights in sequence:
             for batch, (obs, y, lengths) in zip(batches, inputs):
                 result = crf.nll_and_gradient(weights, batch)
-                fresh = crf.nll_and_gradient(
-                    weights, crf.TrainingBatch(lengths, [(catalog, obs, y, range(len(lengths)))])
-                )
+                fresh = crf.nll_and_gradient(weights, fresh_batch(obs, y, lengths))
                 assert self.bits(result) == self.bits(fresh)
                 held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
                 assert not any(np.shares_memory(result[1], v) for v in held)
@@ -647,11 +648,11 @@ class TestFoldGroups:
                 else rng.normal(0, 1.5, catalog.n_features)
             )
 
-        group = crf.fold_batch(log, folds, catalogs, observations)
+        group = fold_batch_of(log, folds, catalogs, observations)
         results = crf.nll_and_gradients(weights, group)
         together = [self.bits(r) for r in results]
         for b in range(len(folds)):
-            alone = crf.fold_batch(log, folds[b:b + 1], catalogs[b:b + 1], observations[b:b + 1])
+            alone = fold_batch_of(log, folds[b:b + 1], catalogs[b:b + 1], observations[b:b + 1])
             assert self.bits(crf.nll_and_gradient(weights[b], alone)) == together[b]
 
         # compacted: every other fold, evaluated after a pass at other weights
@@ -668,7 +669,7 @@ class TestFoldGroups:
             events = log.events(rest)
             own = crf.TrainingBatch(log.lengths[rest], [(
                 catalogs[b], observations[b][events],
-                log.label_indices(catalogs[b].labels, events), range(len(rest)),
+                log.label_indices(catalogs[b].labels, events), np.ones(len(rest), dtype=bool),
             )])
             value, grad = crf.nll_and_gradient(weights[b], own)
             if kind == "infinite" and own.n:
@@ -708,7 +709,7 @@ class TestFoldGroups:
         initials = [None, rng.normal(0, 0.5, catalogs[1].n_features),
                     subnormal_weights(catalogs[2]), None]
         config = OwlqnConfig(max_iterations=40)
-        group = crf.fold_batch(log, folds, catalogs, observations)
+        group = fold_batch_of(log, folds, catalogs, observations)
         values = []
         outcomes = crf.fit_group(group, 0.05, config, initials, values.append)
 
@@ -733,7 +734,7 @@ class TestFoldGroups:
     def test_a_group_is_not_one_objective(self):
         log = InternedLog(make_log([[make_event(name="a", label="alpha")]] * 2).traces)
         catalog = two_label_catalog()
-        group = crf.fold_batch(log, [[0], [1]], [catalog] * 2, [np.ones((2, 1))] * 2)
+        group = fold_batch_of(log, [[0], [1]], [catalog] * 2, [np.ones((2, 1))] * 2)
         with pytest.raises(ValueError, match="problems"):
             crf.nll_and_gradient(np.zeros(catalog.n_features), group)
 
@@ -745,7 +746,7 @@ class TestFoldGroups:
             config=CatalogConfig(),
         )
         with pytest.raises(ValueError, match="label"):
-            crf.fold_batch(log, [[0], [1]], [two_label_catalog(), three], [np.ones((2, 1))] * 2)
+            fold_batch_of(log, [[0], [1]], [two_label_catalog(), three], [np.ones((2, 1))] * 2)
 
 
 # 7 labels and 20 bias features, for the memory tests
@@ -772,7 +773,7 @@ class TestMemory:
             tracemalloc.start()
             try:
                 batch = crf.TrainingBatch(
-                    [n_events], [(LONG_TRACE_CATALOG, obs, labels_of_events, [0])]
+                    [n_events], [(LONG_TRACE_CATALOG, obs, labels_of_events, [True])]
                 )
                 crf.fit_group(batch, 0.1, OwlqnConfig(max_iterations=3))
                 return tracemalloc.get_traced_memory()[1]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
-from eventabs.crf import fit_group, fold_batch, nll_and_gradient, viterbi_decode_many
+from eventabs.crf import fit_group, nll_and_gradient, viterbi_decode_many
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -27,7 +27,7 @@ from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import CONCEPT_NAME, AttributeValue, Event, TIME_TIMESTAMP, Trace
 
-from factories import make_log, sequence_trace
+from factories import fold_batch_of, make_log, sequence_trace
 from oracles import l1_lbfgsb_reference, levenshtein_distance_reference, recursive_edit_distance
 
 FAST = EvalConfig(
@@ -347,7 +347,7 @@ class TestWarmStart:
         ):
             catalog = warm.catalog
             matrix = observation_matrix(catalog, interned)
-            batch = fold_batch(interned, [fold], [catalog], [matrix])
+            batch = fold_batch_of(interned, [fold], [catalog], [matrix])
             whole = interned.per_trace(matrix)
             assert len(held) == len(fold)
             assert all(np.array_equal(rows, whole[t]) for rows, t in zip(held, fold))

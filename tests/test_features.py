@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from eventabs.abstraction import ModelIOError, load_model, save_model
 from eventabs.crf import CrfModel
+from eventabs.errors import InputError
 from eventabs.features import (
     BOT,
     MISSING,
@@ -718,11 +719,10 @@ _TIMESTAMPS = st.one_of(
               st.integers(0, 86_399_999)),
 )
 
-# A random lifecycle event for _random_log: a name, also the literal MISSING
-# symbol, or none; any step of the chain in mixed case, a step outside it,
-# or none; a gap in milliseconds.
+# A random lifecycle event for _random_log: a name or none; any step of the
+# chain in mixed case, a step outside it, or none; a gap in milliseconds.
 _LIFECYCLE_EVENTS = st.tuples(
-    st.sampled_from(["A", "B", MISSING, None]),
+    st.sampled_from(["A", "B", None]),
     st.just("X"),
     st.one_of(st.none(), st.integers(0, 20_000_000).map(lambda ms: ms / 1000)),
     st.sampled_from([
@@ -804,6 +804,17 @@ class TestInternedColumns:
         assert contexts == expected_contexts
         assert ids.tolist() == expected_ids.tolist()
         assert live.tolist() == expected_live.tolist()
+
+
+    @pytest.mark.parametrize("symbol", [BOT, MISSING])
+    @pytest.mark.parametrize("key", [CONCEPT_NAME, "org:resource"])
+    def test_a_value_equal_to_a_reserved_symbol_is_refused(self, key, symbol):
+        # as a name, BOT would share an n-gram context with the padding
+        # before a trace's first event, and MISSING with an absent value
+        name, org = (symbol, None) if key == CONCEPT_NAME else ("A", {"resource": symbol})
+        log = make_log([[make_event("A", "X")], [make_event("B", "Y"), make_event(name, "X", org=org)]])
+        with pytest.raises(InputError, match=f"trace 'case_1' event 1 has {key} '{symbol}'"):
+            InternedLog(log.traces)
 
 
 class TestCatalogConfig:

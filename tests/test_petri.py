@@ -1,6 +1,7 @@
 """Token-game semantics, playout, and the hierarchical generator."""
 
 import hashlib
+import inspect
 import random
 import re
 
@@ -128,6 +129,17 @@ class TestTokenGame:
     def test_arc_endpoints_validated(self):
         with pytest.raises(PetriNetError, match="unknown node"):
             LabeledPetriNet.of(["p"], ["t"], [("p", "zzz")], {}, {}, [{}])
+
+    def test_arc_lists_are_derived_not_given(self):
+        net = LabeledPetriNet.of(["p"], ["t"], [("p", "t")], {}, {"p": 1}, [{}])
+        parameters = inspect.signature(LabeledPetriNet).parameters
+        assert "_preset" not in parameters and "_postset" not in parameters
+        with pytest.raises(TypeError):
+            LabeledPetriNet(
+                net.places, net.transitions, net.arcs, net.labeling, net.initial_marking,
+                net.final_markings, _preset={"t": ("x",)},
+            )
+        assert net.preset("t") == ("p",) and net.postset("p") == ("t",)
 
 
 class TestPlayout:
@@ -351,6 +363,16 @@ class TestNetFormat:
         path = tmp_path / "net.txt"
         path.write_text(NET_TEXT)
         assert load_net(path).places == {"p0", "p1", "p2"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("place p0 init=1\narc a b c\nfinal p0\n", "line 2: too many values to unpack"),
+        ("place p0 init=1\n", "net description declares no final marking"),
+    ], ids=["bad-arc", "no-final"])
+    def test_load_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.net"
+        path.write_text(text)
+        with pytest.raises(NetFormatError, match=re.escape(f"{path}: {message}")):
+            load_net(path)
 
     def test_bad_keyword_reports_line(self):
         with pytest.raises(NetFormatError, match="line 1"):
