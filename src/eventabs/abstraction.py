@@ -6,7 +6,7 @@ high-level start/complete log. Also owns model persistence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -34,6 +34,7 @@ from .xes import (
     Event,
     EventLog,
     SharedStrings,
+    Trace,
 )
 
 __all__ = [
@@ -201,7 +202,7 @@ def annotate(
     )
     values = SharedStrings()
     traces = [
-        replace(trace, events=[
+        Trace(trace.attributes, [
             Event({**event.attributes, LABEL: values[label]})
             for event, label in zip(trace.events, labels)
         ])
@@ -209,20 +210,27 @@ def annotate(
     ]
     global_event = dict(unannotated.global_event_attributes)
     global_event.setdefault(LABEL, AttributeValue.string(""))
-    return replace(unannotated, global_event_attributes=global_event, traces=traces)
+    return EventLog(
+        unannotated.attributes, unannotated.extensions, unannotated.classifiers,
+        unannotated.global_trace_attributes, global_event, traces,
+    )
 
 
 def strip_labels(log: EventLog) -> EventLog:
     """Remove the label attribute from every event."""
-    traces = [
-        replace(trace, events=[
-            Event({k: v for k, v in event.attributes.items() if k != LABEL})
-            for event in trace.events
-        ])
-        for trace in log.traces
-    ]
+    traces = []
+    for trace in log.traces:
+        events = []
+        for event in trace.events:
+            attributes = dict(event.attributes)
+            attributes.pop(LABEL, None)
+            events.append(Event(attributes))
+        traces.append(Trace(trace.attributes, events))
     global_event = {k: v for k, v in log.global_event_attributes.items() if k != LABEL}
-    return replace(log, global_event_attributes=global_event, traces=traces)
+    return EventLog(
+        log.attributes, log.extensions, log.classifiers,
+        log.global_trace_attributes, global_event, traces,
+    )
 
 
 def collapse(annotated: EventLog) -> EventLog:
@@ -235,43 +243,51 @@ def collapse(annotated: EventLog) -> EventLog:
     :class:`InputError`.
     """
     values = SharedStrings()
+    start, complete = values["start"], values["complete"]
     traces = []
     for trace in annotated.traces:
+        events: list[Event] = []
+        text = name = last = None
         for i, event in enumerate(trace.events):
-            if event.label is None:
+            label = event.attributes.get(LABEL)
+            stamp = event.attributes.get(TIME_TIMESTAMP)
+            if label is None:
                 raise InputError(
                     f"cannot collapse: trace {trace.case_id!r} event {i} has no label attribute"
                 )
-            if event.timestamp is None:
+            if stamp is None:
                 raise InputError(
                     f"cannot collapse: trace {trace.case_id!r} event {i} has no timestamp"
                 )
-        events = []
-        run_start = 0
-        for i in range(1, len(trace.events) + 1):
-            if i < len(trace.events) and trace.events[i].label == trace.events[run_start].label:
-                continue
-            first, last = trace.events[run_start], trace.events[i - 1]
-            for source, transition in ((first, "start"), (last, "complete")):
+            if label.value != text:
+                if events:  # the run before this one ends at the previous event
+                    events.append(Event({
+                        CONCEPT_NAME: name, TIME_TIMESTAMP: last, LIFECYCLE_TRANSITION: complete,
+                    }))
+                text = label.value
+                name = values[text]
                 events.append(Event({
-                    CONCEPT_NAME: values[source.label],
-                    TIME_TIMESTAMP: source.attributes[TIME_TIMESTAMP],
-                    LIFECYCLE_TRANSITION: values[transition],
+                    CONCEPT_NAME: name, TIME_TIMESTAMP: stamp, LIFECYCLE_TRANSITION: start,
                 }))
-            run_start = i
-        traces.append(replace(trace, events=events))
-    return replace(
-        annotated,
-        extensions={"Concept", "Time", "Lifecycle"},
-        classifiers={"Activity": (CONCEPT_NAME,)},
-        global_event_attributes={
+            last = stamp
+        if events:
+            events.append(Event({
+                CONCEPT_NAME: name, TIME_TIMESTAMP: last, LIFECYCLE_TRANSITION: complete,
+            }))
+        traces.append(Trace(trace.attributes, events))
+    return EventLog(
+        annotated.attributes,
+        {"Concept", "Time", "Lifecycle"},
+        {"Activity": (CONCEPT_NAME,)},
+        annotated.global_trace_attributes,
+        {
             CONCEPT_NAME: AttributeValue.string(""),
             TIME_TIMESTAMP: AttributeValue.date(
                 datetime(1970, 1, 1, tzinfo=timezone.utc)
             ),
             LIFECYCLE_TRANSITION: AttributeValue.string(""),
         },
-        traces=traces,
+        traces,
     )
 
 

@@ -155,7 +155,7 @@ def generate(config_path: str | None, output: str, traces: int | None, seed: int
         timestamp_model=petri.ExponentialDelays(_parsed(
             values, "delay_mean", float, petri.ExponentialDelays().mean_seconds
         )),
-        stop_probability=_parsed(values, "stop_probability", float, 0.5),
+        stop_probability=_parsed(values, "stop_probability", float, petri.STOP_PROBABILITY),
     )
     Path(output).write_bytes(xes.serialize_xes(log))
     click.echo(f"wrote {len(log.traces)} traces, {log.event_count()} events to {output}")

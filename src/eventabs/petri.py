@@ -299,6 +299,9 @@ def fire(net: LabeledPetriNet, marking: Marking, transition: str) -> Marking:
 
 # firings after which a playout that has not ended fails
 MAX_PLAYOUT_STEPS = 10_000
+# chance that a playout stops at each visit to a final marking, unless a
+# caller chooses its own
+STOP_PROBABILITY = 0.5
 
 # marking -> (its enabled transitions in name order, whether it is final)
 _Memo = dict[tuple[int, ...], tuple[tuple[int, ...], bool]]
@@ -335,12 +338,12 @@ def random_playout(net: LabeledPetriNet, seed: int) -> list[str]:
     random enabled transition each step.
 
     At every visit to a final marking the playout stops with probability
-    0.5 (always, if nothing is enabled). Invisible transitions fire but
-    emit nothing. Raises :class:`PlayoutError` on a deadlock in a
-    non-final marking and when ``MAX_PLAYOUT_STEPS`` firings do not end
-    the playout. Deterministic for a fixed seed.
+    ``STOP_PROBABILITY`` (always, if nothing is enabled). Invisible
+    transitions fire but emit nothing. Raises :class:`PlayoutError` on a
+    deadlock in a non-final marking and when ``MAX_PLAYOUT_STEPS`` firings
+    do not end the playout. Deterministic for a fixed seed.
     """
-    return _playout(net, random.Random(seed), 0.5, {})
+    return _playout(net, random.Random(seed), STOP_PROBABILITY, {})
 
 
 @dataclass(frozen=True)
@@ -380,7 +383,7 @@ def generate_annotated_log(
     num_traces: int,
     seed: int,
     timestamp_model: ExponentialDelays | None = None,
-    stop_probability: float = 0.5,
+    stop_probability: float = STOP_PROBABILITY,
 ) -> EventLog:
     """Generate an annotated low-level log by playing out the hierarchy.
 

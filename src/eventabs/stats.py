@@ -198,14 +198,19 @@ def _component_log_pdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
 
 
 def gmm_log_density(model: Gmm, x: float | np.ndarray) -> float | np.ndarray:
-    """Log of the mixture density at ``x`` (scalar or array)."""
+    """Log of the mixture density at ``x`` (scalar or array). A component
+    so far from ``x`` that the squared distance overflows, as from a mean
+    near the float range, scores -inf, its limit, and so does the mixture
+    where every component does."""
     xs = np.asarray(x, dtype=float)
-    scores = np.stack([
-        math.log(w) + _component_log_pdf(xs, m, v)
-        for w, m, v in zip(model.weights, model.means, model.variances)
-    ])
-    top = scores.max(axis=0)
-    out = top + np.log(np.exp(scores - top).sum(axis=0))
+    with np.errstate(over="ignore", divide="ignore"):
+        scores = np.stack([
+            math.log(w) + _component_log_pdf(xs, m, v)
+            for w, m, v in zip(model.weights, model.means, model.variances)
+        ])
+        top = scores.max(axis=0)
+        shift = np.where(top > -np.inf, top, 0.0)
+        out = top + np.log(np.exp(scores - shift).sum(axis=0))
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 

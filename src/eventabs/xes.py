@@ -146,8 +146,11 @@ def format_timestamp(dt: datetime) -> str:
     return _to_utc_ms(dt).isoformat(timespec="milliseconds")
 
 
+_UTC = timezone.utc
+
+
 def _to_utc_ms(dt: datetime) -> datetime:
-    if dt.tzinfo is timezone.utc and not dt.microsecond % 1000:
+    if dt.tzinfo is _UTC and not dt.microsecond % 1000:
         return dt
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -174,6 +177,12 @@ class AttributeValue:
 
     def __post_init__(self) -> None:
         v = self.value
+        # a UTC datetime at whole milliseconds is a date in normal form already
+        if (
+            type(v) is datetime and v.tzinfo is _UTC and not v.microsecond % 1000
+            and self.kind == "date"
+        ):
+            return
         expected = _KIND_TYPES.get(self.kind)
         if expected is None:
             raise XesValueError(f"unknown attribute kind {self.kind!r}")
@@ -335,13 +344,16 @@ _CANONICAL_TIMESTAMP = re.compile(
 )
 
 
-def _read_timestamp(raw: str) -> datetime:
+def _canonical_stamp(raw: str) -> datetime | None:
+    """``raw`` read as a UTC datetime at whole milliseconds if it is in
+    ``format_timestamp``'s form, else None. None also for a field out of
+    range, whose error ``parse_timestamp`` words."""
     if _CANONICAL_TIMESTAMP.fullmatch(raw):
         try:
             return datetime.fromisoformat(raw)
         except ValueError:
-            pass  # an out-of-range field: parse_timestamp words the error
-    return parse_timestamp(raw)
+            pass
+    return None
 
 
 def _read_attribute(
@@ -352,7 +364,7 @@ def _read_attribute(
         if tag == "string" or tag == "id":
             value = AttributeValue("string", raw, children)
         elif tag == "date":
-            value = AttributeValue("date", _read_timestamp(raw), children)
+            value = AttributeValue("date", _canonical_stamp(raw) or parse_timestamp(raw), children)
         elif tag == "int":
             value = AttributeValue("int", int(raw), children)
         elif tag == "float":
@@ -394,6 +406,9 @@ def _join_classifier_keys(name: str, keys: tuple[str, ...]) -> str:
 # not place where it stands is skipped with its whole subtree.
 _SKIP, _LOG, _GLOBAL, _TRACE, _EVENT, _ATTRIBUTE, _VALUES = range(7)
 _SKIPPED = (_SKIP, None, None)
+# Attribute tags the event-level handlers read themselves when they have
+# no children: those with a value of their own.
+_LEAF_TAGS = _ATTR_TAGS - {"list", "container"}
 
 
 def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
@@ -416,6 +431,8 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
                 raise type(exc)(f"{source}: {exc}") from exc
     # (tag, raw key, raw value) -> (key, value) of a childless non-date attribute
     shared: dict[tuple[str, str, str], tuple[str, AttributeValue]] = {}
+    # raw key -> key of a childless date attribute of an event
+    date_keys: dict[str, str] = {}
     extensions: set[str] = set()
     classifiers: dict[str, tuple[str, ...]] = {}
     scopes: dict[str, dict[str, AttributeValue]] = {"trace": {}, "event": {}}
@@ -423,11 +440,17 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
     logs: list[EventLog] = []
     # One (role, pairs, extra) per open element: pairs gathers the (key, value)
     # of its attribute children in document order, into the list's own for a
-    # <values>; extra is an attribute's (tag, raw key, raw value), a trace's
-    # events or a global's target.
+    # <values>; extra is an attribute's (tag, raw key, raw value), the events
+    # of a trace or of an event's trace, or a global's target.
     stack: list[tuple] = []
+    # While an <event> is open and no element below its attribute children
+    # is, the event-level handlers run: the open event's pairs, and the
+    # (tag, raw key, raw value) of its open attribute child or None.
+    event_pairs: list[tuple[str, AttributeValue]] = []
+    leaf: tuple[str, str, str] | None = None
 
     def start(name: str, attrib: dict[str, str]) -> None:
+        nonlocal event_pairs
         tag = name.rpartition("}")[2]
         if not stack:
             if tag != "log":
@@ -435,6 +458,11 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
             stack.append((_LOG, [], None))
             return
         role, pairs, extra = stack[-1]
+        if role == _TRACE and tag == "event":
+            event_pairs = []
+            stack.append((_EVENT, event_pairs, extra))
+            parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
+            return
         if role == _SKIP:
             frame = _SKIPPED
         elif tag in _ATTR_TAGS:
@@ -443,8 +471,6 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
             frame = (_TRACE, [], [])
         elif role == _LOG and tag == "global":
             frame = (_GLOBAL, [], scopes["trace" if attrib.get("scope") == "trace" else "event"])
-        elif role == _TRACE and tag == "event":
-            frame = (_EVENT, [], None)
         elif role == _ATTRIBUTE and tag == "values" and extra[0] == "list":
             frame = (_VALUES, pairs, None)
         else:
@@ -465,9 +491,13 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
                 pair = shared.get(extra)
                 if pair is None:
                     pair = shared[extra] = _read_attribute(*extra, ())
-            stack[-1][1].append(pair)
-        elif role == _EVENT:
-            stack[-1][2].append(Event(dict(pairs)))
+            parent = stack[-1]
+            parent[1].append(pair)
+            if parent[0] == _EVENT:
+                parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
+        elif role == _SKIP:
+            if stack[-1][0] == _EVENT:
+                parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
         elif role == _TRACE:
             traces.append(Trace(dict(pairs), extra))
         elif role == _GLOBAL:
@@ -476,6 +506,42 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
             logs.append(EventLog(
                 dict(pairs), extensions, classifiers, scopes["trace"], scopes["event"], traces
             ))
+
+    def event_start(name: str, attrib: dict[str, str]) -> None:
+        nonlocal leaf
+        tag = name.rpartition("}")[2]
+        if leaf is None and tag in _LEAF_TAGS:
+            leaf = (tag, attrib.get("key", ""), attrib.get("value", ""))
+            return
+        # a child of the open attribute, a list, a container or an element
+        # the grammar does not place here: its subtree is read by start/end
+        if leaf is not None:
+            stack.append((_ATTRIBUTE, [], leaf))
+            leaf = None
+        parser.StartElementHandler, parser.EndElementHandler = start, end
+        start(name, attrib)
+
+    def event_end(name: str) -> None:
+        nonlocal leaf
+        if leaf is None:  # the </event>
+            stack.pop()[2].append(Event(dict(event_pairs)))
+            parser.StartElementHandler, parser.EndElementHandler = start, end
+            return
+        attribute, leaf = leaf, None
+        if attribute[0] != "date":
+            pair = shared.get(attribute)
+            if pair is None:
+                pair = shared[attribute] = _read_attribute(*attribute, ())
+        else:
+            stamp = _canonical_stamp(attribute[2])
+            if stamp is None:
+                pair = _read_attribute(*attribute, ())
+            else:
+                key = date_keys.get(attribute[1])
+                if key is None:
+                    key = date_keys[attribute[1]] = canonical_key(attribute[1])
+                pair = (key, AttributeValue("date", stamp))
+        event_pairs.append(pair)
 
     declared: list[str | None] = []
     parser = expat.ParserCreate(namespace_separator="}")

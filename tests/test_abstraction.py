@@ -153,6 +153,18 @@ class TestAnnotate:
         twice = annotate(model, once)
         assert twice == once
 
+    def test_a_far_mixture_mean_annotates_without_a_warning(self):
+        # pytest.ini turns a RuntimeWarning into an error: the far component
+        # scores -inf, its limit, and its mixture's mass comes from the others
+        log = synthetic_log(30, seed=1)
+        buffer = io.StringIO()
+        save_model(fit(log, SMALL_CONFIG), buffer)
+        payload = json.loads(buffer.getvalue())
+        gmm = next(iter(payload["catalog"]["time_models"]["day"]["gmms"].values()))
+        gmm["means"][0] = 1e308
+        far = load_model(io.StringIO(json.dumps(payload)))
+        assert annotate(far, strip_labels(log)).event_count() == log.event_count()
+
     def test_missing_family_attributes_degrade_with_diagnostics(self):
         log = synthetic_log(10, seed=8)
         model = fit(log, SMALL_CONFIG)

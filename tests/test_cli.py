@@ -139,6 +139,19 @@ class TestDefaults:
         assert result.exit_code == 0, result.output
         assert models == [Other()]
 
+    def test_generator_stop_probability(self, runner, tmp_path, monkeypatch):
+        real, chances = petri.generate_annotated_log, []
+
+        def generate(*args, **kwargs):
+            chances.append(kwargs["stop_probability"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(petri, "STOP_PROBABILITY", 0.75)
+        monkeypatch.setattr(petri, "generate_annotated_log", generate)
+        result = runner.invoke(main, ["generate", "--traces", "1", "-o", str(tmp_path / "g.xes")])
+        assert result.exit_code == 0, result.output
+        assert chances == [0.75]
+
 
 class TestConvert:
     def test_sensor_csv_roundtrip(self, runner, tmp_path):

@@ -286,6 +286,18 @@ class TestDensity:
         total, _ = integrate.quad(lambda x: np.exp(gmm_log_density(g, x)), lo, hi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_a_far_component_scores_its_limit_without_a_warning(self):
+        # pytest.ini turns a RuntimeWarning into an error
+        near = Gmm(weights=(1.0,), means=(0.0,), variances=(1.0,), variance_floor=1e-9)
+        far = Gmm(weights=(1.0,), means=(1e308,), variances=(1.0,), variance_floor=1e-9)
+        both = Gmm(
+            weights=(0.5, 0.5), means=(1e308, 0.0), variances=(1.0, 1.0), variance_floor=1e-9
+        )
+        xs = np.array([-1e308, -1.0, 0.0, 2.5])
+        assert np.array_equal(gmm_log_density(both, xs), np.log(0.5) + gmm_log_density(near, xs))
+        assert np.array_equal(gmm_log_density(far, xs), np.full(4, -np.inf))
+        assert gmm_log_density(far, 0.0) == -np.inf
+
     def test_invariants_enforced(self):
         with pytest.raises(EstimationError):
             Gmm(weights=(0.5, 0.6), means=(0, 1), variances=(1, 1), variance_floor=0)

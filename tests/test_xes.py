@@ -660,7 +660,65 @@ def _document(stamps: list[str], namespace: bool = False) -> bytes:
     ).encode()
 
 
+_STAMP = "2015-11-03T08:45:23.000+00:00"
+_NAME = "<string key='concept:name' value='A'/>"
+_STAMPED = f"<date key='time:timestamp' value='{_STAMP}'/>"
+_CAPITALIZED = f"<date key='Time:Timestamp' value='{_STAMP}'/>"
+_NESTED = "<string key='org:resource' value='r'><int key='meta' value='1'/></string>"
+_NESTED_DATE = f"<date key='seen' value='{_STAMP}'><date key='meta' value='{_STAMP}'/></date>"
+_LIST = (f"<list key='l'><values><string key='x' value='1'/><date key='d' value='{_STAMP}'/>"
+         "</values></list>")
+_CONTAINER = "<container key='c'><float key='f' value='0.5'/></container>"
+_UNPLACED = "<unknown><string key='ghost' value='g'/></unknown>"
+_UNPLACED_EVENT = "<event><string key='ghost' value='g'/></event>"
+_OUT_OF_RANGE = "<date key='when' value='2015-02-30T08:45:23.000+00:00'/>"
+_ZULU = "<date key='zulu' value='2015-11-03T08:45:23.123Z'/>"
+_OFFSET = "<date key='offset' value='2015-11-03T09:45:23.1+01:00'/>"
+_NANOS = "<date key='nanos' value='2015-11-03T08:45:23.123456789-05:30'/>"
+# children of an <event>: childless attributes, which the event-level
+# handlers read, and each case they hand to the general handlers
+_EVENT_CHILDREN = [
+    _NAME, _STAMPED, _CAPITALIZED, "<int key='n' value='3'/>", "<boolean key='ok' value='true'/>",
+    _NESTED, _NESTED_DATE, _LIST, _CONTAINER, _UNPLACED, _UNPLACED_EVENT,
+    _OUT_OF_RANGE, _ZULU, _OFFSET, _NANOS,
+]
+
+
+def _event_document(children: list[str], namespace: bool) -> bytes:
+    """One trace of two events that hold ``children``, in order and reversed,
+    with a trace attribute after them."""
+    xmlns = " xmlns='http://www.xes-standard.org/'" if namespace else ""
+    return (
+        f"<log{xmlns}><trace><string key='concept:name' value='c'/>"
+        f"<event>{''.join(children)}</event><event>{''.join(reversed(children))}</event>"
+        f"<string key='after' value='events'/></trace></log>"
+    ).encode()
+
+
+def _outcome(parse, data: bytes):
+    """What ``parse`` makes of ``data``: the log's facts, or the type and
+    text of the error it raises."""
+    try:
+        return _log_facts(parse(data))
+    except (XesParseError, XesValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestParserOracle:
+    @given(st.lists(st.sampled_from(_EVENT_CHILDREN), max_size=6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example([_NAME, _CAPITALIZED], False)
+    @example([_NESTED, _NAME, _STAMPED], False)
+    @example([_NESTED_DATE, _STAMPED, _NESTED], True)
+    @example([_LIST, _NAME, _STAMPED], False)
+    @example([_CONTAINER, _LIST], True)
+    @example([_UNPLACED, _NAME, _UNPLACED_EVENT, _STAMPED], False)
+    @example([_NAME, _OUT_OF_RANGE, _STAMPED], False)
+    @example([_ZULU, _NAME, _OFFSET, _NANOS, _STAMPED], True)
+    def test_event_level_handlers_and_their_fallbacks(self, children, namespace):
+        data = _event_document(children, namespace)
+        assert _outcome(parse_xes, data) == _outcome(parse_xes_reference, data)
+
     @given(st.lists(timestamp_texts(), max_size=8), st.booleans())
     @settings(max_examples=150, deadline=None)
     @example(["2015-11-03T08:45:23.000+00:00", "2015-11-03T08:45:23.123Z",
@@ -721,6 +779,23 @@ class TestParserOracle:
     @example(datetime(2015, 11, 3, 8, 45, 23, 1000, tzinfo=UTC))
     def test_to_utc_ms_matches_normalization(self, moment):
         ours, theirs = _to_utc_ms(moment), to_utc_ms_reference(moment)
+        assert ours == theirs
+        assert ours.tzinfo is theirs.tzinfo is UTC
+        assert ours.microsecond == theirs.microsecond
+
+    @given(st.datetimes(
+        min_value=datetime(1900, 1, 2), max_value=datetime(2100, 1, 1),
+        timezones=st.one_of(st.none(), st.just(UTC), st.just(timezone(timedelta(0))), _OFFSETS),
+    ))
+    @settings(max_examples=300, deadline=None)
+    @example(datetime(2015, 11, 3, 8, 45, 23, 123000, tzinfo=UTC))
+    @example(datetime(2015, 11, 3, 8, 45, 23, 123456, tzinfo=UTC))
+    @example(datetime(2015, 11, 3, 8, 45, 23, 123000))
+    @example(datetime(2015, 11, 3, 8, 45, 23, 123000, tzinfo=timezone(timedelta(0))))
+    @example(datetime(2015, 11, 3, 9, 45, 23, 123999, tzinfo=timezone(timedelta(hours=1))))
+    def test_a_date_value_is_the_normalized_moment(self, moment):
+        # aware, naive, non-UTC and sub-millisecond moments alike
+        ours, theirs = AttributeValue("date", moment).value, to_utc_ms_reference(moment)
         assert ours == theirs
         assert ours.tzinfo is theirs.tzinfo is UTC
         assert ours.microsecond == theirs.microsecond
