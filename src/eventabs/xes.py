@@ -20,11 +20,17 @@ two byte-identical.
 ``parse_xes`` reads the document in one streaming pass of expat: its
 start and end handlers keep a stack of the open elements and build each
 attribute, event, trace and the log as its element closes, so no element
-tree is built. A timestamp already in ``format_timestamp``'s form goes
-straight to ``datetime.fromisoformat``, and a childless attribute other
-than a date is read once per distinct (tag, key, value) within one parse
-and its frozen ``AttributeValue`` shared, which pays because logs draw
-their values from small alphabets. A list's items, held in its
+tree is built. While an ``<event>`` is open, expat calls a second pair of
+handlers instead, which read the event's childless attributes without
+a stack frame or role dispatch of their own; a nested, listed or unplaced child hands
+its subtree back to the general pair, so both pairs skip alike and
+raise the first fault in document order. A timestamp already in
+``format_timestamp``'s form goes straight to ``datetime.fromisoformat``,
+and ``AttributeValue`` takes the UTC datetime at whole milliseconds that
+this gives as it is, without normalizing it again. A childless attribute
+other than a date is read once per distinct (tag, key, value) within one
+parse and its frozen ``AttributeValue`` shared, which pays because logs
+draw their values from small alphabets. A list's items, held in its
 ``<values>`` element, become its children. The plain ElementTree walk
 ``tests/oracles.parse_xes_reference`` is the reference it is tested against.
 """
