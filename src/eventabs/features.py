@@ -420,23 +420,38 @@ class InternedLog:
         self.lengths = np.asarray([len(t.events) for t in traces], dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)]).astype(np.intp)
         attributes = [ev.attributes for t in traces for ev in t.events]
+        n = len(attributes)
+        # each event's attributes are read once per key some event holds; a
+        # key no event holds gives a constant column
+        present = set().union(*attributes)
 
         def column(key: str) -> list:
             # an Event checks the kind of each key read here, so a value
             # present is a string (a datetime for the timestamp)
             return [av.value if (av := a.get(key)) is not None else None for a in attributes]
 
-        self.labels, self.label_ids = _intern(column(LABEL))
-        self.steps, self.step_ids = _intern([
-            step.lower() if step is not None else None for step in column(LIFECYCLE_TRANSITION)
-        ])
-        stamps = column(TIME_TIMESTAMP)
-        self.timed = np.asarray([ts is not None for ts in stamps], dtype=bool)
-        self.times = np.asarray(
-            [(ts - _EPOCH) // _MILLISECOND if ts is not None else 0 for ts in stamps], dtype=np.int64
-        )
+        def interned(key: str, lower: bool = False) -> tuple[tuple, np.ndarray]:
+            if key not in present:
+                return (), np.full(n, -1, dtype=np.intp)
+            values = column(key)
+            return _intern([v.lower() if v is not None else None for v in values] if lower else values)
+
+        self.labels, self.label_ids = interned(LABEL)
+        self.steps, self.step_ids = interned(LIFECYCLE_TRANSITION, lower=True)
+        if TIME_TIMESTAMP in present:
+            stamps = column(TIME_TIMESTAMP)
+            self.timed = np.asarray([ts is not None for ts in stamps], dtype=bool)
+            self.times = np.asarray(
+                [(ts - _EPOCH) // _MILLISECOND if ts is not None else 0 for ts in stamps],
+                dtype=np.int64,
+            )
+        else:
+            self.timed, self.times = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
         self.symbols = {}
         for key in _STRING_KEYS:
+            if key not in present:
+                self.symbols[key] = ((MISSING,) if n else (), np.zeros(n, dtype=np.intp))
+                continue
             values = column(key)
             if BOT in values or MISSING in values:
                 event = next(i for i, v in enumerate(values) if v in (BOT, MISSING))

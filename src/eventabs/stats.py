@@ -3,15 +3,21 @@ tables, each a (contexts, labels) count matrix smoothed as whole arrays;
 univariate Gaussian mixtures fitted by EM; and BIC-based selection of the
 mixture size.
 
-All EM runs go through one packed kernel. It groups the fits by component
-count k, concatenates each group's samples into one row array with a
-contiguous segment per fit, and runs every iteration as whole-array
-operations over the group, with per-fit sums by ``np.add.reduceat`` over
-the segment starts. Fits that converge drop out and their rows are
-compacted away. Each fit keeps its own seed, floor, stopping rule and
-warnings, and its result does not depend on the fits packed with it, so
-``gmm_select_bic_many`` over many sample sets equals ``gmm_select_bic`` on
-each. ``gmm_fit_em`` and ``gmm_select_bic`` run the same kernel on one set.
+All EM runs go through one packed loop (``_em_loop``) over every fit of a
+call, whatever its component count k: ``gmm_select_bic_many`` fits all its
+BIC candidates in one run. The fits are packed in order of descending k,
+so that the fits with more than j components are a prefix for every
+component index j; slab j holds component j's entry for each sample row of
+that prefix, and the ragged slabs lie back to back in one buffer, with
+the parameters in the same component-major order. Each iteration works on
+whole slabs, sums per (component, fit) by ``np.add.reduceat`` over
+contiguous segments and per fit over components slab by slab, in
+component order. Fits that converge stop and ride along masked until
+enough of them can be compacted away. Each fit keeps its own seed, floor,
+stopping rule and warnings, and its result does not depend on the fits
+packed with it, so ``gmm_select_bic_many`` over many sample sets equals
+``gmm_select_bic`` on each. ``gmm_fit_em`` and ``gmm_select_bic`` run the
+same loop on one set.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,8 +222,12 @@ def gmm_log_density(model: Gmm, x: float | np.ndarray) -> float | np.ndarray:
 
 def _kmeanspp_centers(xs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [xs[rng.integers(len(xs))]]
+    # each sample's squared distance to its nearest center so far, kept as
+    # a running minimum: a minimum is exact, so this equals the minimum
+    # over all the centers
+    d2 = np.full(len(xs), math.inf)
     for _ in range(1, k):
-        d2 = np.min((xs[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
+        np.minimum(d2, (xs - centers[-1]) ** 2, out=d2)
         total = d2.sum()
         if total <= 0.0:
             centers.append(xs[rng.integers(len(xs))])
@@ -233,148 +243,295 @@ def _finite_samples(samples: Sequence[float]) -> np.ndarray:
     return xs
 
 
-def _em_group(
-    sample_sets: list[np.ndarray],
-    k: int,
-    seeds: list[int],
-) -> list[Gmm]:
-    """EM for fits that share the component count ``k``, packed.
+class _Span(NamedTuple):
+    """Consecutive slabs of the packed buffer, which EM spreads parameters
+    over in one ``repeat`` call."""
 
-    The samples of all fits form one row array with one contiguous segment
-    per fit. Each iteration runs one E-step over the (k, rows) scores,
-    whose exponentials give both the log-likelihood and the
-    responsibilities, and sums per fit with ``np.add.reduceat`` over the
-    segment starts. Every operation is elementwise or reduces within one
-    segment, so a fit's result does not depend on the fits packed with it.
-    A fit that meets its tolerance drops out and its rows are compacted
-    away.
+    entries: np.ndarray   # the slabs' buffer entries
+    params: slice         # their (component, fit) places in the parameters
+    lengths: np.ndarray   # the sample counts of those (component, fit)s
+    segments: np.ndarray  # and their first entries, within the span
+    xs: list[tuple[slice, np.ndarray]]  # each slab's entries and samples
 
-    The rows' squared distances to their means are computed once per
-    iteration: the M-step's, for the means it has just set, are the next
-    E-step's. The E-step scores, shifts and exponentiates in that one
-    (k, rows) array, and the M-step divides it into responsibilities in
-    place.
-    """
-    n_fits = len(sample_sets)
-    floor_of = np.empty(n_fits)
-    # parameters are (k, fits) and row arrays (k, rows), all C-contiguous:
-    # reductions over the components then combine whole rows
-    means = np.empty((k, n_fits))
-    variances = np.empty((k, n_fits))
-    for f, (xs, seed) in enumerate(zip(sample_sets, seeds)):
-        sample_var = float(np.var(xs))
-        floor_of[f] = max(1e-6 * sample_var, 1e-9)
-        # a seed is any integer; numpy's generators take non-negative ones
-        means[:, f] = _kmeanspp_centers(xs, k, np.random.default_rng(seed % 2**64))
-        variances[:, f] = max(sample_var, floor_of[f])
-    weights = np.full((k, n_fits), 1.0 / k)
 
-    trajectories: list[list[float]] = [[] for _ in range(n_fits)]
-    warnings: list[dict[str, None]] = [{} for _ in range(n_fits)]
-    final: list[tuple[np.ndarray, ...]] = [()] * n_fits
+class _Packing(NamedTuple):
+    """The packed fits' slabs (slab j: component j of every fit with more
+    than j components, one entry per sample) and where things lie."""
 
-    # the live fits: their indices, floors, rows and segment layout
-    ids = np.arange(n_fits)
-    floors = floor_of
-    lengths = np.asarray([len(xs) for xs in sample_sets])
-    xs = np.concatenate(sample_sets)
-    ll_prev = np.full(n_fits, -math.inf)
+    slabs: list[np.ndarray]
+    params: list[slice]   # each slab's (component, fit) parameters
+    spans: list[_Span]
+    fit_of: np.ndarray    # each parameter's fit
+    segments: np.ndarray  # each parameter's first buffer entry
+    entries: np.ndarray   # the part of the buffer in use
+    starts: np.ndarray    # each fit's first row
 
-    def warn(flags: np.ndarray, message: str) -> None:
-        for f in ids[flags]:
-            warnings[f].setdefault(message)
 
-    # each row's squared distance to its fit's means: the initial means'
-    # here, then each M-step's for the next E-step
-    sq = xs - np.repeat(means, lengths, axis=1)
-    sq **= 2
-    starts = np.cumsum(lengths) - lengths
-    for it in range(EM_MAX_ITERATIONS + 1):
-        scores = np.multiply(sq, np.repeat(-0.5 / variances, lengths, axis=1), out=sq)
-        scores += np.repeat(
-            np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)), lengths, axis=1
-        )
-        top = scores.max(axis=0)
-        expd = np.exp(np.subtract(scores, top, out=scores), out=scores)
-        total = expd.sum(axis=0)
-        ll = np.add.reduceat(top + np.log(total), starts)
-        for f, value in zip(ids.tolist(), ll.tolist()):
-            trajectories[f].append(value)
-        if it == EM_MAX_ITERATIONS:  # this E-step only scored the final parameters
-            stop = np.ones(len(ids), dtype=bool)
-            warn(stop, "EM stopped at the iteration cap")
-        else:
-            stop = (ll - ll_prev <= EM_TOLERANCE * (1.0 + np.abs(ll))) & (it > 0)
-            # a converged fit keeps its parameters, so this log-likelihood
-            # is also its final one
-            for f, value in zip(ids[stop].tolist(), ll[stop].tolist()):
-                trajectories[f].append(value)
-        if stop.any():
-            for local in np.flatnonzero(stop):
-                final[ids[local]] = (
-                    weights[:, local], means[:, local], variances[:, local]
-                )
-            keep = ~stop
-            if not keep.any():
-                break
-            rows = np.repeat(keep, lengths)
-            ids, floors, lengths, ll = ids[keep], floors[keep], lengths[keep], ll[keep]
-            # np.compress keeps the (k, ·) arrays C-contiguous, unlike [:, mask]
-            weights, means, variances = (
-                np.compress(keep, a, axis=1) for a in (weights, means, variances)
-            )
-            xs, expd, total = xs[rows], np.compress(rows, expd, axis=1), total[rows]
-            starts = np.cumsum(lengths) - lengths
-        ll_prev = ll
-
-        resp = np.divide(expd, total, out=expd)
-        mass = np.add.reduceat(resp, starts, axis=1)
-        degenerate = mass < 1e-12
-        if degenerate.any():
-            warn(degenerate.any(axis=0), "degenerate cluster: responsibility mass vanished")
-            mass = np.where(degenerate, 1e-12, mass)
-        weights = np.maximum(mass / mass.sum(axis=0), 1e-300)
-        weights = weights / weights.sum(axis=0)
-        means = np.where(
-            degenerate, means, np.add.reduceat(resp * xs, starts, axis=1) / mass
-        )
-        sq = xs - np.repeat(means, lengths, axis=1)
-        sq **= 2
-        new_var = np.add.reduceat(resp * sq, starts, axis=1) / mass
-        warn((new_var < floors).any(axis=0), "variance clamped to floor")
-        variances = np.maximum(new_var, floors)
-
-    return [
-        Gmm(
-            weights=tuple(w.tolist()),
-            means=tuple(m.tolist()),
-            variances=tuple(v.tolist()),
-            variance_floor=float(floor),
-            log_likelihood=trajectory[-1],
-            ll_trajectory=tuple(trajectory),
-            warnings=tuple(warned),
-        )
-        for floor, (w, m, v), trajectory, warned in zip(
-            floor_of, final, trajectories, warnings
-        )
-    ]
+def _pack(k_of: np.ndarray, lengths: np.ndarray, buffer: np.ndarray, xs: np.ndarray) -> _Packing:
+    """The slabs of fits with component counts ``k_of``, in descending
+    order, laid back to back from the start of ``buffer``; slab j holds
+    the rows of the fits with more than j components, a prefix of the
+    fits. The slabs are grouped into spans of at most twice as many
+    entries as there are rows, which is what the E-step's two per-row
+    arrays hold, so a spread over a span adds nothing to EM's peak."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    fits = [int(np.count_nonzero(k_of > j)) for j in range(int(k_of[0]))]
+    rows = [int(ends[n - 1]) for n in fits]
+    offsets = np.cumsum([0] + rows).tolist()
+    firsts = np.cumsum([0] + fits).tolist()
+    slabs = [buffer[a:b] for a, b in zip(offsets, offsets[1:])]
+    spans, j = [], 0
+    while j < len(slabs):
+        end = j + 1
+        while end < len(slabs) and offsets[end + 1] - offsets[j] <= 2 * rows[0]:
+            end += 1
+        span = range(j, end)
+        spans.append(_Span(
+            buffer[offsets[j]:offsets[end]], slice(firsts[j], firsts[end]),
+            np.concatenate([lengths[:fits[i]] for i in span]),
+            np.concatenate([starts[:fits[i]] + offsets[i] - offsets[j] for i in span]),
+            [(slice(offsets[i] - offsets[j], offsets[i + 1] - offsets[j]), xs[:rows[i]])
+             for i in span],
+        ))
+        j = end
+    return _Packing(
+        slabs, [slice(a, b) for a, b in zip(firsts, firsts[1:])], spans,
+        np.concatenate([np.arange(n) for n in fits]),
+        np.concatenate([starts[:n] + offset for n, offset in zip(fits, offsets)]),
+        buffer[:offsets[-1]], starts,
+    )
 
 
 def _em_fits(
     sample_sets: list[np.ndarray], ks: list[int], seeds: list[int]
 ) -> list[Gmm]:
-    """Fit one mixture per (samples, k, seed) by EM, with the fits of each
-    component count packed into one :func:`_em_group` run, so no component
-    is padded. The callers validate the inputs."""
-    fits: list[Gmm] = [None] * len(ks)  # type: ignore[list-item]
-    for k in sorted(set(ks)):
-        members = [i for i, k_i in enumerate(ks) if k_i == k]
-        group = _em_group(
-            [sample_sets[i] for i in members], k, [seeds[i] for i in members]
-        )
-        for i, fit in zip(members, group):
-            fits[i] = fit
+    """Fit one mixture per (samples, k, seed) by EM, all fits in one packed
+    loop (:func:`_em_loop`). The loop keeps each E-step's log-likelihoods
+    as arrays, and the trajectories are made from them once its buffer is
+    freed. The callers validate the inputs."""
+    n_fits = len(ks)
+    if not n_fits:
+        return []
+    floors = np.empty(n_fits)
+    variances = np.empty(n_fits)
+    means = []
+    for i, (xs, k, seed) in enumerate(zip(sample_sets, ks, seeds)):
+        sample_var = float(np.var(xs))
+        floors[i] = max(1e-6 * sample_var, 1e-9)
+        variances[i] = max(sample_var, floors[i])
+        # a seed is any integer; numpy's generators take non-negative ones
+        means.append(_kmeanspp_centers(xs, k, np.random.default_rng(seed % 2**64)).tolist())
+    final, warnings, history, last_step, converged = _em_loop(
+        sample_sets, ks, means, variances, floors
+    )
+    # a fit's trajectory: its column of each packing's log-likelihoods,
+    # up to its last E-step, and that value again if it converged
+    trajectories: list[list[float] | None] = [[] for _ in range(n_fits)]
+    first = 0
+    for packed, lls in history:
+        steps = np.stack(lls)
+        lls.clear()
+        for f, i in enumerate(packed.tolist()):
+            trajectories[i] += steps[:last_step[i] + 1 - first, f].tolist()
+        first += len(steps)
+    fits = []
+    for i, done in enumerate(converged.tolist()):
+        trajectory = trajectories[i]
+        trajectories[i] = None  # its list goes as its tuple is made
+        w, m, v = final[i]
+        fits.append(Gmm(
+            weights=tuple(w.tolist()),
+            means=tuple(m.tolist()),
+            variances=tuple(v.tolist()),
+            variance_floor=float(floors[i]),
+            log_likelihood=trajectory[-1],
+            ll_trajectory=tuple(trajectory + trajectory[-1:] if done else trajectory),
+            warnings=tuple(warnings[i]),
+        ))
     return fits
+
+
+def _em_loop(
+    sample_sets: list[np.ndarray], ks: list[int], centers: list[list[float]],
+    start_variance: np.ndarray, floor_of: np.ndarray,
+) -> tuple[list, list, list, np.ndarray, np.ndarray]:
+    """EM from the given means, variances and floors for every fit at once.
+    Returns each fit's final (weights, means, variances) and warnings; the
+    log-likelihoods of every E-step, as one (fit indices, per-step arrays)
+    pair per packing; and each fit's last E-step and whether it converged.
+
+    The fits are packed in order of descending k (stable), so that for
+    each component index j the fits with more than j components are a
+    prefix of the fits and their samples a prefix of the rows. Slab j
+    holds component j's entry for each of those rows, and the slabs lie
+    back to back in one buffer; the per-(component, fit) weights, means,
+    variances and floors are kept in the same component-major order. Each
+    iteration scores the buffer, takes each row's maximum and its sum over
+    the components slab by slab in component order, sums per (component,
+    fit) with ``np.add.reduceat`` over the contiguous segments, and sums
+    per fit over its components slab by slab, in component order (as
+    ``np.bincount`` would, which cost about 5 us a call here). Every
+    operation is elementwise or reduces within one fit, in the order the
+    fit run alone takes, so a fit's result does not depend on the fits
+    packed with it.
+
+    At the start of an iteration the buffer holds each entry's squared
+    distance to its mean (the M-step's, for the means it has just set,
+    serve the next E-step). The E-step scores, shifts and exponentiates in
+    place and divides into responsibilities in place. Beside the buffer
+    and the samples EM holds the rows' maximum and sum in the E-step only,
+    and one span-sized spread at a time otherwise, which is no more.
+
+    A fit that meets its tolerance stops and its result is recorded. It
+    then rides along masked, adding nothing to trajectories, warnings or
+    results, until the stopped fits hold an eighth as many buffer entries
+    as the live fits; then they are compacted away, in place. Compacting
+    at every stop copied the whole buffer about a hundred times per
+    sensor-long catalog and was no faster, and waiting for a quarter or a
+    half left more stopped rows riding than the copies cost.
+    """
+    n_fits = len(ks)
+    # the packed fits: their indices, component counts, sample counts,
+    # liveness and log-likelihoods at the previous iteration
+    ids = np.asarray(sorted(range(n_fits), key=lambda i: -ks[i]))
+    k_of = np.asarray(ks)[ids]
+    lengths = np.asarray([len(sample_sets[i]) for i in ids.tolist()])
+    live = np.ones(n_fits, dtype=bool)
+    ll_prev = np.full(n_fits, -math.inf)
+
+    xs = np.concatenate([sample_sets[i] for i in ids.tolist()])
+    buffer = np.empty(int(k_of @ lengths))
+    slabs, params, spans, fit_of, segments, entries, starts = _pack(k_of, lengths, buffer, xs)
+    means = np.asarray([
+        centers[i][j] for j in range(len(slabs)) for i in ids[k_of > j].tolist()
+    ])
+    variances = start_variance[ids][fit_of]
+    weights = 1.0 / k_of[fit_of]
+    floors = floor_of[ids][fit_of]
+
+    warnings: list[dict[str, None]] = [{} for _ in range(n_fits)]
+    final: list[tuple[np.ndarray, ...]] = [()] * n_fits
+    history: list[tuple[np.ndarray, list[np.ndarray]]] = [(ids, [])]
+    last_step = np.zeros(n_fits, dtype=np.intp)
+    converged = np.zeros(n_fits, dtype=bool)
+
+    def per_fit(values: np.ndarray) -> np.ndarray:
+        # each fit's sum over its components, in component order
+        sums = values[params[0]].copy()
+        for component in params[1:]:
+            head = sums[:component.stop - component.start]
+            head += values[component]
+        return sums
+
+    def warn(flags: np.ndarray, message: str) -> None:
+        for f in ids[flags & live]:
+            warnings[f].setdefault(message)
+
+    def squared_distances(span: _Span) -> np.ndarray:
+        sq = means[span.params].repeat(span.lengths)
+        for part, x in span.xs:
+            distances = sq[part]
+            np.subtract(x, distances, out=distances)
+        return np.square(sq, out=sq)
+
+    for span in spans:
+        np.copyto(span.entries, squared_distances(span))
+    for it in range(EM_MAX_ITERATIONS + 1):
+        scale = -0.5 / variances
+        shift = np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances))
+        for span in spans:
+            np.multiply(span.entries, scale[span.params].repeat(span.lengths), out=span.entries)
+            np.add(span.entries, shift[span.params].repeat(span.lengths), out=span.entries)
+        # the rows' maximum and sum over the components, in component order
+        top = slabs[0].copy()
+        tops = [top[:len(slab)] for slab in slabs]
+        for slab, head in zip(slabs[1:], tops[1:]):
+            np.maximum(head, slab, out=head)
+        for slab, head in zip(slabs, tops):
+            np.subtract(slab, head, out=slab)
+        np.exp(entries, out=entries)
+        total = slabs[0].copy()
+        totals = [total[:len(slab)] for slab in slabs]
+        for slab, head in zip(slabs[1:], totals[1:]):
+            np.add(head, slab, out=head)
+        for slab, head in zip(slabs, totals):
+            np.divide(slab, head, out=slab)
+        # each row's log-likelihood, in place of its maximum
+        top += np.log(total, out=total)
+        ll = np.add.reduceat(top, starts)
+        del top, total, tops, totals  # the M-step's spreads take their place
+        history[-1][1].append(ll)
+        if it == EM_MAX_ITERATIONS:  # this E-step only scored the final parameters
+            stop = live.copy()
+            warn(stop, "EM stopped at the iteration cap")
+        else:
+            # the first E-step's gain over -inf is never within the tolerance
+            stop = (ll - ll_prev <= EM_TOLERANCE * (1.0 + np.abs(ll))) & live
+        if np.count_nonzero(stop):
+            last_step[ids[stop]] = it
+            # a converged fit keeps its parameters, so this log-likelihood
+            # is also its final one
+            converged[ids[stop]] = it < EM_MAX_ITERATIONS
+            for f in np.flatnonzero(stop).tolist():
+                own = np.flatnonzero(fit_of == f)
+                final[ids[f]] = (weights[own], means[own], variances[own])
+            live &= ~stop
+            if not np.count_nonzero(live):
+                break
+            size = k_of * lengths
+            if 8 * size[~live].sum() >= size[live].sum():
+                rows = np.repeat(live, lengths)
+                kept = live[fit_of]
+                means, variances, weights, floors = (
+                    a[kept] for a in (means, variances, weights, floors)
+                )
+                ids, k_of, lengths, ll = ids[live], k_of[live], lengths[live], ll[live]
+                xs = xs[rows]
+                moved = slabs
+                slabs, params, spans, fit_of, segments, entries, starts = _pack(
+                    k_of, lengths, buffer, xs
+                )
+                # each slab moves to a place no further on, ahead of the
+                # next old slab
+                for old, new in zip(moved, slabs):
+                    new[:] = old[rows[:len(old)]]
+                live = np.ones(len(ids), dtype=bool)
+                history.append((ids, []))
+        ll_prev = ll
+
+        mass = np.add.reduceat(entries, segments)
+        sums = np.empty(len(mass))
+        for span in spans:
+            product = np.empty(len(span.entries))
+            for part, x in span.xs:
+                np.multiply(span.entries[part], x, out=product[part])
+            np.add.reduceat(product, span.segments, out=sums[span.params])
+            del product  # one spread at a time
+        degenerate = mass < 1e-12
+        if np.count_nonzero(degenerate):
+            warn(per_fit(degenerate), "degenerate cluster: responsibility mass vanished")
+            mass = np.where(degenerate, 1e-12, mass)
+            means = np.where(degenerate, means, sums / mass)
+        else:
+            means = sums / mass
+        weights = np.maximum(mass / per_fit(mass)[fit_of], 1e-300)
+        weights = weights / per_fit(weights)[fit_of]
+        # the squared distances to the new means, which the next E-step
+        # scores
+        for span in spans:
+            sq = squared_distances(span)
+            np.multiply(span.entries, sq, out=span.entries)
+            np.add.reduceat(span.entries, span.segments, out=sums[span.params])
+            np.copyto(span.entries, sq)
+            del sq
+        new_var = sums / mass
+        clamped = new_var < floors
+        if np.count_nonzero(clamped):
+            warn(per_fit(clamped), "variance clamped to floor")
+        variances = np.maximum(new_var, floors)
+
+    return final, warnings, history, last_step, converged
 
 
 def gmm_fit_em(samples: Sequence[float], k: int, seed: int = 0) -> Gmm:

@@ -393,6 +393,35 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 2.5 * peaks[0]
 
+    def test_loocv_peak_grows_linearly_with_three_components(self):
+        # EM's packed buffer holds 1 + 2 + 3 entries per sample row at
+        # k_max 3, so this checks that the EM row budget of fold_catalogs
+        # still keeps the peak linear in the log. Measured ratio 1.89 (2.77
+        # and 5.25 MB), and 1.98 with the budget lifted, at this log size
+        log = generate_annotated_log(medicine_eating_process(), 20, seed=11)
+        copies = [
+            Trace({CONCEPT_NAME: AttributeValue.string(f"{t.case_id}-copy")}, t.events)
+            for t in log.traces
+        ]
+        config = EvalConfig(
+            abstraction=AbstractionConfig(
+                catalog=CatalogConfig(
+                    ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3
+                ),
+                optimizer=OwlqnConfig(max_iterations=3),
+            )
+        )
+        leave_one_trace_out(replace(log, traces=log.traces[:3]), config)  # warm-up
+        peaks = []
+        for traces in (log.traces, log.traces + copies):
+            tracemalloc.start()
+            try:
+                leave_one_trace_out(replace(log, traces=traces), config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.5 * peaks[0]
+
     def test_loocv_peak_grows_linearly_without_mixtures(self):
         # without time views there are no mixtures, so the EM budget of
         # fold_catalogs bounds nothing: only the lockstep group size keeps

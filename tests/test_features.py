@@ -30,7 +30,9 @@ from eventabs.features import (
     observation_matrix,
 )
 from eventabs.stats import MultinoulliTable, gmm_log_density
-from eventabs.xes import Trace, AttributeValue, CONCEPT_NAME
+from eventabs.xes import (
+    CONCEPT_NAME, LABEL, LIFECYCLE_TRANSITION, TIME_TIMESTAMP, AttributeValue, Event, Trace,
+)
 
 from factories import BASE, make_event, make_log, sequence_trace
 from oracles import (
@@ -743,6 +745,62 @@ _WINDOW_EVENTS = st.tuples(
 )
 
 
+_COLUMN_KEYS = (
+    CONCEPT_NAME, LABEL, TIME_TIMESTAMP, LIFECYCLE_TRANSITION,
+    "org:resource", "org:role", "org:group",
+)
+# concept name, label, seconds since the previous timestamp, lifecycle step
+# and org values; None drops the attribute from the event
+_COLUMN_EVENTS = st.tuples(
+    st.sampled_from(["A", "B", BOT, None]),
+    st.sampled_from(["X", "Y", None]),
+    st.one_of(st.none(), st.integers(0, 10**6)),
+    st.sampled_from(["start", "Complete", None]),
+    st.fixed_dictionaries({
+        "resource": st.sampled_from(["r1", "r2", MISSING, None]),
+        "role": st.sampled_from(["x", None]),
+        "group": st.sampled_from(["g", None]),
+    }),
+)
+
+
+def _columns_per_key(traces) -> dict:
+    """InternedLog's columns as one pass over every event per key, the
+    form before absent keys were skipped."""
+    attributes = [ev.attributes for t in traces for ev in t.events]
+    starts = np.cumsum([0] + [len(t.events) for t in traces])
+
+    def column(key: str) -> list:
+        return [av.value if (av := a.get(key)) is not None else None for a in attributes]
+
+    def intern(values: list) -> tuple[tuple, np.ndarray]:
+        vocabulary = tuple(sorted(set(values) - {None}))
+        index = {v: i for i, v in enumerate(vocabulary)}
+        return vocabulary, np.asarray([index.get(v, -1) for v in values], dtype=np.intp)
+
+    stamps = column(TIME_TIMESTAMP)
+    out = {
+        "labels": intern(column(LABEL)),
+        "steps": intern([s.lower() if s is not None else None for s in column(LIFECYCLE_TRANSITION)]),
+        "timed": np.asarray([ts is not None for ts in stamps], dtype=bool),
+        "times": np.asarray([
+            (ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1)
+            if ts is not None else 0 for ts in stamps
+        ], dtype=np.int64),
+    }
+    for key in (CONCEPT_NAME, "org:resource", "org:role", "org:group"):
+        values = column(key)
+        if BOT in values or MISSING in values:
+            event = next(i for i, v in enumerate(values) if v in (BOT, MISSING))
+            t = int(np.searchsorted(starts, event, side="right")) - 1
+            raise InputError(
+                f"trace {traces[t].case_id!r} event {event - int(starts[t])} has {key} "
+                f"{values[event]!r}, a value reserved for n-gram contexts"
+            )
+        out[key] = intern([MISSING if v is None else v for v in values])
+    return out
+
+
 class TestInternedColumns:
     """InternedLog computes time-view coordinates and lifecycle pairs on its
     columns; the oracles compute them per datetime and per trace."""
@@ -805,6 +863,44 @@ class TestInternedColumns:
         assert ids.tolist() == expected_ids.tolist()
         assert live.tolist() == expected_live.tolist()
 
+
+    @given(
+        st.lists(st.lists(_COLUMN_EVENTS, max_size=5), max_size=4),
+        st.sets(st.sampled_from(_COLUMN_KEYS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_a_pass_per_key(self, rows, dropped):
+        # dropped keys are held by no event, so their columns are constant
+        traces, elapsed = [], 0
+        for trace_rows in rows:
+            events = []
+            for name, label, gap, step, org in trace_rows:
+                elapsed += gap or 0
+                ts = BASE + timedelta(seconds=elapsed) if gap is not None else None
+                org = {k: v for k, v in org.items() if v is not None}
+                attributes = make_event(name, label, ts, step, org).attributes
+                events.append(Event({k: v for k, v in attributes.items() if k not in dropped}))
+            traces.append(events)
+        log = make_log(traces)
+        try:
+            expected = _columns_per_key(log.traces)
+        except InputError as refused:
+            with pytest.raises(InputError) as raised:
+                InternedLog(log.traces)
+            assert str(raised.value) == str(refused)
+            return
+        interned = InternedLog(log.traces)
+        got = {
+            "labels": (interned.labels, interned.label_ids),
+            "steps": (interned.steps, interned.step_ids),
+            "timed": interned.timed, "times": interned.times, **interned.symbols,
+        }
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            if isinstance(value, tuple):
+                assert got[key][0] == value[0], key
+                value, got[key] = value[1], got[key][1]
+            assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes(), key
 
     @pytest.mark.parametrize("symbol", [BOT, MISSING])
     @pytest.mark.parametrize("key", [CONCEPT_NAME, "org:resource"])

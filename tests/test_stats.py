@@ -1,7 +1,7 @@
 """Multinoulli estimation, EM mixtures, and BIC selection."""
 
 import math
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,6 +338,13 @@ def _close(a, b, scale: float = 0.0) -> bool:
     )
 
 
+def _bits(g: Gmm) -> tuple:
+    """Every number of a fit as its exact bits, with its warnings."""
+    numbers = (*g.weights, *g.means, *g.variances, g.variance_floor, g.log_likelihood,
+               *g.ll_trajectory, g.bic)
+    return tuple(float(v).hex() for v in numbers), len(g.weights), g.warnings
+
+
 def assert_matches_reference(got: Gmm, ref: Gmm, xs: list[float]) -> None:
     assert len(got.ll_trajectory) == len(ref.ll_trajectory)
     assert got.warnings == ref.warnings
@@ -376,7 +383,37 @@ class TestPackedEm:
             assert got.n_components == ref.n_components
             assert_matches_reference(got, ref, xs)
 
-    def test_a_fit_packed_with_others_equals_it_alone(self):
+    @given(
+        st.lists(em_fits(), min_size=1, max_size=8),
+        st.lists(st.floats(-1e4, 1e4, allow_nan=False), max_size=3),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    # k = 1 fits, a single sample, constant samples (a degenerate cluster,
+    # whose variance is clamped to the floor) and a k = 5 fit on five
+    # samples, which clamps too, and with the cap at 2 hits the cap
+    @example([([3.0, 1.0, 2.0], 1, 4), ([2.0], 1, 9), ([7.5] * 6, 3, 1),
+              ([0.0, 1.0, 2.0, 3.0, 1e5], 5, 2)], [0.0], False)
+    @example([([3.0, 1.0, 2.0], 1, 4), ([7.5] * 6, 3, 1),
+              ([0.0, 1.0, 2.0, 3.0, 1e5], 5, 2)], [], True)
+    def test_a_fit_packed_with_others_equals_it_alone(self, fits, constant, capped):
+        """Mixed component counts in any order: each packed fit's result,
+        trajectory and warnings are those of the fit run alone, bit for
+        bit. ``capped`` lowers the iteration cap to 2, so fits stop there."""
+        if constant:  # a set of repeated values
+            fits = fits + [([constant[0]] * len(constant) * 3, len(constant), 11)]
+        with mock.patch.object(stats, "EM_MAX_ITERATIONS", 2 if capped else 200):
+            packed = _em_fits(
+                [np.asarray(xs, dtype=float) for xs, _, _ in fits],
+                [k for _, k, _ in fits], [seed for _, _, seed in fits],
+            )
+            alone = [gmm_fit_em(xs, k, seed=seed) for xs, k, seed in fits]
+        for got, expected in zip(packed, alone, strict=True):
+            assert _bits(got) == _bits(expected)
+            if capped:
+                assert len(got.ll_trajectory) <= 3
+
+    def test_selected_mixtures_equal_their_sets_alone(self):
         rng = np.random.default_rng(11)
         sets = [
             rng.normal(0, 1, 40),
@@ -388,12 +425,18 @@ class TestPackedEm:
         seeds = [3, 1000, 2000, 3000, 4000]
         packed = gmm_select_bic_many(sets, 5, seeds)
         for got, xs, seed in zip(packed, sets, seeds, strict=True):
-            assert got == gmm_select_bic(xs, 5, seed=seed)
-        candidates = [(xs, k) for xs in sets for k in range(1, min(5, len(xs)) + 1)]
-        fits = _em_fits([xs for xs, _ in candidates], [k for _, k in candidates],
-                        [9] * len(candidates))
-        for got, (xs, k) in zip(fits, candidates, strict=True):
-            assert replace(got, bic=0.0) == replace(gmm_fit_em(xs, k, seed=9), bic=0.0)
+            assert _bits(got) == _bits(gmm_select_bic(xs, 5, seed=seed))
+
+    def test_seeding_equals_the_minimum_over_all_centers(self):
+        # the kernel keeps a running minimum of the squared distances; the
+        # reference recomputes it against every center
+        rng = np.random.default_rng(12)
+        for n, k in [(1, 1), (5, 5), (40, 3), (200, 5)]:
+            xs = np.round(rng.exponential(30.0, n))
+            for seed in range(5):
+                centers = stats._kmeanspp_centers(xs, k, np.random.default_rng(seed))
+                expected = em_fit_reference(xs, k, seed, max_iters=0).means
+                assert centers.tolist() == list(expected)
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(EstimationError, match="no samples"):
