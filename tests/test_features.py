@@ -781,7 +781,9 @@ def _columns_per_key(traces) -> dict:
     stamps = column(TIME_TIMESTAMP)
     out = {
         "labels": intern(column(LABEL)),
-        "steps": intern([s.lower() if s is not None else None for s in column(LIFECYCLE_TRANSITION)]),
+        "steps": intern([
+            s.lower() if s is not None else None for s in column(LIFECYCLE_TRANSITION)
+        ]),
         "timed": np.asarray([ts is not None for ts in stamps], dtype=bool),
         "times": np.asarray([
             (ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1)

@@ -402,7 +402,8 @@ class TestPackedEm:
         bit. ``capped`` lowers the iteration cap to 2, so fits stop there."""
         if constant:  # a set of repeated values
             fits = fits + [([constant[0]] * len(constant) * 3, len(constant), 11)]
-        with mock.patch.object(stats, "EM_MAX_ITERATIONS", 2 if capped else stats.EM_MAX_ITERATIONS):
+        cap = 2 if capped else stats.EM_MAX_ITERATIONS
+        with mock.patch.object(stats, "EM_MAX_ITERATIONS", cap):
             packed = _em_fits(
                 [np.asarray(xs, dtype=float) for xs, _, _ in fits],
                 [k for _, k, _ in fits], [seed for _, _, seed in fits],
