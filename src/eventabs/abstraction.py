@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -100,6 +100,19 @@ def fit_folds(
     point is non-finite raises :class:`OptimizationError` when its turn to
     be yielded comes. Raises ``ValueError`` when a fold names a trace
     outside ``[0, n_traces)`` or one trace twice."""
+    return _fit_folds(log, folds, config, lambda: start)
+
+
+def _fit_folds(
+    log: InternedLog,
+    folds: Iterable[Iterable[int]],
+    config: AbstractionConfig,
+    start: Callable[[], CrfModel | None],
+) -> Iterator[tuple[CrfModel, list[np.ndarray]]]:
+    """:func:`fit_folds` with the start model asked of ``start`` once a
+    lockstep group has built its catalogs and its batch, which do not read
+    it, and needs its initial weights. A caller may hand in a provider
+    that waits until the start model is fitted elsewhere."""
     folds = [list(fold) for fold in folds]
     for b, fold in enumerate(folds):
         if not all(isinstance(t, (int, np.integer)) and 0 <= t < log.n_traces for t in fold):
@@ -122,7 +135,7 @@ def _fit_lockstep(
     log: InternedLog,
     group: list[tuple[list[int], FeatureCatalog]],
     config: AbstractionConfig,
-    start: CrfModel | None,
+    start: Callable[[], CrfModel | None],
 ) -> Iterator[tuple[CrfModel, list[np.ndarray]]]:
     held: list[list[np.ndarray]] = []
 
@@ -140,11 +153,12 @@ def _fit_lockstep(
             labels[events] = log.label_indices(catalog.labels, events)
             yield catalog, matrix, labels, kept
 
+    batch = TrainingBatch(log.lengths, problems())
+    warm = start()
     initials = [
-        None if start is None else catalog.weights_from(start.catalog, start.weights)
+        None if warm is None else catalog.weights_from(warm.catalog, warm.weights)
         for _, catalog in group
     ]
-    batch = TrainingBatch(log.lengths, problems())
     models = fit_group(batch, config.l1_coefficient, config.optimizer, initials)
     del batch  # its buffers and packed rows are not held while the models are used
     for model, rows in zip(models, held):

@@ -9,12 +9,16 @@ symbols of the shorter one, so scoring stays cheap next to training even
 on long day-traces.
 
 A cross-validation reads the log once, into an :class:`InternedLog`, and
-fits the whole log once, before any worker starts. The folds are cut into
-``n_jobs`` contiguous shares; each share builds its folds' catalogs
-together (count subtraction plus packed EM, see :func:`fold_catalogs`),
-then trains its folds in lockstep groups, where one forward-backward pass
-evaluates a pending point of every fold of the group (:func:`fit_folds`),
-and decodes each fold's held-out traces. Every fold's OWL-QN run
+fits the whole log once. The folds are cut into ``n_jobs`` contiguous
+shares; each share builds its folds' catalogs together (count
+subtraction plus packed EM, see :func:`fold_catalogs`), then trains its
+folds in lockstep groups, where one forward-backward pass evaluates a
+pending point of every fold of the group (:func:`fit_folds`), and
+decodes each fold's held-out traces. With more than one share, the
+workers fork before the whole-log fit: they build catalogs and batches,
+which do not read the whole-log model, while the parent fits it, and
+each share reads the model from a pipe when its first lockstep group
+needs initial weights. Every fold's OWL-QN run
 starts from the whole-log weights, mapped into the fold catalog's layout
 (:meth:`FeatureCatalog.weights_from`). A fold's training set differs from
 the whole log only by its held-out traces, so the fit takes far fewer
@@ -35,16 +39,17 @@ run (:class:`FoldRecord`).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .abstraction import AbstractionConfig, fit_folds
+from .abstraction import AbstractionConfig, _fit_folds, fit_folds
 from .crf import CrfModel, viterbi_decode_many
 from .errors import InputError
 from .features import InternedLog, neutral_time_notes
@@ -267,7 +272,9 @@ class AbstractionReport:
 class EvalConfig:
     abstraction: AbstractionConfig = AbstractionConfig()
     similarity_on: str = "events"  # "events" or "runs"
-    n_jobs: int = 1  # folds are independent; results are order-independent
+    # worker processes, each fitting a contiguous share of the folds while
+    # the parent fits the whole log; the report does not depend on it
+    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.similarity_on not in ("events", "runs"):
@@ -282,13 +289,16 @@ _FoldOutcome = tuple[list[list[str]], list[str], FoldRecord]
 
 
 def _run_share(
-    log: InternedLog, folds: list[list[int]], config: EvalConfig, start: CrfModel
+    log: InternedLog,
+    folds: list[list[int]],
+    config: EvalConfig,
+    start: Callable[[], CrfModel],
 ) -> list[_FoldOutcome]:
-    """Per fold: fit on the rest from ``start``, then decode the fold's
-    traces (features never read labels); the decodes, the fold's
-    diagnostics and its optimizer record."""
+    """Per fold: fit on the rest from the model ``start`` gives, then
+    decode the fold's traces (features never read labels); the decodes,
+    the fold's diagnostics and its optimizer record."""
     outcomes = []
-    fitted = fit_folds(log, folds, config.abstraction, start)
+    fitted = _fit_folds(log, folds, config.abstraction, start)
     for fold, (model, held_out) in zip(folds, fitted):
         decoded = viterbi_decode_many(model, held_out)
         run = model.training
@@ -303,14 +313,20 @@ def _run_share(
 _WORKER_STATE: dict = {}
 
 
-def _share_worker_init(log: InternedLog, config: EvalConfig, start: CrfModel) -> None:
-    _WORKER_STATE.update(log=log, config=config, start=start)
+def _share_worker_init(log: InternedLog, config: EvalConfig, channel) -> None:
+    _WORKER_STATE.update(log=log, config=config, channel=channel)
 
 
 def _share_worker(folds: list[list[int]]) -> list[_FoldOutcome]:
-    return _run_share(
-        _WORKER_STATE["log"], folds, _WORKER_STATE["config"], _WORKER_STATE["start"]
-    )
+    """One share, whose start model the parent sends on the channel once
+    it has fitted the whole log."""
+    start = functools.cache(_WORKER_STATE["channel"].get)
+    try:
+        return _run_share(_WORKER_STATE["log"], folds, _WORKER_STATE["config"], start)
+    finally:
+        # a share takes its copy even when it fails before it needs one,
+        # so the parent never waits to write a copy that no share reads
+        start()
 
 
 def _evaluate_folds(
@@ -318,13 +334,16 @@ def _evaluate_folds(
     folds: list[list[int]],
     config: EvalConfig,
 ) -> AbstractionReport:
+    """Cross-validate over ``folds``. With several shares, the workers fork
+    right after interning and build their catalogs and batches while this
+    process fits the whole log; each share then reads the start model from
+    a pipe when its first lockstep group needs initial weights."""
     interned = InternedLog(log.traces)
     unlabeled = np.flatnonzero(interned.label_ids < 0)
     if len(unlabeled):
         raise InputError(f"{interned.describe(int(unlabeled[0]))} has no ground-truth label")
     names = np.asarray(interned.labels, dtype=object)
     truth = [names[ids].tolist() for ids in interned.per_trace(interned.label_ids)]
-    start, _ = next(fit_folds(interned, [()], config.abstraction))
 
     shares = [
         [folds[i] for i in share]
@@ -334,12 +353,21 @@ def _evaluate_folds(
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        with context.Pool(
-            len(shares), initializer=_share_worker_init, initargs=(interned, config, start)
-        ) as pool:
-            outcomes = pool.map(_share_worker, shares, chunksize=1)
+        channel = context.SimpleQueue()
+        try:
+            with context.Pool(
+                len(shares), initializer=_share_worker_init, initargs=(interned, config, channel)
+            ) as pool:
+                pending = pool.map_async(_share_worker, shares, chunksize=1)
+                start, _ = next(fit_folds(interned, [()], config.abstraction))
+                for _ in shares:
+                    channel.put(start)
+                outcomes = pending.get()
+        finally:
+            channel.close()
     else:
-        outcomes = [_run_share(interned, folds, config, start)]
+        start, _ = next(fit_folds(interned, [()], config.abstraction))
+        outcomes = [_run_share(interned, folds, config, lambda: start)]
 
     diagnostics: list[str] = []
     predicted: dict[int, list[str]] = {}

@@ -412,7 +412,8 @@ class InternedLog:
     Timestamps are int64 UTC milliseconds, valid where ``timed``. Columns
     that depend on a parameter (n-gram contexts and their label counts per
     attribute and n, time-view coordinates per view, lifecycle durations
-    per step chain) are computed on first use and kept.
+    per step chain) are computed on first use and kept, and so are the
+    mixtures :func:`fold_catalogs` selects on whole-log sample sets.
     """
 
     def __init__(self, traces: Sequence[Trace]):
@@ -632,8 +633,10 @@ _EM_ROWS_PER_EVENT = 16
 @dataclass
 class _FoldPlan:
     """A fold's catalog before its mixtures are fitted. ``banks`` holds the
-    (name, per-label samples, seed) of every mixture bank, time views
-    first; ``notes`` come before the mixture warnings, ``tail`` after."""
+    (name, per-label samples, seed, whole labels) of every mixture bank,
+    time views first, where the whole labels are those whose samples the
+    held-out traces add nothing to; ``notes`` come before the mixture
+    warnings, ``tail`` after."""
 
     labels: tuple[str, ...]
     defs: list[FeatureDef]
@@ -641,14 +644,14 @@ class _FoldPlan:
     org_tables: dict[tuple[int, str], MultinoulliTable]
     views: tuple[str, ...]
     duration_keys: list[tuple[str, str]]
-    banks: list[tuple[str, dict[str, np.ndarray], int]]
+    banks: list[tuple[str, dict[str, np.ndarray], int, set[str]]]
     lifecycle_steps: tuple[str, ...]
     notes: list[str]
     tail: list[str]
 
     @property
     def rows(self) -> int:
-        return sum(len(xs) for _, samples, _ in self.banks for xs in samples.values())
+        return sum(len(xs) for _, samples, *_ in self.banks for xs in samples.values())
 
 
 def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> _FoldPlan:
@@ -704,17 +707,28 @@ def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> 
         else:
             notes.append(f"org:{o} extension absent: org_ngram features skipped")
 
-    def per_label(values: np.ndarray, owners: np.ndarray, rows: np.ndarray) -> dict[str, np.ndarray]:
-        return {l: values[rows & (owners == j)] for l, j in zip(labels, label_ids)}
+    banks: list[tuple[str, dict[str, np.ndarray], int, set[str]]] = []
 
-    banks: list[tuple[str, dict[str, np.ndarray], int]] = []
+    def add_bank(
+        name: str, seed: int, values: np.ndarray, owners: np.ndarray, rows: np.ndarray,
+        kept: np.ndarray,
+    ) -> None:
+        # each label's samples are its rows that are kept; it is whole when
+        # the held-out traces drop none of its rows
+        samples, whole = {}, set()
+        for l, j in zip(labels, label_ids):
+            mine = rows & (owners == j)
+            samples[l] = values[mine & kept]
+            if len(samples[l]) == np.count_nonzero(mine):
+                whole.add(l)
+        banks.append((name, samples, seed, whole))
+
     views = config.time_views if has_time else ()
     for view in views:
-        banks.append((
-            f"time_view {view}",
-            per_label(log.coordinates(view), label_of, training & log.timed),
-            config.gmm_seed + 7919 * TIME_VIEWS.index(view),
-        ))
+        add_bank(
+            f"time_view {view}", config.gmm_seed + 7919 * TIME_VIEWS.index(view),
+            log.coordinates(view), label_of, log.timed, training,
+        )
         defs.extend(FeatureDef("time_view", l, view=view) for l in labels)
     if not has_time:
         notes.append("time extension absent: time_view features skipped")
@@ -726,11 +740,11 @@ def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> 
         present = np.bincount(key_ids[kept], minlength=len(keys))
         for offset, k in enumerate(np.flatnonzero(present).tolist()):
             duration_keys.append(keys[k])
-            banks.append((
+            add_bank(
                 f"lifecycle_duration {keys[k][0]} after {keys[k][1]}",
-                per_label(seconds, label_of[ends], kept & (key_ids == k)),
                 config.gmm_seed + 104_729 + 1009 * offset,
-            ))
+                seconds, label_of[ends], key_ids == k, kept,
+            )
     for step in sorted({step for _, step in duration_keys}):
         defs.extend(FeatureDef("lifecycle_duration", l, step=step) for l in labels)
 
@@ -769,30 +783,47 @@ def _bank(
     )
 
 
-def _fit_plans(plans: list[_FoldPlan], config: CatalogConfig) -> list[FeatureCatalog]:
+def _fit_plans(
+    log: InternedLog, plans: list[_FoldPlan], config: CatalogConfig
+) -> list[FeatureCatalog]:
     """The catalogs of the plans, with all their mixtures fitted in one
-    packed EM run."""
-    # (plan, bank, label, samples, seed) of every mixture
+    packed EM run. A selection is a function of the samples, the seed and
+    ``k_max``: each distinct one is fitted once, and the log keeps those of
+    whole sets (no held-out rows dropped, so O(events) samples), which the
+    folds that draw them again reuse."""
+    # (plan, bank, label, samples, seed, whole) of every mixture
     label_sets = [
-        (p, b, label, samples[label], seed + 1000 * offset)
+        (p, b, label, samples[label], seed + 1000 * offset, label in whole)
         for p, plan in enumerate(plans)
-        for b, (_, samples, seed) in enumerate(plan.banks)
+        for b, (_, samples, seed, whole) in enumerate(plan.banks)
         for offset, label in enumerate(sorted(samples))
         if len(samples[label])
     ]
-    gmms = gmm_select_bic_many(
-        [xs for *_, xs, _ in label_sets], config.gmm_max_components,
-        [seed for *_, seed in label_sets],
-    )
+    memo = log._memo
+    keys = [
+        ("gmm", xs.tobytes(), seed, config.gmm_max_components) for *_, xs, seed, _ in label_sets
+    ]
+    misses = {
+        key: (xs, seed)
+        for key, (*_, xs, seed, _) in zip(keys, label_sets)
+        if key not in memo
+    }
+    selected = dict(zip(misses, gmm_select_bic_many(
+        [xs for xs, _ in misses.values()], config.gmm_max_components,
+        [seed for _, seed in misses.values()],
+    )))
     bank_gmms: list[list[dict[str, Gmm]]] = [[{} for _ in plan.banks] for plan in plans]
-    for (p, b, label, _, _), gmm in zip(label_sets, gmms):
+    for key, (p, b, label, _, _, whole) in zip(keys, label_sets):
+        gmm = selected[key] if key in selected else memo[key]
+        if whole:
+            memo[key] = gmm
         bank_gmms[p][b][label] = gmm
     catalogs = []
     for plan, fitted_gmms in zip(plans, bank_gmms):
         notes = list(plan.notes)
         fitted = [
             _bank(samples, plan.labels, gmms_of, name, notes)
-            for (name, samples, _), gmms_of in zip(plan.banks, fitted_gmms)
+            for (name, samples, *_), gmms_of in zip(plan.banks, fitted_gmms)
         ]
         catalogs.append(FeatureCatalog(
             labels=plan.labels,
@@ -822,17 +853,19 @@ def fold_catalogs(
     family presence and the lifecycle step set are recounted per fold. The
     mixtures of consecutive folds are fitted together, in packed EM runs
     (:func:`gmm_select_bic_many`) of at most ``_EM_ROWS_PER_EVENT`` sample
-    rows per event of the log, with each fold's own seeds.
+    rows per event of the log, with each fold's own seeds. A sample set
+    that the held-out traces add nothing to is the whole log's: its
+    selection is kept on ``log`` and fitted once per log.
     """
     budget = _EM_ROWS_PER_EVENT * max(log.n_events, 1)
     group: list[_FoldPlan] = []
     for fold in folds:
         plan = _plan_fold(log, fold, config)
         if group and sum(p.rows for p in group) + plan.rows > budget:
-            yield from _fit_plans(group, config)
+            yield from _fit_plans(log, group, config)
             group = []
         group.append(plan)
-    yield from _fit_plans(group, config)
+    yield from _fit_plans(log, group, config)
 
 
 def build_catalog(

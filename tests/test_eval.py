@@ -1,8 +1,13 @@
 """Levenshtein similarity, cross-validation drivers, confusion matrices."""
 
+import json
+import multiprocessing
 import random
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
+from eventabs import evaluation, features
 from eventabs.crf import fit_group, nll_and_gradient, viterbi_decode_many
 from eventabs.evaluation import (
     AbstractionReport,
@@ -22,12 +28,14 @@ from eventabs.evaluation import (
     levenshtein_distance,
     levenshtein_similarity,
 )
-from eventabs.features import CatalogConfig, InternedLog, observation_matrix
-from eventabs.owlqn import OwlqnConfig
+from eventabs.features import (
+    CatalogConfig, InternedLog, build_catalog, fold_catalogs, observation_matrix,
+)
+from eventabs.owlqn import OptimizationError, OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import CONCEPT_NAME, AttributeValue, Event, TIME_TIMESTAMP, Trace
 
-from factories import fold_batch_of, make_log, sequence_trace
+from factories import BASE, fold_batch_of, make_log, sequence_trace
 from oracles import l1_lbfgsb_reference, levenshtein_distance_reference, recursive_edit_distance
 
 FAST = EvalConfig(
@@ -227,6 +235,21 @@ class TestKFold:
         assert a.per_trace == b.per_trace
         assert np.array_equal(a.confusion.counts, b.confusion.counts)
 
+    @given(st.integers(2, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(2, n), st.integers(0, 2**32 - 1))
+    ))
+    @settings(max_examples=15, deadline=None)
+    def test_folds_partition_the_traces(self, case):
+        n, k, seed = case
+        log = learnable_log(n)
+        report = k_fold(log, k=k, seed=seed, config=FAST)
+        held_out = [record.held_out for record in report.folds]
+        assert len(held_out) == k
+        assert sorted(t for fold in held_out for t in fold) == list(range(n))
+        sizes = [len(fold) for fold in held_out]
+        assert max(sizes) - min(sizes) <= 1
+        assert [case for case, _ in report.per_trace] == [t.case_id for t in log.traces]
+
 
 def mixed_log(n_traces: int = 7):
     """Traces whose labels the fast model cannot all get right."""
@@ -321,6 +344,153 @@ class TestParallelReport:
     def test_worker_count_must_be_a_positive_integer(self, n_jobs):
         with pytest.raises(ValueError, match="n_jobs must be a positive integer"):
             EvalConfig(n_jobs=n_jobs)
+
+
+class TestStartChannel:
+    """With several shares, the workers build their catalogs while the
+    parent fits the whole log and sends them its model. A failure on
+    either side raises what the serial run raises, at once, and leaves no
+    worker behind."""
+
+    def run(self, n_jobs):
+        def hung(signum, frame):
+            raise TimeoutError("the cross-validation hangs")
+
+        config = replace(TestParallelReport.CONFIG, n_jobs=n_jobs)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        started = time.monotonic()
+        try:
+            with pytest.raises(OptimizationError, match="mocked") as raised:
+                leave_one_trace_out(mixed_log(7), config)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+        return raised.value, time.monotonic() - started
+
+    def test_a_failing_whole_log_fit_raises_in_the_parent(self, monkeypatch):
+        def failing(*args):
+            raise OptimizationError("mocked whole-log failure")
+
+        monkeypatch.setattr(evaluation, "fit_folds", failing)
+        serial, _ = self.run(1)
+        parallel, seconds = self.run(2)
+        assert str(parallel) == str(serial)
+        assert seconds < 1.0
+
+    def test_a_fold_failing_in_a_worker_while_the_parent_fits(self, monkeypatch):
+        whole_log_fit, share_fit = evaluation.fit_folds, evaluation._fit_folds
+
+        def slow(*args):
+            time.sleep(0.3)
+            model, rows = next(whole_log_fit(*args))
+            # larger than a pipe's buffer: the parent's write of a copy
+            # that no share reads would never return
+            catalog = replace(model.catalog, notes=model.catalog.notes + ("x" * 2**20,))
+            return iter([(replace(model, catalog=catalog), rows)])
+
+        def failing_first_share(log, folds, config, start):
+            if folds[0] == [0]:  # the first share fails before it needs the start
+                raise OptimizationError("mocked fold failure")
+            yield from share_fit(log, folds, config, start)
+
+        monkeypatch.setattr(evaluation, "fit_folds", slow)
+        monkeypatch.setattr(evaluation, "_fit_folds", failing_first_share)
+        serial, _ = self.run(1)
+        parallel, seconds = self.run(2)
+        assert str(parallel) == str(serial)
+        assert seconds < 1.0
+
+
+def partly_single_label_log(n_traces: int = 10):
+    """Traces at distinct times of day; those at positions 0, 3, 6, ...
+    carry "Eating" only and those at 1, 4, 7, ... "Taking medicine" only."""
+    rng = np.random.default_rng(3)
+    labels = ("Eating", "Taking medicine")
+    traces = []
+    for i in range(n_traces):
+        picks = rng.integers(0, 2, int(rng.integers(3, 6)))
+        if i % 3 < 2:
+            picks[:] = i % 3
+        rows = [("DW"[p], labels[p]) for p in picks]
+        traces.append(sequence_trace(
+            rows, start=BASE + timedelta(minutes=53 * i), gap_seconds=60.0 + i
+        ))
+    return make_log(traces)
+
+
+class TestWholeLogMixtures:
+    """A fold whose held-out traces carry no event of a label draws that
+    label's whole-log mixture samples, with the whole log's seed; the log
+    keeps the selection and no later fold refits it."""
+
+    CONFIG = replace(
+        TestParallelReport.CONFIG,
+        abstraction=replace(
+            TestParallelReport.CONFIG.abstraction,
+            catalog=CatalogConfig(ngram_sizes=(1,), time_views=("day",), gmm_max_components=2),
+        ),
+    )
+
+    @staticmethod
+    def single_label_traces(log) -> int:
+        return sum(len({ev.label for ev in t.events}) == 1 for t in log.traces)
+
+    def count_sets(self, monkeypatch) -> list[int]:
+        counts: list[int] = []
+        select = features.gmm_select_bic_many
+
+        def counting(sample_sets, k_max, seeds):
+            counts.append(len(sample_sets))
+            return select(sample_sets, k_max, seeds)
+
+        monkeypatch.setattr(features, "gmm_select_bic_many", counting)
+        return counts
+
+    def test_a_loocv_fits_each_whole_log_set_once(self, monkeypatch):
+        log = partly_single_label_log()
+        n, single = len(log.traces), self.single_label_traces(log)
+        assert 0 < single < n
+        counts = self.count_sets(monkeypatch)
+        leave_one_trace_out(log, self.CONFIG)
+        # two labels with day-view samples in the whole log and in every
+        # fold; a single-label fold draws the other label's whole-log set
+        assert sum(counts) == 2 * (n + 1) - single
+
+    def test_fold_catalogs_equal_build_catalog_and_the_memo_holds_whole_sets(
+        self, monkeypatch
+    ):
+        log = partly_single_label_log()
+        n, single = len(log.traces), self.single_label_traces(log)
+        config = self.CONFIG.abstraction.catalog
+        folds = [[i] for i in range(n)]
+        expected = [
+            build_catalog(replace(log, traces=log.traces[:i] + log.traces[i + 1:]), config)
+            for i in range(n)
+        ]
+        interned = InternedLog(log.traces)
+        counts = self.count_sets(monkeypatch)
+        handed = []
+        for _ in range(2):
+            for catalog, other in zip(fold_catalogs(interned, folds, config), expected):
+                assert catalog == other
+                assert json.dumps(catalog.to_dict()) == json.dumps(other.to_dict())
+                assert repr(catalog.time_models) == repr(other.time_models)
+            handed.append(sum(counts) - sum(handed))
+        # each distinct set once: the two whole-log sets, then only the
+        # sets the held-out traces drop rows of
+        assert handed == [2 * n - single + 2, 2 * n - single]
+        whole = build_catalog(log, config).time_models["day"].gmms
+        day = interned.coordinates("day")
+        whole_sets = {
+            day[interned.label_ids == j].tobytes(): whole[label]
+            for j, label in enumerate(interned.labels)
+        }
+        memo = {key: gmm for key, gmm in interned._memo.items() if key[0] == "gmm"}
+        assert len(memo) == 2
+        for (_, samples, _, _), gmm in memo.items():
+            assert whole_sets[samples] == gmm
 
 
 class TestWarmStart:
