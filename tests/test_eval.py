@@ -425,12 +425,11 @@ class TestWholeLogMixtures:
     label's whole-log mixture samples, with the whole log's seed; the log
     keeps the selection and no later fold refits it."""
 
-    CONFIG = replace(
-        TestParallelReport.CONFIG,
-        abstraction=replace(
-            TestParallelReport.CONFIG.abstraction,
+    CONFIG = EvalConfig(
+        abstraction=AbstractionConfig(
             catalog=CatalogConfig(ngram_sizes=(1,), time_views=("day",), gmm_max_components=2),
-        ),
+            optimizer=OwlqnConfig(max_iterations=40),
+        )
     )
 
     @staticmethod
