@@ -79,46 +79,32 @@ def fit_folds(
     log: InternedLog,
     folds: Iterable[Iterable[int]],
     config: AbstractionConfig = AbstractionConfig(),
-    start: CrfModel | None = None,
+    start: Callable[[], CrfModel | None] = lambda: None,
 ) -> Iterator[tuple[CrfModel, list[np.ndarray]]]:
     """Per fold, in fold order, the model fitted on the log less the fold's
     traces, with the fold's held-out observation rows under its catalog,
     one (events, F_obs) array per held-out trace in fold order, which the
     fold's traces are decoded from. The catalogs are built together
-    (:func:`fold_catalogs`). Consecutive folds whose catalogs share a
-    label alphabet size are trained in lockstep, at most
-    ``LOCKSTEP_FOLDS`` at a time, on one batch over the whole log
+    (:func:`fold_catalogs`, which checks the folds). Consecutive folds
+    whose catalogs share a label alphabet size are trained in lockstep, at
+    most ``LOCKSTEP_FOLDS`` at a time, on one batch over the whole log
     (:class:`TrainingBatch`, :func:`fit_group`): one problem per fold,
     whose trace mask leaves out the fold's traces, so one forward-backward
     pass serves an objective evaluation of every fold of the group. A
     group's whole-log observation matrices are built one at a time and
     dropped once the batch has gathered the fold's training rows, so a
     group holds one copy of each fold's rows. A fold's model does not
-    depend on the folds trained beside it. Each fit starts from
-    ``start``'s weights mapped into the fold catalog's layout
-    (:meth:`FeatureCatalog.weights_from`), or from zero. A fold whose start
-    point is non-finite raises :class:`OptimizationError` when its turn to
-    be yielded comes. Raises ``ValueError`` when a fold names a trace
-    outside ``[0, n_traces)`` or one trace twice."""
-    return _fit_folds(log, folds, config, lambda: start)
+    depend on the folds trained beside it.
 
-
-def _fit_folds(
-    log: InternedLog,
-    folds: Iterable[Iterable[int]],
-    config: AbstractionConfig,
-    start: Callable[[], CrfModel | None],
-) -> Iterator[tuple[CrfModel, list[np.ndarray]]]:
-    """:func:`fit_folds` with the start model asked of ``start`` once a
-    lockstep group has built its catalogs and its batch, which do not read
-    it, and needs its initial weights. A caller may hand in a provider
-    that waits until the start model is fitted elsewhere."""
+    Each fit starts from the weights of the model ``start()`` returns,
+    mapped into the fold catalog's layout
+    (:meth:`FeatureCatalog.weights_from`), or from zero where it returns
+    None. ``start`` is called once per lockstep group, after the group's
+    catalogs and batch are built, which do not read it, so a caller may
+    hand in a provider that waits for a model fitted elsewhere. A fold
+    whose start point is non-finite raises :class:`OptimizationError` when
+    its turn to be yielded comes."""
     folds = [list(fold) for fold in folds]
-    for b, fold in enumerate(folds):
-        if not all(isinstance(t, (int, np.integer)) and 0 <= t < log.n_traces for t in fold):
-            raise ValueError(f"fold {b} is {fold}, not trace indices in [0, {log.n_traces})")
-        if len(set(fold)) != len(fold):
-            raise ValueError(f"fold {b} is {fold}, which names a trace twice")
     group: list[tuple[list[int], FeatureCatalog]] = []
     for fold, catalog in zip(folds, fold_catalogs(log, folds, config.catalog)):
         if group and (

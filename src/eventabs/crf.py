@@ -55,7 +55,6 @@ __all__ = [
     "posterior_marginals",
     "viterbi_decode",
     "viterbi_decode_many",
-    "nll_and_gradient",
     "nll_and_gradients",
     "TrainingBatch",
     "fit_group",
@@ -628,13 +627,6 @@ def nll_and_gradients(
                     float(log_z - weights[b] @ problem.observed), expected - problem.observed
                 ))
     return results
-
-
-def nll_and_gradient(weights: np.ndarray, batch: TrainingBatch) -> tuple[float, np.ndarray]:
-    """:func:`nll_and_gradients` of a batch of one problem."""
-    if len(batch.problems) != 1:
-        raise ValueError(f"the batch holds {len(batch.problems)} problems, not one")
-    return nll_and_gradients([weights], batch)[0]
 
 
 def training_pairs(

@@ -16,19 +16,20 @@ folds in lockstep groups, where one forward-backward pass evaluates a
 pending point of every fold of the group (:func:`fit_folds`), and
 decodes each fold's held-out traces. With more than one share, the
 workers fork before the whole-log fit: they build catalogs and batches,
-which do not read the whole-log model, while the parent fits it, and
-each share reads the model from a pipe when its first lockstep group
-needs initial weights. Every fold's OWL-QN run
-starts from the whole-log weights, mapped into the fold catalog's layout
-(:meth:`FeatureCatalog.weights_from`). A fold's training set differs from
-the whole log only by its held-out traces, so the fit takes far fewer
-iterations than one from zero weights. The start leaks nothing of the
-held-out labels into their predictions: each fold still minimizes its own
-objective, which never reads them, to the same stop test. A warm fit can
-end at other weights than one from zero only within that tolerance or
-along flat directions of the objective; the structural ones (the two-label
-gauge of the ``features`` docstring, a constant added to the label-to-
-label transitions) change no p(y|x) on any trace. ``tests/test_eval.py``
+which do not read the whole-log model, while the parent fits it. Each
+share hands :func:`fit_folds` a ``start`` provider that reads the model
+from a pipe, which its first lockstep group calls once its batch is
+built. Every fold's OWL-QN run starts from the whole-log weights, mapped
+into the fold catalog's layout (:meth:`FeatureCatalog.weights_from`). A
+fold's training set differs from the whole log only by its held-out
+traces, so the fit takes far fewer iterations than one from zero
+weights. The start leaks nothing of the held-out labels into their
+predictions: each fold still minimizes its own objective, which never
+reads them, to the same stop test. A warm fit can end at other weights
+than one from zero only within that tolerance or along flat directions
+of the objective; the structural ones (the two-label gauge of the
+``features`` docstring, a constant added to the label-to-label
+transitions) change no p(y|x) on any trace. ``tests/test_eval.py``
 checks sampled warm folds' composite objectives against an independent
 optimizer, and their decodes against fits from zero. No fold starts from
 another fold's result, and a fold's fit does not depend on the folds
@@ -49,7 +50,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .abstraction import AbstractionConfig, _fit_folds, fit_folds
+from .abstraction import AbstractionConfig, fit_folds
 from .crf import CrfModel, viterbi_decode_many
 from .errors import InputError
 from .features import InternedLog, neutral_time_notes
@@ -298,7 +299,7 @@ def _run_share(
     decode the fold's traces (features never read labels); the decodes,
     the fold's diagnostics and its optimizer record."""
     outcomes = []
-    fitted = _fit_folds(log, folds, config.abstraction, start)
+    fitted = fit_folds(log, folds, config.abstraction, start)
     for fold, (model, held_out) in zip(folds, fitted):
         decoded = viterbi_decode_many(model, held_out)
         run = model.training

@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -630,31 +630,19 @@ class InternedLog:
 _EM_ROWS_PER_EVENT = 16
 
 
-@dataclass
-class _FoldPlan:
-    """A fold's catalog before its mixtures are fitted. ``banks`` holds the
-    (name, per-label samples, seed, whole labels) of every mixture bank,
-    time views first, where the whole labels are those whose samples the
-    held-out traces add nothing to; ``notes`` come before the mixture
-    warnings, ``tail`` after."""
-
-    labels: tuple[str, ...]
-    defs: list[FeatureDef]
-    concept_tables: dict[int, MultinoulliTable]
-    org_tables: dict[tuple[int, str], MultinoulliTable]
-    views: tuple[str, ...]
-    duration_keys: list[tuple[str, str]]
-    banks: list[tuple[str, dict[str, np.ndarray], int, set[str]]]
-    lifecycle_steps: tuple[str, ...]
-    notes: list[str]
-    tail: list[str]
-
-    @property
-    def rows(self) -> int:
-        return sum(len(xs) for _, samples, *_ in self.banks for xs in samples.values())
+# a mixture bank: its name, the per-label samples, the seed, and the labels
+# whose samples the held-out traces add nothing to
+_Bank = tuple[str, dict[str, np.ndarray], int, set[str]]
+# a fold's banks, and the function that builds its catalog from their
+# fitted mixtures, one label -> mixture dict per bank (:func:`_plan_fold`)
+_Plan = tuple[list[_Bank], Callable[[list[dict[str, Gmm]]], FeatureCatalog]]
 
 
-def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> _FoldPlan:
+def _plan_fold(log: InternedLog, fold: list[int], config: CatalogConfig) -> _Plan:
+    """A fold's catalog before its mixtures are fitted: its mixture banks,
+    time views first, and the function that builds the catalog. The
+    catalog's notes are the plan's, then the mixture warnings in bank
+    order, then the lifecycle notes."""
     held = np.zeros(log.n_traces, dtype=bool)
     held[list(fold)] = True
     held_events = log.events(np.flatnonzero(held))
@@ -707,7 +695,7 @@ def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> 
         else:
             notes.append(f"org:{o} extension absent: org_ngram features skipped")
 
-    banks: list[tuple[str, dict[str, np.ndarray], int, set[str]]] = []
+    banks: list[_Bank] = []
 
     def add_bank(
         name: str, seed: int, values: np.ndarray, owners: np.ndarray, rows: np.ndarray,
@@ -756,10 +744,26 @@ def _plan_fold(log: InternedLog, fold: Iterable[int], config: CatalogConfig) -> 
             "lifecycle extension present but no step pairs matched: "
             "lifecycle_duration features skipped"
         )
-    return _FoldPlan(
-        labels, defs, concept_tables, org_tables, views, duration_keys, banks,
-        lifecycle_steps, notes, tail,
-    )
+
+    def catalog(gmms: list[dict[str, Gmm]]) -> FeatureCatalog:
+        warned = list(notes)
+        fitted = [
+            _bank(samples, labels, gmms_of, name, warned)
+            for (name, samples, *_), gmms_of in zip(banks, gmms)
+        ]
+        return FeatureCatalog(
+            labels=labels,
+            observation_features=tuple(defs),
+            config=config,
+            concept_tables=concept_tables,
+            org_tables=org_tables,
+            time_models=dict(zip(views, fitted)),
+            duration_models=dict(zip(duration_keys, fitted[len(views):])),
+            lifecycle_steps=lifecycle_steps,
+            notes=tuple(warned + tail),
+        )
+
+    return banks, catalog
 
 
 def _bank(
@@ -784,7 +788,7 @@ def _bank(
 
 
 def _fit_plans(
-    log: InternedLog, plans: list[_FoldPlan], config: CatalogConfig
+    log: InternedLog, plans: list[_Plan], config: CatalogConfig
 ) -> list[FeatureCatalog]:
     """The catalogs of the plans, with all their mixtures fitted in one
     packed EM run. A selection is a function of the samples, the seed and
@@ -794,8 +798,8 @@ def _fit_plans(
     # (plan, bank, label, samples, seed, whole) of every mixture
     label_sets = [
         (p, b, label, samples[label], seed + 1000 * offset, label in whole)
-        for p, plan in enumerate(plans)
-        for b, (_, samples, seed, whole) in enumerate(plan.banks)
+        for p, (banks, _) in enumerate(plans)
+        for b, (_, samples, seed, whole) in enumerate(banks)
         for offset, label in enumerate(sorted(samples))
         if len(samples[label])
     ]
@@ -812,31 +816,13 @@ def _fit_plans(
         [xs for xs, _ in misses.values()], config.gmm_max_components,
         [seed for _, seed in misses.values()],
     )))
-    bank_gmms: list[list[dict[str, Gmm]]] = [[{} for _ in plan.banks] for plan in plans]
+    bank_gmms: list[list[dict[str, Gmm]]] = [[{} for _ in banks] for banks, _ in plans]
     for key, (p, b, label, _, _, whole) in zip(keys, label_sets):
         gmm = selected[key] if key in selected else memo[key]
         if whole:
             memo[key] = gmm
         bank_gmms[p][b][label] = gmm
-    catalogs = []
-    for plan, fitted_gmms in zip(plans, bank_gmms):
-        notes = list(plan.notes)
-        fitted = [
-            _bank(samples, plan.labels, gmms_of, name, notes)
-            for (name, samples, *_), gmms_of in zip(plan.banks, fitted_gmms)
-        ]
-        catalogs.append(FeatureCatalog(
-            labels=plan.labels,
-            observation_features=tuple(plan.defs),
-            config=config,
-            concept_tables=plan.concept_tables,
-            org_tables=plan.org_tables,
-            time_models=dict(zip(plan.views, fitted)),
-            duration_models=dict(zip(plan.duration_keys, fitted[len(plan.views):])),
-            lifecycle_steps=plan.lifecycle_steps,
-            notes=tuple(notes + plan.tail),
-        ))
-    return catalogs
+    return [catalog(gmms) for (_, catalog), gmms in zip(plans, bank_gmms)]
 
 
 def fold_catalogs(
@@ -846,7 +832,9 @@ def fold_catalogs(
 ) -> Iterator[FeatureCatalog]:
     """The catalog of every fold, fitted on the log less the fold's traces:
     each equals :func:`build_catalog` on that smaller log. Yields them in
-    fold order.
+    fold order. Raises ``ValueError`` when a fold names a trace outside
+    ``[0, n_traces)``, names one trace twice, or holds anything but ints
+    (a bool is no trace index).
 
     Multinoulli tables are the whole log's context counts less those of
     the held-out traces, which is exact in integers; the label alphabet,
@@ -857,14 +845,26 @@ def fold_catalogs(
     that the held-out traces add nothing to is the whole log's: its
     selection is kept on ``log`` and fitted once per log.
     """
+    folds = [list(fold) for fold in folds]
+    for b, fold in enumerate(folds):
+        if not all(
+            isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < log.n_traces
+            for t in fold
+        ):
+            raise ValueError(f"fold {b} is {fold}, not trace indices in [0, {log.n_traces})")
+        if len(set(fold)) != len(fold):
+            raise ValueError(f"fold {b} is {fold}, which names a trace twice")
     budget = _EM_ROWS_PER_EVENT * max(log.n_events, 1)
-    group: list[_FoldPlan] = []
+    group: list[_Plan] = []
+    rows = 0
     for fold in folds:
-        plan = _plan_fold(log, fold, config)
-        if group and sum(p.rows for p in group) + plan.rows > budget:
+        banks, catalog = _plan_fold(log, fold, config)
+        fold_rows = sum(len(xs) for _, samples, *_ in banks for xs in samples.values())
+        if group and rows + fold_rows > budget:
             yield from _fit_plans(log, group, config)
-            group = []
-        group.append(plan)
+            group, rows = [], 0
+        group.append((banks, catalog))
+        rows += fold_rows
     yield from _fit_plans(log, group, config)
 
 

@@ -22,8 +22,10 @@ from eventabs.abstraction import (
     save_model,
     strip_labels,
 )
-from eventabs.crf import CrfModel, fit_group, viterbi_decode_many
-from eventabs.features import CatalogConfig, InternedLog, build_catalog, observation_matrix
+from eventabs.crf import CrfModel, TrainingBatch, fit_group, viterbi_decode_many
+from eventabs.features import (
+    CatalogConfig, InternedLog, build_catalog, fold_catalogs, observation_matrix,
+)
 from eventabs.owlqn import OwlqnConfig
 from eventabs.petri import generate_annotated_log, medicine_eating_process
 from eventabs.xes import (
@@ -81,16 +83,46 @@ class TestFit:
 class TestFitFolds:
     @pytest.mark.parametrize(
         "folds, problem",
-        [([[-1]], "not trace indices"), ([[10]], "not trace indices"),
-         ([[2], [9, 9]], "twice"), ([[1.0]], "not trace indices")],
-        ids=["minus-one", "past-the-end", "repeated", "float"],
+        [([[-1]], r"fold 0 is \[-1\], not trace indices"),
+         ([[10]], r"fold 0 is \[10\], not trace indices"),
+         ([[2], [9, 9]], r"fold 1 is \[9, 9\], which names a trace twice"),
+         ([[1.0]], r"fold 0 is \[1.0\], not trace indices"),
+         ([[3], [True]], r"fold 1 is \[True\], not trace indices")],
+        ids=["minus-one", "past-the-end", "repeated", "float", "bool"],
     )
     def test_bad_trace_indices_are_refused(self, folds, problem):
         # read as numpy indices, [-1] would train without trace 9 yet yield
-        # none of its rows, and [9, 9] would yield its rows twice
+        # none of its rows, [9, 9] would yield its rows twice, and [True]
+        # would fail deep in the catalog build. fold_catalogs checks the
+        # folds for fit_folds and for its direct callers alike
         log = InternedLog(synthetic_log(10, seed=3).traces)
         with pytest.raises(ValueError, match=problem):
             next(fit_folds(log, folds, SMALL_CONFIG))
+        with pytest.raises(ValueError, match=problem):
+            next(fold_catalogs(log, folds, SMALL_CONFIG.catalog))
+
+    def test_start_is_asked_once_per_group_after_its_batch(self, monkeypatch):
+        # a cross-validation builds each share's catalogs and first batch
+        # while the start model is still being fitted; asking for it before
+        # a group's batch exists would make that work wait on the fit
+        order = []
+
+        def recording(*args):
+            batch = TrainingBatch(*args)
+            order.append("batch")
+            return batch
+
+        def start():
+            order.append("start")
+
+        monkeypatch.setattr(abstraction, "TrainingBatch", recording)
+        monkeypatch.setattr(abstraction, "LOCKSTEP_FOLDS", 2)
+        log = InternedLog(synthetic_log(5, seed=3).traces)
+        config = AbstractionConfig(
+            catalog=SMALL_CONFIG.catalog, optimizer=OwlqnConfig(max_iterations=5)
+        )
+        assert len(list(fit_folds(log, [[t] for t in range(5)], config, start))) == 5
+        assert order == ["batch", "start"] * 3
 
     def test_lockstep_groups_fit_each_fold_as_alone(self, monkeypatch):
         # trace 2 holds the only events of "Napping", so its fold has one
@@ -114,10 +146,10 @@ class TestFitFolds:
             group_sizes.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(abstraction, "fit_group", recording)
-                together = list(fit_folds(log, folds, config, initial))
+                together = list(fit_folds(log, folds, config, lambda: initial))
             assert group_sizes == [2, 1, LOCKSTEP_FOLDS, 1]
             for fold, (model, held) in zip(folds, together, strict=True):
-                [(alone, alone_held)] = fit_folds(log, [fold], config, initial)
+                [(alone, alone_held)] = fit_folds(log, [fold], config, lambda: initial)
                 assert model.labels == alone.labels
                 assert model.weights.tobytes() == alone.weights.tobytes()
                 assert model.training == alone.training

@@ -146,7 +146,7 @@ def test_criterion_2_gradient_correctness():
             ))
         batch = training_batch_of(layout, pairs)
         weights = rng.normal(0, 1, layout.n_features)
-        _, analytic = crf.nll_and_gradient(weights, batch)
+        _, analytic = crf.nll_and_gradients([weights], batch)[0]
         eps = 1e-6
         numeric = np.zeros_like(weights)
         for i in range(len(weights)):
@@ -154,7 +154,8 @@ def test_criterion_2_gradient_correctness():
             plus[i] += eps
             minus[i] -= eps
             numeric[i] = (
-                crf.nll_and_gradient(plus, batch)[0] - crf.nll_and_gradient(minus, batch)[0]
+                crf.nll_and_gradients([plus], batch)[0][0]
+                - crf.nll_and_gradients([minus], batch)[0][0]
             ) / (2 * eps)
         scale = np.maximum(np.abs(numeric), 1.0)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5

@@ -262,7 +262,8 @@ class TestGradient:
             plus[i] += eps
             minus[i] -= eps
             grad[i] = (
-                crf.nll_and_gradient(plus, batch)[0] - crf.nll_and_gradient(minus, batch)[0]
+                crf.nll_and_gradients([plus], batch)[0][0]
+                - crf.nll_and_gradients([minus], batch)[0][0]
             ) / (2 * eps)
         return grad
 
@@ -283,7 +284,7 @@ class TestGradient:
                 ))
             weights = rng.normal(0, 1, layout.n_features)
             batch = training_batch_of(layout, pairs)
-            _, analytic = crf.nll_and_gradient(weights, batch)
+            _, analytic = crf.nll_and_gradients([weights], batch)[0]
             numeric = self.finite_difference(weights, batch)
             scale = np.maximum(np.abs(numeric), 1.0)
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
@@ -296,9 +297,9 @@ class TestGradient:
             (rng.normal(0, 1, (4, 4)), np.array([0, 1, 2, 0])),
             (rng.normal(0, 1, (2, 4)), np.array([2, 2])),
         ]
-        value, _ = crf.nll_and_gradient(
-            np.zeros(layout.n_features), training_batch_of(layout, pairs)
-        )
+        value, _ = crf.nll_and_gradients(
+            [np.zeros(layout.n_features)], training_batch_of(layout, pairs)
+        )[0]
         assert value == pytest.approx((4 + 2) * np.log(3), rel=1e-12)
 
     def test_duplicating_pairs_doubles(self):
@@ -310,8 +311,8 @@ class TestGradient:
             (rng.normal(0, 1, (5, 3)), np.array([1, 0, 0, 1, 0])),
         ]
         weights = rng.normal(0, 1, layout.n_features)
-        v1, g1 = crf.nll_and_gradient(weights, training_batch_of(layout, pairs))
-        v2, g2 = crf.nll_and_gradient(weights, training_batch_of(layout, pairs + pairs))
+        v1, g1 = crf.nll_and_gradients([weights], training_batch_of(layout, pairs))[0]
+        v2, g2 = crf.nll_and_gradients([weights], training_batch_of(layout, pairs + pairs))[0]
         assert v2 == pytest.approx(2 * v1, rel=1e-12)
         assert np.allclose(g2, 2 * g1, rtol=1e-12, atol=1e-12)
 
@@ -326,11 +327,11 @@ class TestGradient:
                 rng.normal(0, 1, (T, 5)), rng.integers(0, 3, T).astype(np.intp)
             ))
         weights = rng.normal(0, 1, layout.n_features)
-        batched_v, batched_g = crf.nll_and_gradient(weights, training_batch_of(layout, pairs))
+        batched_v, batched_g = crf.nll_and_gradients([weights], training_batch_of(layout, pairs))[0]
         seq_v = 0.0
         seq_g = np.zeros(layout.n_features)
         for pair in pairs:
-            v, g = crf.nll_and_gradient(weights, training_batch_of(layout, [pair]))
+            v, g = crf.nll_and_gradients([weights], training_batch_of(layout, [pair]))[0]
             seq_v += v
             seq_g += g
         assert batched_v == pytest.approx(seq_v, rel=1e-9)
@@ -362,7 +363,7 @@ class TestPackedObjective:
         catalog = random_model(rng, n_labels, 6).catalog
         model = crf.CrfModel(catalog, rng.normal(0.0, 20.0, catalog.n_features))
         pairs = random_pairs(rng, SKEWED_LENGTHS, 6, n_labels)
-        value, grad = crf.nll_and_gradient(model.weights, training_batch_of(catalog, pairs))
+        value, grad = crf.nll_and_gradients([model.weights], training_batch_of(catalog, pairs))[0]
         expected = -sum(
             crf.sequence_log_prob(model, obs, [model.labels[i] for i in y]) for obs, y in pairs
         )
@@ -392,7 +393,7 @@ class TestPackedObjective:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = crf.nll_and_gradient(model.weights, batch)
+            value, _ = crf.nll_and_gradients([model.weights], batch)[0]
         assert value == np.inf
 
     def test_subnormal_scale_factor_returns_plus_inf(self):
@@ -406,7 +407,7 @@ class TestPackedObjective:
         batch = crf.TrainingBatch([1], [(catalog, np.ones((1, 1)), np.array([0]), [True])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = crf.nll_and_gradient(weights, batch)
+            value, _ = crf.nll_and_gradients([weights], batch)[0]
         assert value == np.inf
 
     def test_batch_holds_one_row_per_event(self):
@@ -467,10 +468,10 @@ class TestBatchValidation:
         junk = observations.copy()
         junk[3:] = np.nan  # the rows of trace 1
         weights = rng.normal(0, 1, two_label_catalog().n_features)
-        clean = crf.nll_and_gradient(weights, self.batch(observations))
-        dirty = crf.nll_and_gradient(
-            weights, self.batch(junk, labels=np.array([0, 1, 1, -1, 7]))
-        )
+        clean = crf.nll_and_gradients([weights], self.batch(observations))[0]
+        dirty = crf.nll_and_gradients(
+            [weights], self.batch(junk, labels=np.array([0, 1, 1, -1, 7]))
+        )[0]
         assert TestBufferReuse.bits(dirty) == TestBufferReuse.bits(clean)
 
     @pytest.mark.parametrize(
@@ -564,8 +565,8 @@ class TestBufferReuse:
         infinite = 0
         for weights in sequence:
             for batch, (obs, y, lengths) in zip(batches, inputs):
-                result = crf.nll_and_gradient(weights, batch)
-                fresh = crf.nll_and_gradient(weights, fresh_batch(obs, y, lengths))
+                result = crf.nll_and_gradients([weights], batch)[0]
+                fresh = crf.nll_and_gradients([weights], fresh_batch(obs, y, lengths))[0]
                 assert self.bits(result) == self.bits(fresh)
                 held = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
                 assert not any(np.shares_memory(result[1], v) for v in held)
@@ -653,7 +654,7 @@ class TestFoldGroups:
         together = [self.bits(r) for r in results]
         for b in range(len(folds)):
             alone = fold_batch_of(log, folds[b:b + 1], catalogs[b:b + 1], observations[b:b + 1])
-            assert self.bits(crf.nll_and_gradient(weights[b], alone)) == together[b]
+            assert self.bits(crf.nll_and_gradients([weights[b]], alone)[0]) == together[b]
 
         # compacted: every other fold, evaluated after a pass at other weights
         kept = list(range(len(folds)))[1::2] or [0]
@@ -671,7 +672,7 @@ class TestFoldGroups:
                 catalogs[b], observations[b][events],
                 log.label_indices(catalogs[b].labels, events), np.ones(len(rest), dtype=bool),
             )])
-            value, grad = crf.nll_and_gradient(weights[b], own)
+            value, grad = crf.nll_and_gradients([weights[b]], own)[0]
             if kind == "infinite" and own.n:
                 assert group_value == np.inf
             own_steps = np.diff(own.offsets)
@@ -736,7 +737,7 @@ class TestFoldGroups:
         catalog = two_label_catalog()
         group = fold_batch_of(log, [[0], [1]], [catalog] * 2, [np.ones((2, 1))] * 2)
         with pytest.raises(ValueError, match="problems"):
-            crf.nll_and_gradient(np.zeros(catalog.n_features), group)
+            crf.nll_and_gradients([np.zeros(catalog.n_features)], group)
 
     def test_folds_must_share_a_label_count(self):
         log = InternedLog(make_log([[make_event(name="a", label="alpha")]] * 2).traces)
@@ -980,8 +981,8 @@ class TestTwoLabelGauge:
     def test_opposite_moves_on_two_families_are_flat(self, setup, first, second, a):
         catalog, batch, observations, weights = setup
         shifted = self.moved(catalog, weights, first, second, a)
-        base, _ = crf.nll_and_gradient(weights, batch)
-        value, _ = crf.nll_and_gradient(shifted, batch)
+        base, _ = crf.nll_and_gradients([weights], batch)[0]
+        value, _ = crf.nll_and_gradients([shifted], batch)[0]
         assert abs(value - base) <= 1e-11 * abs(base)
         assert (self.decodes(catalog, shifted, observations)
                 == self.decodes(catalog, weights, observations))
@@ -990,8 +991,8 @@ class TestTwoLabelGauge:
         # bias is constant 1 in both columns, not a distribution over labels
         catalog, batch, _, weights = setup
         shifted = self.moved(catalog, weights, ("bias", 0, ""), ("concept_ngram", 1, ""), 1.0)
-        base, _ = crf.nll_and_gradient(weights, batch)
-        value, _ = crf.nll_and_gradient(shifted, batch)
+        base, _ = crf.nll_and_gradients([weights], batch)[0]
+        value, _ = crf.nll_and_gradients([shifted], batch)[0]
         assert abs(value - base) > 1.0
 
 
@@ -1016,7 +1017,7 @@ class TestOptimumAgainstLbfgsb:
         batch = training_batch_of(model.catalog, pairs)
 
         def objective(w):
-            return crf.nll_and_gradient(w, batch)
+            return crf.nll_and_gradients([w], batch)[0]
 
         n = model.catalog.n_features
         _, result = minimize(objective, n, l1_coefficient=c)
@@ -1035,6 +1036,6 @@ class TestOptimumAgainstLbfgsb:
         trained = crf.train(log, catalog, l1_coefficient=0.1)
         batch = training_batch_of(catalog, crf.training_pairs(log, catalog))
         _, reference = l1_lbfgsb_reference(
-            lambda w: crf.nll_and_gradient(w, batch), catalog.n_features, 0.1
+            lambda w: crf.nll_and_gradients([w], batch)[0], catalog.n_features, 0.1
         )
         assert trained.training.objective <= reference * (1 + 2e-5)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
 from eventabs import evaluation, features
-from eventabs.crf import fit_group, nll_and_gradient, viterbi_decode_many
+from eventabs.crf import fit_group, nll_and_gradients, viterbi_decode_many
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -370,8 +370,12 @@ class TestStartChannel:
         return raised.value, time.monotonic() - started
 
     def test_a_failing_whole_log_fit_raises_in_the_parent(self, monkeypatch):
-        def failing(*args):
-            raise OptimizationError("mocked whole-log failure")
+        fit_folds = evaluation.fit_folds
+
+        def failing(log, folds, *args):
+            if folds == [()]:  # the whole-log fit
+                raise OptimizationError("mocked whole-log failure")
+            return fit_folds(log, folds, *args)
 
         monkeypatch.setattr(evaluation, "fit_folds", failing)
         serial, _ = self.run(1)
@@ -380,23 +384,22 @@ class TestStartChannel:
         assert seconds < 1.0
 
     def test_a_fold_failing_in_a_worker_while_the_parent_fits(self, monkeypatch):
-        whole_log_fit, share_fit = evaluation.fit_folds, evaluation._fit_folds
+        fit_folds = evaluation.fit_folds
 
-        def slow(*args):
-            time.sleep(0.3)
-            model, rows = next(whole_log_fit(*args))
-            # larger than a pipe's buffer: the parent's write of a copy
-            # that no share reads would never return
-            catalog = replace(model.catalog, notes=model.catalog.notes + ("x" * 2**20,))
-            return iter([(replace(model, catalog=catalog), rows)])
-
-        def failing_first_share(log, folds, config, start):
-            if folds[0] == [0]:  # the first share fails before it needs the start
+        def patched(log, folds, config, start=lambda: None):
+            if folds == [()]:  # the whole-log fit, slow
+                time.sleep(0.3)
+                model, rows = next(fit_folds(log, folds, config))
+                # larger than a pipe's buffer: the parent's write of a copy
+                # that no share reads would never return
+                catalog = replace(model.catalog, notes=model.catalog.notes + ("x" * 2**20,))
+                yield replace(model, catalog=catalog), rows
+            elif folds[0] == [0]:  # the first share fails before it needs the start
                 raise OptimizationError("mocked fold failure")
-            yield from share_fit(log, folds, config, start)
+            else:
+                yield from fit_folds(log, folds, config, start)
 
-        monkeypatch.setattr(evaluation, "fit_folds", slow)
-        monkeypatch.setattr(evaluation, "_fit_folds", failing_first_share)
+        monkeypatch.setattr(evaluation, "fit_folds", patched)
         serial, _ = self.run(1)
         parallel, seconds = self.run(2)
         assert str(parallel) == str(serial)
@@ -512,7 +515,7 @@ class TestWarmStart:
         c = self.CONFIG.l1_coefficient
         warm_iterations = cold_iterations = 0
         for fold, (warm, held) in zip(
-            folds, fit_folds(interned, folds, self.CONFIG, start)
+            folds, fit_folds(interned, folds, self.CONFIG, lambda: start)
         ):
             catalog = warm.catalog
             matrix = observation_matrix(catalog, interned)
@@ -522,7 +525,7 @@ class TestWarmStart:
             assert all(np.array_equal(rows, whole[t]) for rows, t in zip(held, fold))
             [cold] = fit_group(batch, c, self.CONFIG.optimizer)
             _, optimum = l1_lbfgsb_reference(
-                lambda w: nll_and_gradient(w, batch), catalog.n_features, c
+                lambda w: nll_and_gradients([w], batch)[0], catalog.n_features, c
             )
             assert abs(warm.training.objective - optimum) <= 5e-4 * optimum
             assert viterbi_decode_many(warm, held) == viterbi_decode_many(cold, held)
@@ -619,6 +622,28 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 2.5 * peaks[0]
 
+
+    def test_loocv_catalogs_peak_is_held_by_the_em_row_budget(self):
+        # at 20 traces EM is not at a LOOCV's peak, so the cases above
+        # cannot see the budget. At 40 traces, all LOOCV catalogs peak at
+        # 9.5-10.0 times one build_catalog (seeds 1-3), and at 20.5-21.5
+        # times with the budget lifted, every fold's samples in one EM run
+        log = generate_annotated_log(medicine_eating_process(), 40, seed=1)
+        config = CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
+        folds = [[t] for t in range(len(log.traces))]
+        build_catalog(log, config)  # warm-up
+        peaks = []
+        for build in (
+            lambda: build_catalog(log, config),
+            lambda: list(fold_catalogs(InternedLog(log.traces), folds, config)),
+        ):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 15 * peaks[0]
 
 class TestSimilarityModes:
     def test_runs_mode_collapses_before_scoring(self):
