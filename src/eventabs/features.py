@@ -626,7 +626,9 @@ class InternedLog:
 # --- catalog construction ----------------------------------------------------
 
 # Packed EM runs hold at most this many sample rows per event of the log, so
-# fitting the mixtures of many folds together keeps memory linear in the log.
+# fitting the mixtures of many folds together keeps memory linear in the log:
+# the EM buffer, and each parameter spread over it, holds at most k_max times
+# this budget in entries.
 _EM_ROWS_PER_EVENT = 16
 
 

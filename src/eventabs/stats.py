@@ -5,19 +5,14 @@ mixture size.
 
 All EM runs go through one packed loop (``_em_loop``) over every fit of a
 call, whatever its component count k: ``gmm_select_bic_many`` fits all its
-BIC candidates in one run. The fits are packed in order of descending k,
-so that the fits with more than j components are a prefix for every
-component index j; slab j holds component j's entry for each sample row of
-that prefix, and the ragged slabs lie back to back in one buffer, with
-the parameters in the same component-major order. Each iteration works on
-whole slabs, sums per (component, fit) by ``np.add.reduceat`` over
-contiguous segments and per fit over components slab by slab, in
-component order. Fits that converge stop and ride along masked until
-enough of them can be compacted away. Each fit keeps its own seed, floor,
-stopping rule and warnings, and its result does not depend on the fits
-packed with it, so ``gmm_select_bic_many`` over many sample sets equals
-``gmm_select_bic`` on each. ``gmm_fit_em`` and ``gmm_select_bic`` run the
-same loop on one set.
+BIC candidates in one run. The fits lie in one component-major buffer
+(``_layout``) that each iteration works on whole, with one ``repeat`` per
+spread parameter and one ``np.add.reduceat`` per segment sum; fits that
+stop ride along masked until enough of them can be gathered away. Each fit
+keeps its own seed, floor, stopping rule and warnings, and its result does
+not depend on the fits packed with it, so ``gmm_select_bic_many`` over many
+sample sets equals ``gmm_select_bic`` on each. ``gmm_fit_em`` and
+``gmm_select_bic`` run the same loop on one set.
 """
 
 from __future__ import annotations
@@ -25,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -243,64 +239,36 @@ def _finite_samples(samples: Sequence[float]) -> np.ndarray:
     return xs
 
 
-class _Span(NamedTuple):
-    """Consecutive slabs of the packed buffer, which EM spreads parameters
-    over in one ``repeat`` call."""
-
-    entries: np.ndarray   # the slabs' buffer entries
-    params: slice         # their (component, fit) places in the parameters
-    lengths: np.ndarray   # the sample counts of those (component, fit)s
-    segments: np.ndarray  # and their first entries, within the span
-    xs: list[tuple[slice, np.ndarray]]  # each slab's entries and samples
-
-
-class _Packing(NamedTuple):
-    """The packed fits' slabs (slab j: component j of every fit with more
-    than j components, one entry per sample) and where things lie."""
-
-    slabs: list[np.ndarray]
-    params: list[slice]   # each slab's (component, fit) parameters
-    spans: list[_Span]
-    fit_of: np.ndarray    # each parameter's fit
-    segments: np.ndarray  # each parameter's first buffer entry
-    entries: np.ndarray   # the part of the buffer in use
-    starts: np.ndarray    # each fit's first row
-
-
-def _pack(k_of: np.ndarray, lengths: np.ndarray, buffer: np.ndarray, xs: np.ndarray) -> _Packing:
-    """The slabs of fits with component counts ``k_of``, in descending
-    order, laid back to back from the start of ``buffer``; slab j holds
-    the rows of the fits with more than j components, a prefix of the
-    fits. The slabs are grouped into spans of at most twice as many
-    entries as there are rows, which is what the E-step's two per-row
-    arrays hold, so a spread over a span adds nothing to EM's peak."""
+def _layout(
+    k_of: np.ndarray, lengths: np.ndarray, xs: np.ndarray
+) -> tuple[list[tuple[slice, slice, np.ndarray]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The packing of fits with component counts ``k_of``, in descending
+    order, whose samples ``xs`` lie back to back. Slab j holds component
+    j's entry for each row of the fits with more than j components, a
+    prefix of the fits and of the rows. Returns each slab's entries,
+    parameters and samples (a prefix view of ``xs``); each parameter's fit
+    and sample count; each parameter's first entry; and each fit's first
+    row."""
     ends = np.cumsum(lengths)
-    starts = ends - lengths
     fits = [int(np.count_nonzero(k_of > j)) for j in range(int(k_of[0]))]
     rows = [int(ends[n - 1]) for n in fits]
-    offsets = np.cumsum([0] + rows).tolist()
-    firsts = np.cumsum([0] + fits).tolist()
-    slabs = [buffer[a:b] for a, b in zip(offsets, offsets[1:])]
-    spans, j = [], 0
-    while j < len(slabs):
-        end = j + 1
-        while end < len(slabs) and offsets[end + 1] - offsets[j] <= 2 * rows[0]:
-            end += 1
-        span = range(j, end)
-        spans.append(_Span(
-            buffer[offsets[j]:offsets[end]], slice(firsts[j], firsts[end]),
-            np.concatenate([lengths[:fits[i]] for i in span]),
-            np.concatenate([starts[:fits[i]] + offsets[i] - offsets[j] for i in span]),
-            [(slice(offsets[i] - offsets[j], offsets[i + 1] - offsets[j]), xs[:rows[i]])
-             for i in span],
-        ))
-        j = end
-    return _Packing(
-        slabs, [slice(a, b) for a, b in zip(firsts, firsts[1:])], spans,
-        np.concatenate([np.arange(n) for n in fits]),
-        np.concatenate([starts[:n] + offset for n, offset in zip(fits, offsets)]),
-        buffer[:offsets[-1]], starts,
-    )
+    slabs = [
+        (slice(e, e + r), slice(p, p + n), xs[:r])
+        for e, p, r, n in zip(accumulate(rows, initial=0), accumulate(fits, initial=0), rows, fits)
+    ]
+    fit_of = np.concatenate([np.arange(n) for n in fits])
+    sizes = lengths[fit_of]
+    return slabs, fit_of, sizes, np.cumsum(sizes) - sizes, ends - lengths
+
+
+def _across(ufunc: np.ufunc, slabs: list[np.ndarray]) -> np.ndarray:
+    """``ufunc`` reduced over ragged slabs, slab by slab in order: slab j
+    covers a prefix of the first slab's places."""
+    out = slabs[0].copy()
+    for slab in slabs[1:]:
+        head = out[:len(slab)]
+        ufunc(head, slab, out=head)
+    return out
 
 
 def _em_fits(
@@ -361,35 +329,32 @@ def _em_loop(
     log-likelihoods of every E-step, as one (fit indices, per-step arrays)
     pair per packing; and each fit's last E-step and whether it converged.
 
-    The fits are packed in order of descending k (stable), so that for
-    each component index j the fits with more than j components are a
-    prefix of the fits and their samples a prefix of the rows. Slab j
-    holds component j's entry for each of those rows, and the slabs lie
-    back to back in one buffer; the per-(component, fit) weights, means,
-    variances and floors are kept in the same component-major order. Each
-    iteration scores the buffer, takes each row's maximum and its sum over
-    the components slab by slab in component order, sums per (component,
-    fit) with ``np.add.reduceat`` over the contiguous segments, and sums
-    per fit over its components slab by slab, in component order (as
-    ``np.bincount`` would, which cost about 5 us a call here). Every
+    The fits lie as :func:`_layout` packs them, and the per-(component,
+    fit) weights, means, variances and floors in the same order, one per
+    segment of the buffer. A parameter is spread over the whole buffer by
+    one ``repeat``; rows' maxima and sums and fits' sums run over the
+    components slab by slab in component order (as ``np.bincount`` would,
+    at about 5 us a call); segment sums are one ``np.add.reduceat``. Every
     operation is elementwise or reduces within one fit, in the order the
     fit run alone takes, so a fit's result does not depend on the fits
     packed with it.
 
     At the start of an iteration the buffer holds each entry's squared
     distance to its mean (the M-step's, for the means it has just set,
-    serve the next E-step). The E-step scores, shifts and exponentiates in
-    place and divides into responsibilities in place. Beside the buffer
-    and the samples EM holds the rows' maximum and sum in the E-step only,
-    and one span-sized spread at a time otherwise, which is no more.
+    serve the next E-step); the E-step turns it into responsibilities in
+    place. Beside it EM holds at most one buffer-sized temporary at a time
+    (a spread, the r·x products or the new squared distances) and reads the
+    samples through each slab's prefix view: a per-entry copy of the
+    samples cost sensor-long 1.0-1.25 MB of peak RSS.
 
     A fit that meets its tolerance stops and its result is recorded. It
     then rides along masked, adding nothing to trajectories, warnings or
     results, until the stopped fits hold an eighth as many buffer entries
-    as the live fits; then they are compacted away, in place. Compacting
-    at every stop copied the whole buffer about a hundred times per
-    sensor-long catalog and was no faster, and waiting for a quarter or a
-    half left more stopped rows riding than the copies cost.
+    as the live fits; then one boolean gather keeps the live segments,
+    already in the new layout. Compacting at every stop copied the whole
+    buffer about a hundred times per sensor-long catalog and was no
+    faster, and waiting for a quarter or a half left more stopped rows
+    riding than the copies cost.
     """
     n_fits = len(ks)
     # the packed fits: their indices, component counts, sample counts,
@@ -401,11 +366,8 @@ def _em_loop(
     ll_prev = np.full(n_fits, -math.inf)
 
     xs = np.concatenate([sample_sets[i] for i in ids.tolist()])
-    buffer = np.empty(int(k_of @ lengths))
-    slabs, params, spans, fit_of, segments, entries, starts = _pack(k_of, lengths, buffer, xs)
-    means = np.asarray([
-        centers[i][j] for j in range(len(slabs)) for i in ids[k_of > j].tolist()
-    ])
+    slabs, fit_of, sizes, segments, starts = _layout(k_of, lengths, xs)
+    means = np.asarray([centers[i][j] for j in range(len(slabs)) for i in ids[k_of > j].tolist()])
     variances = start_variance[ids][fit_of]
     weights = 1.0 / k_of[fit_of]
     floors = floor_of[ids][fit_of]
@@ -418,49 +380,37 @@ def _em_loop(
 
     def per_fit(values: np.ndarray) -> np.ndarray:
         # each fit's sum over its components, in component order
-        sums = values[params[0]].copy()
-        for component in params[1:]:
-            head = sums[:component.stop - component.start]
-            head += values[component]
-        return sums
+        return _across(np.add, [values[params] for _, params, _ in slabs])
 
     def warn(flags: np.ndarray, message: str) -> None:
         for f in ids[flags & live]:
             warnings[f].setdefault(message)
 
-    def squared_distances(span: _Span) -> np.ndarray:
-        sq = means[span.params].repeat(span.lengths)
-        for part, x in span.xs:
-            distances = sq[part]
-            np.subtract(x, distances, out=distances)
+    def squared_distances(means: np.ndarray) -> np.ndarray:
+        sq = means.repeat(sizes)
+        for part, _, x in slabs:
+            np.subtract(x, sq[part], out=sq[part])
         return np.square(sq, out=sq)
 
-    for span in spans:
-        np.copyto(span.entries, squared_distances(span))
+    entries = squared_distances(means)
     for it in range(EM_MAX_ITERATIONS + 1):
         scale = -0.5 / variances
         shift = np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances))
-        for span in spans:
-            np.multiply(span.entries, scale[span.params].repeat(span.lengths), out=span.entries)
-            np.add(span.entries, shift[span.params].repeat(span.lengths), out=span.entries)
+        entries *= scale.repeat(sizes)
+        entries += shift.repeat(sizes)
         # the rows' maximum and sum over the components, in component order
-        top = slabs[0].copy()
-        tops = [top[:len(slab)] for slab in slabs]
-        for slab, head in zip(slabs[1:], tops[1:]):
-            np.maximum(head, slab, out=head)
-        for slab, head in zip(slabs, tops):
-            np.subtract(slab, head, out=slab)
+        views = [entries[part] for part, _, _ in slabs]
+        top = _across(np.maximum, views)
+        for view in views:
+            view -= top[:len(view)]
         np.exp(entries, out=entries)
-        total = slabs[0].copy()
-        totals = [total[:len(slab)] for slab in slabs]
-        for slab, head in zip(slabs[1:], totals[1:]):
-            np.add(head, slab, out=head)
-        for slab, head in zip(slabs, totals):
-            np.divide(slab, head, out=slab)
+        total = _across(np.add, views)
+        for view in views:
+            view /= total[:len(view)]
         # each row's log-likelihood, in place of its maximum
         top += np.log(total, out=total)
         ll = np.add.reduceat(top, starts)
-        del top, total, tops, totals  # the M-step's spreads take their place
+        del views, top, total  # the M-step's temporaries take their place
         history[-1][1].append(ll)
         if it == EM_MAX_ITERATIONS:  # this E-step only scored the final parameters
             stop = live.copy()
@@ -481,33 +431,24 @@ def _em_loop(
                 break
             size = k_of * lengths
             if 8 * size[~live].sum() >= size[live].sum():
-                rows = np.repeat(live, lengths)
                 kept = live[fit_of]
+                entries = entries[np.repeat(kept, sizes)]
+                xs = xs[np.repeat(live, lengths)]
                 means, variances, weights, floors = (
                     a[kept] for a in (means, variances, weights, floors)
                 )
                 ids, k_of, lengths, ll = ids[live], k_of[live], lengths[live], ll[live]
-                xs = xs[rows]
-                moved = slabs
-                slabs, params, spans, fit_of, segments, entries, starts = _pack(
-                    k_of, lengths, buffer, xs
-                )
-                # each slab moves to a place no further on, ahead of the
-                # next old slab
-                for old, new in zip(moved, slabs):
-                    new[:] = old[rows[:len(old)]]
+                slabs, fit_of, sizes, segments, starts = _layout(k_of, lengths, xs)
                 live = np.ones(len(ids), dtype=bool)
                 history.append((ids, []))
         ll_prev = ll
 
         mass = np.add.reduceat(entries, segments)
-        sums = np.empty(len(mass))
-        for span in spans:
-            product = np.empty(len(span.entries))
-            for part, x in span.xs:
-                np.multiply(span.entries[part], x, out=product[part])
-            np.add.reduceat(product, span.segments, out=sums[span.params])
-            del product  # one spread at a time
+        product = np.empty(len(entries))
+        for part, _, x in slabs:
+            np.multiply(entries[part], x, out=product[part])
+        sums = np.add.reduceat(product, segments)
+        del product
         degenerate = mass < 1e-12
         if np.count_nonzero(degenerate):
             warn(per_fit(degenerate), "degenerate cluster: responsibility mass vanished")
@@ -518,14 +459,11 @@ def _em_loop(
         weights = np.maximum(mass / per_fit(mass)[fit_of], 1e-300)
         weights = weights / per_fit(weights)[fit_of]
         # the squared distances to the new means, which the next E-step
-        # scores
-        for span in spans:
-            sq = squared_distances(span)
-            np.multiply(span.entries, sq, out=span.entries)
-            np.add.reduceat(span.entries, span.segments, out=sums[span.params])
-            np.copyto(span.entries, sq)
-            del sq
-        new_var = sums / mass
+        # scores, once they have weighted the variance sums
+        sq = squared_distances(means)
+        entries *= sq
+        new_var = np.add.reduceat(entries, segments) / mass
+        entries = sq
         clamped = new_var < floors
         if np.count_nonzero(clamped):
             warn(per_fit(clamped), "variance clamped to floor")

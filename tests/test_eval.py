@@ -626,7 +626,7 @@ class TestMemory:
     def test_loocv_catalogs_peak_is_held_by_the_em_row_budget(self):
         # at 20 traces EM is not at a LOOCV's peak, so the cases above
         # cannot see the budget. At 40 traces, all LOOCV catalogs peak at
-        # 9.5-10.0 times one build_catalog (seeds 1-3), and at 20.5-21.5
+        # 10.0-10.4 times one build_catalog (seeds 1-3), and at 21.4-22.4
         # times with the budget lifted, every fold's samples in one EM run
         log = generate_annotated_log(medicine_eating_process(), 40, seed=1)
         config = CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
@@ -644,6 +644,7 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 15 * peaks[0]
+
 
 class TestSimilarityModes:
     def test_runs_mode_collapses_before_scoring(self):

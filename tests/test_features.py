@@ -535,6 +535,13 @@ class TestFamilyBlocks:
         instances: dict[tuple, list[int]] = {}
         for k, d in enumerate(catalog.observation_features):
             instances.setdefault(d.instance, []).append(k)
+        # the attributes each family reads at an event; where one is
+        # missing, the family's row is the neutral 1/|labels|
+        reads = {
+            "concept_ngram": (CONCEPT_NAME,),
+            "time_view": (TIME_TIMESTAMP,),
+            "lifecycle_duration": (TIME_TIMESTAMP, CONCEPT_NAME, LIFECYCLE_TRANSITION),
+        }
         for trace in log.traces:
             matrix = evaluate_observations(catalog, trace)
             for instance, cols in instances.items():
@@ -545,6 +552,11 @@ class TestFamilyBlocks:
                 else:
                     assert np.all((block >= 0.0) & (block <= 1.0))
                     assert np.allclose(block.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                    keys = reads.get(instance[0], (f"org:{instance[2]}",))
+                    lacking = [
+                        not all(key in e.attributes for key in keys) for e in trace.events
+                    ]
+                    assert np.all(block[lacking] == 1.0 / catalog.n_labels), instance
 
         for bank in [*catalog.time_models.values(), *catalog.duration_models.values()]:
             xs = np.array([
