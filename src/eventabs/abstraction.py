@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -20,6 +21,7 @@ from .features import (
     FeatureCatalog,
     InternedLog,
     fold_catalogs,
+    fold_groups,
     neutral_time_notes,
     observation_matrix,
 )
@@ -54,10 +56,6 @@ __all__ = [
 
 MODEL_FORMAT = "eventabs-crf-model"
 MODEL_VERSION = 1
-# folds trained in lockstep on one batch. Larger groups spend more rounds
-# on the few folds that need the most evaluations; 16 was the fastest
-# leave-one-trace-out on 40 household traces
-LOCKSTEP_FOLDS = 16
 
 
 class ModelIOError(EventabsError):
@@ -84,37 +82,31 @@ def fit_folds(
     """Per fold, in fold order, the model fitted on the log less the fold's
     traces, with the fold's held-out observation rows under its catalog,
     one (events, F_obs) array per held-out trace in fold order, which the
-    fold's traces are decoded from. The catalogs are built together
-    (:func:`fold_catalogs`, which checks the folds). Consecutive folds
-    whose catalogs share a label alphabet size are trained in lockstep, at
-    most ``LOCKSTEP_FOLDS`` at a time, on one batch over the whole log
-    (:class:`TrainingBatch`, :func:`fit_group`): one problem per fold,
-    whose trace mask leaves out the fold's traces, so one forward-backward
-    pass serves an objective evaluation of every fold of the group. A
-    group's whole-log observation matrices are built one at a time and
-    dropped once the batch has gathered the fold's training rows, so a
-    group holds one copy of each fold's rows. A fold's model does not
-    depend on the folds trained beside it.
+    fold's traces are decoded from. The folds are checked and cut into
+    groups by their training rows (:func:`fold_groups`). A group's
+    catalogs are built together (:func:`fold_catalogs`, one packed EM
+    run), and its folds are trained in lockstep on one batch over the
+    whole log (:class:`TrainingBatch`, :func:`fit_group`), split where the
+    label alphabet size changes: one problem per fold, whose trace mask
+    leaves out the fold's traces, so one forward-backward pass serves an
+    objective evaluation of every fold of the batch. A batch's whole-log
+    observation matrices are built one at a time and dropped once the
+    batch has gathered the fold's training rows, so a batch holds one copy
+    of each fold's rows. A fold's model does not depend on the folds
+    trained beside it.
 
     Each fit starts from the weights of the model ``start()`` returns,
     mapped into the fold catalog's layout
     (:meth:`FeatureCatalog.weights_from`), or from zero where it returns
-    None. ``start`` is called once per lockstep group, after the group's
-    catalogs and batch are built, which do not read it, so a caller may
-    hand in a provider that waits for a model fitted elsewhere. A fold
-    whose start point is non-finite raises :class:`OptimizationError` when
-    its turn to be yielded comes."""
-    folds = [list(fold) for fold in folds]
-    group: list[tuple[list[int], FeatureCatalog]] = []
-    for fold, catalog in zip(folds, fold_catalogs(log, folds, config.catalog)):
-        if group and (
-            len(group) == LOCKSTEP_FOLDS or catalog.n_labels != group[0][1].n_labels
-        ):
-            yield from _fit_lockstep(log, group, config, start)
-            group = []
-        group.append((fold, catalog))
-    if group:
-        yield from _fit_lockstep(log, group, config, start)
+    None. ``start`` is called once per lockstep batch, after the batch's
+    catalogs and the batch are built, which do not read it, so a caller
+    may hand in a provider that waits for a model fitted elsewhere. A
+    fold whose start point is non-finite raises
+    :class:`OptimizationError` when its turn to be yielded comes."""
+    for group in fold_groups(log, folds):
+        catalogs = fold_catalogs(log, group, config.catalog)
+        for _, lockstep in groupby(zip(group, catalogs), key=lambda pair: pair[1].n_labels):
+            yield from _fit_lockstep(log, list(lockstep), config, start)
 
 
 def _fit_lockstep(

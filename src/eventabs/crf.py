@@ -47,6 +47,8 @@ from .xes import EventLog
 TIE_TOLERANCE = 1e-9
 # the smallest normal float: a scale factor below it ends the scaled pass
 _TINY = np.finfo(float).tiny
+# the zero that fills the emission-weight entries no weight scores
+_ZERO = np.zeros(1)
 
 __all__ = [
     "CrfModel",
@@ -69,14 +71,11 @@ def _slots(catalog: FeatureCatalog) -> np.ndarray:
     return np.arange(catalog.n_observation_features) * catalog.n_labels + catalog.observation_labels
 
 
-def _emission_weights(
-    catalog: FeatureCatalog, w_obs: np.ndarray, slots: np.ndarray | None = None
-) -> np.ndarray:
+def _emission_weights(catalog: FeatureCatalog, w_obs: np.ndarray) -> np.ndarray:
     """(F_obs, L) matrix placing each observation weight in its label's
-    column, so emissions are ``observations @ matrix``; ``slots`` are the
-    catalog's :func:`_slots`, computed when not given."""
+    column, so emissions are ``observations @ matrix``."""
     w_matrix = np.zeros((len(w_obs), catalog.n_labels))
-    w_matrix.reshape(-1)[_slots(catalog) if slots is None else slots] = w_obs
+    w_matrix.reshape(-1)[_slots(catalog)] = w_obs
     return w_matrix
 
 
@@ -294,10 +293,11 @@ def viterbi_decode(model: CrfModel, observations: np.ndarray) -> list[str]:
 @dataclass(eq=False)
 class _Problem:
     """One objective of a :class:`TrainingBatch`: a catalog and the packed
-    rows it trains on. ``obs`` (rows, F_obs) and ``observed`` cover those
-    rows only, in packed order. ``keep`` lists them, ``n`` is how many of
-    them are at step 0, ``after`` lists the others and ``prev`` the row of
-    the same trace's previous position for each of those."""
+    rows it trains on. ``obs`` (rows, F_obs) covers those rows only, in
+    packed order, and ``observed`` holds their feature counts. ``keep``
+    lists the rows, ``n`` is how many of them are at step 0, ``after``
+    lists the others and ``prev`` the row of the same trace's previous
+    position for each of those. ``slots`` are the catalog's :func:`_slots`."""
 
     catalog: FeatureCatalog
     slots: np.ndarray
@@ -367,7 +367,7 @@ class TrainingBatch:
     its gradient ``expected - observed``. The rows of sequences a problem
     does not train on are carried through the pass, which keeps every
     sequence's rows apart, but never summed. :meth:`subset` keeps some of
-    the problems.
+    the problems: a finished fold of a lockstep group is dropped by it.
 
     The group of a cross-validation has one problem per fold, each with
     its own catalog, over one packing of the whole log, and masks out the
@@ -383,6 +383,14 @@ class TrainingBatch:
     2-D buffers and steps with ``np.dot``, which costs less per call than
     ``np.matmul``. Evaluations overwrite each other's intermediates: one
     batch must not be evaluated concurrently.
+
+    The objective's front and tail are laid out once per batch too: a
+    gather map from every problem's weights, end to end, to one stacked
+    (sum F_obs, L) emission-weight matrix and the (B, L+1, L) transition
+    blocks, one buffer that every problem's count products write into,
+    and the map that gathers each problem's expected counts from it in
+    weight order. A subset reuses the first slices of the buffers it was
+    taken from and lays these out anew for its problems.
     """
 
     def __init__(
@@ -426,35 +434,66 @@ class TrainingBatch:
         self._setup(built)
 
     def subset(self, problems: Sequence[int]) -> "TrainingBatch":
-        """A batch of the given problems, in that order, on the same
-        packing, with work buffers of its own."""
+        """A batch of the given problems, distinct and in that order, on
+        the same packing. It copies only the potentials ``p``, which hold
+        each problem's mask, and works in the first slices of this batch's
+        other buffers, so dropping finished problems allocates no new work
+        buffers; a batch and its subsets must not be evaluated
+        concurrently either."""
+        problems = list(problems)
+        if len(set(problems)) != len(problems):
+            raise ValueError(f"the problems of a subset must be distinct, got {problems}")
         batch = copy.copy(self)
-        batch._setup([self.problems[i] for i in problems])
+        if self.n:
+            batch._p = self._p[problems]
+        batch._bind([self.problems[i] for i in problems])
         return batch
 
     def _setup(self, problems: list[_Problem]) -> None:
-        """Build the work buffers and step views of ``problems`` on the
-        batch's packing."""
+        """Allocate the work buffers of ``problems`` on the batch's packing
+        and bind them (:meth:`_bind`)."""
+        self.problems = problems
+        if self.n == 0:
+            return
+        L = problems[0].catalog.n_labels
+        if any(problem.catalog.n_labels != L for problem in problems):
+            raise ValueError("the problems of a batch must share one label alphabet size")
+        B, R = len(problems), int(self.offsets[-1])
+        kept = sum(len(pr.keep) for pr in problems)
+        after = sum(len(pr.after) for pr in problems)
+        # p holds the shifted emission potentials (1 on rows no problem
+        # trains on), scale the forward scale factors as a column; a beta
+        # row at the last position of its trace is never written, so it
+        # stays 1, in every problem's slice
+        self._p = np.ones((B, R, L))
+        self._alpha = np.empty((B, R, L))
+        self._q = np.empty((B, R, L))
+        self._beta = np.ones((B, R, L))
+        self._scale = np.empty((B, R, 1))
+        # the gathered rows: each problem's own (emissions, posteriors, scale
+        # factors, their logs, row maxima), and its rows past step 0 with
+        # their previous rows (forward vectors, backward terms)
+        self._kept_rows = (
+            np.empty((kept, L)), np.empty((kept, L)), *np.empty((3, kept, 1)),
+        )
+        self._after_rows = (np.empty((after, L)), np.empty((after, L)))
+        self._bind(problems)
+
+    def _bind(self, problems: list[_Problem]) -> None:
+        """Lay ``problems`` out in the first slices of the work buffers:
+        their gathers, the objective's front and tail, and the step
+        views."""
         self.problems = problems
         n, offsets = self.n, self.offsets
         if n == 0:
             return
         L = problems[0].catalog.n_labels
-        if any(problem.catalog.n_labels != L for problem in problems):
-            raise ValueError("the problems of a batch must share one label alphabet size")
         B, R = len(problems), int(offsets[-1])
         only = B == 1
-        shape = (R, L) if only else (B, R, L)
         self.matmul = np.dot if only else np.matmul
-        # p holds the shifted emission potentials (1 on rows no problem
-        # trains on), scale the forward scale factors as a column; a beta
-        # row at the last position of its trace is never written, so it
-        # stays 1
-        self.p = np.ones(shape)
-        self.alpha = np.empty(shape)
-        self.q = np.empty(shape)
-        self.beta = np.ones(shape)
-        self.scale = np.empty(shape[:-1] + (1,))
+        self.p, self.alpha, self.q, self.beta, self.scale = (
+            a[0] if only else a[:B] for a in (self._p, self._alpha, self._q, self._beta, self._scale)
+        )
         # the (B * rows, ...) views the gathers read
         self.p_rows, self.alpha_rows, self.q_rows = (
             a.reshape(-1, L) for a in (self.p, self.alpha, self.q)
@@ -464,32 +503,83 @@ class TrainingBatch:
         # what each problem sums: its rows (kept), and its rows past step 0
         # (after) with their previous rows; gathered from all problems at
         # once into one buffer each, problem after problem
-        self.prev_rows = np.concatenate([b * R + pr.prev for b, pr in enumerate(problems)])
-        self.alpha_prev = np.empty((len(self.prev_rows), L))
-        self.keep = np.concatenate([b * R + pr.keep for b, pr in enumerate(problems)])
-        self.after = np.concatenate([b * R + pr.after for b, pr in enumerate(problems)])
+        kept = [len(pr.keep) for pr in problems]
+        after = [len(pr.after) for pr in problems]
+        f_obs = [pr.catalog.n_observation_features for pr in problems]
+        base = np.arange(B) * R
+        self.prev_rows = _spread([pr.prev for pr in problems], base, after)
+        self.keep = _spread([pr.keep for pr in problems], base, kept)
+        self.after = _spread([pr.after for pr in problems], base, after)
+        K, A = len(self.keep), len(self.after)
+        self.emit, self.node, self.scale_kept, self.row_max, self.log_scale = (
+            a[:K] for a in self._kept_rows
+        )
+        self.alpha_prev, self.q_after = (a[:A] for a in self._after_rows)
         # the scatter of emissions into p, by element: assigning whole
         # rows by index costs a call per row
-        self.keep_elements = (self.keep[:, None] * L + np.arange(L)).ravel()
-        self.emit = np.empty((len(self.keep), L))
-        self.node = np.empty_like(self.emit)
-        self.scale_kept = np.empty((len(self.keep), 1))
-        self.q_after = np.empty((len(self.after), L))
-        self.row_max = np.empty_like(self.scale_kept)
-        self.log_scale = np.empty_like(self.scale_kept)
+        elements, first = np.empty((K, L), dtype=np.intp), self.keep * L
+        for l in range(L):
+            np.add(first, l, out=elements[:, l])
+        self.keep_elements = elements.reshape(-1)
         # column views: a ufunc call per label column runs one inner loop
         # over all rows, where broadcasting a (rows, 1) column over (rows, L)
         # runs one per row
         self.emit_columns = [self.emit[:, l] for l in range(L)]
         self.p_columns = [self.p_rows[:, l] for l in range(L)]
         self.q_columns = [self.q_rows[:, l] for l in range(L)]
-        kept = np.cumsum([0] + [len(pr.obs) for pr in problems]).tolist()
-        after = np.cumsum([0] + [len(pr.prev) for pr in problems]).tolist()
+        kept = np.cumsum([0] + kept).tolist()
+        after = np.cumsum([0] + after).tolist()
+        # where each problem's scale factors start, up to the last problem
+        # with rows: reduceat needs starts inside the array, and the result
+        # of an empty segment (a problem without rows) is not read
+        last = max((b for b in range(B) if kept[b] < kept[b + 1]), default=-1)
+        self.scale_starts = np.asarray(kept[:last + 1], dtype=np.intp)
+        self.step0 = np.asarray([pr.n for pr in problems], dtype=float)
+        self.later = np.asarray([len(pr.obs) - pr.n for pr in problems], dtype=float)
+
+        # the front and tail in array form. Every problem's weights, end to
+        # end and then a zero, fill the stacked (sum F_obs, L) emission
+        # weights and the (B, L+1, L) transition blocks by one gather
+        # (weight_source). The tail holds the (sum F_obs, L) products of the
+        # observations with the posteriors, the (B, L, L) pair counts and the
+        # (B, L) step-0 counts; tail_index gathers every problem's expected
+        # counts from it, in weight order
+        features = np.cumsum([0] + [pr.catalog.n_features for pr in problems])
+        obs_rows = np.cumsum([0] + f_obs)
+        O = int(obs_rows[-1])
+        self.feature_starts = features[:-1]
+        self.feature_bounds = list(zip(features.tolist(), features[1:].tolist()))
+        self.observed = np.concatenate([pr.observed for pr in problems])
+        # each weight's position in the weights: observation weights, and
+        # each problem's transition block as a row
+        obs_at = np.arange(O) + np.repeat(features[:-1] - obs_rows[:-1], f_obs)
+        trans_at = (features[:-1] + f_obs)[:, None] + np.arange((L + 1) * L)
+        # each observation weight's entry in the stacked (sum F_obs, L) layout
+        slots = _spread([pr.slots for pr in problems], obs_rows[:-1] * L, f_obs)
+        self.weight_source = np.full(O * L + trans_at.size, features[-1])
+        self.weight_source[slots] = obs_at
+        self.weight_source[O * L:] = trans_at.ravel()
+        pairs_at, step0_at = O * L, O * L + B * L * L
+        self.tail_index = np.empty(int(features[-1]), dtype=np.intp)
+        self.tail_index[obs_at] = slots
+        self.tail_index[trans_at[:, :L * L]] = pairs_at + np.arange(B * L * L).reshape(B, -1)
+        self.tail_index[trans_at[:, L * L:]] = step0_at + np.arange(B * L).reshape(B, -1)
+        self.layout = np.empty(len(self.weight_source))
+        w_matrices = self.layout[:O * L].reshape(O, L)
+        self.trans = self.layout[O * L:].reshape(B, L + 1, L)
+        self.tail = np.empty(step0_at + B * L)
+        counts = self.tail[:pairs_at].reshape(O, L)
+        self.pair_counts = self.tail[pairs_at:step0_at].reshape(B, L, L)
+        step0_counts = self.tail[step0_at:].reshape(B, L)
+        obs_rows = obs_rows.tolist()
+        self.w_matrices = [w_matrices[o0:o1] for o0, o1 in zip(obs_rows, obs_rows[1:])]
         self.views = [
-            (pr, *(a[k0:k1] for a in (self.emit, self.node, self.scale_kept, self.log_scale,
-                                       self.row_max)),
-             self.alpha_prev[a0:a1], self.q_after[a0:a1])
-            for pr, k0, k1, a0, a1 in zip(problems, kept, kept[1:], after, after[1:])
+            (pr, *(a[k0:k1] for a in (self.emit, self.node, self.log_scale, self.row_max)),
+             self.alpha_prev[a0:a1], self.q_after[a0:a1], counts[o0:o1], self.pair_counts[b],
+             step0_counts[b])
+            for b, (pr, k0, k1, a0, a1, o0, o1) in enumerate(
+                zip(problems, kept, kept[1:], after, after[1:], obs_rows, obs_rows[1:])
+            )
         ]
 
         # per step: this step's rows and the first rows of the previous step,
@@ -519,6 +609,12 @@ class TrainingBatch:
         ][::-1]
 
 
+def _spread(arrays: list[np.ndarray], bases: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The arrays end to end, each plus its base; ``sizes`` are their
+    lengths."""
+    return np.concatenate(arrays) + np.repeat(bases, sizes)
+
+
 def _observation_counts(obs: np.ndarray, per_label: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Each observation feature's values summed over the rows, every row
     weighted by its (rows, L) entry for the feature's label (``slots``, see
@@ -536,7 +632,7 @@ def nll_and_gradients(
     L1 penalty lives in the optimizer). Computed by one scaled
     forward-backward pass (Rabiner 1989) over the packed rows for all
     problems, in the batch's work buffers; the returned gradients are
-    fresh arrays.
+    disjoint slices of one array made fresh by each call.
 
     Potentials are exponentiated once, shifted by their maxima, and every
     row's forward vector is normalized by its scale factor ``c``, so log Z
@@ -546,21 +642,33 @@ def nll_and_gradients(
     problem's value is then ``+inf`` and its gradient NaN, which the
     optimizer backtracks from. Only the problem's own rows are checked and
     summed, each as it would be in a batch of that problem alone.
+
+    Per problem, only its emission product, its two count products, its
+    three sums and its ``w . observed`` run alone; the rest is array work
+    over all problems (gathers, the minima and finiteness per problem by
+    ``reduceat``, one subtraction for all gradients), elementwise or exact
+    in any order, so each problem's bits do not depend on the others.
     """
     problems = batch.problems
-    weights = [np.asarray(w, dtype=float) for w in weights]
     if len(weights) != len(problems):
         raise ValueError(f"{len(weights)} weight vectors for {len(problems)} problems")
+    weights = [np.asarray(w, dtype=float) for w in weights]
+    for w, problem in zip(weights, problems):
+        if w.shape != (problem.catalog.n_features,):
+            raise ValueError(
+                f"weight vector length {w.shape} does not match "
+                f"catalog size {problem.catalog.n_features}"
+            )
     if batch.n == 0:
         return [(0.0, np.zeros(problem.catalog.n_features)) for problem in problems]
     L, n = problems[0].catalog.n_labels, batch.n
     p, alpha, q, beta, scale = batch.p, batch.alpha, batch.q, batch.beta, batch.scale
-    splits = [problem.catalog.split(w) for problem, w in zip(problems, weights)]
-    trans = np.stack([t for _, t in splits])
+    np.take(np.concatenate(weights + [_ZERO]), batch.weight_source, out=batch.layout)
+    trans = batch.trans
     core_max = trans[:, :L].max(axis=(1, 2))
     bos_max = trans[:, L].max(axis=1)
-    for (problem, emit, *_), (w_obs, _) in zip(batch.views, splits):
-        np.matmul(problem.obs, _emission_weights(problem.catalog, w_obs, problem.slots), out=emit)
+    for (problem, emit, *_), w_matrix in zip(batch.views, batch.w_matrices):
+        np.matmul(problem.obs, w_matrix, out=emit)
 
     with np.errstate(all="ignore"):  # a degenerate pass is caught below
         e_core = np.exp(trans[:, :L] - core_max[:, None, None])
@@ -604,28 +712,32 @@ def nll_and_gradients(
         np.take(batch.scale_rows, batch.keep, axis=0, out=batch.scale_kept)
         np.log(batch.scale_kept, out=batch.log_scale)
 
-        results = []
-        for b, (problem, _, node, scale_b, log_scale, row_max, alpha_prev, q_after) in enumerate(
-            batch.views
-        ):
-            catalog = problem.catalog
-            expected = np.concatenate([
-                _observation_counts(problem.obs, node, problem.slots),
-                (e_core[b] * (alpha_prev.T @ q_after)).ravel(),
-                node[:problem.n].sum(axis=0),
-            ])
-            if problem.n == 0:
-                results.append((0.0, np.zeros(catalog.n_features)))
-            elif not (scale_b.min() >= _TINY and np.isfinite(expected).all()):
-                results.append((np.inf, np.full(catalog.n_features, np.nan)))
-            else:
-                log_z = (
-                    log_scale.sum() + row_max.sum() + problem.n * bos_max[b]
-                    + (len(node) - problem.n) * core_max[b]
-                )
-                results.append((
-                    float(log_z - weights[b] @ problem.observed), expected - problem.observed
-                ))
+        sums, dots = [], []
+        for (problem, _, node, log_scale, row_max, alpha_prev, q_after, counts, pair_counts,
+             step0_counts), w in zip(batch.views, weights):
+            np.matmul(problem.obs.T, node, out=counts)
+            np.matmul(alpha_prev.T, q_after, out=pair_counts)
+            node[:problem.n].sum(axis=0, out=step0_counts)
+            sums.append(log_scale.sum() + row_max.sum())
+            dots.append(w @ problem.observed)
+        np.multiply(e_core, batch.pair_counts, out=batch.pair_counts)
+        expected = batch.tail[batch.tail_index]
+        finite = np.logical_and.reduceat(np.isfinite(expected), batch.feature_starts)
+        if len(batch.scale_starts):
+            scale_min = np.minimum.reduceat(batch.scale_kept[:, 0], batch.scale_starts)
+        values = (
+            np.asarray(sums) + batch.step0 * bos_max + batch.later * core_max - np.asarray(dots)
+        )
+        gradients = expected - batch.observed
+
+    results = []
+    for b, (problem, (f0, f1)) in enumerate(zip(problems, batch.feature_bounds)):
+        if problem.n == 0:
+            results.append((0.0, np.zeros(f1 - f0)))
+        elif not (scale_min[b] >= _TINY and finite[b]):
+            results.append((np.inf, np.full(f1 - f0, np.nan)))
+        else:
+            results.append((float(values[b]), gradients[f0:f1]))
     return results
 
 

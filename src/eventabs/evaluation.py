@@ -10,32 +10,34 @@ on long day-traces.
 
 A cross-validation reads the log once, into an :class:`InternedLog`, and
 fits the whole log once. The folds are cut into ``n_jobs`` contiguous
-shares; each share builds its folds' catalogs together (count
-subtraction plus packed EM, see :func:`fold_catalogs`), then trains its
-folds in lockstep groups, where one forward-backward pass evaluates a
-pending point of every fold of the group (:func:`fit_folds`), and
-decodes each fold's held-out traces. With more than one share, the
-workers fork before the whole-log fit: they build catalogs and batches,
-which do not read the whole-log model, while the parent fits it. Each
-share hands :func:`fit_folds` a ``start`` provider that reads the model
-from a pipe, which its first lockstep group calls once its batch is
-built. Every fold's OWL-QN run starts from the whole-log weights, mapped
-into the fold catalog's layout (:meth:`FeatureCatalog.weights_from`). A
-fold's training set differs from the whole log only by its held-out
-traces, so the fit takes far fewer iterations than one from zero
-weights. The start leaks nothing of the held-out labels into their
-predictions: each fold still minimizes its own objective, which never
-reads them, to the same stop test. A warm fit can end at other weights
-than one from zero only within that tolerance or along flat directions
-of the objective; the structural ones (the two-label gauge of the
-``features`` docstring, a constant added to the label-to-label
-transitions) change no p(y|x) on any trace. ``tests/test_eval.py``
-checks sampled warm folds' composite objectives against an independent
-optimizer, and their decodes against fits from zero. No fold starts from
-another fold's result, and a fold's fit does not depend on the folds
-trained beside it, so results are merged in fold order and the report
-does not depend on ``n_jobs``. The report records each fold's optimizer
-run (:class:`FoldRecord`).
+shares, and each share into groups of consecutive folds that train on at
+most ``features.FOLD_GROUP_ROWS`` rows together (:func:`fold_groups`). A
+group's catalogs are built together (count subtraction plus one packed
+EM run, see :func:`fold_catalogs`) and its folds trained in lockstep,
+where one forward-backward pass evaluates a pending point of every fold
+of the group (:func:`fit_folds`); then each fold's held-out traces are
+decoded. A 20-fold share of a 40-trace leave-one-trace-out is one group.
+With more than one share, the workers fork before the whole-log fit:
+they build catalogs and batches, which do not read the whole-log model,
+while the parent fits it. Each share hands :func:`fit_folds` a ``start``
+provider that reads the model from a pipe, which its first lockstep
+group calls once its batch is built. Every fold's OWL-QN run starts from
+the whole-log weights, mapped into the fold catalog's layout
+(:meth:`FeatureCatalog.weights_from`). A fold's training set differs
+from the whole log only by its held-out traces, so the fit takes far
+fewer iterations than one from zero weights. The start leaks nothing of
+the held-out labels into their predictions: each fold still minimizes
+its own objective, which never reads them, to the same stop test. A warm
+fit can end at other weights than one from zero only within that
+tolerance or along flat directions of the objective; the structural ones
+(the two-label gauge of the ``features`` docstring, a constant added to
+the label-to-label transitions) change no p(y|x) on any trace.
+``tests/test_eval.py`` checks sampled warm folds' composite objectives
+against an independent optimizer, and their decodes against fits from
+zero. No fold starts from another fold's result, and a fold's fit does
+not depend on the folds trained beside it, so results are merged in fold
+order and the report does not depend on ``n_jobs``. The report records
+each fold's optimizer run (:class:`FoldRecord`).
 """
 
 from __future__ import annotations

@@ -75,6 +75,7 @@ __all__ = [
     "FeatureCatalog",
     "InternedLog",
     "fold_catalogs",
+    "fold_groups",
     "build_catalog",
     "observation_matrix",
     "neutral_time_notes",
@@ -625,11 +626,17 @@ class InternedLog:
 
 # --- catalog construction ----------------------------------------------------
 
-# Packed EM runs hold at most this many sample rows per event of the log, so
-# fitting the mixtures of many folds together keeps memory linear in the log:
-# the EM buffer, and each parameter spread over it, holds at most k_max times
-# this budget in entries.
-_EM_ROWS_PER_EVENT = 16
+# Consecutive folds are fitted together up to this many training rows (the
+# events outside a fold, summed over the group's folds): their mixtures in
+# one packed EM run (:func:`fold_catalogs`), their CRFs in one lockstep
+# batch (``abstraction.fit_folds``). A fold has at most one sample row per
+# training row and mixture bank, and a batch a few (rows, labels) buffers per
+# fold, so a group's memory stays bounded however large the log; a fold
+# above the budget is a group alone. A 20-fold share of a 40-trace household
+# LOOCV holds 8,740 training rows, one group. At 20,000 a serial LOOCV of
+# that log would fit all 40 folds' mixtures in one EM run, whose peak is
+# about twice that of two runs.
+FOLD_GROUP_ROWS = 10_000
 
 
 # a mixture bank: its name, the per-label samples, the seed, and the labels
@@ -834,19 +841,28 @@ def fold_catalogs(
 ) -> Iterator[FeatureCatalog]:
     """The catalog of every fold, fitted on the log less the fold's traces:
     each equals :func:`build_catalog` on that smaller log. Yields them in
-    fold order. Raises ``ValueError`` when a fold names a trace outside
-    ``[0, n_traces)``, names one trace twice, or holds anything but ints
-    (a bool is no trace index).
+    fold order. Raises the ``ValueError`` of :func:`fold_groups` for a
+    fold that is not trace indices.
 
     Multinoulli tables are the whole log's context counts less those of
     the held-out traces, which is exact in integers; the label alphabet,
     family presence and the lifecycle step set are recounted per fold. The
-    mixtures of consecutive folds are fitted together, in packed EM runs
-    (:func:`gmm_select_bic_many`) of at most ``_EM_ROWS_PER_EVENT`` sample
-    rows per event of the log, with each fold's own seeds. A sample set
-    that the held-out traces add nothing to is the whole log's: its
-    selection is kept on ``log`` and fitted once per log.
+    mixtures of each group of :func:`fold_groups` are fitted together, in
+    one packed EM run (:func:`gmm_select_bic_many`), with each fold's own
+    seeds. A sample set that the held-out traces add nothing to is the
+    whole log's: its selection is kept on ``log`` and fitted once per log.
     """
+    for group in fold_groups(log, folds):
+        yield from _fit_plans(log, [_plan_fold(log, fold, config) for fold in group], config)
+
+
+def fold_groups(log: InternedLog, folds: Iterable[Iterable[int]]) -> list[list[list[int]]]:
+    """The folds, in order, cut into groups of consecutive folds that
+    together train on at most ``FOLD_GROUP_ROWS`` rows, a fold's rows being
+    the events outside it; a fold above the budget is a group alone. Raises
+    ``ValueError`` when a fold names a trace outside ``[0, n_traces)``,
+    names one trace twice, or holds anything but ints (a bool is no trace
+    index)."""
     folds = [list(fold) for fold in folds]
     for b, fold in enumerate(folds):
         if not all(
@@ -856,18 +872,16 @@ def fold_catalogs(
             raise ValueError(f"fold {b} is {fold}, not trace indices in [0, {log.n_traces})")
         if len(set(fold)) != len(fold):
             raise ValueError(f"fold {b} is {fold}, which names a trace twice")
-    budget = _EM_ROWS_PER_EVENT * max(log.n_events, 1)
-    group: list[_Plan] = []
+    groups: list[list[list[int]]] = []
     rows = 0
     for fold in folds:
-        banks, catalog = _plan_fold(log, fold, config)
-        fold_rows = sum(len(xs) for _, samples, *_ in banks for xs in samples.values())
-        if group and rows + fold_rows > budget:
-            yield from _fit_plans(log, group, config)
-            group, rows = [], 0
-        group.append((banks, catalog))
+        fold_rows = log.n_events - int(log.lengths[fold].sum())
+        if not groups or rows + fold_rows > FOLD_GROUP_ROWS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(fold)
         rows += fold_rows
-    yield from _fit_plans(log, group, config)
+    return groups
 
 
 def build_catalog(

@@ -42,6 +42,7 @@ problem's outcome equals :func:`minimize` on it alone, bit for bit.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
@@ -114,44 +115,47 @@ class OwlqnResult:
         return self.stop == "line_search_failed"
 
 
-def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, c: float) -> np.ndarray:
-    pg = np.where(x > 0, grad + c, np.where(x < 0, grad - c, 0.0))
-    at_zero = x == 0
+def _pseudo_gradient(sign: np.ndarray, grad: np.ndarray, c: float) -> np.ndarray:
+    """The pseudo-gradient at a point whose coordinates have signs
+    ``sign`` (``np.sign(x)``): ``grad + c`` where x > 0 and ``grad - c``
+    where x < 0; at zero, ``grad + c`` where that is negative, ``grad - c``
+    where that is positive, else 0. Two selections: the left value where x
+    < 0 or (x == 0 and left > 0), else the right value where x > 0 or (x ==
+    0 and right < 0), else 0."""
     right = grad + c
     left = grad - c
-    pg = np.where(at_zero & (right < 0), right, pg)
-    pg = np.where(at_zero & (left > 0), left, pg)
-    return pg
+    return np.where(sign < (left > 0), left, np.where((right < 0) > -sign, right, 0.0))
+
+
+def _restrict(
+    s: np.ndarray, y: np.ndarray, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """A stored pair restricted to the ``free`` coordinates, and its
+    curvature ``s . y`` there."""
+    s, y = s * free, y * free
+    return s, y, float(s @ y)
 
 
 def _two_loop_direction(
-    pg: np.ndarray,
-    pairs: deque[tuple[np.ndarray, np.ndarray]],
-    free: np.ndarray,
+    pg: np.ndarray, restricted: Sequence[tuple[np.ndarray, np.ndarray, float]]
 ) -> np.ndarray:
     """The L-BFGS direction ``-H pg``, with ``H`` built from the stored
-    ``(s, y)`` pairs restricted to the ``free`` coordinates, so that it
-    approximates the inverse of the Hessian's free block rather than the
-    free block of the inverse Hessian. A pair without positive curvature
-    on the free coordinates is skipped. The direction is ``-pg`` off
-    ``free``."""
-    restricted = []
-    for s, y in pairs:
-        s, y = s * free, y * free
-        sy = float(s @ y)
-        if sy > CURVATURE_FLOOR:
-            restricted.append((s, y, 1.0 / sy))
+    pairs restricted to the free coordinates (:func:`_restrict`, oldest
+    first), so that it approximates the inverse of the Hessian's free block
+    rather than the free block of the inverse Hessian. A pair without
+    positive curvature on the free coordinates is skipped."""
+    usable = [(s, y, sy, 1.0 / sy) for s, y, sy in restricted if sy > CURVATURE_FLOOR]
     d = -pg
-    if not restricted:
+    if not usable:
         return d
     alphas = []
-    for s, y, rho in reversed(restricted):
+    for s, y, _, rho in reversed(usable):
         a = rho * float(s @ d)
         alphas.append(a)
         d -= a * y
-    s_last, y_last, _ = restricted[-1]
-    d *= float(s_last @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), a in zip(restricted, reversed(alphas)):
+    _, y_last, sy_last, _ = usable[-1]
+    d *= sy_last / float(y_last @ y_last)
+    for (s, y, _, rho), a in zip(usable, reversed(alphas)):
         b = rho * float(y @ d)
         d += (a - b) * s
     return d
@@ -178,7 +182,7 @@ def _iterate(
     ) -> tuple[np.ndarray, float] | None:
         """Gradient and composite, or None where either is non-finite."""
         grad = np.asarray(grad, dtype=float)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             return None
         return grad, value + c * float(np.abs(point).sum())
 
@@ -193,28 +197,39 @@ def _iterate(
     # composites of the last six iterates, for the relative-decrease window
     recent: deque[float] = deque([composite], maxlen=6)
     pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
+    # the pairs restricted to the free set of the last direction, whose
+    # bytes are ``free_key``: rebuilt when the free set changes, extended
+    # as pairs are stored
+    restricted: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
+    free = np.ones(dim, dtype=bool)
+    free_key = None
 
     stop = "iteration_cap"
     iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
-        pg = _pseudo_gradient(x, g, c)
+        sign = np.sign(x)
+        pg = _pseudo_gradient(sign, g, c)
         # stationarity: no orthant direction can decrease the composite
-        if np.max(np.abs(pg)) <= GRADIENT_TOLERANCE * max(
-            1.0, float(np.max(np.abs(x)))
-        ):
+        if np.abs(pg).max() <= GRADIENT_TOLERANCE * max(1.0, float(np.abs(x).max())):
             stop = "stationary"
             break
-        # with C > 0 a zero coordinate where pg is zero stays at zero this
-        # iteration, so the curvature model leaves it out
-        free = (x != 0) | (pg != 0) if c > 0 else np.ones(dim, dtype=bool)
-        d = _two_loop_direction(pg, pairs, free)
+        neg = -pg
+        if c > 0:
+            # a zero coordinate where pg is zero stays at zero this
+            # iteration, so the curvature model leaves it out
+            nonzero = sign != 0
+            free = nonzero | (pg != 0)
+        if free.tobytes() != free_key:
+            restricted = deque((_restrict(s, y, free) for s, y in pairs), maxlen=MEMORY)
+            free_key = free.tobytes()
+        d = _two_loop_direction(pg, restricted)
         if c > 0:
             # a zero coordinate may leave zero only along -pg
-            d = np.where((x != 0) | (d * -pg > 0), d, 0.0)
-            orthant = np.where(x != 0, np.sign(x), np.sign(-pg))
+            d = np.where(nonzero | (d * neg > 0), d, 0.0)
+            orthant = np.where(nonzero, sign, np.sign(neg))
         if float(pg @ d) >= 0:
-            d = -pg
+            d = neg
 
         step = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(d)))
         accepted = False
@@ -226,7 +241,8 @@ def _iterate(
             trial = composite_of(x_new, *(yield x_new))
             if trial is not None:
                 g_new, composite_new = trial
-                gain = float(pg @ (x_new - x))
+                s = x_new - x
+                gain = float(pg @ s)
                 if composite_new <= composite + SUFFICIENT_DECREASE * gain and gain < 0:
                     accepted = True
                     break
@@ -235,10 +251,10 @@ def _iterate(
             stop = "line_search_failed"
             break
 
-        s = x_new - x
         y = g_new - g
         if float(s @ y) > CURVATURE_FLOOR:
             pairs.append((s, y))
+            restricted.append(_restrict(s, y, free))
 
         x, g, composite = x_new, g_new, composite_new
         recent.append(composite)

@@ -310,6 +310,191 @@ def l1_lbfgsb_reference(objective, dim: int, c: float) -> tuple[np.ndarray, floa
     return w, float(objective(w)[0] + c * np.abs(w).sum())
 
 
+# --- the objective and OWL-QN, one problem and one call at a time -------------
+#
+# These keep the arithmetic of the CRF objective and of OWL-QN as it was
+# before their per-problem work went to array form, so the array forms can
+# be checked against them bit for bit.
+
+_TINY = np.finfo(float).tiny
+
+
+def nll_and_gradient_reference(weights, problem, n: int, offsets) -> tuple[float, np.ndarray]:
+    """The value and gradient of one problem of a ``TrainingBatch`` (one of
+    its ``problems``: catalog, packed observations, observed counts, its
+    rows ``keep``, ``after`` and ``prev``, and ``n``, its rows at step 0),
+    on the batch's packing of ``n`` sequences with step ``offsets``: a
+    scaled forward-backward pass of its own, with the BLAS calls a batch of
+    this one problem makes, then the problem's counts, checks and value one
+    by one."""
+    catalog = problem.catalog
+    L, f_obs = catalog.n_labels, catalog.n_observation_features
+    weights = np.asarray(weights, dtype=float)
+    w_obs, trans = weights[:f_obs], weights[f_obs:].reshape(L + 1, L)
+    if n == 0:
+        return 0.0, np.zeros(len(weights))
+    slots = np.arange(f_obs) * L + catalog.observation_labels
+    w_matrix = np.zeros((f_obs, L))
+    w_matrix.reshape(-1)[slots] = w_obs
+    emit = problem.obs @ w_matrix
+    core_max, bos_max = trans[:L].max(), trans[L].max()
+    rows = int(offsets[-1])
+    bounds = [int(b) for b in offsets]
+    with np.errstate(all="ignore"):
+        e_core = np.exp(trans[:L] - core_max)
+        bos = np.exp(trans[L:] - bos_max)
+        row_max = emit.max(axis=1, keepdims=True)
+        p = np.ones((rows, L))
+        p[problem.keep] = np.exp(emit - row_max)
+        alpha, scale, beta = np.empty((rows, L)), np.empty((rows, 1)), np.ones((rows, L))
+        alpha[:n] = bos * p[:n]
+        for t, (s, e) in enumerate(zip(bounds, bounds[1:])):
+            if t:
+                ps = bounds[t - 1]
+                np.dot(alpha[ps:ps + e - s], e_core, out=alpha[s:e])
+                alpha[s:e] *= p[s:e]
+            scale[s:e] = alpha[s:e].sum(axis=1, keepdims=True)
+            alpha[s:e] /= scale[s:e]
+        q = p / scale
+        for t in range(len(bounds) - 2, 0, -1):
+            s, e, ps = bounds[t], bounds[t + 1], bounds[t - 1]
+            q[s:e] *= beta[s:e]
+            np.dot(q[s:e], e_core.T, out=beta[ps:ps + e - s])
+        alpha_prev, q_after = alpha[problem.prev], q[problem.after]
+        node = (alpha * beta)[problem.keep]
+        scale_kept = scale[problem.keep]
+        expected = np.concatenate([
+            (problem.obs.T @ node).reshape(-1)[slots],
+            (e_core * (alpha_prev.T @ q_after)).ravel(),
+            node[:problem.n].sum(axis=0),
+        ])
+        if problem.n == 0:
+            return 0.0, np.zeros(len(weights))
+        if not (scale_kept.min() >= _TINY and np.isfinite(expected).all()):
+            return np.inf, np.full(len(weights), np.nan)
+        log_z = (
+            np.log(scale_kept).sum() + row_max.sum() + problem.n * bos_max
+            + (len(node) - problem.n) * core_max
+        )
+        return float(log_z - weights @ problem.observed), expected - problem.observed
+
+
+def pseudo_gradient_reference(x: np.ndarray, grad: np.ndarray, c: float) -> np.ndarray:
+    """OWL-QN's pseudo-gradient by cases: ``grad + c`` where x > 0,
+    ``grad - c`` where x < 0; at zero the one-sided derivative that is
+    negative to the right or positive to the left, else 0."""
+    pg = np.where(x > 0, grad + c, np.where(x < 0, grad - c, 0.0))
+    at_zero = x == 0
+    right = grad + c
+    left = grad - c
+    pg = np.where(at_zero & (right < 0), right, pg)
+    pg = np.where(at_zero & (left > 0), left, pg)
+    return pg
+
+
+def two_loop_direction_reference(
+    pg: np.ndarray, pairs, free: np.ndarray, curvature_floor: float = 1e-10
+) -> np.ndarray:
+    """The L-BFGS two-loop direction ``-H pg`` from the ``(s, y)`` pairs
+    (oldest first), each restricted to the ``free`` coordinates at the
+    call; a pair whose restricted ``s . y`` is at most the floor is
+    skipped."""
+    restricted = []
+    for s, y in pairs:
+        s, y = s * free, y * free
+        sy = float(s @ y)
+        if sy > curvature_floor:
+            restricted.append((s, y, 1.0 / sy))
+    d = -pg
+    if not restricted:
+        return d
+    alphas = []
+    for s, y, rho in reversed(restricted):
+        a = rho * float(s @ d)
+        alphas.append(a)
+        d -= a * y
+    s_last, y_last, _ = restricted[-1]
+    d *= float(s_last @ y_last) / float(y_last @ y_last)
+    for (s, y, rho), a in zip(restricted, reversed(alphas)):
+        b = rho * float(y @ d)
+        d += (a - b) * s
+    return d
+
+
+def owlqn_reference(
+    objective, dim: int, max_iterations: int = 500, tolerance: float = 1e-7,
+    initial=None, c: float = 0.0, free_sets: list | None = None,
+) -> tuple[np.ndarray, float, int, int, str]:
+    """One OWL-QN run as a plain loop, restricting every stored pair anew at
+    each iteration (:func:`two_loop_direction_reference`), with the
+    constants of ``eventabs.owlqn``. Returns the point, the composite,
+    the iterations, the evaluations and the stop reason; the free set of
+    every direction is appended to ``free_sets`` when given. Raises
+    ``ValueError`` at a non-finite start."""
+    gradient_tolerance, sufficient_decrease, backtrack, trials = 1e-12, 1e-4, 0.5, 50
+    curvature_floor, memory = 1e-10, 10
+    x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).copy()
+
+    def composite_of(point):
+        value, grad = objective(point)
+        grad = np.asarray(grad, dtype=float)
+        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+            return None
+        return grad, value + c * float(np.abs(point).sum())
+
+    evaluations = 1
+    start = composite_of(x)
+    if start is None:
+        raise ValueError("non-finite start")
+    g, composite = start
+    recent = deque([composite], maxlen=6)
+    pairs = deque(maxlen=memory)
+    stop, iterations = "iteration_cap", 0
+    for iterations in range(1, max_iterations + 1):
+        pg = pseudo_gradient_reference(x, g, c)
+        if np.max(np.abs(pg)) <= gradient_tolerance * max(1.0, float(np.max(np.abs(x)))):
+            stop = "stationary"
+            break
+        free = (x != 0) | (pg != 0) if c > 0 else np.ones(dim, dtype=bool)
+        if free_sets is not None:
+            free_sets.append(free)
+        d = two_loop_direction_reference(pg, pairs, free, curvature_floor)
+        if c > 0:
+            d = np.where((x != 0) | (d * -pg > 0), d, 0.0)
+            orthant = np.where(x != 0, np.sign(x), np.sign(-pg))
+        if float(pg @ d) >= 0:
+            d = -pg
+        step = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(d)))
+        accepted = False
+        for _ in range(trials):
+            x_new = x + step * d
+            if c > 0:
+                x_new = np.where(x_new * orthant > 0, x_new, 0.0)
+            evaluations += 1
+            trial = composite_of(x_new)
+            if trial is not None:
+                g_new, composite_new = trial
+                gain = float(pg @ (x_new - x))
+                if composite_new <= composite + sufficient_decrease * gain and gain < 0:
+                    accepted = True
+                    break
+            step *= backtrack
+        if not accepted:
+            stop = "line_search_failed"
+            break
+        s, y = x_new - x, g_new - g
+        if float(s @ y) > curvature_floor:
+            pairs.append((s, y))
+        x, g, composite = x_new, g_new, composite_new
+        recent.append(composite)
+        if len(recent) == recent.maxlen:
+            scale = max(abs(composite), 1e-12)
+            if (recent[0] - composite) / (5.0 * scale) < tolerance:
+                stop = "stalled"
+                break
+    return x, composite, iterations, evaluations, stop
+
+
 # --- multinoulli tables as dicts ---------------------------------------------
 
 

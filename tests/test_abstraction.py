@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventabs import abstraction
+from eventabs import abstraction, features, stats
 from eventabs.abstraction import (
-    LOCKSTEP_FOLDS,
     AbstractionConfig,
     ModelIOError,
     annotate,
@@ -116,22 +115,68 @@ class TestFitFolds:
             order.append("start")
 
         monkeypatch.setattr(abstraction, "TrainingBatch", recording)
-        monkeypatch.setattr(abstraction, "LOCKSTEP_FOLDS", 2)
         log = InternedLog(synthetic_log(5, seed=3).traces)
+        # two leave-one-out folds fit the budget and three do not: groups of
+        # 2, 2 and 1 folds
+        monkeypatch.setattr(features, "FOLD_GROUP_ROWS", 2 * (log.n_events - int(log.lengths.min())))
         config = AbstractionConfig(
             catalog=SMALL_CONFIG.catalog, optimizer=OwlqnConfig(max_iterations=5)
         )
         assert len(list(fit_folds(log, [[t] for t in range(5)], config, start))) == 5
         assert order == ["batch", "start"] * 3
 
+    def test_a_loocv_share_is_one_em_run_and_one_batch(self, monkeypatch):
+        # with two jobs, a leave-one-out CV of 40 household traces (448
+        # events, the size of the loocv-household benchmark) hands each
+        # worker 20 folds. Their 8,740 training rows fit the budget, so the
+        # share fits its mixtures in one packed EM run and its CRFs in one
+        # lockstep batch
+        log = InternedLog(synthetic_log(40, seed=7).traces)
+        share = [[t] for t in range(20)]
+        assert sum(log.n_events - int(log.lengths[t]) for t in range(20)) == 8740
+        em_runs, batches = [], []
+        em_loop, fit_batch = stats._em_loop, abstraction.fit_group
+
+        def recording_em(*args):
+            em_runs.append(1)
+            return em_loop(*args)
+
+        def recording_fit(batch, *args):
+            batches.append(len(batch.problems))
+            return fit_batch(batch, *args)
+
+        monkeypatch.setattr(stats, "_em_loop", recording_em)
+        monkeypatch.setattr(abstraction, "fit_group", recording_fit)
+        config = AbstractionConfig(
+            catalog=CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3),
+            optimizer=OwlqnConfig(max_iterations=5),
+        )
+        assert len(list(fit_folds(log, share, config))) == 20
+        assert em_runs == [1]
+        assert batches == [20]
+
     def test_lockstep_groups_fit_each_fold_as_alone(self, monkeypatch):
         # trace 2 holds the only events of "Napping", so its fold has one
         # label fewer; the 20 leave-one-out folds then train in groups cut by
-        # the label count and by LOCKSTEP_FOLDS
+        # the training-row budget, here lowered so that it binds after 12
+        # folds, and split by the label count
         pairs = [[(ev.name, ev.label) for ev in tr.events] for tr in synthetic_log(19, seed=5).traces]
         pairs.insert(2, [("MC", "Napping"), ("W", "Napping"), ("D", "Napping")])
         log = InternedLog(make_log([sequence_trace(p) for p in pairs]).traces)
         folds = [[t] for t in range(log.n_traces)]
+        rows = [log.n_events - int(log.lengths[t]) for t in range(log.n_traces)]
+        monkeypatch.setattr(features, "FOLD_GROUP_ROWS", sum(rows[:12]))
+        budgeted: list[list[int]] = []
+        for t, fold_rows in enumerate(rows):
+            if not budgeted or sum(rows[u] for u in budgeted[-1]) + fold_rows > sum(rows[:12]):
+                budgeted.append([])
+            budgeted[-1].append(t)
+        expected = [
+            len(part) for group in budgeted
+            for part in ([t for t in group if t < 2], [t for t in group if t == 2],
+                         [t for t in group if t > 2])
+            if part
+        ]
         config = AbstractionConfig(
             catalog=SMALL_CONFIG.catalog, optimizer=OwlqnConfig(max_iterations=40)
         )
@@ -147,7 +192,7 @@ class TestFitFolds:
             with monkeypatch.context() as patch:
                 patch.setattr(abstraction, "fit_group", recording)
                 together = list(fit_folds(log, folds, config, lambda: initial))
-            assert group_sizes == [2, 1, LOCKSTEP_FOLDS, 1]
+            assert group_sizes == expected
             for fold, (model, held) in zip(folds, together, strict=True):
                 [(alone, alone_held)] = fit_folds(log, [fold], config, lambda: initial)
                 assert model.labels == alone.labels

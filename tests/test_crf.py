@@ -25,6 +25,7 @@ from oracles import (
     enumerate_sequence_scores,
     l1_lbfgsb_reference,
     log_sum_exp,
+    nll_and_gradient_reference,
     viterbi_per_position,
 )
 
@@ -748,6 +749,89 @@ class TestFoldGroups:
         )
         with pytest.raises(ValueError, match="label"):
             fold_batch_of(log, [[0], [1]], [two_label_catalog(), three], [np.ones((2, 1))] * 2)
+
+
+def random_fold_group(n_labels, lengths, kinds, seed):
+    """A group batch drawn as in ``TestFoldGroups``: one problem per fold
+    kind over a log of the given trace lengths, each with its own bias
+    catalog, random observations and weights (subnormal-scale ones for the
+    "infinite" kind)."""
+    rng = np.random.default_rng(seed)
+    labels = LABEL_POOL[:n_labels]
+    log = InternedLog(make_log([
+        [make_event(name="a", label=labels[rng.integers(n_labels)]) for _ in range(T)]
+        for T in lengths
+    ]).traces)
+    n_traces = len(lengths)
+    folds, catalogs, observations, weights = [], [], [], []
+    for kind in kinds:
+        if kind == "longest":
+            fold = [int(np.argmax(lengths))]
+        elif kind == "all_but_one":
+            kept = int(rng.integers(n_traces))
+            fold = [t for t in range(n_traces) if t != kept]
+        elif kind == "several":
+            size = int(rng.integers(2, n_traces)) if n_traces > 2 else 1
+            fold = sorted(rng.choice(n_traces, size, replace=False).tolist())
+        else:
+            fold = [int(rng.integers(n_traces))]
+        catalog = FeatureCatalog(
+            labels=labels,
+            observation_features=tuple(
+                FeatureDef("bias", labels[rng.integers(n_labels)])
+                for _ in range(int(rng.integers(1, 5)))
+            ),
+            config=CatalogConfig(),
+        )
+        matrix = rng.normal(0, 1, (log.n_events, catalog.n_observation_features))
+        matrix[:, 0] = 1.0
+        folds.append(fold)
+        catalogs.append(catalog)
+        observations.append(matrix)
+        weights.append(
+            subnormal_weights(catalog) if kind == "infinite"
+            else rng.normal(0, 1.5, catalog.n_features)
+        )
+    return fold_batch_of(log, folds, catalogs, observations), weights
+
+
+class TestObjectiveAgainstReference:
+    """The objective's front and tail in array form give every problem of
+    a group the bits of the per-problem reference, which evaluates it alone
+    on the same packing, counts and checks one by one
+    (``oracles.nll_and_gradient_reference``); also after the group is
+    compacted."""
+
+    bits = staticmethod(TestBufferReuse.bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_labels=st.integers(2, 4),
+        lengths=st.lists(st.integers(0, 7), min_size=2, max_size=7),
+        kinds=st.lists(FOLD_KINDS, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_labels=2, lengths=[3, 7, 5, 6], kinds=["longest", "one", "infinite"], seed=0)
+    @example(n_labels=4, lengths=[7, 2, 6, 0, 6], kinds=["longest", "all_but_one"], seed=1)
+    @example(n_labels=3, lengths=[0, 4, 0], kinds=["all_but_one", "several", "infinite"], seed=2)
+    def test_every_problem_gets_the_reference_bits(self, n_labels, lengths, kinds, seed):
+        group, weights = random_fold_group(n_labels, lengths, kinds, seed)
+
+        def reference(batch, points):
+            return [
+                self.bits(nll_and_gradient_reference(w, problem, batch.n, batch.offsets))
+                for w, problem in zip(points, batch.problems)
+            ]
+
+        results = crf.nll_and_gradients(weights, group)
+        assert [self.bits(r) for r in results] == reference(group, weights)
+        kept = list(range(len(weights)))[1::2] or [0]
+        compacted = group.subset(kept)
+        points = [weights[b] for b in kept]
+        crf.nll_and_gradients([0.5 * w for w in points], compacted)
+        assert [self.bits(r) for r in crf.nll_and_gradients(points, compacted)] == reference(
+            compacted, points
+        )
 
 
 # 7 labels and 20 bias features, for the memory tests

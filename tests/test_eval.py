@@ -645,6 +645,31 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 15 * peaks[0]
 
+    def test_k_fold_peak_is_held_by_the_fold_group_budget(self):
+        # 200 household traces (2,809 events): each of 10 folds trains on
+        # about 2,500 rows, so the training-row budget cuts the folds into
+        # groups of four. The CV then peaks at 2.1 times one fit (seeds 1-3:
+        # 2.08-2.09); with lockstep groups of up to 16 folds, whatever the
+        # log's size, it peaked at 5.56-5.62 times
+        log = generate_annotated_log(medicine_eating_process(), 200, seed=1)
+        config = AbstractionConfig(
+            catalog=CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3),
+            optimizer=OwlqnConfig(max_iterations=3),
+        )
+        fit(log, config)  # warm-up
+        peaks = []
+        for run in (
+            lambda: fit(log, config),
+            lambda: k_fold(log, 10, 1, EvalConfig(abstraction=config)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 3 * peaks[0]
+
 
 class TestSimilarityModes:
     def test_runs_mode_collapses_before_scoring(self):

@@ -2,10 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eventabs.owlqn import OptimizationError, OwlqnConfig, minimize, minimize_lockstep
+from eventabs.owlqn import (
+    OptimizationError,
+    OwlqnConfig,
+    _pseudo_gradient,
+    _restrict,
+    _two_loop_direction,
+    minimize,
+    minimize_lockstep,
+)
 
-from oracles import l1_lbfgsb_reference
+from oracles import (
+    l1_lbfgsb_reference,
+    owlqn_reference,
+    pseudo_gradient_reference,
+    two_loop_direction_reference,
+)
 
 
 def soft_threshold(b: np.ndarray, c: float) -> np.ndarray:
@@ -372,3 +387,83 @@ class TestLockstep:
     def test_no_problems(self):
         assert minimize_lockstep(lambda indices, points: [], [], OwlqnConfig()) == []
 
+
+def l1_quadratic_run(seed: int):
+    """(objective, dim, initial, C) of a random L1-penalized quadratic whose
+    start has nonzero coordinates that the minimum holds at zero, so
+    coordinates reach and leave zero along the run."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 13))
+    a = ill_conditioned_spd(rng, dim) if seed % 2 else random_spd(rng, dim) / dim
+    c = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+    initial = rng.normal(0, 1, dim) if rng.random() < 0.7 else None
+    return spd_quadratic(a, rng.normal(0, 1, dim)), dim, initial, c
+
+
+class TestAgainstReference:
+    """The pseudo-gradient, the stored pairs restricted once per free set,
+    and whole runs give the bits of the per-call references in
+    ``oracles``, which restrict every pair anew at every iteration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 12),
+        c=st.sampled_from([0.0, 0.05, 1.0]) | st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=6, c=0.0, seed=0)
+    @example(dim=6, c=1.0, seed=1)
+    def test_pseudo_gradient(self, dim, c, seed):
+        rng = np.random.default_rng(seed)
+        # about half the coordinates at zero (some of them -0.0), and
+        # gradients exactly +C, -C and 0 among random ones
+        x = np.where(rng.random(dim) < 0.5, rng.normal(0, 1, dim), 0.0)
+        x[rng.random(dim) < 0.1] = -0.0
+        kind = rng.integers(0, 4, dim)
+        grad = np.select(
+            [kind == 0, kind == 1, kind == 2], [np.full(dim, c), np.full(dim, -c), np.zeros(dim)],
+            rng.normal(0, c + 1.0, dim),
+        )
+        assert _pseudo_gradient(np.sign(x), grad, c).tobytes() == (
+            pseudo_gradient_reference(x, grad, c).tobytes()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 12),
+        n_pairs=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_loop_direction(self, dim, n_pairs, seed):
+        rng = np.random.default_rng(seed)
+        # some pairs have no positive curvature, on all or on the free
+        # coordinates, and are skipped
+        pairs = [(rng.normal(0, 1, dim), rng.normal(0.5, 1, dim)) for _ in range(n_pairs)]
+        free = rng.random(dim) < 0.7
+        pg = rng.normal(0, 1, dim) * free
+        direction = _two_loop_direction(pg, [_restrict(s, y, free) for s, y in pairs])
+        assert direction.tobytes() == two_loop_direction_reference(pg, pairs, free).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=7)
+    @example(seed=15)
+    def test_runs(self, seed):
+        objective, dim, initial, c = l1_quadratic_run(seed)
+        x, result = minimize(objective, dim, OwlqnConfig(max_iterations=60), initial, c)
+        reference = owlqn_reference(objective, dim, 60, OwlqnConfig().tolerance, initial, c)
+        assert x.tobytes() == reference[0].tobytes()
+        assert np.float64(result.objective).tobytes() == np.float64(reference[1]).tobytes()
+        assert (result.iterations, result.evaluations, result.stop) == reference[2:]
+
+    @pytest.mark.parametrize("seed", [1, 4, 7, 13, 15])
+    def test_runs_whose_free_set_changes(self, seed):
+        # the free set changes between iterations on these runs, so the
+        # restricted pairs are rebuilt mid-run
+        objective, dim, initial, c = l1_quadratic_run(seed)
+        free_sets: list[np.ndarray] = []
+        reference = owlqn_reference(objective, dim, 60, OwlqnConfig().tolerance, initial, c, free_sets)
+        assert sum(not np.array_equal(a, b) for a, b in zip(free_sets, free_sets[1:])) >= 2
+        x, result = minimize(objective, dim, OwlqnConfig(max_iterations=60), initial, c)
+        assert x.tobytes() == reference[0].tobytes()
+        assert (result.iterations, result.evaluations, result.stop) == reference[2:]
