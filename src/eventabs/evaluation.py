@@ -17,11 +17,13 @@ EM run, see :func:`fold_catalogs`) and its folds trained in lockstep,
 where one forward-backward pass evaluates a pending point of every fold
 of the group (:func:`fit_folds`); then each fold's held-out traces are
 decoded. A 20-fold share of a 40-trace leave-one-trace-out is one group.
-With more than one share, the workers fork before the whole-log fit:
-they build catalogs and batches, which do not read the whole-log model,
-while the parent fits it. Each share hands :func:`fit_folds` a ``start``
-provider that reads the model from a pipe, which its first lockstep
-group calls once its batch is built. Every fold's OWL-QN run starts from
+With more than one share, each share forks into its own child process
+before the whole-log fit: the children build catalogs and batches, which
+do not read the whole-log model, while the parent fits it. Each child
+has two one-way pipes: it hands :func:`fit_folds` a ``start`` provider
+that reads the model from the first, which its first lockstep group
+calls once its batch is built, and it sends its outcomes, or the
+exception it raised, on the second. Every fold's OWL-QN run starts from
 the whole-log weights, mapped into the fold catalog's layout
 (:meth:`FeatureCatalog.weights_from`). A fold's training set differs
 from the whole log only by its held-out traces, so the fit takes far
@@ -42,6 +44,7 @@ each fold's optimizer run (:class:`FoldRecord`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import random
@@ -54,7 +57,7 @@ import numpy as np
 
 from .abstraction import AbstractionConfig, fit_folds
 from .crf import CrfModel, viterbi_decode_many
-from .errors import InputError
+from .errors import EventabsError, InputError
 from .features import InternedLog, neutral_time_notes
 from .xes import EventLog
 
@@ -313,23 +316,19 @@ def _run_share(
     return outcomes
 
 
-_WORKER_STATE: dict = {}
-
-
-def _share_worker_init(log: InternedLog, config: EvalConfig, channel) -> None:
-    _WORKER_STATE.update(log=log, config=config, channel=channel)
-
-
-def _share_worker(folds: list[list[int]]) -> list[_FoldOutcome]:
-    """One share, whose start model the parent sends on the channel once
-    it has fitted the whole log."""
-    start = functools.cache(_WORKER_STATE["channel"].get)
+def _share(log: InternedLog, folds: list[list[int]], config: EvalConfig, models, results) -> None:
+    """One share in a forked child: it reads the start model from the
+    ``models`` pipe when its first lockstep group asks, and sends its
+    outcomes, or the exception it raised, on the ``results`` pipe."""
     try:
-        return _run_share(_WORKER_STATE["log"], folds, _WORKER_STATE["config"], start)
+        outcome = _run_share(log, folds, config, functools.cache(models.recv))
+    except Exception as error:
+        outcome = error
     finally:
-        # a share takes its copy even when it fails before it needs one,
-        # so the parent never waits to write a copy that no share reads
-        start()
+        # so that the parent's send of a model that this share never reads
+        # ends in BrokenPipeError instead of blocking
+        models.close()
+    results.send(outcome)
 
 
 def _evaluate_folds(
@@ -337,10 +336,12 @@ def _evaluate_folds(
     folds: list[list[int]],
     config: EvalConfig,
 ) -> AbstractionReport:
-    """Cross-validate over ``folds``. With several shares, the workers fork
-    right after interning and build their catalogs and batches while this
-    process fits the whole log; each share then reads the start model from
-    a pipe when its first lockstep group needs initial weights."""
+    """Cross-validate over ``folds``. With several shares, one child per
+    share forks right after interning and builds its catalogs and batches
+    while this process fits the whole log; each child then reads the start
+    model from a pipe when its first lockstep group needs initial weights.
+    The first share error raises here at once, a child that exits without
+    a result raises :class:`EventabsError`, and no child outlives the call."""
     interned = InternedLog(log.traces)
     unlabeled = np.flatnonzero(interned.label_ids < 0)
     if len(unlabeled):
@@ -354,20 +355,49 @@ def _evaluate_folds(
     ]
     if len(shares) > 1:
         import multiprocessing
+        from multiprocessing.connection import wait
 
         context = multiprocessing.get_context("fork")
-        channel = context.SimpleQueue()
+        children = []
         try:
-            with context.Pool(
-                len(shares), initializer=_share_worker_init, initargs=(interned, config, channel)
-            ) as pool:
-                pending = pool.map_async(_share_worker, shares, chunksize=1)
-                start, _ = next(fit_folds(interned, [()], config.abstraction))
-                for _ in shares:
-                    channel.put(start)
-                outcomes = pending.get()
+            for share in shares:
+                models_end, models = context.Pipe(duplex=False)
+                results, results_end = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_share, args=(interned, share, config, models_end, results_end)
+                )
+                child.start()
+                # closed before the next fork, so that only its own child
+                # holds a pipe's far end and the pipe breaks when it exits
+                models_end.close()
+                results_end.close()
+                children.append((child, models, results))
+            start, _ = next(fit_folds(interned, [()], config.abstraction))
+            for _, models, _ in children:
+                with contextlib.suppress(BrokenPipeError):  # its result says why
+                    models.send(start)
+            outcomes: list = [None] * len(shares)
+            pending = {results: i for i, (_, _, results) in enumerate(children)}
+            while pending:
+                for results in wait(list(pending)):
+                    i = pending.pop(results)
+                    try:
+                        outcomes[i] = results.recv()
+                    except EOFError:
+                        child = children[i][0]
+                        child.join()
+                        raise EventabsError(
+                            f"the worker for the folds from {shares[i][0]} on exited "
+                            f"with code {child.exitcode} before it sent a result"
+                        ) from None
+                    if isinstance(outcomes[i], Exception):
+                        raise outcomes[i]
         finally:
-            channel.close()
+            for child, models, results in children:
+                child.kill()
+                child.join()
+                models.close()
+                results.close()
     else:
         start, _ = next(fit_folds(interned, [()], config.abstraction))
         outcomes = [_run_share(interned, folds, config, lambda: start)]

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import random
 import signal
 import time
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from eventabs.abstraction import AbstractionConfig, annotate, fit, fit_folds, strip_labels
 from eventabs import evaluation, features
 from eventabs.crf import fit_group, nll_and_gradients, viterbi_decode_many
+from eventabs.errors import EventabsError
 from eventabs.evaluation import (
     AbstractionReport,
     ConfusionMatrix,
@@ -317,8 +319,11 @@ class TestParallelReport:
         traces[3] = Trace(dict(trace.attributes), events)
         return replace(log, traces=traces)
 
+    # the 7-trace LOOCV runs min(n_jobs, 7) shares and k_fold(k=3) runs
+    # min(n_jobs, 3): two, three, seven and three shares
+    @pytest.mark.parametrize("n_jobs", [2, 3, 8])
     @pytest.mark.parametrize("cv", ["loocv", "k_fold"])
-    def test_n_jobs_gives_an_identical_report(self, cv):
+    def test_n_jobs_gives_an_identical_report(self, cv, n_jobs):
         log = self.log_with_untimed_event()
 
         def run(n_jobs):
@@ -327,7 +332,9 @@ class TestParallelReport:
                 return leave_one_trace_out(log, config)
             return k_fold(log, k=3, seed=2, config=config)
 
-        sequential, parallel = run(1), run(2)
+        sequential, parallel = run(1), run(n_jobs)
+        assert multiprocessing.active_children() == []
+        assert parallel.to_json() == sequential.to_json()
         assert parallel.per_trace == sequential.per_trace
         assert parallel.records == sequential.records
         assert parallel.diagnostics == sequential.diagnostics
@@ -352,7 +359,7 @@ class TestStartChannel:
     either side raises what the serial run raises, at once, and leaves no
     worker behind."""
 
-    def run(self, n_jobs):
+    def run(self, n_jobs, error=OptimizationError, match="mocked"):
         def hung(signum, frame):
             raise TimeoutError("the cross-validation hangs")
 
@@ -361,7 +368,7 @@ class TestStartChannel:
         signal.alarm(10)
         started = time.monotonic()
         try:
-            with pytest.raises(OptimizationError, match="mocked") as raised:
+            with pytest.raises(error, match=match) as raised:
                 leave_one_trace_out(mixed_log(7), config)
         finally:
             signal.alarm(0)
@@ -403,6 +410,18 @@ class TestStartChannel:
         serial, _ = self.run(1)
         parallel, seconds = self.run(2)
         assert str(parallel) == str(serial)
+        assert seconds < 1.0
+
+    def test_a_worker_that_dies_without_a_result(self, monkeypatch):
+        run_share = evaluation._run_share
+
+        def dying(log, folds, *args):
+            if folds[0] == [0]:  # killed as by the OOM killer: no exception, no result
+                os._exit(3)
+            return run_share(log, folds, *args)
+
+        monkeypatch.setattr(evaluation, "_run_share", dying)
+        _, seconds = self.run(2, EventabsError, r"folds from \[0\] on exited with code 3")
         assert seconds < 1.0
 
 
@@ -537,10 +556,12 @@ class TestWarmStart:
 class TestMemory:
     def test_loocv_peak_grows_linearly_with_traces(self):
         # the doubled log repeats every trace under a new case id, so it has
-        # exactly twice the events. Holding every fold's observation matrix,
-        # or every fold's mixture samples, at once grows the peak about
-        # threefold here (measured 2.95 and 3.09; this design 1.85).
-        # Single-component mixtures keep EM's share of the peak small
+        # exactly twice the events. The FOLD_GROUP_ROWS budget makes the
+        # 20-trace LOOCV one fold group and the doubled one four: measured
+        # 1.05 (3.13 and 3.30 MB) on this log, 1.46-1.55 on the logs of
+        # seeds 1-3. With the budget lifted, every fold's observation matrix
+        # and mixture samples held at once, it is 3.48-3.64. Single-component
+        # mixtures keep EM's share of the peak small
         log = generate_annotated_log(medicine_eating_process(), 20, seed=11)
         copies = [
             Trace({CONCEPT_NAME: AttributeValue.string(f"{t.case_id}-copy")}, t.events)
@@ -567,9 +588,11 @@ class TestMemory:
 
     def test_loocv_peak_grows_linearly_with_three_components(self):
         # EM's packed buffer holds 1 + 2 + 3 entries per sample row at
-        # k_max 3, so this checks that the EM row budget of fold_catalogs
-        # still keeps the peak linear in the log. Measured ratio 1.89 (2.77
-        # and 5.25 MB), and 1.98 with the budget lifted, at this log size
+        # k_max 3, so this checks that the FOLD_GROUP_ROWS budget, which
+        # also bounds each fold group's packed EM run, still keeps the peak
+        # linear in the log. Measured 1.05 (3.21 and 3.37 MB) on this log,
+        # 1.46-1.53 on the logs of seeds 1-3, and 3.43-3.60 with the budget
+        # lifted
         log = generate_annotated_log(medicine_eating_process(), 20, seed=11)
         copies = [
             Trace({CONCEPT_NAME: AttributeValue.string(f"{t.case_id}-copy")}, t.events)
@@ -595,11 +618,11 @@ class TestMemory:
         assert peaks[1] <= 2.5 * peaks[0]
 
     def test_loocv_peak_grows_linearly_without_mixtures(self):
-        # without time views there are no mixtures, so the EM budget of
-        # fold_catalogs bounds nothing: only the lockstep group size keeps
-        # every fold's observation matrix from being held at once. Measured
-        # ratios: 1.99 with groups of 16 folds, 3.76 with every fold in one
-        # group
+        # without time views there are no mixtures, so only the
+        # FOLD_GROUP_ROWS budget's cut into lockstep batches keeps every
+        # fold's observation matrix from being held at once. Measured 1.06
+        # (2.92 and 3.10 MB) on this log, 1.46-1.55 on the logs of seeds
+        # 1-3, and 3.52-3.67 with the budget lifted, every fold in one group
         log = generate_annotated_log(medicine_eating_process(), 20, seed=11)
         copies = [
             Trace({CONCEPT_NAME: AttributeValue.string(f"{t.case_id}-copy")}, t.events)
@@ -622,12 +645,12 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 2.5 * peaks[0]
 
-
     def test_loocv_catalogs_peak_is_held_by_the_em_row_budget(self):
-        # at 20 traces EM is not at a LOOCV's peak, so the cases above
-        # cannot see the budget. At 40 traces, all LOOCV catalogs peak at
-        # 10.0-10.4 times one build_catalog (seeds 1-3), and at 21.4-22.4
-        # times with the budget lifted, every fold's samples in one EM run
+        # the catalogs alone, each fold group's in one packed EM run. At 40
+        # traces, all LOOCV catalogs peak at 8.6-12.1 times one
+        # build_catalog (seeds 1-3, two to four groups), and at 21.5-22.5
+        # times with the FOLD_GROUP_ROWS budget lifted, every fold's samples
+        # in one EM run
         log = generate_annotated_log(medicine_eating_process(), 40, seed=1)
         config = CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
         folds = [[t] for t in range(len(log.traces))]
@@ -649,8 +672,8 @@ class TestMemory:
         # 200 household traces (2,809 events): each of 10 folds trains on
         # about 2,500 rows, so the training-row budget cuts the folds into
         # groups of four. The CV then peaks at 2.1 times one fit (seeds 1-3:
-        # 2.08-2.09); with lockstep groups of up to 16 folds, whatever the
-        # log's size, it peaked at 5.56-5.62 times
+        # 2.07-2.09), and at 5.53-5.59 times with the budget lifted, the ten
+        # folds in one group
         log = generate_annotated_log(medicine_eating_process(), 200, seed=1)
         config = AbstractionConfig(
             catalog=CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3),
