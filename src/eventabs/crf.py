@@ -8,9 +8,10 @@ distinguished begin-of-sequence row so transitions are defined at t = 1.
 The feature catalog owns the weight layout (which label each observation
 weight scores, and where the transition block starts); this module only
 asks it to split a weight vector. Training and decoding share one packing
-of traces into time-major rows (``_pack``): training runs one scaled
-forward-backward pass over it per objective evaluation, Viterbi one
-log-space max-plus pass for any number of traces. A :class:`TrainingBatch`
+of traces into time-major rows (``_pack``): training runs a scaled
+forward pass over it per objective evaluation and the backward pass only
+where the optimizer asks for a gradient, Viterbi one log-space max-plus
+pass for any number of traces. A :class:`TrainingBatch`
 is the one training input of the objective (:func:`nll_and_gradients`),
 and its constructor the one place that packs and checks training input:
 one or more problems over one packing, each a catalog, its observations
@@ -33,6 +34,7 @@ than about 700 nats between paths, and there the scaled pass returns
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import EventabsError
 from .features import FeatureCatalog, InternedLog, observation_matrix
-from .owlqn import OptimizationError, OwlqnConfig, OwlqnResult, minimize_lockstep
+from .owlqn import Evaluation, OptimizationError, OwlqnConfig, OwlqnResult, minimize_lockstep
 from .xes import EventLog
 
 # relative score difference below which two labelings tie in Viterbi
@@ -380,8 +382,9 @@ class TrainingBatch:
     ufunc calls for all B problems; every problem's slice gets the same BLAS
     call and the same arithmetic as it would alone, so a problem's results
     do not depend on the problems beside it. A batch of one problem has
-    2-D buffers and steps with ``np.dot``, which costs less per call than
-    ``np.matmul``. Evaluations overwrite each other's intermediates: one
+    2-D buffers and steps with ``ndarray.dot``, which costs less per call
+    than ``np.matmul``; each step's product is bound to its rows once per
+    batch. Evaluations overwrite each other's intermediates: one
     batch must not be evaluated concurrently.
 
     The objective's front and tail are laid out once per batch too: a
@@ -453,6 +456,9 @@ class TrainingBatch:
         """Allocate the work buffers of ``problems`` on the batch's packing
         and bind them (:meth:`_bind`)."""
         self.problems = problems
+        # the token of the last evaluation, shared with every subset, whose
+        # gradient phase may still run on the buffers
+        self.evaluated = [None]
         if self.n == 0:
             return
         L = problems[0].catalog.n_labels
@@ -490,7 +496,6 @@ class TrainingBatch:
         L = problems[0].catalog.n_labels
         B, R = len(problems), int(offsets[-1])
         only = B == 1
-        self.matmul = np.dot if only else np.matmul
         self.p, self.alpha, self.q, self.beta, self.scale = (
             a[0] if only else a[:B] for a in (self._p, self._alpha, self._q, self._beta, self._scale)
         )
@@ -593,18 +598,24 @@ class TrainingBatch:
         def head(views: list[np.ndarray], t: int, m: int) -> np.ndarray:
             return views[t] if views[t].shape[-2] == m else views[t][..., :m, :]
 
+        def product(a: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+            """``a`` times a matrix, into an output: one problem's steps
+            call ``a.dot``, the same BLAS call as ``np.dot`` without its
+            Python-level dispatch"""
+            return a.dot if only else functools.partial(np.matmul, a)
+
         # with two labels a row's sum is one addition, the same bits in any
         # order, so it and the division run per column: a call each over
         # all the step's rows, where add.reduce and a broadcast (rows, 1)
         # divisor run an inner loop per row
         self.forward_steps = [
-            (head(alphas, t - 1, e - s) if t else None, alphas[t],
+            (product(head(alphas, t - 1, e - s)) if t else None, alphas[t],
              self.p[..., s:e, :], self.scale[..., s:e, :],
              (alphas[t][..., 0], alphas[t][..., 1], self.scale[..., s:e, 0]) if L == 2 else None)
             for t, (s, e) in enumerate(steps)
         ]
         self.backward_steps = [
-            (self.q[..., s:e, :], betas[t], head(betas, t - 1, e - s))
+            (self.q[..., s:e, :], betas[t], product(self.q[..., s:e, :]), head(betas, t - 1, e - s))
             for t, (s, e) in enumerate(steps) if t
         ][::-1]
 
@@ -634,14 +645,23 @@ def nll_and_gradients(
     problems, in the batch's work buffers; the returned gradients are
     disjoint slices of one array made fresh by each call.
 
+    The pass runs in two phases over the same buffers, and this function
+    is the two composed. The value phase (:func:`_value_phase`) runs the
+    front and the forward pass and sums the values; the gradient phase
+    runs the backward pass and the count products. Training runs the value
+    phase at every point and the gradient phase only where the optimizer
+    asks for a gradient (:func:`fit_group`).
+
     Potentials are exponentiated once, shifted by their maxima, and every
     row's forward vector is normalized by its scale factor ``c``, so log Z
     is the sum of the logs of the factors plus the shifts; the backward
     pass reuses the factors. A factor below the smallest normal float (or
     an overflow) means the weights put about 700 nats between paths; that
     problem's value is then ``+inf`` and its gradient NaN, which the
-    optimizer backtracks from. Only the problem's own rows are checked and
-    summed, each as it would be in a batch of that problem alone.
+    optimizer backtracks from. The value phase catches the factors, the
+    gradient phase a non-finite expected count. Only the problem's own
+    rows are checked and summed, each as it would be in a batch of that
+    problem alone.
 
     Per problem, only its emission product, its two count products, its
     three sums and its ``w . observed`` run alone; the rest is array work
@@ -649,6 +669,21 @@ def nll_and_gradients(
     ``reduceat``, one subtraction for all gradients), elementwise or exact
     in any order, so each problem's bits do not depend on the others.
     """
+    values, gradients = _value_phase(weights, batch)
+    return [
+        (value if np.isfinite(g).all() else np.inf, g) for value, g in zip(values, gradients())
+    ]
+
+
+def _value_phase(
+    weights: Sequence[np.ndarray], batch: TrainingBatch
+) -> tuple[list[float], Callable[[], list[np.ndarray]]]:
+    """The value phase of :func:`nll_and_gradients`: per problem, its
+    value wherever that is finite, ``+inf`` where a scale factor is below
+    the smallest normal float; and the gradient phase as a zero-argument
+    callable returning every problem's gradient. The callable runs the
+    phase on its first call only, and raises ``RuntimeError`` once the
+    batch, or a batch sharing its buffers, has evaluated other weights."""
     problems = batch.problems
     if len(weights) != len(problems):
         raise ValueError(f"{len(weights)} weight vectors for {len(problems)} problems")
@@ -659,10 +694,30 @@ def nll_and_gradients(
                 f"weight vector length {w.shape} does not match "
                 f"catalog size {problem.catalog.n_features}"
             )
+    token = batch.evaluated[0] = object()
     if batch.n == 0:
-        return [(0.0, np.zeros(problem.catalog.n_features)) for problem in problems]
+        zeros = [np.zeros(problem.catalog.n_features) for problem in problems]
+        values, phase = [0.0] * len(problems), lambda: zeros
+    else:
+        values, phase = _forward_values(weights, batch)
+    phase = functools.cache(phase)
+
+    def gradients() -> list[np.ndarray]:
+        if batch.evaluated[0] is not token:
+            raise RuntimeError("the batch has evaluated other weights since these values")
+        return phase()
+
+    return values, gradients
+
+
+def _forward_values(
+    weights: list[np.ndarray], batch: TrainingBatch
+) -> tuple[list[float], Callable[[], list[np.ndarray]]]:
+    """The value phase on a batch with rows (front, forward pass, log
+    sums, scale-factor check) and the gradient phase that goes on from its
+    buffers."""
+    problems = batch.problems
     L, n = problems[0].catalog.n_labels, batch.n
-    p, alpha, q, beta, scale = batch.p, batch.alpha, batch.q, batch.beta, batch.scale
     np.take(np.concatenate(weights + [_ZERO]), batch.weight_source, out=batch.layout)
     trans = batch.trans
     core_max = trans[:, :L].max(axis=(1, 2))
@@ -683,61 +738,78 @@ def nll_and_gradients(
             np.subtract(column, maxima, out=column)
         np.exp(batch.emit, out=batch.emit)
         batch.p.reshape(-1)[batch.keep_elements] = batch.emit.reshape(-1)
-        np.multiply(bos, p[..., :n, :], out=alpha[..., :n, :])
-        dot = batch.matmul
-        for prev, cur, p_cur, scale_cur, pair in batch.forward_steps:
-            if prev is not None:
-                dot(prev, step_core, out=cur)
-                np.multiply(cur, p_cur, out=cur)
+        np.multiply(bos, batch.p[..., :n, :], out=batch.alpha[..., :n, :])
+        # the ufuncs take their outputs by position: keywords cost more per call
+        add, multiply, divide, add_reduce = np.add, np.multiply, np.divide, np.add.reduce
+        for times_prev, cur, p_cur, scale_cur, pair in batch.forward_steps:
+            if times_prev is not None:
+                times_prev(step_core, cur)
+                multiply(cur, p_cur, cur)
             if pair is None:
-                np.add.reduce(cur, axis=-1, out=scale_cur, keepdims=True)
-                np.divide(cur, scale_cur, out=cur)
+                add_reduce(cur, -1, None, scale_cur, True)
+                divide(cur, scale_cur, cur)
             else:
                 first, second, total = pair
-                np.add(first, second, out=total)
-                np.divide(first, total, out=first)
-                np.divide(second, total, out=second)
+                add(first, second, total)
+                divide(first, total, first)
+                divide(second, total, second)
 
+        np.take(batch.scale_rows, batch.keep, axis=0, out=batch.scale_kept)
+        np.log(batch.scale_kept, out=batch.log_scale)
+        sums = [log_scale.sum() + row_max.sum() for _, _, _, log_scale, row_max, *_ in batch.views]
+        dots = [w @ problem.observed for w, problem in zip(weights, problems)]
+        if len(batch.scale_starts):
+            scale_min = np.minimum.reduceat(batch.scale_kept[:, 0], batch.scale_starts)
+        totals = (
+            np.asarray(sums) + batch.step0 * bos_max + batch.later * core_max - np.asarray(dots)
+        )
+    # a problem without rows has value 0 and is past no scale factor
+    valid = [problem.n > 0 and scale_min[b] >= _TINY for b, problem in enumerate(problems)]
+    values = [
+        float(total) if ok else 0.0 if problem.n == 0 else np.inf
+        for problem, total, ok in zip(problems, totals, valid)
+    ]
+    return values, lambda: _backward_gradients(batch, e_core, valid)
+
+
+def _backward_gradients(
+    batch: TrainingBatch, e_core: np.ndarray, valid: list[bool]
+) -> list[np.ndarray]:
+    """The gradient phase, run on the buffers the value phase left: the
+    backward pass, the count products and the gradients, NaN for a problem
+    whose scale factors (``valid``) or expected counts fail."""
+    problems = batch.problems
+    step_core_t = np.swapaxes(e_core[0] if len(problems) == 1 else e_core, -1, -2)
+    multiply = np.multiply
+    with np.errstate(all="ignore"):
         # q: each row's potentials over its scale factor, times beta past step 0
         for p_column, q_column in zip(batch.p_columns, batch.q_columns):
             np.divide(p_column, batch.scale_rows[:, 0], out=q_column)
-        step_core_t = np.swapaxes(step_core, -1, -2)
-        for q_cur, beta_cur, beta_prev in batch.backward_steps:
-            np.multiply(q_cur, beta_cur, out=q_cur)
-            dot(q_cur, step_core_t, out=beta_prev)
+        for q_cur, beta_cur, times_q, beta_prev in batch.backward_steps:
+            multiply(q_cur, beta_cur, q_cur)
+            times_q(step_core_t, beta_prev)
         np.take(batch.alpha_rows, batch.prev_rows, axis=0, out=batch.alpha_prev)
         np.take(batch.q_rows, batch.after, axis=0, out=batch.q_after)
-        np.multiply(alpha, beta, out=q)
+        np.multiply(batch.alpha, batch.beta, out=batch.q)
         np.take(batch.q_rows, batch.keep, axis=0, out=batch.node)
-        np.take(batch.scale_rows, batch.keep, axis=0, out=batch.scale_kept)
-        np.log(batch.scale_kept, out=batch.log_scale)
-
-        sums, dots = [], []
-        for (problem, _, node, log_scale, row_max, alpha_prev, q_after, counts, pair_counts,
-             step0_counts), w in zip(batch.views, weights):
+        for (problem, _, node, _, _, alpha_prev, q_after, counts, pair_counts,
+             step0_counts) in batch.views:
             np.matmul(problem.obs.T, node, out=counts)
             np.matmul(alpha_prev.T, q_after, out=pair_counts)
             node[:problem.n].sum(axis=0, out=step0_counts)
-            sums.append(log_scale.sum() + row_max.sum())
-            dots.append(w @ problem.observed)
         np.multiply(e_core, batch.pair_counts, out=batch.pair_counts)
         expected = batch.tail[batch.tail_index]
         finite = np.logical_and.reduceat(np.isfinite(expected), batch.feature_starts)
-        if len(batch.scale_starts):
-            scale_min = np.minimum.reduceat(batch.scale_kept[:, 0], batch.scale_starts)
-        values = (
-            np.asarray(sums) + batch.step0 * bos_max + batch.later * core_max - np.asarray(dots)
-        )
         gradients = expected - batch.observed
 
     results = []
     for b, (problem, (f0, f1)) in enumerate(zip(problems, batch.feature_bounds)):
         if problem.n == 0:
-            results.append((0.0, np.zeros(f1 - f0)))
-        elif not (scale_min[b] >= _TINY and finite[b]):
-            results.append((np.inf, np.full(f1 - f0, np.nan)))
+            results.append(np.zeros(f1 - f0))
+        elif not (valid[b] and finite[b]):
+            results.append(np.full(f1 - f0, np.nan))
         else:
-            results.append((float(values[b]), gradients[f0:f1]))
+            results.append(gradients[f0:f1])
     return results
 
 
@@ -759,24 +831,30 @@ def fit_group(
     objective_hook: Callable[[float], None] | None = None,
 ) -> list[CrfModel | OptimizationError]:
     """Fit every problem of a batch in lockstep (:func:`minimize_lockstep`):
-    each round, one pass of :func:`nll_and_gradients` evaluates the pending
-    point of every problem still running, and a finished problem is
-    dropped from the buffers (:meth:`TrainingBatch.subset`) before the next
-    round. Each problem starts from ``initials[b]`` (in its catalog's
-    layout; default zero). ``objective_hook``, if given, is called with
-    every value the pass returns. Per problem: the model fitted on that
-    problem alone, or the :class:`OptimizationError` of its start point."""
+    each round, the value phase of :func:`nll_and_gradients` evaluates the
+    pending point of every problem still running, and its gradient phase
+    runs once, for all of them, only if some problem's run asks for a
+    gradient (at its start point, or at a trial whose value passes the
+    line search's Armijo test). A finished problem is dropped from the
+    buffers (:meth:`TrainingBatch.subset`) before the next round. Each
+    problem starts from ``initials[b]`` (in its catalog's layout; default
+    zero; one entry per problem, else ``ValueError``). ``objective_hook``,
+    if given, is called with every value the value phase returns,
+    including trial values whose gradients are never computed, so a value
+    whose gradient would prove non-finite reaches it as the finite value.
+    Per problem: the model fitted on that problem alone, or the
+    :class:`OptimizationError` of its start point."""
     current, live = batch, list(range(len(batch.problems)))
 
-    def objective(problems: list[int], points: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
+    def objective(problems: list[int], points: list[np.ndarray]) -> list[Evaluation]:
         nonlocal current, live
         if problems != live:
             current, live = batch.subset(problems), problems
-        results = nll_and_gradients(points, current)
+        values, gradients = _value_phase(points, current)
         if objective_hook is not None:
-            for value, _ in results:
+            for value in values:
                 objective_hook(value)
-        return results
+        return [(value, lambda b=b: gradients()[b]) for b, value in enumerate(values)]
 
     outcomes = minimize_lockstep(
         objective, [problem.catalog.n_features for problem in batch.problems],

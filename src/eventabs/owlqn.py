@@ -30,14 +30,19 @@ pseudo-gradient vanishes), ``"stalled"`` (the composite fell by less than
 first two.
 
 The method is written once, as a generator (``_iterate``): it yields
-each point it needs evaluated and receives the point's ``(value,
-gradient)``. One driver, :func:`minimize_lockstep`, advances several
-runs: each round it collects the one pending point of every live run and
-evaluates them all with a single call, so a caller that can evaluate many
-problems in one pass (the CRF's folds of a cross-validation) pays for one
-pass per round. :func:`minimize` is that driver on one problem. A run's
-points and results do not depend on the runs beside it, so each
-problem's outcome equals :func:`minimize` on it alone, bit for bit.
+each point it needs evaluated and receives the point's value and a
+zero-argument gradient provider, which it calls only at the start point
+and at line-search trials whose value passes the Armijo test. A trial that
+passes but whose gradient is not finite is rejected, so iterates and
+counts are those of an optimizer given every gradient. One driver,
+:func:`minimize_lockstep`, advances several runs: each round it collects
+the one pending point of every live run and evaluates them all with a
+single call, so a caller that can evaluate many problems in one pass (the
+CRF's folds of a cross-validation) pays for one pass per round, and for
+one gradient pass only in rounds where some run asks. :func:`minimize` is
+that driver on one problem. A run's points and results do not depend on
+the runs beside it, so each problem's outcome equals :func:`minimize` on
+it alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,10 +65,12 @@ __all__ = [
 ]
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# a point's value and the provider of its gradient
+Evaluation = tuple[float, Callable[[], np.ndarray]]
 # the objective of several problems: their indices and pending points in,
-# one (value, gradient) per point out
-GroupObjective = Callable[[list[int], list[np.ndarray]], list[tuple[float, np.ndarray]]]
-Run = Generator[np.ndarray, tuple[float, np.ndarray], tuple[np.ndarray, "OwlqnResult"]]
+# one evaluation per point out
+GroupObjective = Callable[[list[int], list[np.ndarray]], list[Evaluation]]
+Run = Generator[np.ndarray, Evaluation, tuple[np.ndarray, "OwlqnResult"]]
 
 
 class OptimizationError(EventabsError):
@@ -168,8 +175,10 @@ def _iterate(
     l1_coefficient: float = 0.0,
 ) -> Run:
     """One OWL-QN run as a generator: yields every point to evaluate, is
-    sent the point's smooth loss value and gradient, and returns the
-    weight vector and run diagnostics (see :func:`minimize`)."""
+    sent the point's smooth loss value and a provider of its gradient, and
+    returns the weight vector and run diagnostics (see :func:`minimize`).
+    The provider is called at the start point if its value is finite, and
+    at a trial only if its value passes the Armijo test."""
     if l1_coefficient < 0:
         raise ValueError("l1_coefficient must be non-negative")
     c = l1_coefficient
@@ -177,23 +186,15 @@ def _iterate(
     if x.shape != (dim,):
         raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")
 
-    def composite_of(
-        point: np.ndarray, value: float, grad: np.ndarray
-    ) -> tuple[np.ndarray, float] | None:
-        """Gradient and composite, or None where either is non-finite."""
-        grad = np.asarray(grad, dtype=float)
-        if not (math.isfinite(value) and np.isfinite(grad).all()):
-            return None
-        return grad, value + c * float(np.abs(point).sum())
-
     evaluations = 1
-    start = composite_of(x, *(yield x))
-    if start is None:
+    value, gradient = yield x
+    g = np.asarray(gradient(), dtype=float) if math.isfinite(value) else None
+    if g is None or not np.isfinite(g).all():
         raise OptimizationError(
             f"non-finite objective or gradient at the start point with "
             f"|x|_max={np.max(np.abs(x)):.3e}"
         )
-    g, composite = start
+    composite = value + c * float(np.abs(x).sum())
     # composites of the last six iterates, for the relative-decrease window
     recent: deque[float] = deque([composite], maxlen=6)
     pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
@@ -238,14 +239,17 @@ def _iterate(
             if c > 0:
                 x_new = np.where(x_new * orthant > 0, x_new, 0.0)
             evaluations += 1
-            trial = composite_of(x_new, *(yield x_new))
-            if trial is not None:
-                g_new, composite_new = trial
+            value, gradient = yield x_new
+            if math.isfinite(value):
+                composite_new = value + c * float(np.abs(x_new).sum())
                 s = x_new - x
                 gain = float(pg @ s)
+                # the value test first: a rejected trial's gradient is never asked for
                 if composite_new <= composite + SUFFICIENT_DECREASE * gain and gain < 0:
-                    accepted = True
-                    break
+                    g_new = np.asarray(gradient(), dtype=float)
+                    if np.isfinite(g_new).all():
+                        accepted = True
+                        break
             step *= BACKTRACK_FACTOR
         if not accepted:
             stop = "line_search_failed"
@@ -285,17 +289,21 @@ def minimize(
     ||x||_1``, starting from ``initial`` (default zero): a
     :func:`minimize_lockstep` run of this one problem.
 
-    ``objective(x)`` must return the smooth loss value and its gradient.
-    Returns the weight vector and run diagnostics; fully deterministic.
-    Raises :class:`OptimizationError` if the value or gradient at the start
-    point is non-finite. A line-search trial with a non-finite value or
-    gradient counts as an evaluation and is rejected, so the step
-    backtracks; a failed line search ends the run at the last accepted
-    iterate with ``stop == "line_search_failed"``.
+    ``objective(x)`` must return the smooth loss value and its gradient;
+    the run reads the gradient only at the start point and at trials whose
+    value passes the Armijo test. Returns the weight vector and run
+    diagnostics; fully deterministic. Raises :class:`OptimizationError` if the value or
+    gradient at the start point is non-finite. A line-search trial with a
+    non-finite value or gradient counts as an evaluation and is rejected,
+    so the step backtracks; a failed line search ends the run at the last
+    accepted iterate with ``stop == "line_search_failed"``.
     """
-    [outcome] = minimize_lockstep(
-        lambda _, points: [objective(points[0])], [dim], config, [initial], l1_coefficient
-    )
+
+    def evaluate(_, points: list[np.ndarray]) -> list[Evaluation]:
+        value, gradient = objective(points[0])
+        return [(value, lambda: gradient)]
+
+    [outcome] = minimize_lockstep(evaluate, [dim], config, [initial], l1_coefficient)
     if isinstance(outcome, OptimizationError):
         raise outcome
     return outcome
@@ -308,18 +316,25 @@ def minimize_lockstep(
     initials: Sequence[np.ndarray | None] | None = None,
     l1_coefficient: float = 0.0,
 ) -> list[tuple[np.ndarray, OwlqnResult] | OptimizationError]:
-    """Minimize one problem per entry of ``dims`` (from ``initials``,
-    default zero each) in lockstep rounds. Each round calls
-    ``objective(problems, points)`` once, with the indices of the problems
-    still running, in increasing order, and the point each needs
-    evaluated; it must return their ``(value, gradient)`` in the same
-    order. A finished problem is not passed again.
+    """Minimize one problem per entry of ``dims`` (from ``initials``, one
+    entry per problem, default zero each) in lockstep rounds. Each round
+    calls ``objective(problems, points)`` once, with the indices of the
+    problems still running, in increasing order, and the point each needs
+    evaluated; it must return, in the same order, each point's value and a
+    zero-argument provider of its gradient. A run calls its provider, at
+    most once, before the next round, and only at its start point and at a
+    trial whose value passes the Armijo test, so an objective can defer its
+    gradient work until some problem of the round asks. A finished problem
+    is not passed again.
 
     Returns, per problem, what :func:`minimize` would on that problem
     alone: the weight vector and diagnostics, equal bit for bit, or the
     :class:`OptimizationError` it would raise, in which case the other
-    problems run on.
+    problems run on. Raises ``ValueError`` if ``initials`` does not hold
+    one entry per problem.
     """
+    if initials is not None and len(initials) != len(dims):
+        raise ValueError(f"{len(initials)} initial points for {len(dims)} problems")
     runs = [
         _iterate(dim, config, None if initials is None else initials[i], l1_coefficient)
         for i, dim in enumerate(dims)
@@ -327,7 +342,7 @@ def minimize_lockstep(
     outcomes: list = [None] * len(runs)
     pending: dict[int, np.ndarray] = {}
 
-    def advance(i: int, evaluated: tuple[float, np.ndarray] | None) -> None:
+    def advance(i: int, evaluated: Evaluation | None) -> None:
         try:
             pending[i] = runs[i].send(evaluated)
         except StopIteration as done:

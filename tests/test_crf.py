@@ -591,6 +591,52 @@ def subnormal_weights(catalog: FeatureCatalog) -> np.ndarray:
 FOLD_KINDS = st.sampled_from(["one", "longest", "all_but_one", "several", "infinite"])
 
 
+def fold_group_case(n_labels: int, lengths: list[int], kinds: list[str], seed: int):
+    """A random fold group over a log of traces of the given ``lengths``:
+    one fold per entry of ``kinds`` (see ``FOLD_KINDS``), each with its own
+    catalog of bias features, whole-log observations with a constant first
+    column, and weights, subnormal for an "infinite" fold. Returns the
+    interned log, the folds, catalogs, observations and weights."""
+    rng = np.random.default_rng(seed)
+    labels = LABEL_POOL[:n_labels]
+    log = InternedLog(make_log([
+        [make_event(name="a", label=labels[rng.integers(n_labels)]) for _ in range(T)]
+        for T in lengths
+    ]).traces)
+    n_traces = len(lengths)
+    folds, catalogs, observations, weights = [], [], [], []
+    for kind in kinds:
+        if kind == "longest":
+            fold = [int(np.argmax(lengths))]
+        elif kind == "all_but_one":
+            kept = int(rng.integers(n_traces))
+            fold = [t for t in range(n_traces) if t != kept]
+        elif kind == "several":  # a k-fold-style share of the traces
+            size = int(rng.integers(2, n_traces)) if n_traces > 2 else 1
+            fold = sorted(rng.choice(n_traces, size, replace=False).tolist())
+        else:
+            fold = [int(rng.integers(n_traces))]
+        catalog = FeatureCatalog(
+            labels=labels,
+            observation_features=tuple(
+                FeatureDef("bias", labels[rng.integers(n_labels)])
+                for _ in range(int(rng.integers(1, 5)))
+            ),
+            config=CatalogConfig(),
+        )
+        matrix = rng.normal(0, 1, (log.n_events, catalog.n_observation_features))
+        matrix[:, 0] = 1.0
+        folds.append(fold)
+        catalogs.append(catalog)
+        observations.append(matrix)
+        weights.append(
+            subnormal_weights(catalog) if kind == "infinite"
+            else rng.normal(0, 1.5, catalog.n_features)
+        )
+
+    return log, folds, catalogs, observations, weights
+
+
 class TestFoldGroups:
     """A group batch (one packing of the whole log, one problem per fold)
     gives every fold the bits that fold gets alone, whatever the group
@@ -613,43 +659,8 @@ class TestFoldGroups:
     @example(n_labels=3, lengths=[4, 4, 1, 6, 3, 5], kinds=["several"] * 3, seed=2)
     @example(n_labels=2, lengths=[2, 5], kinds=["infinite", "one", "several"], seed=3)
     def test_a_fold_gets_the_same_bits_in_any_group(self, n_labels, lengths, kinds, seed):
-        rng = np.random.default_rng(seed)
-        labels = LABEL_POOL[:n_labels]
-        log = InternedLog(make_log([
-            [make_event(name="a", label=labels[rng.integers(n_labels)]) for _ in range(T)]
-            for T in lengths
-        ]).traces)
+        log, folds, catalogs, observations, weights = fold_group_case(n_labels, lengths, kinds, seed)
         n_traces = len(lengths)
-        folds, catalogs, observations, weights = [], [], [], []
-        for kind in kinds:
-            if kind == "longest":
-                fold = [int(np.argmax(lengths))]
-            elif kind == "all_but_one":
-                kept = int(rng.integers(n_traces))
-                fold = [t for t in range(n_traces) if t != kept]
-            elif kind == "several":  # a k-fold-style share of the traces
-                size = int(rng.integers(2, n_traces)) if n_traces > 2 else 1
-                fold = sorted(rng.choice(n_traces, size, replace=False).tolist())
-            else:
-                fold = [int(rng.integers(n_traces))]
-            catalog = FeatureCatalog(
-                labels=labels,
-                observation_features=tuple(
-                    FeatureDef("bias", labels[rng.integers(n_labels)])
-                    for _ in range(int(rng.integers(1, 5)))
-                ),
-                config=CatalogConfig(),
-            )
-            matrix = rng.normal(0, 1, (log.n_events, catalog.n_observation_features))
-            matrix[:, 0] = 1.0
-            folds.append(fold)
-            catalogs.append(catalog)
-            observations.append(matrix)
-            weights.append(
-                subnormal_weights(catalog) if kind == "infinite"
-                else rng.normal(0, 1.5, catalog.n_features)
-            )
-
         group = fold_batch_of(log, folds, catalogs, observations)
         results = crf.nll_and_gradients(weights, group)
         together = [self.bits(r) for r in results]
@@ -752,47 +763,95 @@ class TestFoldGroups:
 
 
 def random_fold_group(n_labels, lengths, kinds, seed):
-    """A group batch drawn as in ``TestFoldGroups``: one problem per fold
-    kind over a log of the given trace lengths, each with its own bias
-    catalog, random observations and weights (subnormal-scale ones for the
-    "infinite" kind)."""
-    rng = np.random.default_rng(seed)
-    labels = LABEL_POOL[:n_labels]
-    log = InternedLog(make_log([
-        [make_event(name="a", label=labels[rng.integers(n_labels)]) for _ in range(T)]
-        for T in lengths
-    ]).traces)
-    n_traces = len(lengths)
-    folds, catalogs, observations, weights = [], [], [], []
-    for kind in kinds:
-        if kind == "longest":
-            fold = [int(np.argmax(lengths))]
-        elif kind == "all_but_one":
-            kept = int(rng.integers(n_traces))
-            fold = [t for t in range(n_traces) if t != kept]
-        elif kind == "several":
-            size = int(rng.integers(2, n_traces)) if n_traces > 2 else 1
-            fold = sorted(rng.choice(n_traces, size, replace=False).tolist())
-        else:
-            fold = [int(rng.integers(n_traces))]
-        catalog = FeatureCatalog(
-            labels=labels,
-            observation_features=tuple(
-                FeatureDef("bias", labels[rng.integers(n_labels)])
-                for _ in range(int(rng.integers(1, 5)))
-            ),
-            config=CatalogConfig(),
-        )
-        matrix = rng.normal(0, 1, (log.n_events, catalog.n_observation_features))
-        matrix[:, 0] = 1.0
-        folds.append(fold)
-        catalogs.append(catalog)
-        observations.append(matrix)
-        weights.append(
-            subnormal_weights(catalog) if kind == "infinite"
-            else rng.normal(0, 1.5, catalog.n_features)
-        )
+    """The group batch of :func:`fold_group_case` and its weights."""
+    log, folds, catalogs, observations, weights = fold_group_case(n_labels, lengths, kinds, seed)
     return fold_batch_of(log, folds, catalogs, observations), weights
+
+
+class TestPhases:
+    """The value phase gives the values of ``nll_and_gradients`` wherever
+    they are finite, and the gradient phase, whichever problems ask for it,
+    their gradients, bit for bit, on a group and on a compacted group after
+    a pass at other weights; a fit runs the gradient phase only where the
+    optimizer asks."""
+
+    bits = staticmethod(TestBufferReuse.bits)
+
+    @staticmethod
+    def check(batch, weights, asking):
+        eager = crf.nll_and_gradients(weights, batch)
+        values, gradients = crf._value_phase(weights, batch)
+        for value, (eager_value, _) in zip(values, eager):
+            if np.isfinite(eager_value):
+                assert np.float64(value).tobytes() == np.float64(eager_value).tobytes()
+            elif value == np.inf:
+                assert eager_value == np.inf
+        for b in asking:
+            assert gradients()[b].tobytes() == eager[b][1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_labels=st.integers(2, 4),
+        lengths=st.lists(st.integers(0, 7), min_size=2, max_size=7),
+        kinds=st.lists(FOLD_KINDS, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_labels=2, lengths=[3, 7, 5, 6], kinds=["longest", "one", "infinite"], seed=0)
+    @example(n_labels=3, lengths=[0, 0], kinds=["one", "several"], seed=1)
+    def test_phases_give_the_eager_bits(self, n_labels, lengths, kinds, seed):
+        group, weights = random_fold_group(n_labels, lengths, kinds, seed)
+        rng = np.random.default_rng(seed)
+        B = len(weights)
+        asking = rng.choice(B, int(rng.integers(0, B + 1)), replace=False).tolist()
+        self.check(group, weights, asking)
+        kept = sorted(rng.choice(B, int(rng.integers(1, B + 1)), replace=False).tolist())
+        compacted = group.subset(kept)
+        points = [weights[b] for b in kept]
+        crf._value_phase([0.5 * w for w in points], compacted)
+        self.check(compacted, points, rng.permutation(len(kept)).tolist())
+
+    def test_a_stale_gradient_phase_raises(self):
+        group, weights = random_fold_group(3, [4, 2, 5], ["one", "several"], 3)
+        values, gradients = crf._value_phase(weights, group)
+        first = gradients()
+        assert gradients() is first  # the phase runs once
+        crf._value_phase([2.0 * weights[1]], group.subset([1]))
+        with pytest.raises(RuntimeError, match="other weights"):
+            gradients()
+        _, fresh = crf._value_phase(weights, group)
+        assert [g.tobytes() for g in fresh()] == [g.tobytes() for g in first]
+
+    def test_a_fit_runs_the_gradient_phase_only_where_asked(self, monkeypatch):
+        # a 150-trace household fit with the criterion-7 catalog and optimizer
+        from eventabs.petri import generate_annotated_log, medicine_eating_process
+
+        log = generate_annotated_log(medicine_eating_process(), 150, seed=11)
+        catalog = build_catalog(
+            log, CatalogConfig(ngram_sizes=(1, 2, 3), time_views=("day",), gmm_max_components=3)
+        )
+        phase, finite = crf._backward_gradients, []
+
+        def counted(*args):
+            gradients = phase(*args)
+            finite.append(all(np.isfinite(g).all() for g in gradients))
+            return gradients
+
+        monkeypatch.setattr(crf, "_backward_gradients", counted)
+        values: list[float] = []
+        model = crf.train(
+            log, catalog, 0.1, OwlqnConfig(max_iterations=60, tolerance=1e-5), values.append
+        )
+        result = model.training
+        accepted = result.iterations - (result.stop in ("stationary", "line_search_failed"))
+        assert len(values) == result.evaluations
+        # the start point, each accepted trial and each trial whose value
+        # passed but whose gradient is not finite
+        assert len(finite) == 1 + accepted + finite.count(False) < result.evaluations
+
+    def test_fit_group_needs_one_initial_per_problem(self):
+        group, _ = random_fold_group(2, [3, 4, 2], ["one", "one"], 5)
+        with pytest.raises(ValueError, match="initial points for 2 problems"):
+            crf.fit_group(group, 0.1, OwlqnConfig(max_iterations=3), [None])
 
 
 class TestObjectiveAgainstReference:

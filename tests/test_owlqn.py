@@ -350,7 +350,8 @@ class TestLockstep:
 
         def objective(indices, points):
             rounds.append(list(indices))
-            return [problems[i][0](x) for i, x in zip(indices, points)]
+            evaluated = [problems[i][0](x) for i, x in zip(indices, points)]
+            return [(value, lambda g=g: g) for value, g in evaluated]
 
         config = OwlqnConfig()
         outcomes = minimize_lockstep(
@@ -386,6 +387,74 @@ class TestLockstep:
 
     def test_no_problems(self):
         assert minimize_lockstep(lambda indices, points: [], [], OwlqnConfig()) == []
+
+    @pytest.mark.parametrize("initials", [[None], [None, None, None]])
+    def test_initials_must_be_one_per_problem(self, initials):
+        with pytest.raises(ValueError, match="initial points for 2 problems"):
+            minimize_lockstep(lambda indices, points: [], [2, 3], OwlqnConfig(), initials)
+
+    @staticmethod
+    def nan_band():
+        # a smooth quadratic whose gradient is NaN where 0.6 < x[0] < 0.8:
+        # the first trial from zero, of unit length along (1, 1) for C up
+        # to 0.5, lands there and passes the value test
+        b = np.array([2.0, 2.0])
+
+        def objective(x):
+            d = x - b
+            return 0.5 * float(d @ d), np.full(2, np.nan) if 0.6 < x[0] < 0.8 else d
+        return objective
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        c=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    @example(seeds=[7, 15], c=0.05)
+    @example(seeds=[1], c=0.0)
+    def test_lazy_providers_equal_eager_minimize(self, seeds, c):
+        """Runs asked for gradients through providers give the bits of
+        eager minimize, and ask only at the start point and at trials whose
+        value passes the Armijo test: each asked gradient either is not
+        finite, and its trial is rejected, or its point is the next
+        iterate, so a run asks once plus once per accepted step plus once
+        per non-finite gradient, and ends at the last finite point asked."""
+        problems = [l1_quadratic_run(seed)[:3] for seed in seeds]
+        problems += [(self.walled([]), 3, None), (self.nan_band(), 2, None)]
+        asked: list[list[tuple[np.ndarray, bool]]] = [[] for _ in problems]
+
+        def objective(indices, points):
+            evaluated = []
+            for i, x in zip(indices, points):
+                value, gradient = problems[i][0](x)
+
+                def provider(i=i, x=x, gradient=gradient):
+                    asked[i].append((x.copy(), bool(np.isfinite(gradient).all())))
+                    return gradient
+                evaluated.append((value, provider))
+            return evaluated
+
+        config = OwlqnConfig(max_iterations=60)
+        outcomes = minimize_lockstep(
+            objective, [dim for _, dim, _ in problems], config,
+            [initial for *_, initial in problems], c,
+        )
+        for (f, dim, initial), outcome, calls in zip(problems, outcomes, asked):
+            x, result = minimize(f, dim, config, initial, c)
+            lazy_x, lazy = outcome
+            assert lazy_x.tobytes() == x.tobytes()
+            assert np.float64(lazy.objective).tobytes() == np.float64(result.objective).tobytes()
+            assert (lazy.iterations, lazy.evaluations, lazy.stop, lazy.nonzero) == (
+                result.iterations, result.evaluations, result.stop, result.nonzero
+            )
+            # a run stops before its iteration's step unless it stalled or hit the cap
+            accepted = result.iterations - (result.stop in ("stationary", "line_search_failed"))
+            failed = sum(not finite for _, finite in calls)
+            assert len(calls) == 1 + accepted + failed <= result.evaluations
+            assert [point for point, finite in calls if finite][-1].tobytes() == x.tobytes()
+        # the wall and the band reject trials: one on value, one on its gradient
+        assert len(asked[-2]) < outcomes[-2][1].evaluations
+        assert sum(not finite for _, finite in asked[-1]) >= 1
 
 
 def l1_quadratic_run(seed: int):
