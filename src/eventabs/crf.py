@@ -22,9 +22,9 @@ such a group over the whole log; a single fit (:func:`train`) is the one
 problem whose mask is all true. :func:`fit_group`,
 the one training driver, trains a batch's problems in lockstep
 (:func:`~eventabs.owlqn.minimize_lockstep`) and drops finished problems
-from the buffers. A batch owns the pass's work buffers and its per-step
-views into them, allocated once and overwritten by every evaluation, so
-one batch must not be evaluated concurrently.
+by taking a subset of the batch. A batch owns the pass's work buffers
+and its per-step views into them, allocated once and overwritten by
+every evaluation, so one batch must not be evaluated concurrently.
 ``log_partition``, ``posterior_marginals`` and ``sequence_log_prob`` stay
 per-trace in log space: they must stay finite where the weights put more
 than about 700 nats between paths, and there the scaled pass returns
@@ -360,7 +360,8 @@ class TrainingBatch:
     problem, when the observations are not one row of F_obs per event,
     ``kept`` not one bool per sequence, or the labels not one integer per
     event with the kept ones in ``[0, n_labels)``; and when a length is
-    negative or the problems' label alphabet sizes differ.
+    negative, there is no problem, or the problems' label alphabet sizes
+    differ.
     Position t of the i-th longest non-empty sequence is row ``offsets[t]
     + i``, so memory is O(events), with no padding. A problem keeps a
     packed copy of its own rows only, gathered from ``observations`` in
@@ -369,7 +370,8 @@ class TrainingBatch:
     its gradient ``expected - observed``. The rows of sequences a problem
     does not train on are carried through the pass, which keeps every
     sequence's rows apart, but never summed. :meth:`subset` keeps some of
-    the problems: a finished fold of a lockstep group is dropped by it.
+    the problems, on buffers of its own: a finished fold of a lockstep
+    group is dropped by it.
 
     The group of a cross-validation has one problem per fold, each with
     its own catalog, over one packing of the whole log, and masks out the
@@ -392,8 +394,8 @@ class TrainingBatch:
     (sum F_obs, L) emission-weight matrix and the (B, L+1, L) transition
     blocks, one buffer that every problem's count products write into,
     and the map that gathers each problem's expected counts from it in
-    weight order. A subset reuses the first slices of the buffers it was
-    taken from and lays these out anew for its problems.
+    weight order. Every batch, a subset too, allocates and lays out
+    buffers of its own; a packing with no rows gets empty ones.
     """
 
     def __init__(
@@ -438,67 +440,45 @@ class TrainingBatch:
 
     def subset(self, problems: Sequence[int]) -> "TrainingBatch":
         """A batch of the given problems, distinct and in that order, on
-        the same packing. It copies only the potentials ``p``, which hold
-        each problem's mask, and works in the first slices of this batch's
-        other buffers, so dropping finished problems allocates no new work
-        buffers; a batch and its subsets must not be evaluated
-        concurrently either."""
+        the same packing, laid out anew with work buffers of its own, so
+        evaluating it leaves this batch's buffers as they were. Raises
+        ``ValueError`` for no problems, a repeated one, or an index outside
+        ``[0, B)``."""
         problems = list(problems)
+        for i in problems:
+            if not 0 <= i < len(self.problems):
+                raise ValueError(f"problem {i} is outside [0, {len(self.problems)})")
         if len(set(problems)) != len(problems):
             raise ValueError(f"the problems of a subset must be distinct, got {problems}")
         batch = copy.copy(self)
-        if self.n:
-            batch._p = self._p[problems]
-        batch._bind([self.problems[i] for i in problems])
+        batch._setup([self.problems[i] for i in problems])
         return batch
 
     def _setup(self, problems: list[_Problem]) -> None:
-        """Allocate the work buffers of ``problems`` on the batch's packing
-        and bind them (:meth:`_bind`)."""
-        self.problems = problems
-        # the token of the last evaluation, shared with every subset, whose
-        # gradient phase may still run on the buffers
-        self.evaluated = [None]
-        if self.n == 0:
-            return
+        """Lay ``problems`` out on the batch's packing: allocate their work
+        buffers, and build their gathers, the objective's front and tail,
+        and the step views."""
+        if not problems:
+            raise ValueError("a batch needs at least one problem")
         L = problems[0].catalog.n_labels
         if any(problem.catalog.n_labels != L for problem in problems):
             raise ValueError("the problems of a batch must share one label alphabet size")
-        B, R = len(problems), int(self.offsets[-1])
-        kept = sum(len(pr.keep) for pr in problems)
-        after = sum(len(pr.after) for pr in problems)
+        self.problems = problems
+        # the token of the last evaluation, whose gradient phase may still
+        # run on the buffers
+        self.evaluated = None
+        offsets = self.offsets
+        B, R = len(problems), int(offsets[-1])
+        only = B == 1
         # p holds the shifted emission potentials (1 on rows no problem
         # trains on), scale the forward scale factors as a column; a beta
         # row at the last position of its trace is never written, so it
         # stays 1, in every problem's slice
-        self._p = np.ones((B, R, L))
-        self._alpha = np.empty((B, R, L))
-        self._q = np.empty((B, R, L))
-        self._beta = np.ones((B, R, L))
-        self._scale = np.empty((B, R, 1))
-        # the gathered rows: each problem's own (emissions, posteriors, scale
-        # factors, their logs, row maxima), and its rows past step 0 with
-        # their previous rows (forward vectors, backward terms)
-        self._kept_rows = (
-            np.empty((kept, L)), np.empty((kept, L)), *np.empty((3, kept, 1)),
+        shape = (R, L) if only else (B, R, L)
+        self.p, self.alpha, self.q, self.beta = (
+            np.ones(shape), np.empty(shape), np.empty(shape), np.ones(shape),
         )
-        self._after_rows = (np.empty((after, L)), np.empty((after, L)))
-        self._bind(problems)
-
-    def _bind(self, problems: list[_Problem]) -> None:
-        """Lay ``problems`` out in the first slices of the work buffers:
-        their gathers, the objective's front and tail, and the step
-        views."""
-        self.problems = problems
-        n, offsets = self.n, self.offsets
-        if n == 0:
-            return
-        L = problems[0].catalog.n_labels
-        B, R = len(problems), int(offsets[-1])
-        only = B == 1
-        self.p, self.alpha, self.q, self.beta, self.scale = (
-            a[0] if only else a[:B] for a in (self._p, self._alpha, self._q, self._beta, self._scale)
-        )
+        self.scale = np.empty(shape[:-1] + (1,))
         # the (B * rows, ...) views the gathers read
         self.p_rows, self.alpha_rows, self.q_rows = (
             a.reshape(-1, L) for a in (self.p, self.alpha, self.q)
@@ -516,10 +496,12 @@ class TrainingBatch:
         self.keep = _spread([pr.keep for pr in problems], base, kept)
         self.after = _spread([pr.after for pr in problems], base, after)
         K, A = len(self.keep), len(self.after)
-        self.emit, self.node, self.scale_kept, self.row_max, self.log_scale = (
-            a[:K] for a in self._kept_rows
-        )
-        self.alpha_prev, self.q_after = (a[:A] for a in self._after_rows)
+        # the gathered rows: each problem's own (emissions, posteriors, scale
+        # factors, row maxima, their logs), and its rows past step 0 with
+        # their previous rows (forward vectors, backward terms)
+        self.emit, self.node = np.empty((K, L)), np.empty((K, L))
+        self.scale_kept, self.row_max, self.log_scale = np.empty((3, K, 1))
+        self.alpha_prev, self.q_after = np.empty((A, L)), np.empty((A, L))
         # the scatter of emissions into p, by element: assigning whole
         # rows by index costs a call per row
         elements, first = np.empty((K, L), dtype=np.intp), self.keep * L
@@ -683,7 +665,9 @@ def _value_phase(
     the smallest normal float; and the gradient phase as a zero-argument
     callable returning every problem's gradient. The callable runs the
     phase on its first call only, and raises ``RuntimeError`` once the
-    batch, or a batch sharing its buffers, has evaluated other weights."""
+    batch has evaluated other weights. Front, forward pass, log sums and
+    the scale-factor check run here; the gradient phase
+    (:func:`_backward_gradients`) goes on from the buffers they leave."""
     problems = batch.problems
     if len(weights) != len(problems):
         raise ValueError(f"{len(weights)} weight vectors for {len(problems)} problems")
@@ -694,29 +678,7 @@ def _value_phase(
                 f"weight vector length {w.shape} does not match "
                 f"catalog size {problem.catalog.n_features}"
             )
-    token = batch.evaluated[0] = object()
-    if batch.n == 0:
-        zeros = [np.zeros(problem.catalog.n_features) for problem in problems]
-        values, phase = [0.0] * len(problems), lambda: zeros
-    else:
-        values, phase = _forward_values(weights, batch)
-    phase = functools.cache(phase)
-
-    def gradients() -> list[np.ndarray]:
-        if batch.evaluated[0] is not token:
-            raise RuntimeError("the batch has evaluated other weights since these values")
-        return phase()
-
-    return values, gradients
-
-
-def _forward_values(
-    weights: list[np.ndarray], batch: TrainingBatch
-) -> tuple[list[float], Callable[[], list[np.ndarray]]]:
-    """The value phase on a batch with rows (front, forward pass, log
-    sums, scale-factor check) and the gradient phase that goes on from its
-    buffers."""
-    problems = batch.problems
+    token = batch.evaluated = object()
     L, n = problems[0].catalog.n_labels, batch.n
     np.take(np.concatenate(weights + [_ZERO]), batch.weight_source, out=batch.layout)
     trans = batch.trans
@@ -769,7 +731,14 @@ def _forward_values(
         float(total) if ok else 0.0 if problem.n == 0 else np.inf
         for problem, total, ok in zip(problems, totals, valid)
     ]
-    return values, lambda: _backward_gradients(batch, e_core, valid)
+    phase = functools.cache(lambda: _backward_gradients(batch, e_core, valid))
+
+    def gradients() -> list[np.ndarray]:
+        if batch.evaluated is not token:
+            raise RuntimeError("the batch has evaluated other weights since these values")
+        return phase()
+
+    return values, gradients
 
 
 def _backward_gradients(
@@ -835,13 +804,14 @@ def fit_group(
     pending point of every problem still running, and its gradient phase
     runs once, for all of them, only if some problem's run asks for a
     gradient (at its start point, or at a trial whose value passes the
-    line search's Armijo test). A finished problem is dropped from the
-    buffers (:meth:`TrainingBatch.subset`) before the next round. Each
-    problem starts from ``initials[b]`` (in its catalog's layout; default
-    zero; one entry per problem, else ``ValueError``). ``objective_hook``,
-    if given, is called with every value the value phase returns,
-    including trial values whose gradients are never computed, so a value
-    whose gradient would prove non-finite reaches it as the finite value.
+    line search's Armijo test). Once a problem finishes, the rounds run
+    on a subset of the batch without it (:meth:`TrainingBatch.subset`).
+    Each problem starts from ``initials[b]`` (in its catalog's layout;
+    default zero; one entry per problem, else ``ValueError``).
+    ``objective_hook``, if given, is called with every value the value
+    phase returns, including trial values whose gradients are never
+    computed, so a value whose gradient would prove non-finite reaches it
+    as the finite value.
     Per problem: the model fitted on that problem alone, or the
     :class:`OptimizationError` of its start point."""
     current, live = batch, list(range(len(batch.problems)))

@@ -438,7 +438,8 @@ class TestBatchValidation:
     """A 2-label catalog with one observation feature, over a packing of
     traces of lengths 3 and 2: a problem training on the first trace,
     alone (problem 0) or as problem 1 of a group after a sound problem on
-    both. A faulty problem is refused by name."""
+    both. A faulty problem is refused by name, and so are a batch of no
+    problems and a subset index outside the batch."""
 
     def batch(self, observations=None, labels=None, kept=None, lengths=(3, 2)):
         return crf.TrainingBatch(lengths, [self.problem(observations, labels, kept)])
@@ -514,6 +515,23 @@ class TestBatchValidation:
     def test_negative_length_is_refused(self):
         with pytest.raises(ValueError, match="lengths"):
             self.batch(lengths=(4, -1))
+
+    @pytest.mark.parametrize("lengths", [[2], [0]], ids=["rows", "no-rows"])
+    def test_a_batch_of_no_problems_is_refused(self, lengths):
+        with pytest.raises(ValueError, match="at least one problem"):
+            crf.TrainingBatch(lengths, [])
+        with pytest.raises(ValueError, match="at least one problem"):
+            self.group().subset([])
+
+    @pytest.mark.parametrize(
+        "problems, outside",
+        [([1], 1), ([-1], -1), ([0, -1], -1), ([2, 0], 2)],
+        ids=["past-one", "negative", "negative-alias", "past-two"],
+    )
+    def test_subset_indices_outside_the_batch_are_refused(self, problems, outside):
+        batch = self.batch() if problems == [1] else self.group()
+        with pytest.raises(ValueError, match=rf"problem {outside} is outside \[0, "):
+            batch.subset(problems)
 
 
 LENGTHS = st.one_of(
@@ -658,6 +676,7 @@ class TestFoldGroups:
     @example(n_labels=4, lengths=[7, 2, 6, 0, 6], kinds=["longest", "all_but_one"], seed=1)
     @example(n_labels=3, lengths=[4, 4, 1, 6, 3, 5], kinds=["several"] * 3, seed=2)
     @example(n_labels=2, lengths=[2, 5], kinds=["infinite", "one", "several"], seed=3)
+    @example(n_labels=4, lengths=[0, 0], kinds=["one", "infinite"], seed=4)
     def test_a_fold_gets_the_same_bits_in_any_group(self, n_labels, lengths, kinds, seed):
         log, folds, catalogs, observations, weights = fold_group_case(n_labels, lengths, kinds, seed)
         n_traces = len(lengths)
@@ -772,8 +791,9 @@ class TestPhases:
     """The value phase gives the values of ``nll_and_gradients`` wherever
     they are finite, and the gradient phase, whichever problems ask for it,
     their gradients, bit for bit, on a group and on a compacted group after
-    a pass at other weights; a fit runs the gradient phase only where the
-    optimizer asks."""
+    a pass at other weights; a subset has buffers of its own, so evaluating
+    it leaves the group's pending gradients as they were; a fit runs the
+    gradient phase only where the optimizer asks."""
 
     bits = staticmethod(TestBufferReuse.bits)
 
@@ -810,12 +830,40 @@ class TestPhases:
         crf._value_phase([0.5 * w for w in points], compacted)
         self.check(compacted, points, rng.permutation(len(kept)).tolist())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_labels=st.integers(2, 4),
+        lengths=st.lists(st.integers(0, 7), min_size=2, max_size=7),
+        kinds=st.lists(FOLD_KINDS, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_labels=2, lengths=[3, 7, 5, 6], kinds=["longest", "one", "infinite"], seed=0)
+    @example(n_labels=3, lengths=[0, 0], kinds=["infinite", "one"], seed=1)
+    def test_a_subset_leaves_the_group_pending_gradients(self, n_labels, lengths, kinds, seed):
+        group, weights = random_fold_group(n_labels, lengths, kinds, seed)
+        rng = np.random.default_rng(seed)
+        eager = [g.tobytes() for _, g in crf.nll_and_gradients(weights, group)]
+        _, gradients = crf._value_phase(weights, group)
+        B = len(weights)
+        kept = sorted(rng.choice(B, int(rng.integers(1, B + 1)), replace=False).tolist())
+        subset = group.subset(kept)
+        _, subset_gradients = crf._value_phase([0.5 * weights[b] for b in kept], subset)
+        subset_gradients()
+        assert [g.tobytes() for g in gradients()] == eager
+        # the packing (offsets, prev) is shared and never written
+        own = [
+            v for k, v in vars(subset).items()
+            if isinstance(v, np.ndarray) and k not in ("offsets", "prev")
+        ]
+        held = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(a, b) for a in own for b in held)
+
     def test_a_stale_gradient_phase_raises(self):
         group, weights = random_fold_group(3, [4, 2, 5], ["one", "several"], 3)
         values, gradients = crf._value_phase(weights, group)
         first = gradients()
         assert gradients() is first  # the phase runs once
-        crf._value_phase([2.0 * weights[1]], group.subset([1]))
+        crf._value_phase([2.0 * w for w in weights], group)
         with pytest.raises(RuntimeError, match="other weights"):
             gradients()
         _, fresh = crf._value_phase(weights, group)
@@ -873,6 +921,7 @@ class TestObjectiveAgainstReference:
     @example(n_labels=2, lengths=[3, 7, 5, 6], kinds=["longest", "one", "infinite"], seed=0)
     @example(n_labels=4, lengths=[7, 2, 6, 0, 6], kinds=["longest", "all_but_one"], seed=1)
     @example(n_labels=3, lengths=[0, 4, 0], kinds=["all_but_one", "several", "infinite"], seed=2)
+    @example(n_labels=2, lengths=[0, 0], kinds=["infinite", "one", "several"], seed=3)
     def test_every_problem_gets_the_reference_bits(self, n_labels, lengths, kinds, seed):
         group, weights = random_fold_group(n_labels, lengths, kinds, seed)
 
