@@ -36,7 +36,8 @@ from .xes import (
     Event,
     EventLog,
     SharedStrings,
-    Trace,
+    _event,
+    _trace,
 )
 
 __all__ = [
@@ -193,9 +194,11 @@ def annotate(
         model, log.per_trace(observation_matrix(model.catalog, log))
     )
     values = SharedStrings()
+    # each event passed Event's check and gains a string label, and each
+    # trace keeps its attributes and its events' timestamps in order
     traces = [
-        Trace(trace.attributes, [
-            Event({**event.attributes, LABEL: values[label]})
+        _trace(trace.attributes, [
+            _event({**event.attributes, LABEL: values[label]})
             for event, label in zip(trace.events, labels)
         ])
         for trace, labels in zip(unannotated.traces, decoded)
@@ -209,18 +212,27 @@ def annotate(
 
 
 def strip_labels(log: EventLog) -> EventLog:
-    """Remove the label attribute from every event."""
+    """Remove the label attribute from every event, its global declaration,
+    and the label key from every classifier; a classifier of the label key
+    alone is dropped, since it classifies nothing."""
     traces = []
     for trace in log.traces:
+        # an event less a key passes Event's check, and the trace keeps its
+        # attributes and its events' timestamps in order
         events = []
         for event in trace.events:
             attributes = dict(event.attributes)
             attributes.pop(LABEL, None)
-            events.append(Event(attributes))
-        traces.append(Trace(trace.attributes, events))
+            events.append(_event(attributes))
+        traces.append(_trace(trace.attributes, events))
     global_event = {k: v for k, v in log.global_event_attributes.items() if k != LABEL}
+    classifiers = {}
+    for name, keys in log.classifiers.items():
+        kept = tuple(key for key in keys if key != LABEL)
+        if kept:
+            classifiers[name] = kept
     return EventLog(
-        log.attributes, log.extensions, log.classifiers,
+        log.attributes, log.extensions, classifiers,
         log.global_trace_attributes, global_event, traces,
     )
 
@@ -236,6 +248,10 @@ def collapse(annotated: EventLog) -> EventLog:
     """
     values = SharedStrings()
     start, complete = values["start"], values["complete"]
+    # every event built below holds string name and lifecycle values and a
+    # date stamp that an event of the trace held; a run's start and complete
+    # stamps are its first and last, so the stamps of a trace whose
+    # timestamps do not decrease do not decrease either
     traces = []
     for trace in annotated.traces:
         events: list[Event] = []
@@ -253,20 +269,20 @@ def collapse(annotated: EventLog) -> EventLog:
                 )
             if label.value != text:
                 if events:  # the run before this one ends at the previous event
-                    events.append(Event({
+                    events.append(_event({
                         CONCEPT_NAME: name, TIME_TIMESTAMP: last, LIFECYCLE_TRANSITION: complete,
                     }))
                 text = label.value
                 name = values[text]
-                events.append(Event({
+                events.append(_event({
                     CONCEPT_NAME: name, TIME_TIMESTAMP: stamp, LIFECYCLE_TRANSITION: start,
                 }))
             last = stamp
         if events:
-            events.append(Event({
+            events.append(_event({
                 CONCEPT_NAME: name, TIME_TIMESTAMP: last, LIFECYCLE_TRANSITION: complete,
             }))
-        traces.append(Trace(trace.attributes, events))
+        traces.append(_trace(trace.attributes, events))
     return EventLog(
         annotated.attributes,
         {"Concept", "Time", "Lifecycle"},

@@ -792,6 +792,10 @@ def training_pairs(
     return list(zip(interned.per_trace(observations), interned.per_trace(labels)))
 
 
+def _spent_round() -> list[np.ndarray]:
+    raise RuntimeError("the round of these values is over")
+
+
 def fit_group(
     batch: TrainingBatch,
     l1_coefficient: float = 0.1,
@@ -815,16 +819,24 @@ def fit_group(
     Per problem: the model fitted on that problem alone, or the
     :class:`OptimizationError` of its start point."""
     current, live = batch, list(range(len(batch.problems)))
+    # the last round's gradient phase, in the list its providers read. Each
+    # run holds its last provider into the next round, and the phase holds
+    # the batch it ran on, so the phase is dropped as the next round starts:
+    # a spent subset is freed before the next one is laid out
+    last_round: list[Callable[[], list[np.ndarray]]] = [_spent_round]
 
     def objective(problems: list[int], points: list[np.ndarray]) -> list[Evaluation]:
-        nonlocal current, live
+        nonlocal current, live, last_round
+        last_round[0] = _spent_round
         if problems != live:
+            current = None
             current, live = batch.subset(problems), problems
         values, gradients = _value_phase(points, current)
+        this_round = last_round = [gradients]
         if objective_hook is not None:
             for value in values:
                 objective_hook(value)
-        return [(value, lambda b=b: gradients()[b]) for b, value in enumerate(values)]
+        return [(value, lambda b=b: this_round[0]()[b]) for b, value in enumerate(values)]
 
     outcomes = minimize_lockstep(
         objective, [problem.catalog.n_features for problem in batch.problems],

@@ -20,19 +20,34 @@ two byte-identical.
 ``parse_xes`` reads the document in one streaming pass of expat: its
 start and end handlers keep a stack of the open elements and build each
 attribute, event, trace and the log as its element closes, so no element
-tree is built. While an ``<event>`` is open, expat calls a second pair of
-handlers instead, which read the event's childless attributes without
-a stack frame or role dispatch of their own; a nested, listed or unplaced child hands
-its subtree back to the general pair, so both pairs skip alike and
+tree is built. While a ``<trace>`` is open and nothing below it is but an
+``<event>`` and one childless attribute of it, expat calls a second pair
+of handlers instead, which open and close the trace's events and read
+their childless attributes without a stack frame or role dispatch of
+their own; a trace attribute and a nested, listed or unplaced child hand
+their subtree back to the general pair, so both pairs skip alike and
 raise the first fault in document order. A timestamp already in
 ``format_timestamp``'s form goes straight to ``datetime.fromisoformat``,
-and ``AttributeValue`` takes the UTC datetime at whole milliseconds that
-this gives as it is, without normalizing it again. A childless attribute
-other than a date is read once per distinct (tag, key, value) within one
-parse and its frozen ``AttributeValue`` shared, which pays because logs
-draw their values from small alphabets. A list's items, held in its
-``<values>`` element, become its children. The plain ElementTree walk
-``tests/oracles.parse_xes_reference`` is the reference it is tested against.
+whose UTC datetime at whole milliseconds is the date value as it is. A
+childless attribute other than a date is read once per distinct (tag,
+key, value) within one parse and its frozen ``AttributeValue`` shared,
+which pays because logs draw their values from small alphabets. A list's
+items, held in its ``<values>`` element, become its children. The plain
+ElementTree walk ``tests/oracles.parse_xes_reference`` is the reference it
+is tested against.
+
+Every check of the model runs once, where a value enters it: in the
+public constructors of ``AttributeValue``, ``Event``, ``Trace`` and
+``EventLog``, and in ``parse_xes``, which runs the same checks with the
+same texts as each attribute, event and trace closes, and builds the
+event and trace without running them again. ``abstraction.annotate``,
+``strip_labels`` and ``collapse`` only recombine checked parts, and build
+their events and traces the same way (``_event``, ``_trace``): annotate
+adds a string label to each event and keeps each trace's events in order;
+strip_labels removes a key; collapse gives each event string name and
+lifecycle values and a stamp of its trace, first and last of each run in
+order. The model is treated as immutable once built, so an ``Event`` or
+``Trace`` changed in place afterwards is not checked again.
 """
 
 from __future__ import annotations
@@ -239,6 +254,31 @@ _TYPED_EVENT_KEYS = {
 }
 
 
+def _check_event(attributes: dict[str, AttributeValue]) -> None:
+    """Event's check: each standard key holds a value of its kind."""
+    for key, av in attributes.items():
+        kind = _TYPED_EVENT_KEYS.get(key)
+        if kind is not None and av.kind != kind:
+            raise XesValueError(f"attribute {key!r} must be of kind {kind!r}, got {av.kind!r}")
+
+
+def _check_trace(attributes: dict[str, AttributeValue], events: list["Event"]) -> None:
+    """Trace's check: a case identifier, and timestamps that do not
+    decrease over the events that carry one."""
+    if CONCEPT_NAME not in attributes:
+        raise XesValueError("trace is missing the concept:name case identifier")
+    last: datetime | None = None
+    for i, event in enumerate(events):
+        stamp = event.attributes.get(TIME_TIMESTAMP)
+        if stamp is None:
+            continue
+        if last is not None and stamp.value < last:
+            raise XesValueError(
+                f"trace {attributes[CONCEPT_NAME].value!r}: event {i} timestamp decreases"
+            )
+        last = stamp.value  # type: ignore[assignment]
+
+
 @dataclass
 class Event:
     """A single event: a map from attribute key to typed value.
@@ -249,12 +289,7 @@ class Event:
     attributes: dict[str, AttributeValue] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for key, av in self.attributes.items():
-            kind = _TYPED_EVENT_KEYS.get(key)
-            if kind is not None and av.kind != kind:
-                raise XesValueError(
-                    f"attribute {key!r} must be of kind {kind!r}, got {av.kind!r}"
-                )
+        _check_event(self.attributes)
 
     def _text(self, key: str) -> str | None:
         av = self.attributes.get(key)
@@ -293,18 +328,7 @@ class Trace:
     events: list[Event] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if CONCEPT_NAME not in self.attributes:
-            raise XesValueError("trace is missing the concept:name case identifier")
-        last: datetime | None = None
-        for i, ev in enumerate(self.events):
-            ts = ev.timestamp
-            if ts is None:
-                continue
-            if last is not None and ts < last:
-                raise XesValueError(
-                    f"trace {self.case_id!r}: event {i} timestamp decreases"
-                )
-            last = ts
+        _check_trace(self.attributes, self.events)
 
     @property
     def case_id(self) -> str:
@@ -339,6 +363,33 @@ class EventLog:
         return sum(len(t.events) for t in self.traces)
 
 
+# --- Unchecked construction -------------------------------------------------
+#
+# The checks of the model run once, where a value enters it: in the public
+# constructors, and in parse_xes for a document. parse_xes, once it has run
+# them, and code that only recombines parts that passed them build events
+# and traces here; each call site states why what it hands over passes the
+# check skipped.
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _event(attributes: dict[str, AttributeValue]) -> Event:
+    """The event of ``attributes``, which must pass :func:`_check_event`."""
+    event = _new(Event)
+    event.attributes = attributes
+    return event
+
+
+def _trace(attributes: dict[str, AttributeValue], events: list[Event]) -> Trace:
+    """The trace of ``attributes`` and ``events``, which must pass
+    :func:`_check_trace`."""
+    trace = _new(Trace)
+    trace.attributes = attributes
+    trace.events = events
+    return trace
+
+
 # --- XML parsing ------------------------------------------------------------
 
 _ATTR_TAGS = {"string", "date", "int", "float", "boolean", "id", "list", "container"}
@@ -350,15 +401,24 @@ _CANONICAL_TIMESTAMP = re.compile(
 )
 
 
-def _canonical_stamp(raw: str) -> datetime | None:
-    """``raw`` read as a UTC datetime at whole milliseconds if it is in
-    ``format_timestamp``'s form, else None. None also for a field out of
-    range, whose error ``parse_timestamp`` words."""
+def _canonical_date(raw: str) -> AttributeValue | None:
+    """``raw`` read as a date if it is in ``format_timestamp``'s form, else
+    None. None also for a field out of range, whose error ``parse_timestamp``
+    words. ``datetime.fromisoformat`` reads that form as a UTC datetime at
+    whole milliseconds, the normal form ``AttributeValue`` keeps as it is,
+    so the value is built without that check."""
     if _CANONICAL_TIMESTAMP.fullmatch(raw):
         try:
-            return datetime.fromisoformat(raw)
+            stamp = datetime.fromisoformat(raw)
         except ValueError:
-            pass
+            return None
+        # set as the dataclass's __init__ sets them: written through
+        # __dict__, each value would hold a dict of its own
+        value = _new(AttributeValue)
+        _set(value, "kind", "date")
+        _set(value, "value", stamp)
+        _set(value, "children", ())
+        return value
     return None
 
 
@@ -370,7 +430,7 @@ def _read_attribute(
         if tag == "string" or tag == "id":
             value = AttributeValue("string", raw, children)
         elif tag == "date":
-            value = AttributeValue("date", _canonical_stamp(raw) or parse_timestamp(raw), children)
+            value = AttributeValue("date", parse_timestamp(raw), children)
         elif tag == "int":
             value = AttributeValue("int", int(raw), children)
         elif tag == "float":
@@ -412,9 +472,11 @@ def _join_classifier_keys(name: str, keys: tuple[str, ...]) -> str:
 # not place where it stands is skipped with its whole subtree.
 _SKIP, _LOG, _GLOBAL, _TRACE, _EVENT, _ATTRIBUTE, _VALUES = range(7)
 _SKIPPED = (_SKIP, None, None)
-# Attribute tags the event-level handlers read themselves when they have
-# no children: those with a value of their own.
+# Attribute tags the trace-level handlers read themselves when they stand
+# in an event and have no children: those with a value of their own.
 _LEAF_TAGS = _ATTR_TAGS - {"list", "container"}
+# Roles of the elements whose children the trace-level handlers read.
+_TRACE_LEVEL = (_TRACE, _EVENT)
 
 
 def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
@@ -449,14 +511,14 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
     # <values>; extra is an attribute's (tag, raw key, raw value), the events
     # of a trace or of an event's trace, or a global's target.
     stack: list[tuple] = []
-    # While an <event> is open and no element below its attribute children
-    # is, the event-level handlers run: the open event's pairs, and the
-    # (tag, raw key, raw value) of its open attribute child or None.
-    event_pairs: list[tuple[str, AttributeValue]] = []
+    # While a <trace> is open and nothing below it is but an <event> and one
+    # childless attribute of it, the trace-level handlers run: the open
+    # event's pairs or None, and the (tag, raw key, raw value) of its open
+    # attribute child or None.
+    event_pairs: list[tuple[str, AttributeValue]] | None = None
     leaf: tuple[str, str, str] | None = None
 
     def start(name: str, attrib: dict[str, str]) -> None:
-        nonlocal event_pairs
         tag = name.rpartition("}")[2]
         if not stack:
             if tag != "log":
@@ -464,17 +526,14 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
             stack.append((_LOG, [], None))
             return
         role, pairs, extra = stack[-1]
-        if role == _TRACE and tag == "event":
-            event_pairs = []
-            stack.append((_EVENT, event_pairs, extra))
-            parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
-            return
         if role == _SKIP:
             frame = _SKIPPED
         elif tag in _ATTR_TAGS:
             frame = (_ATTRIBUTE, [], (tag, attrib.get("key", ""), attrib.get("value", "")))
         elif role == _LOG and tag == "trace":
-            frame = (_TRACE, [], [])
+            stack.append((_TRACE, [], []))
+            parser.StartElementHandler, parser.EndElementHandler = trace_start, trace_end
+            return
         elif role == _LOG and tag == "global":
             frame = (_GLOBAL, [], scopes["trace" if attrib.get("scope") == "trace" else "event"])
         elif role == _ATTRIBUTE and tag == "values" and extra[0] == "list":
@@ -499,13 +558,15 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
                     pair = shared[extra] = _read_attribute(*extra, ())
             parent = stack[-1]
             parent[1].append(pair)
-            if parent[0] == _EVENT:
-                parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
+            if parent[0] in _TRACE_LEVEL:
+                parser.StartElementHandler, parser.EndElementHandler = trace_start, trace_end
         elif role == _SKIP:
-            if stack[-1][0] == _EVENT:
-                parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
+            if stack[-1][0] in _TRACE_LEVEL:
+                parser.StartElementHandler, parser.EndElementHandler = trace_start, trace_end
         elif role == _TRACE:
-            traces.append(Trace(dict(pairs), extra))
+            attributes = dict(pairs)
+            _check_trace(attributes, extra)
+            traces.append(_trace(attributes, extra))
         elif role == _GLOBAL:
             extra.update(pairs)
         elif role == _LOG:
@@ -513,41 +574,53 @@ def parse_xes(source: bytes | str | Path | IO[bytes]) -> EventLog:
                 dict(pairs), extensions, classifiers, scopes["trace"], scopes["event"], traces
             ))
 
-    def event_start(name: str, attrib: dict[str, str]) -> None:
-        nonlocal leaf
+    def trace_start(name: str, attrib: dict[str, str]) -> None:
+        nonlocal event_pairs, leaf
         tag = name.rpartition("}")[2]
-        if leaf is None and tag in _LEAF_TAGS:
-            leaf = (tag, attrib.get("key", ""), attrib.get("value", ""))
-            return
-        # a child of the open attribute, a list, a container or an element
-        # the grammar does not place here: its subtree is read by start/end
-        if leaf is not None:
+        if leaf is None:
+            if event_pairs is None:
+                if tag == "event":
+                    event_pairs = []
+                    stack.append((_EVENT, event_pairs, stack[-1][2]))
+                    return
+            elif tag in _LEAF_TAGS:
+                leaf = (tag, attrib.get("key", ""), attrib.get("value", ""))
+                return
+        else:
             stack.append((_ATTRIBUTE, [], leaf))
             leaf = None
+        # a trace attribute, a child of the open attribute, a list, a
+        # container or an element the grammar does not place here: its
+        # subtree is read by start/end
         parser.StartElementHandler, parser.EndElementHandler = start, end
         start(name, attrib)
 
-    def event_end(name: str) -> None:
-        nonlocal leaf
-        if leaf is None:  # the </event>
-            stack.pop()[2].append(Event(dict(event_pairs)))
-            parser.StartElementHandler, parser.EndElementHandler = start, end
-            return
-        attribute, leaf = leaf, None
-        if attribute[0] != "date":
-            pair = shared.get(attribute)
-            if pair is None:
-                pair = shared[attribute] = _read_attribute(*attribute, ())
-        else:
-            stamp = _canonical_stamp(attribute[2])
-            if stamp is None:
-                pair = _read_attribute(*attribute, ())
+    def trace_end(name: str) -> None:
+        nonlocal event_pairs, leaf
+        if leaf is not None:
+            attribute, leaf = leaf, None
+            if attribute[0] != "date":
+                pair = shared.get(attribute)
+                if pair is None:
+                    pair = shared[attribute] = _read_attribute(*attribute, ())
             else:
-                key = date_keys.get(attribute[1])
-                if key is None:
-                    key = date_keys[attribute[1]] = canonical_key(attribute[1])
-                pair = (key, AttributeValue("date", stamp))
-        event_pairs.append(pair)
+                value = _canonical_date(attribute[2])
+                if value is None:
+                    pair = _read_attribute(*attribute, ())
+                else:
+                    key = date_keys.get(attribute[1])
+                    if key is None:
+                        key = date_keys[attribute[1]] = canonical_key(attribute[1])
+                    pair = (key, value)
+            event_pairs.append(pair)  # type: ignore[union-attr]
+        elif event_pairs is not None:  # the </event>
+            attributes = dict(event_pairs)
+            _check_event(attributes)
+            stack.pop()[2].append(_event(attributes))
+            event_pairs = None
+        else:  # the </trace>
+            parser.StartElementHandler, parser.EndElementHandler = start, end
+            end(name)
 
     declared: list[str | None] = []
     parser = expat.ParserCreate(namespace_separator="}")

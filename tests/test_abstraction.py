@@ -1,11 +1,15 @@
 """Pipeline surface: fit, annotate, collapse, and model persistence."""
 
+import functools
 import io
 import json
+import random
+from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eventabs import abstraction, features, stats
@@ -26,7 +30,9 @@ from eventabs.features import (
     CatalogConfig, InternedLog, build_catalog, fold_catalogs, observation_matrix,
 )
 from eventabs.owlqn import OwlqnConfig
-from eventabs.petri import generate_annotated_log, medicine_eating_process
+from eventabs.petri import (
+    enabled_transitions, fire, generate_annotated_log, medicine_eating_process,
+)
 from eventabs.xes import (
     CONCEPT_NAME,
     LABEL,
@@ -37,12 +43,16 @@ from eventabs.xes import (
     EventLog,
     Trace,
     parse_timestamp,
+    parse_xes,
     serialize_xes,
 )
 
-from factories import make_event, make_log, sequence_trace
+from factories import BASE, make_event, make_log, sequence_trace
 from test_features import _EVENTS, _PAIRED_EVENTS, _random_log
-from test_xes import annotated_household_trace
+from test_petri import random_nets
+from test_xes import (
+    _household_log, _log_facts, _sensor_log, annotated_household_trace, awkward_logs,
+)
 
 SMALL_CONFIG = AbstractionConfig(
     catalog=CatalogConfig(ngram_sizes=(1, 2), time_views=("day",), gmm_max_components=2)
@@ -365,6 +375,22 @@ def expected_household_high_level() -> Trace:
     )
 
 
+class TestStripLabels:
+    def test_classifiers_lose_the_label_key(self):
+        # a valid log whose classifiers name the label key, whose global
+        # declaration strip_labels removes: the key leaves each classifier,
+        # and a classifier of the label key alone goes
+        log = replace(synthetic_log(3, seed=8), classifiers={
+            "Activity": (CONCEPT_NAME,), "Both": (CONCEPT_NAME, LABEL), "High": (LABEL,),
+        })
+        assert parse_xes(serialize_xes(log)) == log
+        bare = strip_labels(log)
+        assert bare.classifiers == {"Activity": (CONCEPT_NAME,), "Both": (CONCEPT_NAME,)}
+        assert LABEL not in bare.global_event_attributes
+        assert not any(LABEL in event.attributes for trace in bare.traces for event in trace.events)
+        assert parse_xes(serialize_xes(bare)) == bare
+
+
 class TestCollapse:
     def test_household_collapse_matches_expected(self):
         log = EventLog(traces=[annotated_household_trace()])
@@ -555,30 +581,145 @@ PROPERTY_CONFIG = AbstractionConfig(
 )
 
 
+def _annotate_keeps_the_log_and_a_reloaded_model_decodes_alike(log: EventLog) -> None:
+    model = fit(log, PROPERTY_CONFIG)
+    unlabeled = strip_labels(log)
+    annotated = annotate(model, unlabeled)
+
+    def unlabeled_attributes(event):
+        return {k: v for k, v in event.attributes.items() if k != LABEL}
+
+    assert len(annotated.traces) == len(log.traces)
+    for original, trace in zip(log.traces, annotated.traces):
+        assert trace.attributes == original.attributes
+        assert len(trace.events) == len(original.events)
+        for before, after in zip(original.events, trace.events):
+            assert after.label in model.labels
+            assert unlabeled_attributes(after) == unlabeled_attributes(before)
+
+    buffer = io.StringIO()
+    save_model(model, buffer)
+    reloaded = load_model(io.StringIO(buffer.getvalue()))
+    assert annotate(reloaded, unlabeled) == annotated
+
+
+def _net_run(net, rng: random.Random, steps: int) -> list[str]:
+    """The visible labels of a random run of ``net`` from its initial
+    marking, which stops at a final marking with chance one half, as the
+    generator's playouts do; where a playout would fail, at a deadlock or
+    after ``steps`` firings, the run ends instead."""
+    marking, emitted = net.initial_marking, []
+    for _ in range(steps):
+        enabled = sorted(enabled_transitions(net, marking))
+        if not enabled or (marking in net.final_markings and rng.random() < 0.5):
+            break
+        transition = rng.choice(enabled)
+        marking = fire(net, marking, transition)
+        label = net.label_of(transition)
+        if label is not None:
+            emitted.append(label)
+    return emitted
+
+
+@st.composite
+def net_logs(draw) -> EventLog:
+    """Annotated logs played out of random nets (``test_petri.random_nets``,
+    with tau transitions, self-loops and deadlocks): each trace is a run of
+    one net whose labels a and b each expand into a run of a net of their
+    own, at random gaps of up to ten minutes."""
+    high = draw(random_nets())
+    low = {"a": draw(random_nets()), "b": draw(random_nets())}
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    traces, clock = [], BASE
+    for _ in range(draw(st.integers(1, 4))):
+        events = []
+        for label in _net_run(high, rng, 8):
+            for name in _net_run(low[label], rng, 8):
+                clock += timedelta(seconds=rng.randrange(1, 600))
+                events.append(make_event(name, label, clock))
+        traces.append(events)
+    assume(any(traces))
+    return make_log(traces)
+
+
 class TestPipelineProperties:
     """fit, annotate and save/load on random logs whose events drop the
-    concept name, timestamp, lifecycle step or resource at random."""
+    concept name, timestamp, lifecycle step or resource at random, and on
+    logs played out of random nets."""
 
     @given(st.lists(st.lists(_EVENTS, min_size=1, max_size=6), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_annotate_keeps_the_log_and_a_reloaded_model_decodes_alike(self, rows):
-        log = _random_log(rows)
-        model = fit(log, PROPERTY_CONFIG)
-        unlabeled = strip_labels(log)
-        annotated = annotate(model, unlabeled)
+        _annotate_keeps_the_log_and_a_reloaded_model_decodes_alike(_random_log(rows))
 
-        def unlabeled_attributes(event):
-            return {k: v for k, v in event.attributes.items() if k != LABEL}
+    @given(net_logs())
+    @settings(max_examples=60, deadline=None)
+    def test_the_same_on_logs_played_out_of_random_nets(self, log):
+        _annotate_keeps_the_log_and_a_reloaded_model_decodes_alike(log)
 
-        assert len(annotated.traces) == len(log.traces)
-        for original, trace in zip(log.traces, annotated.traces):
-            assert trace.attributes == original.attributes
-            assert len(trace.events) == len(original.events)
-            for before, after in zip(original.events, trace.events):
-                assert after.label in model.labels
-                assert unlabeled_attributes(after) == unlabeled_attributes(before)
 
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        reloaded = load_model(io.StringIO(buffer.getvalue()))
-        assert annotate(reloaded, unlabeled) == annotated
+def _rebuilt(log: EventLog) -> EventLog:
+    """``log`` built anew through the public constructors, which check
+    every value, event and trace, and the log."""
+
+    def value(av: AttributeValue) -> AttributeValue:
+        return AttributeValue(av.kind, av.value, tuple((k, value(c)) for k, c in av.children))
+
+    def block(attributes: dict) -> dict:
+        return {key: value(av) for key, av in attributes.items()}
+
+    return EventLog(
+        block(log.attributes), set(log.extensions), dict(log.classifiers),
+        block(log.global_trace_attributes), block(log.global_event_attributes),
+        [
+            Trace(block(trace.attributes), [Event(block(e.attributes)) for e in trace.events])
+            for trace in log.traces
+        ],
+    )
+
+
+_MINUTE = timedelta(minutes=1)
+
+
+def _stamped(log: EventLog) -> EventLog:
+    """``log`` with every event stamped a minute after the one before it."""
+    return replace(log, traces=[
+        Trace(trace.attributes, [
+            Event({**event.attributes, TIME_TIMESTAMP: AttributeValue.date(BASE + i * _MINUTE)})
+            for i, event in enumerate(trace.events)
+        ])
+        for trace in log.traces
+    ])
+
+
+@functools.cache
+def _property_model() -> CrfModel:
+    return fit(synthetic_log(12, seed=11), PROPERTY_CONFIG)
+
+
+class TestCheckOnce:
+    """annotate, strip_labels, collapse and parse_xes build their events and
+    traces without running the model's checks again. What each returns
+    equals, down to the type and tzinfo of every value, the log the checking
+    constructors build of the same parts, so the checks would refuse none
+    of it."""
+
+    @given(awkward_logs(readable=True))
+    @settings(max_examples=80, deadline=None)
+    @example(_household_log())
+    @example(_sensor_log())
+    @example(synthetic_log(4, seed=3))
+    def test_derived_logs_equal_their_checked_rebuilds(self, log):
+        model = _property_model()
+        annotated = annotate(model, log)
+        for derived in (
+            annotated,
+            strip_labels(log),
+            strip_labels(annotated),
+            collapse(annotate(model, _stamped(log))),
+            parse_xes(serialize_xes(log)),
+            parse_xes(serialize_xes(annotated)),
+        ):
+            rebuilt = _rebuilt(derived)
+            assert rebuilt == derived
+            assert _log_facts(rebuilt) == _log_facts(derived)

@@ -3,6 +3,7 @@ differences, and training behavior."""
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -868,6 +869,37 @@ class TestPhases:
             gradients()
         _, fresh = crf._value_phase(weights, group)
         assert [g.tobytes() for g in fresh()] == [g.tobytes() for g in first]
+
+    def test_a_round_of_a_fit_releases_the_last_rounds_batch(self, monkeypatch):
+        # the objective fit_group hands the optimizer, driven by hand: once
+        # the next round starts, the last round's providers hold nothing,
+        # so a spent subset is freed before the next one is laid out, and a
+        # provider called late raises
+        group, weights = random_fold_group(3, [4, 2, 5], ["one", "several", "longest"], 3)
+        objectives, subsets = [], []
+        take = crf.TrainingBatch.subset
+
+        def recorded(batch, problems):
+            subset = take(batch, problems)
+            subsets.append(weakref.ref(subset))
+            return subset
+
+        def driven(objective, dims, *rest):
+            objectives.append(objective)
+            return [OptimizationError("not run")] * len(dims)
+
+        monkeypatch.setattr(crf.TrainingBatch, "subset", recorded)
+        monkeypatch.setattr(crf, "minimize_lockstep", driven)
+        crf.fit_group(group, 0.1)
+        (objective,) = objectives
+        eager = crf.nll_and_gradients(weights, group)
+        [(_, first)] = objective([0, 2], [weights[0], weights[2]])[:1]
+        assert first().tobytes() == eager[0][1].tobytes()
+        [(_, second)] = objective([2], [weights[2]])
+        assert subsets[0]() is None and subsets[1]() is not None
+        with pytest.raises(RuntimeError, match="round of these values is over"):
+            first()
+        assert second().tobytes() == eager[2][1].tobytes()
 
     def test_a_fit_runs_the_gradient_phase_only_where_asked(self, monkeypatch):
         # a 150-trace household fit with the criterion-7 catalog and optimizer

@@ -790,6 +790,63 @@ class TestParserOracle:
             assert ours.microsecond == theirs.microsecond
 
 
+# children of an <event> for the model's checks, which parse_xes runs as
+# each event and trace closes: standard keys of the right kind and of the
+# wrong one (through the event-level handlers, the canonical date path and
+# the general handlers), a bad value, and timestamps in both orders
+_EARLIER = "<date key='time:timestamp' value='2015-11-03T08:45:22.999+00:00'/>"
+_CHECKED_CHILDREN = [
+    _NAME,
+    "<int key='concept:name' value='3'/>",
+    f"<date key='label' value='{_STAMP}'/>",
+    "<string key='lifecycle:transition' value='start'/>",
+    "<boolean key='Org:Resource' value='true'/>",
+    "<string key='time:timestamp' value='x'/>",
+    "<string key='org:role' value='r'><int key='meta' value='1'/></string>",
+    "<float key='org:group' value='1.5'><int key='meta' value='1'/></float>",
+    "<int key='n' value='x'/>",
+    _STAMPED,
+    _CAPITALIZED,
+    _EARLIER,
+    "<date key='time:timestamp' value='2015-11-03T09:45:23.5+01:00'/>",
+]
+
+
+class TestParserChecks:
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.lists(st.sampled_from(_CHECKED_CHILDREN), max_size=4), max_size=4),
+            ),
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example([(True, [[_NAME, "<int key='concept:name' value='3'/>"]])], False)
+    @example([(True, [["<int key='concept:name' value='3'/>", _NAME]])], False)
+    @example([(True, [[f"<date key='label' value='{_STAMP}'/>"]])], True)
+    @example([(True, [[_STAMPED], [_EARLIER]])], False)
+    @example([(True, [[_STAMPED], [_NAME], [_CAPITALIZED]])], False)
+    @example([(False, [[_STAMPED], ["<int key='n' value='x'/>"]])], False)
+    @example([(True, [[_STAMPED], ["<int key='concept:name' value='3'/>"]]),
+              (True, [["<int key='n' value='x'/>"]])], False)
+    def test_event_kinds_timestamp_order_and_the_first_fault(self, traces, namespace):
+        """Each event's standard keys and each trace's case identifier and
+        timestamp order are checked as its element closes, with the texts
+        and in the order the checking constructors give them."""
+        xmlns = " xmlns='http://www.xes-standard.org/'" if namespace else ""
+        body = "".join(
+            "<trace>" + ("<string key='concept:name' value='c'/>" if named else "")
+            + "".join(f"<event>{''.join(children)}</event>" for children in events)
+            + "</trace>"
+            for named, events in traces
+        )
+        data = f"<log{xmlns}>{body}</log>".encode()
+        assert _outcome(parse_xes, data) == _outcome(parse_xes_reference, data)
+
+
 # Attribute tags that stand inside an element the XES grammar does not place
 # there: every one of them, at every level, must be skipped.
 _GHOSTS = "<string key='ghost' value='g'/><int key='ghost:n' value='1'/>"
